@@ -290,24 +290,16 @@ class Trace:
     def final(self) -> WorldState:
         return self.states[-1]
 
-    def interval(self, i: int) -> tuple[float, float]:
-        """Half-open time interval covered by transition i (1-based state index)."""
-        return (self.states[i - 1].time, self.states[i].time)
-
     def key(self) -> tuple:
-        return (
-            self.labels,
-            tuple(
-                (
-                    s.tick_index,
-                    tuple(
-                        (b.id, b.position, b.rotation, b.velocity)
-                        for b in s.bodies.values()
-                    ),
-                )
-                for s in self.states
-            ),
-        )
+        return (self.labels, tuple(_state_key(s) for s in self.states))
+
+
+def _state_key(state: WorldState) -> tuple:
+    """What tells two states of a trace apart: tick index and every body's motion."""
+    return (
+        state.tick_index,
+        tuple((b.id, b.position, b.rotation, b.velocity) for b in state.bodies.values()),
+    )
 
 
 # -- attribute update ---------------------------------------------------------------
@@ -418,14 +410,62 @@ def eval_formula(
 # A continuation is a linked list of program nodes: None | (node, rest).
 Cont = Union[None, tuple]
 
+# A history is a linked list of the states a run has left, newest first:
+# None | (state, label, rest), where label is the action of the tick that
+# left the state.  A tick pushes one cell and never copies, so a run of n
+# ticks costs O(n), and the alternatives pending on the search stack share
+# the prefix they have in common.  The Trace is built once, when a run
+# succeeds.
+History = Union[None, tuple]
+
 
 @dataclass(frozen=True)
 class _Run:
     cont: Cont
-    past: tuple[WorldState, ...]
-    labels: tuple[str, ...]
+    history: History
     cur: WorldState
     ticks: int
+
+
+def _trace_of(history: History, cur: WorldState) -> Trace:
+    states = [cur]
+    labels = []
+    while history is not None:
+        state, label, history = history
+        states.append(state)
+        labels.append(label)
+    states.reverse()
+    labels.reverse()
+    return Trace(tuple(states), tuple(labels))
+
+
+class _HistoryIds:
+    """Numbers the histories of one search: equal numbers mean equal histories.
+
+    A cell's number is interned from (number of its rest, key of its state,
+    its label), so two histories get the same number exactly when they hold
+    the same state keys and labels in the same order.  Each cell is keyed once;
+    ``(number of the history, key of the final state)`` is then equal
+    exactly when ``Trace.key()`` is.
+    """
+
+    def __init__(self) -> None:
+        self._numbers: dict[tuple, int] = {}
+        # id(cell) -> (cell, number); holding the cell keeps its id unique
+        self._cells: dict[int, tuple] = {}
+
+    def number(self, history: History) -> int:
+        pending = []
+        while history is not None and id(history) not in self._cells:
+            pending.append(history)
+            history = history[2]
+        number = 0 if history is None else self._cells[id(history)][1]
+        for cell in reversed(pending):
+            state, label, _ = cell
+            key = (number, _state_key(state), label)
+            number = self._numbers.setdefault(key, len(self._numbers) + 1)
+            self._cells[id(cell)] = (cell, number)
+        return number
 
 
 @dataclass
@@ -434,10 +474,13 @@ class _Outcome:
     budget_pruned: bool = False
     accept_unknown: bool = False
     failure_ticks: int = -1
-    failure_detail: str = "no run attempted"
+    # the deepest failure as (program node or None, reason); formatted only on demand
+    failure: tuple = (None, "no run attempted")
 
 
 def _describe_failure(node, reason: str) -> str:
+    if node is None:
+        return reason
     from .progtext import format_program  # local import: progtext depends on this module
 
     return f"{reason}: {format_program(node)}"
@@ -447,12 +490,12 @@ def _advance(run: _Run, budget: int, node_cap: int):
     """Run the deterministic prefix of a continuation.
 
     Returns ('done', run, None), ('branch', [runs...], None) with the
-    alternatives in left-biased order, or ('fail', detail, (pruned, ticks)).
+    alternatives in left-biased order, or ('fail', (node, reason), (pruned, ticks)).
     """
-    cont, past, labels, cur, ticks = run.cont, run.past, run.labels, run.cur, run.ticks
+    cont, history, cur, ticks = run.cont, run.history, run.cur, run.ticks
     while True:
         if cont is None:
-            return ("done", _Run(None, past, labels, cur, ticks), None)
+            return ("done", _Run(None, history, cur, ticks), None)
         node, rest = cont
         if isinstance(node, Seq):
             cont = (node.first, (node.second, rest))
@@ -461,42 +504,39 @@ def _advance(run: _Run, budget: int, node_cap: int):
             if tv is _T:
                 cont = rest
             else:
-                detail = _describe_failure(node, "test failed")
-                return ("fail", detail, (tv is _U, ticks))
+                return ("fail", (node, "test failed"), (tv is _U, ticks))
         elif isinstance(node, (Assign, DirectedAssign)):
             value = eval_term(node.term, cur)
             if isinstance(node, DirectedAssign):
                 old = eval_term(AttrTerm(node.attr), cur)
                 if _values_equal(old, value, ASSIGN_TOL):
-                    detail = _describe_failure(node, "directed assignment left the value unchanged")
-                    return ("fail", detail, (False, ticks))
+                    reason = "directed assignment left the value unchanged"
+                    return ("fail", (node, reason), (False, ticks))
             cur = _set_attr(cur, node.attr, value)
             cont = rest
         elif isinstance(node, Tick):
             if ticks >= budget:
-                detail = _describe_failure(node, "tick budget exhausted at")
-                return ("fail", detail, (True, ticks))
+                return ("fail", (node, "tick budget exhausted at"), (True, ticks))
             theme = cur.body(node.theme)
             new_state = kinematics.tick(cur, node.action, node.theme, theme.heading, cur.cfg)
-            past = past + (cur,)
-            labels = labels + (node.action,)
+            history = (cur, node.action, history)
             cur = new_state
             ticks += 1
             cont = rest
         elif isinstance(node, Choice):
             alts = [
-                _Run((node.left, rest), past, labels, cur, ticks),
-                _Run((node.right, rest), past, labels, cur, ticks),
+                _Run((node.left, rest), history, cur, ticks),
+                _Run((node.right, rest), history, cur, ticks),
             ]
             return ("branch", alts, None)
         elif isinstance(node, Star):
             if node.bound <= 0:
                 cont = rest
                 continue
-            stay = _Run(rest, past, labels, cur, ticks)
+            stay = _Run(rest, history, cur, ticks)
             again = _Run(
                 (node.body, (Star(node.body, node.bound - 1), rest)),
-                past, labels, cur, ticks,
+                history, cur, ticks,
             )
             return ("branch", [stay, again], None)
         else:
@@ -518,12 +558,14 @@ def _search(
     With an rng, each two-way branch is explored in seeded order and the
     search stops at the first fully successful run.  Without one, branch
     order is left-biased and (with want_all) every successful run is
-    collected.  ``accept`` filters terminal states (used by the modal
-    operator); it may return the unknown truth value.
+    collected once, deduplicated on its numbered history.  ``accept``
+    filters terminal states (used by the modal operator); it may return
+    the unknown truth value.
     """
     out = _Outcome(traces=[])
+    history_ids = _HistoryIds() if want_all else None
     seen_keys: set = set()
-    start = _Run((program, None), (), (), s0, 0)
+    start = _Run((program, None), None, s0, 0)
     stack: list[Iterator[_Run]] = [iter([start])]
     nodes = 0
     while stack:
@@ -545,23 +587,22 @@ def _search(
                 if tv is _F:
                     if done.ticks >= out.failure_ticks:
                         out.failure_ticks = done.ticks
-                        out.failure_detail = "terminal state rejected"
+                        out.failure = (None, "terminal state rejected")
                     continue
-            trace = Trace(done.past + (done.cur,), done.labels)
-            if want_all:
-                key = trace.key()
+            if history_ids is not None:
+                key = (history_ids.number(done.history), _state_key(done.cur))
                 if key not in seen_keys:
                     seen_keys.add(key)
-                    out.traces.append(trace)
+                    out.traces.append(_trace_of(done.history, done.cur))
             else:
-                out.traces.append(trace)
+                out.traces.append(_trace_of(done.history, done.cur))
                 return out
         elif kind == "fail":
             pruned, fail_ticks = extra
             out.budget_pruned = out.budget_pruned or pruned
             if fail_ticks >= out.failure_ticks:
                 out.failure_ticks = fail_ticks
-                out.failure_detail = payload
+                out.failure = payload
         else:  # branch
             alts: list[_Run] = payload
             if rng is not None and len(alts) == 2 and rng.next_bit():
@@ -591,7 +632,8 @@ def execute(
     )
     if outcome.traces:
         return outcome.traces[0]
-    raise NoSuccessfulRun(f"after {max(outcome.failure_ticks, 0)} tick(s): {outcome.failure_detail}")
+    detail = _describe_failure(*outcome.failure)
+    raise NoSuccessfulRun(f"after {max(outcome.failure_ticks, 0)} tick(s): {detail}")
 
 
 def enumerate_traces(

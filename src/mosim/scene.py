@@ -51,10 +51,6 @@ class Scene:
     goal_id: str | None
     direction: Vec3
 
-    @property
-    def bindings(self) -> dict[str, str | None]:
-        return {"theme": self.theme_id, "ground": self.ground_id}
-
 
 def sample_underspecified(cfg: SceneConfig, rng: SplitMix64) -> ResolvedParams:
     """Draw the seed-determined values for what the sentence leaves open."""

@@ -183,6 +183,18 @@ def test_execute_raises_with_deepest_failure(probe):
     assert "1 tick" in str(exc.value)
 
 
+def test_execute_refusal_names_the_deepest_failing_node(lex):
+    cfg = SceneConfig(seed=3, max_frames=300)
+    frame = parse_text("the bird flew to the block", lex)
+    scene = build_scene(frame, lex, cfg)
+    program = compile_event(frame, lex, cfg)
+    with pytest.raises(NoSuccessfulRun) as exc:
+        execute(program, scene.initial, stream_for(cfg.seed, "choice"), cfg.max_frames)
+    assert str(exc.value) == (
+        "no successful run: after 300 tick(s): test failed: (test (at bird block))"
+    )
+
+
 def test_execute_determinism(goal_scene, lex, cfg):
     frame, scene = goal_scene
     program = compile_event(frame, lex, cfg)
@@ -254,6 +266,19 @@ def test_enumerate_while_loop_with_goal_already_true(probe):
 def test_enumerate_deduplicates_identical_runs(probe):
     traces = enumerate_traces(Choice(roll(), roll()), probe.initial, budget=10)
     assert len(traces) == 1
+
+
+def test_enumerate_keeps_runs_with_equal_labels_but_other_states(probe):
+    # same labels and the same final state, different first state: two traces
+    loc = Attr("ball", "loc")
+    program = Seq(
+        Choice(Assign(loc, Const((1.0, 0.5, 0.0))), Assign(loc, Const((2.0, 0.5, 0.0)))),
+        Seq(roll(), Assign(loc, Const((3.0, 0.5, 0.0)))),
+    )
+    traces = enumerate_traces(program, probe.initial, budget=10)
+    assert [t.labels for t in traces] == [("roll",), ("roll",)]
+    assert traces[0].final == traces[1].final
+    assert traces[0].states[0] != traces[1].states[0]
 
 
 def test_enumerate_orders_shorter_first(probe):
@@ -385,6 +410,7 @@ def test_random_program_execute_in_enumeration(index, seed):
     budget = 5 + gen.next_u64() % 16
     traces = enumerate_traces(program, s0, int(budget))
     keys = {t.key() for t in traces}
+    assert len(keys) == len(traces)  # no duplicates
     try:
         got = execute(program, s0, stream_for(seed, "choice"), int(budget))
     except NoSuccessfulRun:
