@@ -35,7 +35,6 @@ from .kinematics import (
     Rel,
     WorldState,
     contact_relation,
-    resolve_goal_contact,
     surface_distance,
     tick,
 )

@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import SceneConfig, load_config
+from .config import SceneConfig, config_from_dict, load_config
 from .programs import compile_event, enumerate_traces, execute
 from .errors import ExplosionGuard, MosimError, NoSuccessfulRun
 from .lexicon import Lexicon, builtin_lexicon, load_lexicon
@@ -50,19 +50,9 @@ def _load_config(args) -> SceneConfig:
     cfg = SceneConfig()
     if path:
         cfg = load_config(Path(path).read_text(encoding="utf-8"), cfg)
-    overrides = {}
-    for flag, field in (
-        ("seed", "seed"),
-        ("dt", "dt"),
-        ("speed", "speed"),
-        ("max_frames", "max_frames"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    if overrides:
-        cfg = cfg.replace(**overrides)
-    return cfg
+    flags = {field: getattr(args, field, None) for field in ("seed", "dt", "speed", "max_frames")}
+    # flags pass the config-file checks, so a bad value is a ConfigFormatError
+    return config_from_dict({k: v for k, v in flags.items() if v is not None}, cfg)
 
 
 def _print_report(report: VerificationReport) -> None:

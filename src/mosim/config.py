@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigFormatError
@@ -33,6 +34,9 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.speed <= 0:

@@ -10,7 +10,7 @@ which keeps surface distances exact and the contact relations decidable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
@@ -80,15 +80,6 @@ class Body:
         return (d / 2.0, h / 2.0, w / 2.0)
 
     @property
-    def rest_height(self) -> float:
-        """Center height when resting on the floor."""
-        if self.shape is Shape.SPHERE:
-            return self.radius
-        if self.shape is Shape.BOX:
-            return self.dimensions[1] / 2.0
-        return 0.0
-
-    @property
     def rolling_radius(self) -> float:
         # boxes get an effective radius so roll stays total; spheres are exact
         if self.shape is Shape.SPHERE:
@@ -112,45 +103,63 @@ class WorldState:
             raise UnboundObjectError(object_id) from None
 
     def with_body(self, body: Body) -> "WorldState":
-        bodies = dict(self.bodies)
-        bodies[body.id] = body
-        return replace(self, bodies=bodies)
+        return WorldState(self.time, self.tick_index, {**self.bodies, body.id: body}, self.cfg)
+
+
+def rest_height(shape: Shape, dimensions: tuple[float, ...]) -> float:
+    """Center height of a body of this shape and size resting on the floor."""
+    if shape is Shape.SPHERE:
+        return dimensions[0]
+    if shape is Shape.BOX:
+        return dimensions[1] / 2.0
+    return 0.0
 
 
 def surface_distance(a: Body, b: Body) -> float:
     """Signed gap between two body surfaces; negative means penetration."""
-    pair = (a.shape, b.shape)
-    if pair == (Shape.SPHERE, Shape.PLANE):
-        return a.position[1] - a.radius
-    if pair == (Shape.PLANE, Shape.SPHERE):
-        return surface_distance(b, a)
-    if pair == (Shape.BOX, Shape.PLANE):
-        return a.position[1] - a.half_extents[1]
-    if pair == (Shape.PLANE, Shape.BOX):
-        return surface_distance(b, a)
-    if pair == (Shape.SPHERE, Shape.BOX):
-        return _point_box_distance(a.position, b) - a.radius
-    if pair == (Shape.BOX, Shape.SPHERE):
-        return surface_distance(b, a)
-    if pair == (Shape.SPHERE, Shape.SPHERE):
-        return vnorm(vsub(a.position, b.position)) - a.radius - b.radius
-    if pair == (Shape.BOX, Shape.BOX):
-        return _box_box_distance(a, b)
-    raise UnsupportedShapePair(a.shape.value, b.shape.value)
+    return _gap(a, a.position, b, b.position)
 
 
-def _point_box_distance(p: Vec3, box: Body) -> float:
-    """Distance from a point to an axis-aligned box (negative inside)."""
-    h = box.half_extents
-    d = [abs(p[i] - box.position[i]) - h[i] for i in range(3)]
-    outside = math.sqrt(sum(max(di, 0.0) ** 2 for di in d))
-    inside = min(max(d), 0.0)
-    return outside + inside
+def _gap(a: Body, pa: Vec3, b: Body, pb: Vec3) -> float:
+    """surface_distance with the two bodies placed at ``pa`` and ``pb``.
+
+    Mixed-shape pairs give the same float in either order.  Like shapes
+    subtract the first body's size first, so swapping them can move the last
+    bit; keeping that order keeps every trace byte-identical.
+    """
+    sa, sb = a.shape, b.shape
+    if sa is Shape.SPHERE:
+        if sb is Shape.PLANE:
+            return pa[1] - a.dimensions[0]
+        if sb is Shape.BOX:
+            return _point_box_distance(pa, b, pb) - a.dimensions[0]
+        if sb is Shape.SPHERE:
+            return vnorm(vsub(pa, pb)) - a.dimensions[0] - b.dimensions[0]
+    elif sa is Shape.BOX:
+        if sb is Shape.PLANE:
+            return pa[1] - a.dimensions[1] / 2.0
+        if sb is Shape.SPHERE:
+            return _point_box_distance(pb, a, pa) - b.dimensions[0]
+        if sb is Shape.BOX:
+            return _box_box_distance(a, pa, b, pb)
+    elif sb is not Shape.PLANE:
+        return _gap(b, pb, a, pa)
+    raise UnsupportedShapePair(sa.value, sb.value)
 
 
-def _box_box_distance(a: Body, b: Body) -> float:
+def _point_box_distance(p: Vec3, box: Body, c: Vec3) -> float:
+    """Distance from a point to an axis-aligned box centred at ``c`` (negative inside)."""
+    w, h, d = box.dimensions  # half extents are (d, h, w) / 2, as in Body.half_extents
+    d0 = abs(p[0] - c[0]) - d / 2.0
+    d1 = abs(p[1] - c[1]) - h / 2.0
+    d2 = abs(p[2] - c[2]) - w / 2.0
+    outside = math.sqrt(max(d0, 0.0) ** 2 + max(d1, 0.0) ** 2 + max(d2, 0.0) ** 2)
+    return outside + min(max(d0, d1, d2), 0.0)
+
+
+def _box_box_distance(a: Body, pa: Vec3, b: Body, pb: Vec3) -> float:
     ha, hb = a.half_extents, b.half_extents
-    gaps = [abs(a.position[i] - b.position[i]) - ha[i] - hb[i] for i in range(3)]
+    gaps = [abs(pa[i] - pb[i]) - ha[i] - hb[i] for i in range(3)]
     if all(g <= 0 for g in gaps):
         return max(gaps)
     return math.sqrt(sum(max(g, 0.0) ** 2 for g in gaps))
@@ -166,20 +175,38 @@ def contact_relation(a: Body, b: Body, contact_eps: float) -> Rel:
 
 
 def refresh_contacts(state: WorldState) -> WorldState:
-    """Recompute every computable pairwise contact flag from positions."""
-    eps = state.cfg.contact_eps
-    ids = list(state.bodies)
-    flags: dict[str, dict[str, Rel]] = {i: {} for i in ids}
-    for i, a_id in enumerate(ids):
-        for b_id in ids[i + 1:]:
+    """Recompute every computable pairwise contact flag from positions.
+
+    Bodies whose flags come out unchanged are shared with ``state``, not copied.
+    """
+    bodies = _with_contacts(state.bodies, state.cfg.contact_eps)
+    return WorldState(state.time, state.tick_index, bodies, state.cfg)
+
+
+def _with_contacts(bodies: dict[str, Body], eps: float) -> dict[str, Body]:
+    """``bodies`` with fresh contact flags, each pair's relation computed once.
+
+    A body is rebuilt only when its flags changed; otherwise the same object
+    is kept.  That is sound because bodies are frozen and their flag maps are
+    never mutated.
+    """
+    items = list(bodies.items())
+    flags: dict[str, dict[str, Rel]] = {key: {} for key, _ in items}
+    for i, (a_id, a) in enumerate(items):
+        for b_id, b in items[i + 1:]:
             try:
-                rel = contact_relation(state.bodies[a_id], state.bodies[b_id], eps)
+                rel = contact_relation(a, b, eps)
             except UnsupportedShapePair:
                 continue
             flags[a_id][b_id] = rel
             flags[b_id][a_id] = rel
-    bodies = {i: replace(state.bodies[i], contacts=flags[i]) for i in ids}
-    return replace(state, bodies=bodies)
+    return {
+        key: b if b.contacts == flags[key] else Body(
+            b.id, b.shape, b.dimensions, b.mobile, b.position, b.heading, b.rotation,
+            b.velocity, flags[key],
+        )
+        for key, b in items
+    }
 
 
 def _unit_horizontal(direction: Vec3) -> Vec3:
@@ -198,38 +225,14 @@ def _clamp_fraction(theme: Body, start: Vec3, proposed: Vec3, obstacle: Body) ->
     desk scale, so this converges to the contact point.
     """
     lo, hi = 0.0, 1.0
+    delta = vsub(proposed, start)
     for _ in range(80):
         mid = (lo + hi) / 2.0
-        probe = replace(theme, position=vadd(start, vscale(vsub(proposed, start), mid)))
-        if surface_distance(probe, obstacle) >= 0.0:
+        if _gap(theme, vadd(start, vscale(delta, mid)), obstacle, obstacle.position) >= 0.0:
             lo = mid
         else:
             hi = mid
     return lo
-
-
-def resolve_goal_contact(
-    world: WorldState, theme_id: str, goal_id: str, proposed_position: Vec3
-) -> WorldState:
-    """Commit a pending translation, stopping at the goal surface if crossed.
-
-    If the move would penetrate the goal the theme is placed at the
-    contact point and its horizontal velocity is zeroed; otherwise the
-    proposed position is committed unchanged.
-    """
-    theme = world.body(theme_id)
-    goal = world.body(goal_id)
-    probe = replace(theme, position=proposed_position)
-    if surface_distance(probe, goal) >= 0.0:
-        return world.with_body(probe)
-    frac = _clamp_fraction(theme, theme.position, proposed_position, goal)
-    contact = vadd(theme.position, vscale(vsub(proposed_position, theme.position), frac))
-    stopped = replace(
-        theme,
-        position=contact,
-        velocity=(0.0, theme.velocity[1], 0.0),
-    )
-    return world.with_body(stopped)
 
 
 def _apply_obstacles(world: WorldState, theme: Body, proposed: Vec3, eps: float) -> Vec3:
@@ -239,9 +242,8 @@ def _apply_obstacles(world: WorldState, theme: Body, proposed: Vec3, eps: float)
         if other.id == theme.id or other.shape is Shape.PLANE:
             continue
         try:
-            d_old = surface_distance(theme, other)
-            probe = replace(theme, position=pos)
-            d_new = surface_distance(probe, other)
+            d_old = _gap(theme, theme.position, other, other.position)
+            d_new = _gap(theme, pos, other, other.position)
         except UnsupportedShapePair:
             continue
         if d_old <= eps and d_new < d_old:
@@ -268,7 +270,7 @@ def tick(
     is the generic translation.  fly translates at the current altitude.
     bounce adds semi-implicit vertical ballistics with a restitution
     bounce on floor crossing.  Any action stops at the surface of a goal
-    body instead of entering it.
+    body instead of entering it.  Contact flags use ``world.cfg.contact_eps``.
     """
     cfg = cfg or world.cfg
     theme = world.body(theme_id)
@@ -283,9 +285,10 @@ def tick(
     x = theme.position[0] + direction[0] * step
     z = theme.position[2] + direction[2] * step
     vy = theme.velocity[1]
+    rest = rest_height(theme.shape, theme.dimensions)
 
     if action in ("roll", "slide", "move"):
-        y = theme.rest_height  # contact clamp prevents drift
+        y = rest  # contact clamp prevents drift
         vy = 0.0
     elif action == "fly":
         y = theme.position[1]
@@ -297,9 +300,9 @@ def tick(
         y0 = theme.position[1]
         g = cfg.gravity
         y = y0 + vy * dt - 0.5 * g * dt * dt
-        if y < theme.rest_height:
-            impact_speed = math.sqrt(max(vy * vy + 2.0 * g * (y0 - theme.rest_height), 0.0))
-            y = theme.rest_height
+        if y < rest:
+            impact_speed = math.sqrt(max(vy * vy + 2.0 * g * (y0 - rest), 0.0))
+            y = rest
             vy = cfg.restitution * impact_speed
         else:
             vy = vy - g * dt
@@ -318,17 +321,9 @@ def tick(
         # restitution flip survives the floor clamp
         velocity = (velocity[0], vy, velocity[2])
 
-    new_theme = replace(
-        theme,
-        position=final,
-        rotation=rotation,
-        velocity=velocity,
-        heading=direction,
-    )
+    # the old flags ride along; _with_contacts rebuilds the body only if they changed
+    new_theme = Body(theme.id, theme.shape, theme.dimensions, theme.mobile, final,
+                     direction, rotation, velocity, theme.contacts)
+    bodies = _with_contacts({**world.bodies, theme.id: new_theme}, world.cfg.contact_eps)
     tick_index = world.tick_index + 1
-    advanced = replace(
-        world.with_body(new_theme),
-        time=tick_index * cfg.dt,
-        tick_index=tick_index,
-    )
-    return refresh_contacts(advanced)
+    return WorldState(tick_index * cfg.dt, tick_index, bodies, world.cfg)

@@ -21,6 +21,7 @@ from .kinematics import (
     Vec3,
     WorldState,
     refresh_contacts,
+    rest_height,
     surface_distance,
 )
 from .lexicon import FLOOR_ID, Lexicon, NounEntry, Shape, VerbEntry, FloorContact
@@ -78,16 +79,8 @@ def _make_body(object_id: str, noun: NounEntry, position: Vec3) -> Body:
     )
 
 
-def _rest_center_height(noun: NounEntry) -> float:
-    if noun.shape is Shape.SPHERE:
-        return noun.dimensions[0]
-    if noun.shape is Shape.BOX:
-        return noun.dimensions[1] / 2.0
-    return 0.0
-
-
 def _theme_center_height(noun: NounEntry, verb: VerbEntry) -> float:
-    rest = _rest_center_height(noun)
+    rest = rest_height(noun.shape, noun.dimensions)
     contact = verb.profile.floor_contact
     if contact is FloorContact.ALWAYS_DC:
         if noun.default_altitude is not None:
@@ -100,7 +93,7 @@ def _theme_center_height(noun: NounEntry, verb: VerbEntry) -> float:
 
 def _place_source_ground(theme: Body, ground_noun: NounEntry, ground_id: str) -> Body:
     """Place a source ground on -x so it exactly touches the theme."""
-    rest = _rest_center_height(ground_noun)
+    rest = rest_height(ground_noun.shape, ground_noun.dimensions)
 
     def at(offset: float) -> Body:
         return _make_body(ground_id, ground_noun, (-offset, rest, 0.0))
@@ -129,7 +122,7 @@ def probe_scene(cfg: SceneConfig, lex: Lexicon, lemma: str = "ball") -> Scene:
         raise ImmobileThemeError(lemma)
     floor = Body(id=FLOOR_ID, shape=Shape.PLANE, dimensions=(), mobile=False,
                  position=(0.0, 0.0, 0.0))
-    rest = _rest_center_height(noun)
+    rest = rest_height(noun.shape, noun.dimensions)
     theme = replace(_make_body(lemma, noun, (0.0, rest, 0.0)), heading=PLUS_X)
     state = refresh_contacts(
         WorldState(time=0.0, tick_index=0, bodies={FLOOR_ID: floor, lemma: theme}, cfg=cfg)
@@ -159,7 +152,7 @@ def build_scene(frame: EventFrame, lex: Lexicon, cfg: SceneConfig) -> Scene:
         if ground_noun.shape is Shape.PLANE:
             ground_id = FLOOR_ID  # the floor is the only plane in a scene
         elif frame.path.prep in GOAL_PREPS:
-            rest = _rest_center_height(ground_noun)
+            rest = rest_height(ground_noun.shape, ground_noun.dimensions)
             ground = _make_body(ground_id, ground_noun, (cfg.ground_distance, rest, 0.0))
         else:  # from
             ground = _place_source_ground(theme, ground_noun, ground_id)

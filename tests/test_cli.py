@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mosim.cli import run
 
 
@@ -154,6 +156,26 @@ def test_config_file_and_flag_precedence(tmp_path):
                 "--seed", "9", "--out", str(out)]) == 0
     header = json.loads(out.read_text().splitlines()[0])
     assert header["cfg"]["seed"] == 9
+
+
+@pytest.mark.parametrize("flags", [
+    ("--dt", "0"), ("--max-frames", "0"), ("--dt", "nan"), ("--speed", "inf"),
+])
+def test_bad_numeric_flag_exits_2_with_one_line(tmp_path, capsys, flags):
+    code, out = simulate(tmp_path, *flags, sentence="the ball rolled")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigFormatError: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_non_finite_config_file_value_exits_2_with_one_line(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text('{"dt": NaN}')
+    code, out = simulate(tmp_path, "--config", str(cfgfile), sentence="the ball rolled")
+    assert code == 2
+    assert capsys.readouterr().err == "ConfigFormatError: dt must be finite\n"
+    assert not out.exists()
 
 
 def test_env_var_config(tmp_path, monkeypatch):

@@ -1,16 +1,16 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from mosim import Rel, SceneConfig, contact_relation, surface_distance, tick
 from mosim.errors import ImmobileThemeError, UnsupportedShapePair
 from mosim.kinematics import (
     Body,
     WorldState,
+    _point_box_distance,
     hnorm,
     refresh_contacts,
-    resolve_goal_contact,
     vnorm,
     vsub,
 )
@@ -214,17 +214,20 @@ def test_position_fixed_point_after_goal_contact():
     assert w.body("ball").rotation <= 1e-9
 
 
-def test_resolve_goal_contact_clamps_crossing_step():
-    w = world(FLOOR, ball_at((4.35, 0.5, 0.0)), WALL)
-    out = resolve_goal_contact(w, "ball", "wall", (4.45, 0.5, 0.0))
-    assert surface_distance(out.body("ball"), out.body("wall")) == pytest.approx(0.0, abs=1e-9)
-    assert out.body("ball").velocity[0] == 0.0
+def test_roll_step_crossing_goal_face_stops_at_contact():
+    cfg = SceneConfig(seed=0, dt=0.1, speed=1.0)  # 0.1 m step from 4.35 crosses the 4.4 face
+    w = world(FLOOR, ball_at((4.35, 0.5, 0.0)), WALL, cfg=cfg)
+    ball = tick(w, "roll", "ball", (1, 0, 0), cfg).body("ball")
+    assert surface_distance(ball, WALL) == pytest.approx(0.0, abs=1e-9)
+    # velocity is the clamped displacement over dt, not the commanded speed
+    assert ball.velocity[0] == pytest.approx((4.4 - 4.35) / cfg.dt)
+    assert ball.velocity[0] < cfg.speed
 
 
-def test_resolve_goal_contact_ignores_noncrossing_step():
-    w = world(FLOOR, ball_at((3.4, 0.5, 0.0)), WALL)
-    out = resolve_goal_contact(w, "ball", "wall", (3.5, 0.5, 0.0))
-    assert out.body("ball").position == (3.5, 0.5, 0.0)
+def test_step_short_of_goal_commits_proposed_position():
+    cfg = SceneConfig(seed=0, dt=0.1, speed=1.0)
+    w = world(FLOOR, ball_at((3.4, 0.5, 0.0)), WALL, cfg=cfg)
+    assert tick(w, "roll", "ball", (1, 0, 0), cfg).body("ball").position == (3.5, 0.5, 0.0)
 
 
 def test_roll_arc_length_coupling_over_1000_frames():
@@ -265,3 +268,87 @@ def test_slide_reversibility(n, angle):
     for _ in range(n):
         w = tick(w, "slide", "ball", back, cfg)
     assert vnorm(vsub(w.body("ball").position, start)) <= 1e-9
+
+
+def test_tick_shares_bodies_whose_contacts_did_not_change():
+    w = world(FLOOR, ball_at((0, 0.5, 0)), WALL)
+    w2 = tick(w, "roll", "ball", (1, 0, 0))
+    assert w2.body("floor") is w.body("floor")
+    assert w2.body("wall") is w.body("wall")
+    assert w2.body("ball").contacts is w.body("ball").contacts
+
+
+# -- kernel properties -----------------------------------------------------------
+
+COORD = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
+SIZE = st.floats(min_value=0.05, max_value=4.0, allow_nan=False)
+POINT = st.tuples(COORD, COORD, COORD)
+
+
+@st.composite
+def bodies(draw, body_id="a", shapes=(Shape.SPHERE, Shape.BOX, Shape.PLANE)):
+    shape = draw(st.sampled_from(shapes))
+    dims = {Shape.SPHERE: (draw(SIZE),), Shape.BOX: draw(st.tuples(SIZE, SIZE, SIZE)),
+            Shape.PLANE: ()}[shape]
+    return Body(id=body_id, shape=shape, dimensions=dims, mobile=shape is not Shape.PLANE,
+                position=draw(POINT))
+
+
+@seed(20161006)
+@settings(max_examples=300, deadline=None)
+@given(a=bodies("a"), b=bodies("b"))
+def test_surface_distance_is_symmetric(a, b):
+    if a.shape is Shape.PLANE and b.shape is Shape.PLANE:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(UnsupportedShapePair):
+                surface_distance(x, y)
+        return
+    ab, ba = surface_distance(a, b), surface_distance(b, a)
+    if a.shape is not b.shape:
+        assert ab == ba
+    else:
+        # like shapes subtract the first body's size first, so the two orders
+        # agree only to rounding; exact symmetry there would change trace bytes
+        assert abs(ab - ba) <= 4 * math.ulp(max(abs(ab), *a.dimensions, *b.dimensions))
+
+
+def point_box_distance_oracle(p, box):
+    """The generator-expression formula the unrolled kernel replaced."""
+    h = box.half_extents
+    d = [abs(p[i] - box.position[i]) - h[i] for i in range(3)]
+    outside = math.sqrt(sum(max(di, 0.0) ** 2 for di in d))
+    inside = min(max(d), 0.0)
+    return outside + inside
+
+
+@seed(20161006)
+@settings(max_examples=500, deadline=None)
+@given(
+    box=bodies("box", shapes=(Shape.BOX,)),
+    offset=st.tuples(*[st.one_of(COORD, st.sampled_from((0.0, 0.5, -0.5, 2.0)))] * 3),
+)
+def test_unrolled_point_box_distance_matches_oracle_bit_for_bit(box, offset):
+    p = tuple(c + o for c, o in zip(box.position, offset))
+    got = _point_box_distance(p, box, box.position)
+    assert got.hex() == point_box_distance_oracle(p, box).hex()
+
+
+ACTIONS = ("roll", "slide", "move", "fly", "bounce")
+
+
+@seed(20161006)
+@settings(max_examples=100, deadline=None)
+@given(
+    theme=bodies("theme", shapes=(Shape.SPHERE, Shape.BOX)),
+    angle=st.floats(min_value=0.0, max_value=2 * math.pi, allow_nan=False),
+    hand_built=st.booleans(),
+)
+def test_tick_result_is_already_refreshed(theme, angle, hand_built):
+    cfg = SceneConfig(seed=0, speed=30.0)  # 0.5 m steps: clamps and contact changes happen
+    w = WorldState(0.0, 0, {b.id: b for b in (FLOOR, theme, WALL)}, cfg)
+    if not hand_built:  # hand-built states keep their empty contact maps
+        w = refresh_contacts(w)
+    direction = (math.cos(angle), 0.0, math.sin(angle))
+    for action in ACTIONS:
+        out = tick(w, action, "theme", direction)
+        assert refresh_contacts(out) == out
