@@ -208,4 +208,17 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader went away (`mosim enumerate ... | head`); point stdout at
+        # devnull so the interpreter's flush at exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _err(f"IOError: {exc}")
+        code = EXIT_INPUT
+    sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

@@ -7,6 +7,9 @@ Example: ``(seq (choice (tick roll ball) (tick slide ball)) (test (ec ball floor
 
 from __future__ import annotations
 
+import math
+
+from .lexicon import TICK_ACTIONS
 from .programs import (
     EC,
     Add,
@@ -161,9 +164,12 @@ def _num(atom, what: str) -> float:
     if not isinstance(atom, str):
         raise ProgramTextError(f"{what} must be a number")
     try:
-        return float(atom)
+        x = float(atom)
     except ValueError:
         raise ProgramTextError(f"{what} must be a number, got {atom!r}") from None
+    if not math.isfinite(x):
+        raise ProgramTextError(f"{what} must be finite, got {atom!r}")
+    return x
 
 
 def _atom(item, what: str) -> str:
@@ -248,10 +254,12 @@ def _parse_program_item(item) -> Program:
         raise ProgramTextError(f"expected a program, got {item!r}")
     head = item[0]
     if head == "tick":
-        if len(item) == 2:
-            return Tick(_atom(item[1], "action"), DEFAULT_THEME)
-        _arity(item, 2, "tick")
-        return Tick(_atom(item[1], "action"), _atom(item[2], "theme"))
+        if len(item) != 2:
+            _arity(item, 2, "tick")
+        action = _atom(item[1], "action")
+        if action not in TICK_ACTIONS:
+            raise ProgramTextError(f"unknown tick action {action!r} (one of {', '.join(sorted(TICK_ACTIONS))})")
+        return Tick(action, DEFAULT_THEME if len(item) == 2 else _atom(item[2], "theme"))
     if head == "test":
         _arity(item, 1, "test")
         return Test(_parse_formula(item[1]))
@@ -285,7 +293,10 @@ def parse_program(text: str) -> Program:
     tokens = _lex(text)
     if not tokens:
         raise ProgramTextError("empty program text")
-    item, pos = _read_sexpr(tokens, 0)
-    if pos != len(tokens):
-        raise ProgramTextError("trailing tokens after program")
-    return _parse_program_item(item)
+    try:
+        item, pos = _read_sexpr(tokens, 0)
+        if pos != len(tokens):
+            raise ProgramTextError("trailing tokens after program")
+        return _parse_program_item(item)
+    except RecursionError:
+        raise ProgramTextError("program text is nested too deeply") from None

@@ -9,14 +9,18 @@ byte-stable across runs and round-trip exactly.  Format version "1".
 from __future__ import annotations
 
 import json
+import math
+import struct
 from dataclasses import dataclass
+from functools import cache
+from operator import itemgetter
 from pathlib import Path
 
 from .config import SceneConfig, config_from_dict
 from .programs import Trace
 from .errors import ConfigFormatError, TraceFormatError
-from .kinematics import Body, WorldState, refresh_contacts
-from .lexicon import FLOOR_ID, Shape
+from .kinematics import PLUS_X, ZERO3, Body, WorldState, _with_contacts
+from .lexicon import _DIM_KEYS, FLOOR_ID, Shape
 from .scene import Scene
 
 FORMAT_VERSION = "1"
@@ -69,27 +73,52 @@ def _header_dict(sentence: str, trace: Trace, scene: Scene, cfg: SceneConfig) ->
     }
 
 
-def _state_record(
-    index: int, state: WorldState, label: str | None, theme_id: str, ground_id: str | None
-) -> dict:
-    theme = state.body(theme_id)
-    record: dict = {"index": index, "time": state.time}
-    record["bodies"] = {
-        body.id: {"pos": list(body.position), "rot": body.rotation}
-        for body in state.bodies.values()
-    }
-    if label is not None:
-        record["action"] = label
-    record["floor_contact"] = theme.contacts[FLOOR_ID].value
-    if ground_id is not None and ground_id != FLOOR_ID:
-        record["goal_contact"] = theme.contacts[ground_id].value
-    return record
+def _jnum(value) -> str:
+    # nearly every number is a float; anything else is written as the header writes it
+    return fmt_float(value) if type(value) is float else _json_value(value)
 
 
-def _records(trace: Trace, scene: Scene):
+def _state_lines(fmt: str, trace: Trace, scene: Scene):
+    """One line per state in ``fmt``: the loop both formats share.
+
+    A body shared with the previous state (walls, the floor) is formatted once,
+    and each JSON key and string once per distinct value.
+    """
+    jsonl = fmt == "jsonl"
+    theme_id, ground_id = scene.theme_id, scene.ground_id
+    has_goal = ground_id is not None and ground_id != FLOOR_ID
+    column_ids = list(trace.states[0].bodies)
+    keys, strings = cache(json.dumps), cache(_json_value)
+    done: dict[str, tuple[Body, str]] = {}
     for i, state in enumerate(trace.states):
+        theme = state.body(theme_id)
+        parts = []
+        for body in state.bodies.values() if jsonl else map(state.bodies.__getitem__, column_ids):
+            hit = done.get(body.id)
+            if hit is None or hit[0] is not body:
+                if jsonl:
+                    pos = ",".join(map(_jnum, body.position))
+                    text = f'{keys(body.id)}:{{"pos":[{pos}],"rot":{_jnum(body.rotation)}}}'
+                else:
+                    text = ",".join(map(fmt_float, (*body.position, body.rotation)))
+                hit = done[body.id] = (body, text)
+            parts.append(hit[1])
         label = trace.labels[i - 1] if i > 0 else None
-        yield _state_record(i, state, label, scene.theme_id, scene.ground_id)
+        floor = theme.contacts[FLOOR_ID].value
+        goal = theme.contacts[ground_id].value if has_goal else None
+        if jsonl:
+            line = f'{{"index":{i},"time":{_jnum(state.time)},"bodies":{{{",".join(parts)}}}'
+            if label is not None:
+                line += f',"action":{strings(label)}'
+            line += f',"floor_contact":{strings(floor)}'
+            if goal is not None:
+                line += f',"goal_contact":{strings(goal)}'
+            yield line + "}"
+        else:
+            yield ",".join((
+                str(i), fmt_float(state.time), *parts,
+                "" if label is None else label, floor, "" if goal is None else goal,
+            ))
 
 
 def write_trace(
@@ -102,30 +131,16 @@ def write_trace(
 ) -> None:
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}")
-    header = _header_dict(sentence, trace, scene, cfg)
-    lines = []
+    header = _json_value(_header_dict(sentence, trace, scene, cfg))
     if fmt == "jsonl":
-        lines.append(_json_value(header))
-        for record in _records(trace, scene):
-            lines.append(_json_value(record))
+        lines = [header]
     else:
-        body_ids = list(trace.states[0].bodies)
         columns = ["index", "time"]
-        for bid in body_ids:
+        for bid in trace.states[0].bodies:
             columns += [f"{bid}_x", f"{bid}_y", f"{bid}_z", f"{bid}_rot"]
         columns += ["action", "floor_contact", "goal_contact"]
-        lines.append("# " + _json_value(header))
-        lines.append(",".join(columns))
-        for record in _records(trace, scene):
-            row = [str(record["index"]), fmt_float(record["time"])]
-            for bid in body_ids:
-                entry = record["bodies"][bid]
-                row += [fmt_float(v) for v in entry["pos"]]
-                row.append(fmt_float(entry["rot"]))
-            row.append(record.get("action", ""))
-            row.append(record["floor_contact"])
-            row.append(record.get("goal_contact", ""))
-            lines.append(",".join(row))
+        lines = ["# " + header, ",".join(columns)]
+    lines += _state_lines(fmt, trace, scene)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -150,16 +165,25 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _vec(value, where: str) -> tuple[float, float, float]:
+def _numbers(values, where: str) -> tuple[float, ...]:
+    """``values`` as floats; a non-number or a non-finite number is a format error."""
+    try:
+        xs = tuple(map(float, values))
+    except (TypeError, ValueError, OverflowError):
+        xs = (math.nan,)
+    if not all(map(math.isfinite, xs)):
+        raise TraceFormatError(f"{where} must hold finite numbers, got {values!r:.60}")
+    return xs
+
+
+def _vec(value, where: str) -> tuple[float, ...]:
     if not isinstance(value, list) or len(value) != 3:
         raise TraceFormatError(f"{where} must be a 3-element list")
-    try:
-        return (float(value[0]), float(value[1]), float(value[2]))
-    except (TypeError, ValueError):
-        raise TraceFormatError(f"{where} must contain numbers") from None
+    return _numbers(value, where)
 
 
-def _parse_header(obj: dict) -> tuple[dict, SceneConfig]:
+def _parse_header(obj: dict) -> tuple[SceneConfig, dict]:
+    """The config snapshot and the body catalog of a checked header."""
     version = _need(obj, "format_version", "header")
     if version != FORMAT_VERSION:
         raise TraceFormatError(
@@ -171,12 +195,15 @@ def _parse_header(obj: dict) -> tuple[dict, SceneConfig]:
         raise TraceFormatError(f"bad cfg snapshot: {exc}") from exc
     for key in ("sentence", "frames", "bindings", "bodies", "direction"):
         _need(obj, key, "header")
-    return obj, cfg
+    return cfg, _catalog(obj["bodies"])
 
 
-def _bodies_from_header(header: dict) -> dict[str, dict]:
+def _catalog(bodies) -> dict[str, tuple[Shape, tuple[float, ...], bool]]:
+    """Shape, dimensions and mobility of each body the header names, in file order."""
+    if not isinstance(bodies, dict):
+        raise TraceFormatError("header bodies must be an object")
     catalog = {}
-    for bid, entry in header["bodies"].items():
+    for bid, entry in bodies.items():
         try:
             shape = Shape(_need(entry, "shape", f"body {bid}"))
         except ValueError:
@@ -184,54 +211,58 @@ def _bodies_from_header(header: dict) -> dict[str, dict]:
         dims = _need(entry, "dimensions", f"body {bid}")
         if not isinstance(dims, list):
             raise TraceFormatError(f"dimensions of {bid!r} must be a list")
-        catalog[bid] = {
-            "shape": shape,
-            "dimensions": tuple(float(d) for d in dims),
-            "mobile": bool(_need(entry, "mobile", f"body {bid}")),
-        }
+        dims = _numbers(dims, f"dimensions of {bid!r}")
+        if len(dims) != len(_DIM_KEYS[shape]):
+            raise TraceFormatError(f"{shape.value} {bid!r} takes {len(_DIM_KEYS[shape])} dimension(s)")
+        catalog[bid] = (shape, dims, bool(_need(entry, "mobile", f"body {bid}")))
     return catalog
 
 
-def _rebuild(header: dict, cfg: SceneConfig, records: list[dict]) -> TraceDocument:
-    if len(records) != header["frames"]:
+# One state record as both readers produce it: (index, time, poses, action), where
+# poses holds (x, y, z, rot) for each header body in header order.
+Record = tuple[object, float, list[tuple[float, float, float, float]], object]
+
+# A pose's bits: a body posed exactly as in the previous state is that state's
+# Body object.  Comparing bits, not floats, keeps 0.0 and -0.0 apart.
+_pose_bits = struct.Struct("4d").pack
+
+
+def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) -> TraceDocument:
+    """World states from ``record(i, row)`` of each row, every contact recomputed."""
+    if len(rows) != header["frames"]:
         raise TraceFormatError(
-            f"record count {len(records)} does not match header frames {header['frames']}"
+            f"record count {len(rows)} does not match header frames {header['frames']}"
         )
-    if not records:
+    if not rows:
         raise TraceFormatError("trace has no state records")
-    catalog = _bodies_from_header(header)
     bindings = header["bindings"]
     theme_id = _need(bindings, "theme", "bindings")
     ground_id = bindings.get("ground")
     direction = _vec(header["direction"], "direction")
+    headings = {bid: direction if bid == theme_id else PLUS_X for bid in catalog}
 
     states = []
     labels = []
-    for i, record in enumerate(records):
-        if _need(record, "index", f"record {i}") != i:
-            raise TraceFormatError(f"record {i} has index {record['index']}")
-        body_entries = _need(record, "bodies", f"record {i}")
+    last_bits: list = [None] * len(catalog)
+    last: dict[str, Body] = {}
+    for i, row in enumerate(rows):
+        index, time, poses, action = record(i, row)
+        if index != i:
+            raise TraceFormatError(f"record {i} has index {index}")
+        bits = [_pose_bits(*pose) for pose in poses]
         bodies = {}
-        for bid, proto in catalog.items():
-            entry = _need(body_entries, bid, f"record {i}")
-            bodies[bid] = Body(
-                id=bid,
-                shape=proto["shape"],
-                dimensions=proto["dimensions"],
-                mobile=proto["mobile"],
-                position=_vec(_need(entry, "pos", f"record {i} body {bid}"), "pos"),
-                heading=direction if bid == theme_id else (1.0, 0.0, 0.0),
-                rotation=float(_need(entry, "rot", f"record {i} body {bid}")),
-            )
-        state = WorldState(
-            time=float(_need(record, "time", f"record {i}")),
-            tick_index=i,
-            bodies=bodies,
-            cfg=cfg,
-        )
-        states.append(refresh_contacts(state))
+        for (bid, (shape, dims, mobile)), pose, b, old in zip(catalog.items(), poses, bits, last_bits):
+            if b == old:
+                bodies[bid] = last[bid]
+            else:
+                # the previous flags ride along; _with_contacts rebuilds the body only if they changed
+                contacts = last[bid].contacts if last else None
+                bodies[bid] = Body(bid, shape, dims, mobile, pose[:3], headings[bid], pose[3],
+                                   ZERO3, contacts)
+        last = _with_contacts(bodies, cfg.contact_eps)
+        last_bits = bits
+        states.append(WorldState(time, i, last, cfg))
         if i > 0:
-            action = record.get("action")
             if not action:
                 raise TraceFormatError(f"record {i} is missing its action label")
             labels.append(action)
@@ -247,17 +278,39 @@ def _rebuild(header: dict, cfg: SceneConfig, records: list[dict]) -> TraceDocume
     return TraceDocument(header=header, trace=trace, scene=scene, cfg=cfg)
 
 
+def _jsonl_record(i: int, obj, ids) -> Record:
+    where = f"record {i}"
+    index = _need(obj, "index", where)
+    entries = _need(obj, "bodies", where)
+    poses = []
+    for bid in ids:
+        entry = _need(entries, bid, where)
+        at = f"{where} body {bid}"
+        pos, rot = _need(entry, "pos", at), _need(entry, "rot", at)
+        if not isinstance(pos, list) or len(pos) != 3:
+            raise TraceFormatError(f"pos in {at} must be a 3-element list")
+        poses.append(_numbers((*pos, rot), f"pos and rot in {at}"))
+    time, = _numbers((_need(obj, "time", where),), f"time in {where}")
+    return index, time, poses, obj.get("action")
+
+
 def _read_jsonl(text: str) -> TraceDocument:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise TraceFormatError("empty trace file")
-    try:
-        header_obj = json.loads(lines[0])
-        records = [json.loads(line) for line in lines[1:]]
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"invalid JSON in trace file: {exc.msg} (line {exc.lineno})") from exc
-    header, cfg = _parse_header(header_obj)
-    return _rebuild(header, cfg, records)
+    objs = []
+    for n, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            objs.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise TraceFormatError(
+                f"invalid JSON in trace file: {exc.msg} (line {n}, column {exc.colno})"
+            ) from exc
+        except RecursionError:
+            raise TraceFormatError(f"JSON nested too deeply in trace file (line {n})") from None
+    header = objs[0]
+    cfg, catalog = _parse_header(header)
+    ids = list(catalog)
+    return _rebuild(header, cfg, catalog, objs[1:], lambda i, obj: _jsonl_record(i, obj, ids))
 
 
 def _read_csv(text: str) -> TraceDocument:
@@ -265,32 +318,40 @@ def _read_csv(text: str) -> TraceDocument:
     if len(lines) < 2 or not lines[0].startswith("# "):
         raise TraceFormatError("csv trace must start with a '# ' header line")
     try:
-        header_obj = json.loads(lines[0][2:])
+        header = json.loads(lines[0][2:])
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"invalid JSON header: {exc.msg}") from exc
-    header, cfg = _parse_header(header_obj)
-    columns = lines[1].split(",")
-    records = []
-    for line in lines[2:]:
-        cells = line.split(",")
-        if len(cells) != len(columns):
-            raise TraceFormatError(f"row has {len(cells)} cells, expected {len(columns)}")
-        row = dict(zip(columns, cells))
+    except RecursionError:
+        raise TraceFormatError("JSON nested too deeply in csv header") from None
+    cfg, catalog = _parse_header(header)
+    names = lines[1].split(",")
+    where = {name: k for k, name in enumerate(names)}  # a repeated name means its last column
+
+    def column(name: str) -> int:
         try:
-            record: dict = {"index": int(row["index"]), "time": float(row["time"])}
-            bodies = {}
-            for bid in header["bodies"]:
-                bodies[bid] = {
-                    "pos": [float(row[f"{bid}_x"]), float(row[f"{bid}_y"]), float(row[f"{bid}_z"])],
-                    "rot": float(row[f"{bid}_rot"]),
-                }
-        except (KeyError, ValueError) as exc:
-            raise TraceFormatError(f"bad csv row: {exc}") from exc
-        record["bodies"] = bodies
-        if row.get("action"):
-            record["action"] = row["action"]
-        records.append(record)
-    return _rebuild(header, cfg, records)
+            return where[name]
+        except KeyError:
+            raise TraceFormatError(f"csv trace has no {name!r} column") from None
+
+    index_col, time_col, action_col = column("index"), column("time"), where.get("action")
+    pose_cells = [
+        itemgetter(*(column(f"{bid}_{axis}") for axis in ("x", "y", "z", "rot"))) for bid in catalog
+    ]
+
+    def record(i: int, line: str) -> Record:
+        cells = line.split(",")
+        if len(cells) != len(names):
+            raise TraceFormatError(f"row has {len(cells)} cells, expected {len(names)}")
+        try:
+            index = int(cells[index_col])
+        except ValueError:
+            raise TraceFormatError(f"bad csv row {i}: index {cells[index_col]!r:.40}") from None
+        poses = [_numbers(get(cells), f"csv row {i}") for get in pose_cells]
+        time, = _numbers((cells[time_col],), f"csv row {i} time")
+        action = cells[action_col] if action_col is not None else None
+        return index, time, poses, action
+
+    return _rebuild(header, cfg, catalog, lines[2:], record)
 
 
 def read_trace(path: str | Path) -> TraceDocument:
@@ -299,6 +360,8 @@ def read_trace(path: str | Path) -> TraceDocument:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise TraceFormatError(f"cannot read trace file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"trace file is not UTF-8: {exc}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _read_jsonl(text)

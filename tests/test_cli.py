@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from mosim.cli import run
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def simulate(tmp_path, *extra, sentence="the ball rolled to the wall"):
@@ -112,6 +118,46 @@ def test_check_truncated_file_exit_2(tmp_path, capsys):
     assert "TraceFormatError" in capsys.readouterr().err
 
 
+def _edit_header(lines, edit):
+    header = json.loads(lines[0])
+    edit(header)
+    lines[0] = json.dumps(header)
+
+
+def _edit_record(lines, edit):
+    record = json.loads(lines[3])
+    edit(record)
+    lines[3] = json.dumps(record)  # writes a NaN as the bare token NaN
+
+
+@pytest.mark.parametrize("damage", [
+    lambda ls: _edit_header(ls, lambda h: h["bodies"]["ball"].update(dimensions=["x"])),
+    lambda ls: _edit_header(ls, lambda h: h.update(bodies=list(h["bodies"]))),
+    lambda ls: _edit_record(ls, lambda r: r.update(time=None)),
+    lambda ls: _edit_record(ls, lambda r: r["bodies"]["ball"].update(rot="a")),
+    lambda ls: _edit_record(ls, lambda r: r["bodies"]["ball"]["pos"].__setitem__(1, float("nan"))),
+    lambda ls: _edit_record(ls, lambda r: r.update(time=float("inf"))),
+    lambda ls: _edit_header(ls, lambda h: h["bodies"]["wall"].update(dimensions=[4.0, 2.0])),
+], ids=["dimensions-not-numbers", "bodies-a-list", "time-null", "rot-not-a-number",
+        "pos-nan", "time-infinite", "box-with-two-dimensions"])
+def test_check_malformed_trace_exits_2_with_one_line(tmp_path, capsys, damage):
+    _, out = simulate(tmp_path, "--seed", "42")
+    lines = out.read_text().splitlines()
+    damage(lines)
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["check", "--trace", str(out), "--sentence", "the ball rolled to the wall"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("TraceFormatError: ") and err.count("\n") == 1
+
+
+def test_check_non_utf8_trace_exits_2(tmp_path, capsys):
+    out = tmp_path / "t.jsonl"
+    out.write_bytes(b"\xff\xfe{}")
+    assert run(["check", "--trace", str(out), "--sentence", "the ball rolled"]) == 2
+    assert capsys.readouterr().err.startswith("TraceFormatError: trace file is not UTF-8")
+
+
 def test_enumerate_choice(tmp_path, capsys):
     prog = tmp_path / "p.txt"
     prog.write_text("(choice (tick roll) (tick slide))")
@@ -140,6 +186,55 @@ def test_enumerate_parse_error_exit_2(tmp_path, capsys):
     prog.write_text("(warp (tick roll))")
     assert run(["enumerate", "--program", str(prog)]) == 2
     assert "ProgramTextError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("(star (tick roll) inf)", "iteration bound must be finite"),
+    ("(star (tick roll) nan)", "iteration bound must be finite"),
+    ("(test (eq (rot ball) 1 nan))", "tolerance must be finite"),
+    ("(tick jump)", "unknown tick action 'jump'"),
+    ("(tick jump ball)", "unknown tick action 'jump'"),
+    ("(not " * 3000 + "(tick roll)" + ")" * 3000, "nested too deeply"),
+], ids=["star-inf", "star-nan", "tolerance-nan", "unknown-action", "unknown-action-with-theme",
+        "deep-nesting"])
+def test_enumerate_bad_program_text_exits_2_with_one_line(tmp_path, capsys, text, message):
+    prog = tmp_path / "p.txt"
+    prog.write_text(text)
+    assert run(["enumerate", "--program", str(prog)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ProgramTextError: ") and message in err and err.count("\n") == 1
+
+
+def _mosim(*args, **kwargs):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.Popen([sys.executable, *args], env=env, text=True, **kwargs)
+
+
+@pytest.mark.parametrize("module", ["mosim", "mosim.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    out = tmp_path / "t.jsonl"
+    proc = _mosim("-m", module, "simulate", "the ball rolled", "--out", str(out),
+                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    stdout, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 0, stderr
+    assert "trace: " in stdout and out.exists()
+    proc = _mosim("-m", module, "simulate", "the ball rolled", "--dt", "0",
+                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 2 and stderr.startswith("ConfigFormatError: ")
+
+
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
+    prog = tmp_path / "p12.txt"
+    prog.write_text("(star (choice (tick roll) (tick slide)) 12)")  # 8,191 lines, ~500 kB
+    proc = _mosim("-m", "mosim", "enumerate", "--program", str(prog),
+                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == "traces: 8191\n"
+    proc.stdout.close()  # as `| head -1` does
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert stderr.startswith("IOError: ") and stderr.count("\n") == 1
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
 
 
 def test_config_file_and_flag_precedence(tmp_path):
