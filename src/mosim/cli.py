@@ -16,7 +16,14 @@ from pathlib import Path
 
 from .config import SceneConfig, config_from_dict, load_config
 from .programs import compile_event, enumerate_traces, execute
-from .errors import ExplosionGuard, MosimError, NoSuccessfulRun
+from .errors import (
+    ConfigFormatError,
+    ExplosionGuard,
+    LexiconFormatError,
+    MosimError,
+    NoSuccessfulRun,
+    ProgramTextError,
+)
 from .lexicon import Lexicon, builtin_lexicon, load_lexicon
 from .parser import parse_text
 from .progtext import parse_program
@@ -38,18 +45,26 @@ def _err(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _read_text(path: str, error: type[MosimError]) -> str:
+    """An input file as UTF-8 text; bytes that do not decode raise ``error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8: {exc}") from None
+
+
 def _load_lexicon(path: str | None) -> Lexicon:
     path = path or os.environ.get(ENV_LEXICON)
     if not path:
         return builtin_lexicon()
-    return load_lexicon(Path(path).read_text(encoding="utf-8"))
+    return load_lexicon(_read_text(path, LexiconFormatError))
 
 
 def _load_config(args) -> SceneConfig:
     path = getattr(args, "config", None) or os.environ.get(ENV_CONFIG)
     cfg = SceneConfig()
     if path:
-        cfg = load_config(Path(path).read_text(encoding="utf-8"), cfg)
+        cfg = load_config(_read_text(path, ConfigFormatError), cfg)
     flags = {field: getattr(args, field, None) for field in ("seed", "dt", "speed", "max_frames")}
     # flags pass the config-file checks, so a bad value is a ConfigFormatError
     return config_from_dict({k: v for k, v in flags.items() if v is not None}, cfg)
@@ -134,10 +149,9 @@ def cmd_check(args) -> int:
 
 def cmd_enumerate(args) -> int:
     try:
-        text = Path(args.program).read_text(encoding="utf-8")
-        program = parse_program(text)
+        program = parse_program(_read_text(args.program, ProgramTextError))
         lex = _load_lexicon(args.lexicon)
-        cfg = SceneConfig()
+        cfg = _load_config(args)
         scene = probe_scene(cfg, lex, args.theme)
     except OSError as exc:
         _err(f"IOError: {exc}")

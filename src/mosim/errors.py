@@ -12,9 +12,11 @@ class MosimError(Exception):
     """Base class for every error raised by this package."""
 
 
-# -- lexicon ----------------------------------------------------------------
+# -- lexicon and config files -------------------------------------------------
 
-class LexiconFormatError(MosimError):
+class DocumentFormatError(MosimError):
+    """A malformed lexicon or config JSON document, located by field and line."""
+
     def __init__(self, message: str, field: str | None = None, line: int | None = None):
         self.field = field
         self.line = line
@@ -27,17 +29,12 @@ class LexiconFormatError(MosimError):
         super().__init__(f"{message}{suffix}")
 
 
-class ConfigFormatError(MosimError):
-    def __init__(self, message: str, field: str | None = None, line: int | None = None):
-        self.field = field
-        self.line = line
-        where = []
-        if field is not None:
-            where.append(f"field {field}")
-        if line is not None:
-            where.append(f"line {line}")
-        suffix = f" ({', '.join(where)})" if where else ""
-        super().__init__(f"{message}{suffix}")
+class LexiconFormatError(DocumentFormatError):
+    pass
+
+
+class ConfigFormatError(DocumentFormatError):
+    pass
 
 
 class DuplicateEntryError(MosimError):

@@ -18,7 +18,7 @@ semantics so a determined false cannot be masked.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Union
+from typing import Union
 
 from . import kinematics
 from .config import SceneConfig
@@ -373,19 +373,17 @@ def _eval3(f: Formula, state: WorldState, budget: int, node_cap: int):
 
 
 def _eval_diamond(f: Diamond, state: WorldState, budget: int, node_cap: int):
-    def accept(terminal: WorldState, remaining: int):
-        return _eval3(f.formula, terminal, remaining, node_cap)
-
+    # <p>f is <p; f?>true: a test of unknown value marks the search budget-pruned
     try:
         outcome = _search(
-            f.program, state, budget,
-            rng=None, want_all=False, accept=accept, node_cap=node_cap,
+            Seq(f.program, Test(f.formula)), state, budget,
+            rng=None, want_all=False, node_cap=node_cap,
         )
     except ExplosionGuard:
         return _U  # search cut short: conservatively undetermined
     if outcome.traces:
         return _T
-    if outcome.budget_pruned or outcome.accept_unknown:
+    if outcome.budget_pruned:
         return _U
     return _F
 
@@ -407,9 +405,6 @@ def eval_formula(
 
 # -- the execution machine --------------------------------------------------------------
 
-# A continuation is a linked list of program nodes: None | (node, rest).
-Cont = Union[None, tuple]
-
 # A history is a linked list of the states a run has left, newest first:
 # None | (state, label, rest), where label is the action of the tick that
 # left the state.  A tick pushes one cell and never copies, so a run of n
@@ -417,14 +412,6 @@ Cont = Union[None, tuple]
 # the prefix they have in common.  The Trace is built once, when a run
 # succeeds.
 History = Union[None, tuple]
-
-
-@dataclass(frozen=True)
-class _Run:
-    cont: Cont
-    history: History
-    cur: WorldState
-    ticks: int
 
 
 def _trace_of(history: History, cur: WorldState) -> Trace:
@@ -471,11 +458,9 @@ class _HistoryIds:
 @dataclass
 class _Outcome:
     traces: list[Trace]
-    budget_pruned: bool = False
-    accept_unknown: bool = False
-    failure_ticks: int = -1
-    # the deepest failure as (program node or None, reason); formatted only on demand
-    failure: tuple = (None, "no run attempted")
+    budget_pruned: bool
+    # the deepest failure as (ticks, program node or None, reason); formatted only on demand
+    failure: tuple
 
 
 def _describe_failure(node, reason: str) -> str:
@@ -486,63 +471,6 @@ def _describe_failure(node, reason: str) -> str:
     return f"{reason}: {format_program(node)}"
 
 
-def _advance(run: _Run, budget: int, node_cap: int):
-    """Run the deterministic prefix of a continuation.
-
-    Returns ('done', run, None), ('branch', [runs...], None) with the
-    alternatives in left-biased order, or ('fail', (node, reason), (pruned, ticks)).
-    """
-    cont, history, cur, ticks = run.cont, run.history, run.cur, run.ticks
-    while True:
-        if cont is None:
-            return ("done", _Run(None, history, cur, ticks), None)
-        node, rest = cont
-        if isinstance(node, Seq):
-            cont = (node.first, (node.second, rest))
-        elif isinstance(node, Test):
-            tv = _eval3(node.formula, cur, budget - ticks, node_cap)
-            if tv is _T:
-                cont = rest
-            else:
-                return ("fail", (node, "test failed"), (tv is _U, ticks))
-        elif isinstance(node, (Assign, DirectedAssign)):
-            value = eval_term(node.term, cur)
-            if isinstance(node, DirectedAssign):
-                old = eval_term(AttrTerm(node.attr), cur)
-                if _values_equal(old, value, ASSIGN_TOL):
-                    reason = "directed assignment left the value unchanged"
-                    return ("fail", (node, reason), (False, ticks))
-            cur = _set_attr(cur, node.attr, value)
-            cont = rest
-        elif isinstance(node, Tick):
-            if ticks >= budget:
-                return ("fail", (node, "tick budget exhausted at"), (True, ticks))
-            theme = cur.body(node.theme)
-            new_state = kinematics.tick(cur, node.action, node.theme, theme.heading, cur.cfg)
-            history = (cur, node.action, history)
-            cur = new_state
-            ticks += 1
-            cont = rest
-        elif isinstance(node, Choice):
-            alts = [
-                _Run((node.left, rest), history, cur, ticks),
-                _Run((node.right, rest), history, cur, ticks),
-            ]
-            return ("branch", alts, None)
-        elif isinstance(node, Star):
-            if node.bound <= 0:
-                cont = rest
-                continue
-            stay = _Run(rest, history, cur, ticks)
-            again = _Run(
-                (node.body, (Star(node.body, node.bound - 1), rest)),
-                history, cur, ticks,
-            )
-            return ("branch", [stay, again], None)
-        else:
-            raise TypeError(f"not a program: {node!r}")
-
-
 def _search(
     program: Program,
     s0: WorldState,
@@ -550,65 +478,89 @@ def _search(
     *,
     rng: SplitMix64 | None,
     want_all: bool,
-    accept: Callable | None,
     node_cap: int,
 ) -> _Outcome:
     """Depth-first search over the nondeterministic runs of a program.
 
-    With an rng, each two-way branch is explored in seeded order and the
-    search stops at the first fully successful run.  Without one, branch
+    The stack holds pending runs as (continuation, history, state, ticks),
+    where a continuation is a linked list of program nodes, None | (node,
+    rest).  Each popped run is one node against ``node_cap``; it runs its
+    deterministic prefix up to success, failure or a two-way branch (a
+    choice, or a bounded iteration), which pushes both alternatives with
+    the first on top.  With an rng, one bit drawn at the branch may swap
+    them, and the first successful run ends the search.  Without one, the
     order is left-biased and (with want_all) every successful run is
-    collected once, deduplicated on its numbered history.  ``accept``
-    filters terminal states (used by the modal operator); it may return
-    the unknown truth value.
+    collected once, deduplicated on its numbered history.
     """
-    out = _Outcome(traces=[])
+    traces: list[Trace] = []
     history_ids = _HistoryIds() if want_all else None
     seen_keys: set = set()
-    start = _Run((program, None), None, s0, 0)
-    stack: list[Iterator[_Run]] = [iter([start])]
+    pruned = False
+    failure: tuple = (-1, None, "no run attempted")
+    stack: list[tuple] = [((program, None), None, s0, 0)]
     nodes = 0
     while stack:
-        run = next(stack[-1], None)
-        if run is None:
-            stack.pop()
-            continue
+        cont, history, cur, ticks = stack.pop()
         nodes += 1
         if nodes > node_cap:
             raise ExplosionGuard(nodes, node_cap)
-        kind, payload, extra = _advance(run, budget, node_cap)
-        if kind == "done":
-            done: _Run = payload
-            if accept is not None:
-                tv = accept(done.cur, budget - done.ticks)
-                if tv is _U:
-                    out.accept_unknown = True
-                    continue
-                if tv is _F:
-                    if done.ticks >= out.failure_ticks:
-                        out.failure_ticks = done.ticks
-                        out.failure = (None, "terminal state rejected")
-                    continue
-            if history_ids is not None:
-                key = (history_ids.number(done.history), _state_key(done.cur))
-                if key not in seen_keys:
-                    seen_keys.add(key)
-                    out.traces.append(_trace_of(done.history, done.cur))
+        failed = None
+        while cont is not None:
+            node, rest = cont
+            if isinstance(node, Seq):
+                cont = (node.first, (node.second, rest))
+            elif isinstance(node, Test):
+                tv = _eval3(node.formula, cur, budget - ticks, node_cap)
+                if tv is not _T:
+                    pruned = pruned or tv is _U
+                    failed = (ticks, node, "test failed")
+                    break
+                cont = rest
+            elif isinstance(node, (Assign, DirectedAssign)):
+                value = eval_term(node.term, cur)
+                if isinstance(node, DirectedAssign):
+                    old = eval_term(AttrTerm(node.attr), cur)
+                    if _values_equal(old, value, ASSIGN_TOL):
+                        failed = (ticks, node, "directed assignment left the value unchanged")
+                        break
+                cur = _set_attr(cur, node.attr, value)
+                cont = rest
+            elif isinstance(node, Tick):
+                if ticks >= budget:
+                    pruned = True
+                    failed = (ticks, node, "tick budget exhausted at")
+                    break
+                history = (cur, node.action, history)
+                heading = cur.body(node.theme).heading
+                cur = kinematics.tick(cur, node.action, node.theme, heading, cur.cfg)
+                ticks += 1
+                cont = rest
+            elif isinstance(node, Star) and node.bound <= 0:
+                cont = rest
+            elif isinstance(node, (Choice, Star)):
+                if isinstance(node, Choice):
+                    first, second = (node.left, rest), (node.right, rest)
+                else:  # zero more iterations first
+                    first, second = rest, (node.body, (Star(node.body, node.bound - 1), rest))
+                if rng is not None and rng.next_bit():
+                    first, second = second, first
+                stack.append((second, history, cur, ticks))
+                stack.append((first, history, cur, ticks))
+                break
             else:
-                out.traces.append(_trace_of(done.history, done.cur))
-                return out
-        elif kind == "fail":
-            pruned, fail_ticks = extra
-            out.budget_pruned = out.budget_pruned or pruned
-            if fail_ticks >= out.failure_ticks:
-                out.failure_ticks = fail_ticks
-                out.failure = payload
-        else:  # branch
-            alts: list[_Run] = payload
-            if rng is not None and len(alts) == 2 and rng.next_bit():
-                alts = [alts[1], alts[0]]
-            stack.append(iter(alts))
-    return out
+                raise TypeError(f"not a program: {node!r}")
+        else:  # the run succeeded
+            if history_ids is None:
+                traces.append(_trace_of(history, cur))
+                break
+            key = (history_ids.number(history), _state_key(cur))
+            if key not in seen_keys:
+                seen_keys.add(key)
+                traces.append(_trace_of(history, cur))
+            continue
+        if failed is not None and failed[0] >= failure[0]:
+            failure = failed
+    return _Outcome(traces, pruned, failure)
 
 
 def execute(
@@ -628,12 +580,12 @@ def execute(
         raise ValueError("budget must be at least 1")
     outcome = _search(
         program, s0, budget,
-        rng=rng, want_all=False, accept=None, node_cap=DEFAULT_NODE_CAP * 10,
+        rng=rng, want_all=False, node_cap=DEFAULT_NODE_CAP * 10,
     )
     if outcome.traces:
         return outcome.traces[0]
-    detail = _describe_failure(*outcome.failure)
-    raise NoSuccessfulRun(f"after {max(outcome.failure_ticks, 0)} tick(s): {detail}")
+    ticks, node, reason = outcome.failure
+    raise NoSuccessfulRun(f"after {max(ticks, 0)} tick(s): {_describe_failure(node, reason)}")
 
 
 def enumerate_traces(
@@ -647,7 +599,7 @@ def enumerate_traces(
         budget = s0.cfg.max_frames
     outcome = _search(
         program, s0, budget,
-        rng=None, want_all=True, accept=None, node_cap=node_cap,
+        rng=None, want_all=True, node_cap=node_cap,
     )
     return sorted(outcome.traces, key=lambda t: t.tick_count)
 
@@ -668,6 +620,11 @@ def _goal_loop(action: str, theme: str, goal: Formula, bound: int) -> Program:
     # the while-loop idiom: iterate "not yet there; step" then require arrival
     loop = Star(Seq(Test(Not(goal)), Tick(action, theme)), bound)
     return Seq(loop, Test(goal))
+
+
+def _leave(action: str, theme: str, ground: Formula, n: int) -> Program:
+    # the source-path idiom: start in contact, run the chain, end apart
+    return Seq(Test(ground), Seq(_chain(action, theme, n), Test(Not(ground))))
 
 
 def compile_event(frame: EventFrame, lex: Lexicon, cfg: SceneConfig) -> Program:
@@ -701,23 +658,15 @@ def compile_event(frame: EventFrame, lex: Lexicon, cfg: SceneConfig) -> Program:
         if prep in ("to", "at"):
             return _goal_loop(action, theme, goal_formula, cfg.max_frames)
         if prep == "from":
-            return Seq(
-                Test(goal_formula),
-                Seq(_chain(action, theme, duration), Test(Not(goal_formula))),
-            )
+            return _leave(action, theme, goal_formula, duration)
         return _chain(action, theme, duration)
 
     # path verbs ride on generic motion
+    if goal_formula is None:
+        return _chain("move", theme, duration)
     if verb.path_kind is PathKind.ARRIVE:
-        if goal_formula is None:
-            return _chain("move", theme, duration)
         return Seq(
             Test(Not(goal_formula)),
             _goal_loop("move", theme, goal_formula, cfg.max_frames),
         )
-    if goal_formula is None:
-        return _chain("move", theme, duration)
-    return Seq(
-        Test(goal_formula),
-        Seq(_chain("move", theme, duration), Test(Not(goal_formula))),
-    )
+    return _leave("move", theme, goal_formula, duration)

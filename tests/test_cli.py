@@ -294,6 +294,50 @@ def test_env_var_lexicon(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["theme"] == "puck"
 
 
+@pytest.mark.parametrize("where,error", [
+    ("--config", "ConfigFormatError"),
+    ("--lexicon", "LexiconFormatError"),
+    ("MOSIM_CONFIG", "ConfigFormatError"),
+    ("MOSIM_LEXICON", "LexiconFormatError"),
+    ("--program", "ProgramTextError"),
+])
+def test_non_utf8_input_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, where, error):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    if where == "--program":
+        argv = ["enumerate", "--program", str(bad)]
+    else:
+        argv = ["simulate", "the ball rolled", "--out", str(tmp_path / "t.jsonl")]
+        if where.startswith("--"):
+            argv += [where, str(bad)]
+        else:
+            monkeypatch.setenv(where, str(bad))
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{error}: {bad} is not UTF-8") and err.count("\n") == 1
+
+
+def _enumerate_roll(tmp_path):
+    prog = tmp_path / "p.txt"
+    prog.write_text("(tick roll)")
+    return run(["enumerate", "--program", str(prog)])
+
+
+def test_enumerate_missing_env_config_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MOSIM_CONFIG", str(tmp_path / "nonexistent.json"))
+    assert _enumerate_roll(tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("IOError: ") and err.count("\n") == 1
+
+
+def test_enumerate_bad_env_config_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text('{"dt": 0}')
+    monkeypatch.setenv("MOSIM_CONFIG", str(cfgfile))
+    assert _enumerate_roll(tmp_path) == 2
+    assert capsys.readouterr().err == "ConfigFormatError: dt must be positive\n"
+
+
 def test_dt_and_speed_flags_change_the_kinematics(tmp_path):
     out = tmp_path / "fast.jsonl"
     # 2 m/s at 10 Hz: the 4.4 m gap closes in 22 ticks instead of 264

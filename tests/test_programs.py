@@ -417,3 +417,26 @@ def test_random_program_execute_in_enumeration(index, seed):
         assert not traces
         return
     assert got.key() in keys
+
+
+def test_diamond_holds_exactly_when_some_enumerated_run_ends_in_the_formula(probe):
+    # <p>f evaluated as a run of p; f? agrees with listing the runs of p
+    s0 = probe.initial
+    formulas = [truth(), EC("ball", "floor"), DC("ball", "floor"), Not(EC("ball", "floor"))]
+    gen = SplitMix64(2024)
+    for i in range(100):
+        program = _random_program(gen.stream(f"prog{i}"), [3], [2])
+        budget = int(5 + gen.next_u64() % 16)
+        finals = [t.final for t in enumerate_traces(program, s0, budget)]
+        for f in formulas:
+            expected = any(eval_formula(f, s).value for s in finals)
+            assert eval_formula(Diamond(program, f), s0, budget).value == expected, (i, f)
+
+
+def test_enumeration_node_count_is_pinned(probe):
+    # 511 successful runs under 510 two-way branches: 1 + 2 * 510 = 1021 nodes
+    wide = Star(Choice(roll(), slide()), 8)
+    assert len(enumerate_traces(wide, probe.initial, budget=100, node_cap=1021)) == 511
+    with pytest.raises(ExplosionGuard) as info:
+        enumerate_traces(wide, probe.initial, budget=100, node_cap=1020)
+    assert (info.value.nodes, info.value.cap) == (1021, 1020)
