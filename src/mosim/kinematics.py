@@ -5,6 +5,8 @@ the bounce action.  Every tick is a pure function from world state to
 world state; determinism and checkability win over physical fidelity.
 Shapes are spheres, axis-aligned boxes and the horizontal floor plane,
 which keeps surface distances exact and the contact relations decidable.
+``contact_relation`` is the one place a relation is decided; every other
+module reads the flags it leaves on each body.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Mapping
 
 from .config import SceneConfig
 from .errors import ImmobileThemeError, UnboundObjectError, UnsupportedShapePair
-from .lexicon import Shape
+from .lexicon import TICK_ACTIONS, Shape
 
 Vec3 = tuple[float, float, float]
 
@@ -63,6 +65,7 @@ class Body:
     heading: Vec3 = PLUS_X
     rotation: float = 0.0        # accumulated angle about the rolling axis, rad
     velocity: Vec3 = ZERO3      # y component doubles as the ballistic state
+    # relation to each other body at this position (see WorldState)
     contacts: Mapping[str, Rel] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -91,6 +94,15 @@ class Body:
 
 @dataclass(frozen=True)
 class WorldState:
+    """One instant: every body with its contact flags, and the config.
+
+    Invariant: each body's ``contacts`` hold the relations of the current
+    positions.  ``refresh_contacts``, ``tick``, the scene builders, ``loc``
+    assignments and the trace reader produce only such states, and formula
+    atoms and the scene's overlap check read the flags instead of recomputing
+    them.  A hand-built state may leave the maps empty, never stale.
+    """
+
     time: float
     tick_index: int
     bodies: dict[str, Body]
@@ -277,7 +289,7 @@ def tick(
     if not theme.mobile:
         raise ImmobileThemeError(theme_id)
     direction = _unit_horizontal(direction)
-    if action not in ("roll", "slide", "move", "fly", "bounce"):
+    if action not in TICK_ACTIONS:
         raise ValueError(f"unknown tick action {action!r}")
 
     dt = cfg.dt

@@ -28,7 +28,7 @@ from .errors import (
     IncompatiblePathError,
     NoSuccessfulRun,
 )
-from .kinematics import Rel, Vec3, WorldState, contact_relation, surface_distance
+from .kinematics import Rel, Vec3, WorldState, contact_relation
 from .lexicon import FLOOR_ID, Lexicon, PathKind, Shape, VerbClass
 from .parser import EventFrame
 from .rng import SplitMix64
@@ -333,13 +333,17 @@ _T, _F, _U = True, False, None
 
 
 def _eval3(f: Formula, state: WorldState, budget: int, node_cap: int):
-    eps = state.cfg.contact_eps
-    if isinstance(f, EC):
-        return contact_relation(state.body(f.a), state.body(f.b), eps) is Rel.EC
-    if isinstance(f, DC):
-        return contact_relation(state.body(f.a), state.body(f.b), eps) is Rel.DC
-    if isinstance(f, At):
-        return surface_distance(state.body(f.a), state.body(f.b)) <= eps
+    if isinstance(f, (EC, DC, At)):
+        # the state's own flag answers; only a pair without one (a hand-built
+        # state, an unsupported shape pair, a body with itself) is computed
+        rel = state.body(f.a).contacts.get(f.b)
+        if rel is None:
+            rel = contact_relation(state.body(f.a), state.body(f.b), state.cfg.contact_eps)
+        if isinstance(f, At):
+            return rel is not Rel.DC
+        if isinstance(f, EC):
+            return rel is Rel.EC
+        return rel is Rel.DC
     if isinstance(f, Eq):
         return _values_equal(eval_term(f.left, state), eval_term(f.right, state), f.tol)
     if isinstance(f, Leq):

@@ -14,10 +14,11 @@ import math
 from dataclasses import dataclass, replace
 
 from .config import SceneConfig
-from .errors import ImmobileThemeError, SceneBuildError, UnsupportedShapePair
+from .errors import ImmobileThemeError, SceneBuildError
 from .kinematics import (
     PLUS_X,
     Body,
+    Rel,
     Vec3,
     WorldState,
     refresh_contacts,
@@ -177,11 +178,7 @@ def build_scene(frame: EventFrame, lex: Lexicon, cfg: SceneConfig) -> Scene:
     ids = list(state.bodies)
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
-            try:
-                d = surface_distance(state.bodies[a], state.bodies[b])
-            except UnsupportedShapePair:
-                continue
-            if d < -cfg.contact_eps:
+            if state.bodies[a].contacts.get(b) is Rel.PO:
                 raise SceneBuildError(f"bodies {a!r} and {b!r} interpenetrate at t=0")
 
     return Scene(

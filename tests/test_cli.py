@@ -264,6 +264,19 @@ def test_bad_numeric_flag_exits_2_with_one_line(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sentence, pair", [
+    ("the ball rolled to the wall", "'ball' and 'wall'"),
+    ("the block rolled to the ball", "'block' and 'ball'"),
+])
+def test_interpenetrating_scene_exits_2_with_one_line(tmp_path, capsys, sentence, pair):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text('{"ground_distance": 0.5}')
+    code, out = simulate(tmp_path, "--config", str(cfgfile), sentence=sentence)
+    assert code == 2
+    assert capsys.readouterr().err == f"SceneBuildError: bodies {pair} interpenetrate at t=0\n"
+    assert not out.exists()
+
+
 def test_non_finite_config_file_value_exits_2_with_one_line(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text('{"dt": NaN}')

@@ -14,7 +14,7 @@ from mosim.kinematics import (
     vnorm,
     vsub,
 )
-from mosim.lexicon import Shape
+from mosim.lexicon import TICK_ACTIONS, Shape
 
 FLOOR = Body(id="floor", shape=Shape.PLANE, dimensions=(), mobile=False,
              position=(0.0, 0.0, 0.0))
@@ -143,6 +143,14 @@ def test_tick_rejects_immobile_theme():
     w = world(FLOOR, WALL)
     with pytest.raises(ImmobileThemeError):
         tick(w, "roll", "wall", (1, 0, 0))
+
+
+def test_tick_accepts_exactly_the_lexicon_actions():
+    w = world(FLOOR, ball_at((0, 0.5, 0)))
+    for action in TICK_ACTIONS:
+        tick(w, action, "ball", (1, 0, 0))
+    with pytest.raises(ValueError, match="^unknown tick action 'hop'$"):
+        tick(w, "hop", "ball", (1, 0, 0))
 
 
 def test_tick_time_advances_by_exactly_dt():

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,7 +42,8 @@ from mosim.errors import (
     NoSuccessfulRun,
     UnboundObjectError,
 )
-from mosim.kinematics import surface_distance, tick as kin_tick
+from mosim.kinematics import Body, Rel, WorldState, refresh_contacts, surface_distance, tick as kin_tick
+from mosim.lexicon import Shape
 from mosim.parser import EventFrame, PathComponent
 from mosim.rng import SplitMix64, stream_for
 
@@ -78,6 +82,97 @@ def test_not_at_wall_in_initial_goal_scene(goal_scene):
 def test_unbound_object_raises(probe):
     with pytest.raises(UnboundObjectError):
         eval_formula(EC("ball", "wall"), probe.initial)
+
+
+# -- contact atoms read the state's flags ----------------------------------------
+
+
+def sphere(body_id, r, x=0.0):
+    return Body(id=body_id, shape=Shape.SPHERE, dimensions=(r,), mobile=True, position=(x, 0.0, 0.0))
+
+
+def box(body_id, dims, x=0.0):
+    return Body(id=body_id, shape=Shape.BOX, dimensions=dims, mobile=True, position=(x, 0.0, 0.0))
+
+
+def hand_built(*bodies):
+    """A state with the bodies as given: empty contact maps, default config."""
+    return WorldState(0.0, 0, {b.id: b for b in bodies}, SceneConfig(seed=0))
+
+
+def atoms(state, a, b):
+    return tuple(eval_formula(f(a, b), state).value for f in (At, EC, DC))
+
+
+def assert_atoms_follow_the_flag(state, a, b):
+    rel = state.body(a).contacts[b]
+    expected = (rel is not Rel.DC, rel is Rel.EC, rel is Rel.DC)
+    assert atoms(state, a, b) == expected
+    assert atoms(state, b, a) == expected
+
+
+def test_contact_atoms_agree_in_both_orders_at_the_eps_boundary():
+    # the two operand orders round this sphere gap to opposite sides of
+    # contact_eps, so a distance recomputed per formula made At(a, b) false
+    # and At(b, a) true
+    a, b = sphere("a", 1.5784072486178067), sphere("b", 0.6414598158539085, 2.2208670644717152)
+    eps = SceneConfig().contact_eps
+    assert surface_distance(a, b) > eps >= surface_distance(b, a)
+    assert_atoms_follow_the_flag(refresh_contacts(hand_built(a, b)), "a", "b")
+
+
+def _near_eps_pairs(rng, n):
+    """Sphere and box pairs along x whose gap lies within a few ulps of +-eps."""
+    eps = SceneConfig().contact_eps
+    for _ in range(n):
+        if rng.random() < 0.5:
+            ra, rb = rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0)
+            a, b, reach = sphere("a", ra), sphere("b", rb), ra + rb
+        else:
+            da = tuple(rng.uniform(0.05, 2.0) for _ in range(3))
+            db = tuple(rng.uniform(0.05, 2.0) for _ in range(3))
+            a, b, reach = box("a", da), box("b", db), da[2] / 2.0 + db[2] / 2.0
+        x = reach + rng.choice((eps, -eps))
+        k = rng.randint(-4, 4)
+        for _ in range(abs(k)):
+            x = math.nextafter(x, math.copysign(math.inf, k))
+        yield a, Body(b.id, b.shape, b.dimensions, b.mobile, (x, 0.0, 0.0))
+
+
+def test_contact_atoms_agree_in_both_orders_over_near_eps_pairs():
+    eps = SceneConfig().contact_eps
+    split = 0
+    for a, b in _near_eps_pairs(random.Random(20161006), 2000):
+        split += (surface_distance(a, b) <= eps) != (surface_distance(b, a) <= eps)
+        for bodies in ((a, b), (b, a)):  # flags computed in either scene order
+            assert_atoms_follow_the_flag(refresh_contacts(hand_built(*bodies)), "a", "b")
+    assert split > 0  # the sweep reaches pairs whose two orders disagree
+
+
+FLOOR_BODY = Body(id="floor", shape=Shape.PLANE, dimensions=(), mobile=False,
+                  position=(0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("x", [-3.0, 0.0, 0.5, 1.0 - 5e-4, 1.0, 1.0 + 5e-4, 1.0 + 2e-3, 6.0])
+def test_pairs_without_flags_give_what_refreshed_flags_give(x):
+    # x 1.0 puts the ball's surface on the block's face; smaller x overlaps them
+    state = hand_built(FLOOR_BODY, box("block", (1.0, 1.0, 1.0)), sphere("ball", 0.5, x))
+    refreshed = refresh_contacts(state)
+    assert all(not b.contacts for b in state.bodies.values())
+    for a in state.bodies:
+        for b in state.bodies:
+            if a == b == "floor":
+                continue  # plane with plane is unsupported in either state
+            assert atoms(state, a, b) == atoms(refreshed, a, b)
+
+
+@pytest.mark.parametrize("atom", [At, EC, DC])
+def test_unbound_object_in_either_argument_raises(atom):
+    state = hand_built(FLOOR_BODY, sphere("ball", 0.5))
+    for s in (state, refresh_contacts(state)):
+        for args in (("ball", "ghost"), ("ghost", "ball"), ("ghost", "ghost")):
+            with pytest.raises(UnboundObjectError):
+                eval_formula(atom(*args), s)
 
 
 def test_eq_on_vectors_uses_euclidean_distance(probe):

@@ -12,7 +12,7 @@ from mosim import (
     sample_underspecified,
     surface_distance,
 )
-from mosim.errors import ImmobileThemeError
+from mosim.errors import ImmobileThemeError, SceneBuildError
 from mosim.kinematics import contact_relation, vnorm
 from mosim.scene import BOUNCE_START_GAP
 
@@ -52,6 +52,19 @@ def test_bounce_theme_starts_above_floor(lex, cfg):
 def test_immobile_theme_rejected(lex, cfg):
     with pytest.raises(ImmobileThemeError):
         scene_for("the wall rolled", lex, cfg)
+
+
+INTERPENETRATING = [
+    ("the ball rolled to the wall", "bodies 'ball' and 'wall' interpenetrate at t=0"),
+    ("the block rolled to the ball", "bodies 'block' and 'ball' interpenetrate at t=0"),
+]
+
+
+@pytest.mark.parametrize("sentence, message", INTERPENETRATING)
+def test_goal_ground_overlapping_the_theme_is_refused(lex, sentence, message):
+    with pytest.raises(SceneBuildError) as exc:
+        scene_for(sentence, lex, SceneConfig(seed=0, ground_distance=0.5))
+    assert str(exc.value) == message
 
 
 def test_from_scene_starts_in_contact(lex, cfg):
