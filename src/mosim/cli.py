@@ -148,6 +148,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    # the search would take a negative bound as "no runs" and a cap below 1
+    # as a search that gave out, so both are bad input here
+    if args.bound < 0:
+        _err(f"ValueError: --bound must be nonnegative, got {args.bound}")
+        return EXIT_INPUT
+    if args.cap < 1:
+        _err(f"ValueError: --cap must be at least 1, got {args.cap}")
+        return EXIT_INPUT
     try:
         program = parse_program(_read_text(args.program, ProgramTextError))
         lex = _load_lexicon(args.lexicon)

@@ -1,4 +1,4 @@
-"""Simulation configuration: one frozen dataclass shared by every stage.
+"""Simulation configuration: one frozen record shared by every stage.
 
 Compilation (iteration bounds, bare-verb duration range), scene building
 (distances, placement) and kinematics (timestep, speeds, contact width)
@@ -7,12 +7,12 @@ all read from the same object, so a trace header can snapshot it whole.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-from dataclasses import dataclass
 
 from .errors import ConfigFormatError
+from .record import asdict, record
+from .record import replace as replace_fields
 
 _FLOAT_FIELDS = (
     "dt", "speed", "ground_distance", "contact_eps", "gravity", "restitution",
@@ -20,7 +20,7 @@ _FLOAT_FIELDS = (
 _INT_FIELDS = ("min_bare_frames", "max_bare_frames", "max_frames", "seed")
 
 
-@dataclass(frozen=True)
+@record
 class SceneConfig:
     dt: float = 1.0 / 60.0
     speed: float = 1.0
@@ -51,10 +51,10 @@ class SceneConfig:
             raise ValueError("frame counts must be positive")
 
     def replace(self, **kwargs) -> "SceneConfig":
-        return dataclasses.replace(self, **kwargs)
+        return replace_fields(self, **kwargs)
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return asdict(self)
 
 
 def config_from_dict(data: dict, base: SceneConfig | None = None) -> SceneConfig:

@@ -12,13 +12,13 @@ module reads the flags it leaves on each body.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
 from .config import SceneConfig
 from .errors import ImmobileThemeError, UnboundObjectError, UnsupportedShapePair
 from .lexicon import TICK_ACTIONS, Shape
+from .record import record
 
 Vec3 = tuple[float, float, float]
 
@@ -55,22 +55,42 @@ class Rel(Enum):
     PO = "PO"   # penetrating overlap: surface distance < -eps (a fault)
 
 
-@dataclass(frozen=True)
+@record
 class Body:
     id: str
     shape: Shape
     dimensions: tuple[float, ...]
     mobile: bool
     position: Vec3
-    heading: Vec3 = PLUS_X
-    rotation: float = 0.0        # accumulated angle about the rolling axis, rad
-    velocity: Vec3 = ZERO3      # y component doubles as the ballistic state
+    heading: Vec3
+    rotation: float        # accumulated angle about the rolling axis, rad
+    velocity: Vec3         # y component doubles as the ballistic state
     # relation to each other body at this position (see WorldState)
-    contacts: Mapping[str, Rel] = None  # type: ignore[assignment]
+    contacts: Mapping[str, Rel]
 
-    def __post_init__(self) -> None:
-        if self.contacts is None:
-            object.__setattr__(self, "contacts", {})
+    # written out rather than Record.__init__'s loop: tick builds one per step
+    def __init__(
+        self,
+        id: str,
+        shape: Shape,
+        dimensions: tuple[float, ...],
+        mobile: bool,
+        position: Vec3,
+        heading: Vec3 = PLUS_X,
+        rotation: float = 0.0,
+        velocity: Vec3 = ZERO3,
+        contacts: Mapping[str, Rel] | None = None,
+    ) -> None:
+        s_id, s_shape, s_dims, s_mobile, s_pos, s_head, s_rot, s_vel, s_contacts = self._setters
+        s_id(self, id)
+        s_shape(self, shape)
+        s_dims(self, dimensions)
+        s_mobile(self, mobile)
+        s_pos(self, position)
+        s_head(self, heading)
+        s_rot(self, rotation)
+        s_vel(self, velocity)
+        s_contacts(self, {} if contacts is None else contacts)
 
     @property
     def radius(self) -> float:
@@ -92,7 +112,7 @@ class Body:
         raise UnsupportedShapePair(self.shape.value, "rolling")
 
 
-@dataclass(frozen=True)
+@record
 class WorldState:
     """One instant: every body with its contact flags, and the config.
 
@@ -107,6 +127,16 @@ class WorldState:
     tick_index: int
     bodies: dict[str, Body]
     cfg: SceneConfig
+
+    # written out for the same reason as Body's
+    def __init__(
+        self, time: float, tick_index: int, bodies: dict[str, Body], cfg: SceneConfig
+    ) -> None:
+        s_time, s_index, s_bodies, s_cfg = self._setters
+        s_time(self, time)
+        s_index(self, tick_index)
+        s_bodies(self, bodies)
+        s_cfg(self, cfg)
 
     def body(self, object_id: str) -> Body:
         try:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
 
 from .errors import DuplicateEntryError, LexiconFormatError, UnknownWordError
+from .record import record
 
 FLOOR_ID = "floor"
 
@@ -54,7 +54,7 @@ class PathKind(enum.Enum):
 TICK_ACTIONS = frozenset({"roll", "slide", "bounce", "fly", "move"})
 
 
-@dataclass(frozen=True)
+@record
 class MannerProfile:
     floor_contact: FloorContact
     rotation_coupling: RotationCoupling
@@ -73,7 +73,7 @@ MANNER_PROFILES = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class NounEntry:
     lemma: str
     shape: Shape
@@ -97,7 +97,7 @@ class NounEntry:
             raise LexiconFormatError("default_altitude must be positive", field="default_altitude")
 
 
-@dataclass(frozen=True)
+@record
 class VerbEntry:
     lemma: str
     past_forms: tuple[str, ...]
@@ -105,7 +105,7 @@ class VerbEntry:
     tick_action: str | None
     profile: MannerProfile
     path_kind: PathKind | None
-    allowed_preps: frozenset[str] = field(default_factory=frozenset)
+    allowed_preps: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         if self.lemma != self.lemma.lower() or not self.lemma.isalpha():

@@ -11,8 +11,6 @@ fields resolve in the lexicon or one specific error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     GrammarError,
     IllegalCharacterError,
@@ -20,17 +18,18 @@ from .errors import (
     UnknownWordError,
 )
 from .lexicon import PREPOSITIONS, Lexicon, VerbEntry
+from .record import record
 
 DETERMINERS = ("the", "a")
 
 
-@dataclass(frozen=True)
+@record
 class PathComponent:
     prep: str
     ground: str
 
 
-@dataclass(frozen=True)
+@record
 class EventFrame:
     verb: VerbEntry
     theme: str

@@ -17,7 +17,6 @@ semantics so a determined false cannot be masked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Union
 
 from . import kinematics
@@ -31,6 +30,7 @@ from .errors import (
 from .kinematics import Rel, Vec3, WorldState, contact_relation
 from .lexicon import FLOOR_ID, Lexicon, PathKind, Shape, VerbClass
 from .parser import EventFrame
+from .record import record, replace
 from .rng import SplitMix64
 from .scene import ground_object_id, sample_underspecified
 
@@ -47,7 +47,7 @@ Value = Union[float, Vec3]
 ATTR_NAMES = ("loc", "rot", "vel")
 
 
-@dataclass(frozen=True)
+@record
 class Attr:
     obj: str
     name: str
@@ -57,29 +57,29 @@ class Attr:
             raise ValueError(f"unknown attribute {self.name!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Const:
     value: Value
 
 
-@dataclass(frozen=True)
+@record
 class AttrTerm:
     attr: Attr
 
 
-@dataclass(frozen=True)
+@record
 class Add:
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class Sub:
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class Scale:
     factor: float
     term: "Term"
@@ -122,19 +122,19 @@ def eval_term(term: Term, state: WorldState) -> Value:
 # -- formula syntax -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class EC:
     a: str
     b: str
 
 
-@dataclass(frozen=True)
+@record
 class DC:
     a: str
     b: str
 
 
-@dataclass(frozen=True)
+@record
 class At:
     """Locative contact: the surfaces of a and b touch or are closer."""
 
@@ -142,7 +142,7 @@ class At:
     b: str
 
 
-@dataclass(frozen=True)
+@record
 class Eq:
     left: Term
     right: Term
@@ -153,30 +153,30 @@ class Eq:
             raise ValueError("tolerance must be strictly positive")
 
 
-@dataclass(frozen=True)
+@record
 class Leq:
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@record
 class Not:
     sub: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Diamond:
     program: "Program"
     formula: "Formula"
@@ -200,7 +200,7 @@ def contains_diamond(f: Formula) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@record
 class EvalResult:
     value: bool
     undetermined: bool = False
@@ -212,13 +212,13 @@ class EvalResult:
 # -- program syntax --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Assign:
     attr: Attr
     term: Term
 
 
-@dataclass(frozen=True)
+@record
 class DirectedAssign:
     """Assignment requiring the new value to differ from the old one."""
 
@@ -226,32 +226,32 @@ class DirectedAssign:
     term: Term
 
 
-@dataclass(frozen=True)
+@record
 class Test:
     formula: Formula
 
     __test__ = False  # an AST node, not a test-framework class
 
 
-@dataclass(frozen=True)
+@record
 class Tick:
     action: str
     theme: str
 
 
-@dataclass(frozen=True)
+@record
 class Seq:
     first: "Program"
     second: "Program"
 
 
-@dataclass(frozen=True)
+@record
 class Choice:
     left: "Program"
     right: "Program"
 
 
-@dataclass(frozen=True)
+@record
 class Star:
     body: "Program"
     bound: int
@@ -267,7 +267,7 @@ Program = Union[Assign, DirectedAssign, Test, Tick, Seq, Choice, Star]
 # -- traces -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Trace:
     """States s0..sn with tick labels a1..an and uniform instants."""
 
@@ -459,7 +459,7 @@ class _HistoryIds:
         return number
 
 
-@dataclass
+@record
 class _Outcome:
     traces: list[Trace]
     budget_pruned: bool

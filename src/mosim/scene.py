@@ -11,7 +11,6 @@ are resolved from labelled seed streams, never from global state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .config import SceneConfig
 from .errors import ImmobileThemeError, SceneBuildError
@@ -27,6 +26,7 @@ from .kinematics import (
 )
 from .lexicon import FLOOR_ID, Lexicon, NounEntry, Shape, VerbEntry, FloorContact
 from .parser import EventFrame
+from .record import record, replace
 from .rng import SplitMix64
 
 # Initial floor gap for alternating-contact motion: low enough that at
@@ -39,13 +39,13 @@ FALLBACK_FLIGHT_GAP = 1.0
 GOAL_PREPS = ("to", "at", "towards")
 
 
-@dataclass(frozen=True)
+@record
 class ResolvedParams:
     duration_frames: int
     direction_angle: float
 
 
-@dataclass(frozen=True)
+@record
 class Scene:
     initial: WorldState
     theme_id: str

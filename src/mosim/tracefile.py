@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
 from pathlib import Path
@@ -21,6 +20,7 @@ from .programs import Trace
 from .errors import ConfigFormatError, TraceFormatError
 from .kinematics import PLUS_X, ZERO3, Body, WorldState, _with_contacts
 from .lexicon import _DIM_KEYS, FLOOR_ID, Shape
+from .record import record
 from .scene import Scene
 
 FORMAT_VERSION = "1"
@@ -147,7 +147,7 @@ def write_trace(
 # -- reading --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class TraceDocument:
     header: dict
     trace: Trace

@@ -10,14 +10,13 @@ different verbs stay comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .config import SceneConfig
 from .programs import At, Formula, Not, Trace, contains_diamond, eval_formula
 from .errors import DiamondNotAllowed, TraceSceneMismatch, UnboundObjectError
 from .kinematics import Rel, hnorm, vsub
 from .lexicon import FLOOR_ID, FloorContact, RotationCoupling
 from .parser import EventFrame
+from .record import record
 from .scene import Scene, ground_object_id
 
 ROTATION_COUPLING_TOL = 1e-4   # rad, loose against float accumulation
@@ -36,14 +35,14 @@ CHECK_NAMES = (
 MODES = ("initially", "finally", "throughout")
 
 
-@dataclass(frozen=True)
+@record
 class CheckOutcome:
     passed: bool
     offending_index: int | None = None
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     name: str
     passed: bool
@@ -59,7 +58,7 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
+@record
 class TraceMetrics:
     path_length: float
     net_rotation: float
@@ -73,7 +72,7 @@ class TraceMetrics:
         }
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     overall: bool
     checks: tuple[CheckResult, ...]

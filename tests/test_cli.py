@@ -181,6 +181,26 @@ def test_enumerate_explosion_exit_3(tmp_path, capsys):
     assert "ExplosionGuard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--bound", "-1"], "ValueError: --bound must be nonnegative, got -1\n"),
+    (["--cap", "0"], "ValueError: --cap must be at least 1, got 0\n"),
+    (["--cap", "-5"], "ValueError: --cap must be at least 1, got -5\n"),
+], ids=["negative-bound", "zero-cap", "negative-cap"])
+def test_enumerate_bad_limits_exit_2_with_one_line(tmp_path, capsys, flags, message):
+    prog = tmp_path / "p.txt"
+    prog.write_text("(tick roll)")
+    assert run(["enumerate", "--program", str(prog), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""
+
+
+def test_enumerate_smallest_limits_are_accepted(tmp_path, capsys):
+    prog = tmp_path / "p.txt"
+    prog.write_text("(test (eq (rot ball) (rot ball) 1))")
+    assert run(["enumerate", "--program", str(prog), "--bound", "0", "--cap", "1"]) == 0
+    assert capsys.readouterr().out == "traces: 1\ntrace 1: 0 tick(s): (empty)\n"
+
+
 def test_enumerate_parse_error_exit_2(tmp_path, capsys):
     prog = tmp_path / "p.txt"
     prog.write_text("(warp (tick roll))")
@@ -222,6 +242,15 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
                   stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     _, stderr = proc.communicate(timeout=60)
     assert proc.returncode == 2 and stderr.startswith("ConfigFormatError: ")
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # both cost start-up time on every command; the records share one base instead
+    code = "import sys, mosim.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = _mosim("-c", code, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    stdout, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 0, stderr
+    assert stdout == "[]\n"
 
 
 def test_closed_stdout_exits_2_without_a_traceback(tmp_path):

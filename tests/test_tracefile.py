@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -10,6 +9,7 @@ from mosim.errors import TraceFormatError
 from mosim.kinematics import Body, WorldState, refresh_contacts
 from mosim.lexicon import FLOOR_ID, Shape, load_lexicon
 from mosim.programs import Trace
+from mosim.record import replace
 from mosim.rng import stream_for
 from mosim.scene import Scene
 from mosim.tracefile import _header_dict, fmt_float
