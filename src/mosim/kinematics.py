@@ -68,7 +68,9 @@ class Body:
     # relation to each other body at this position (see WorldState)
     contacts: Mapping[str, Rel]
 
-    # written out rather than Record.__init__'s loop: tick builds one per step
+    # written out rather than Record.__init__'s loop: tick builds one per
+    # step, and with Record.__init__ for Body and WorldState long runs
+    # measured ~5% fewer ticks per second
     def __init__(
         self,
         id: str,

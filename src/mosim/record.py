@@ -7,6 +7,11 @@ class, hashes its field values (so a record holding a dict refuses to hash),
 prints as ``Name(field=value, ...)`` and refuses assignment.  A class may
 define ``__post_init__`` to validate its fields; ``Record.__init__`` calls it.
 
+The fields are read from the class body's ``__annotations__``, so every
+module that defines records keeps ``from __future__ import annotations``
+(without it, Python 3.14 stores no ``__annotations__`` in the class body);
+``@record`` refuses a class in which it finds no fields.
+
 The methods live on the base and are shared, not generated per class, so
 defining a record costs one class creation; the command-line tool, which
 imports every module on each run, starts up accordingly.
@@ -85,6 +90,8 @@ def record(cls: type) -> type:
     namespace.pop("__dict__", None)
     namespace.pop("__weakref__", None)
     fields = tuple(namespace.get("__annotations__", {}))
+    if not fields:
+        raise TypeError(f"@record class {cls.__name__} declares no annotated fields")
     namespace["_defaults"] = {name: namespace.pop(name) for name in fields if name in namespace}
     namespace["_fields"] = fields
     namespace["__slots__"] = fields

@@ -51,7 +51,7 @@ from mosim.programs import (
     Tick,
     Trace,
 )
-from mosim.record import Record, asdict, replace
+from mosim.record import Record, asdict, record, replace
 from mosim.rng import stream_for
 
 RECORD_CLASSES = sorted(
@@ -271,3 +271,10 @@ def test_post_init_checks_keep_their_texts(make, error, text):
     with pytest.raises(error) as info:
         make()
     assert str(info.value) == text
+
+
+def test_record_refuses_a_class_without_fields():
+    with pytest.raises(TypeError, match="Empty declares no annotated fields"):
+        @record
+        class Empty:
+            pass
