@@ -54,13 +54,7 @@ from .lexicon import (
 )
 from .parser import EventFrame, PathComponent, parse_sentence, parse_text, tokenize
 from .rng import SplitMix64, stream_for
-from .scene import (
-    ResolvedParams,
-    Scene,
-    build_scene,
-    probe_scene,
-    sample_underspecified,
-)
+from .scene import Scene, bare_duration, build_scene, free_direction, probe_scene
 from .tracefile import TraceDocument, read_trace, write_trace
 from .verify import (
     CheckOutcome,

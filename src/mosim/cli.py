@@ -75,33 +75,17 @@ def _print_report(report: VerificationReport) -> None:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        lex = _load_lexicon(args.lexicon)
-        cfg = _load_config(args)
-        frame = parse_text(args.sentence, lex)
-        program = compile_event(frame, lex, cfg)
-        scene = build_scene(frame, lex, cfg)
-    except OSError as exc:
-        _err(f"IOError: {exc}")
-        return EXIT_INPUT
-    except MosimError as exc:
-        _err(f"{type(exc).__name__}: {exc}")
-        return EXIT_INPUT
-
-    try:
-        trace = execute(program, scene.initial, stream_for(cfg.seed, "choice"), cfg.max_frames)
-    except NoSuccessfulRun as exc:
-        _err(f"NoSuccessfulRun: {exc}")
-        return EXIT_SEARCH
-
+    lex = _load_lexicon(args.lexicon)
+    cfg = _load_config(args)
+    frame = parse_text(args.sentence, lex)
+    program = compile_event(frame, lex, cfg)
+    scene = build_scene(frame, lex, cfg)
+    trace = execute(program, scene.initial, stream_for(cfg.seed, "choice"), cfg.max_frames)
     out_path = args.out or f"trace.{args.format}"
-    try:
-        write_trace(out_path, args.format, args.sentence, trace, scene, cfg)
-    except OSError as exc:
-        _err(f"IOError: {exc}")
-        return EXIT_INPUT
+    write_trace(out_path, args.format, args.sentence, trace, scene, cfg)
 
-    metrics = trace_metrics(trace, scene.theme_id)
+    report = verify_trace(trace, frame, scene, cfg) if args.verify else None
+    metrics = report.metrics if report else trace_metrics(trace, scene.theme_id)
     theme = trace.final.body(scene.theme_id)
     contacts = " ".join(f"{other}={rel.value}" for other, rel in sorted(theme.contacts.items()))
     print(f"frames: {trace.tick_count}")
@@ -109,40 +93,22 @@ def cmd_simulate(args) -> int:
     print(f"net_rotation: {metrics.net_rotation:.6g}")
     print(f"final_contacts: {contacts}")
     print(f"trace: {out_path}")
-
-    if args.verify:
-        report = verify_trace(trace, frame, scene, cfg)
-        _print_report(report)
-        return EXIT_OK if report.overall else EXIT_FAIL
-    return EXIT_OK
+    if report is None:
+        return EXIT_OK
+    _print_report(report)
+    return EXIT_OK if report.overall else EXIT_FAIL
 
 
 def cmd_parse(args) -> int:
-    try:
-        lex = _load_lexicon(args.lexicon)
-        frame = parse_text(args.sentence, lex)
-    except OSError as exc:
-        _err(f"IOError: {exc}")
-        return EXIT_INPUT
-    except MosimError as exc:
-        _err(f"{type(exc).__name__}: {exc}")
-        return EXIT_INPUT
+    frame = parse_text(args.sentence, _load_lexicon(args.lexicon))
     print(json.dumps(frame.to_dict(), indent=2))
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    try:
-        doc = read_trace(args.trace)
-        lex = _load_lexicon(args.lexicon)
-        frame = parse_text(args.sentence, lex)
-        report = verify_trace(doc.trace, frame, doc.scene, doc.cfg)
-    except OSError as exc:
-        _err(f"IOError: {exc}")
-        return EXIT_INPUT
-    except MosimError as exc:
-        _err(f"{type(exc).__name__}: {exc}")
-        return EXIT_INPUT
+    doc = read_trace(args.trace)
+    frame = parse_text(args.sentence, _load_lexicon(args.lexicon))
+    report = verify_trace(doc.trace, frame, doc.scene, doc.cfg)
     _print_report(report)
     return EXIT_OK if report.overall else EXIT_FAIL
 
@@ -156,25 +122,11 @@ def cmd_enumerate(args) -> int:
     if args.cap < 1:
         _err(f"ValueError: --cap must be at least 1, got {args.cap}")
         return EXIT_INPUT
-    try:
-        program = parse_program(_read_text(args.program, ProgramTextError))
-        lex = _load_lexicon(args.lexicon)
-        cfg = _load_config(args)
-        scene = probe_scene(cfg, lex, args.theme)
-    except OSError as exc:
-        _err(f"IOError: {exc}")
-        return EXIT_INPUT
-    except MosimError as exc:
-        _err(f"{type(exc).__name__}: {exc}")
-        return EXIT_INPUT
-    try:
-        traces = enumerate_traces(program, scene.initial, args.bound, node_cap=args.cap)
-    except ExplosionGuard as exc:
-        _err(f"ExplosionGuard: {exc}")
-        return EXIT_SEARCH
-    except MosimError as exc:
-        _err(f"{type(exc).__name__}: {exc}")
-        return EXIT_INPUT
+    program = parse_program(_read_text(args.program, ProgramTextError))
+    lex = _load_lexicon(args.lexicon)
+    cfg = _load_config(args)
+    scene = probe_scene(cfg, lex, args.theme)
+    traces = enumerate_traces(program, scene.initial, args.bound, node_cap=args.cap)
     print(f"traces: {len(traces)}")
     for i, trace in enumerate(traces, start=1):
         labels = " ".join(trace.labels) if trace.labels else "(empty)"
@@ -224,9 +176,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
+    """Run one command; its errors become one stderr line and an exit code."""
     # seed defaults to 0 through SceneConfig; flags override config-file values
     args = build_arg_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        raise  # a closed stdout is main()'s to handle
+    except OSError as exc:
+        _err(f"IOError: {exc}")
+        return EXIT_INPUT
+    except MosimError as exc:
+        _err(f"{type(exc).__name__}: {exc}")
+        return EXIT_SEARCH if isinstance(exc, (NoSuccessfulRun, ExplosionGuard)) else EXIT_INPUT
 
 
 def main() -> None:

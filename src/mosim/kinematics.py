@@ -285,11 +285,8 @@ def _apply_obstacles(world: WorldState, theme: Body, proposed: Vec3, eps: float)
     for other in world.bodies.values():
         if other.id == theme.id or other.shape is Shape.PLANE:
             continue
-        try:
-            d_old = _gap(theme, theme.position, other, other.position)
-            d_new = _gap(theme, pos, other, other.position)
-        except UnsupportedShapePair:
-            continue
+        d_old = _gap(theme, theme.position, other, other.position)
+        d_new = _gap(theme, pos, other, other.position)
         if d_old <= eps and d_new < d_old:
             # already in contact and not separating: no further motion
             pos = (theme.position[0], pos[1], theme.position[2])

@@ -16,15 +16,22 @@ import json
 from .errors import DuplicateEntryError, LexiconFormatError, UnknownWordError
 from .record import record
 
+# The floor is a scene's only plane, and this is its id and its noun's lemma.
 FLOOR_ID = "floor"
-
-PREPOSITIONS = ("to", "from", "towards", "at")
 
 
 class Shape(enum.Enum):
     SPHERE = "sphere"
     BOX = "box"
     PLANE = "plane"
+
+
+# Dimension names per shape, in the order of ``NounEntry.dimensions``.
+DIM_KEYS = {
+    Shape.SPHERE: ("radius",),
+    Shape.BOX: ("width", "height", "depth"),
+    Shape.PLANE: (),
+}
 
 
 class VerbClass(enum.Enum):
@@ -49,6 +56,12 @@ class RotationCoupling(enum.Enum):
 class PathKind(enum.Enum):
     ARRIVE = "arrive"
     LEAVE = "leave"
+
+
+# What each preposition does with its ground: "to" and "at" arrive at it,
+# "from" leaves it, and "towards" only sets the direction of motion.
+PREP_ROLES = {"to": PathKind.ARRIVE, "from": PathKind.LEAVE, "towards": None, "at": PathKind.ARRIVE}
+PREPOSITIONS = tuple(PREP_ROLES)
 
 
 TICK_ACTIONS = frozenset({"roll", "slide", "bounce", "fly", "move"})
@@ -84,7 +97,7 @@ class NounEntry:
     def __post_init__(self) -> None:
         if self.lemma != self.lemma.lower() or not self.lemma.isalpha():
             raise LexiconFormatError("lemma must be a lowercase token", field="lemma")
-        expected = {Shape.SPHERE: 1, Shape.BOX: 3, Shape.PLANE: 0}[self.shape]
+        expected = len(DIM_KEYS[self.shape])
         if len(self.dimensions) != expected:
             raise LexiconFormatError(
                 f"{self.shape.value} takes {expected} dimension(s)", field="dimensions"
@@ -95,6 +108,11 @@ class NounEntry:
             raise LexiconFormatError("plane entries are immobile", field="mobile")
         if self.default_altitude is not None and self.default_altitude <= 0:
             raise LexiconFormatError("default_altitude must be positive", field="default_altitude")
+        if (self.shape is Shape.PLANE) != (self.lemma == FLOOR_ID):
+            raise LexiconFormatError(
+                f"the floor is the only plane: {FLOOR_ID!r} and no other noun takes shape plane",
+                field="shape",
+            )
 
 
 @record
@@ -225,13 +243,6 @@ def builtin_lexicon() -> Lexicon:
 
 # -- JSON lexicon files -------------------------------------------------------
 
-_DIM_KEYS = {
-    Shape.SPHERE: ("radius",),
-    Shape.BOX: ("width", "height", "depth"),
-    Shape.PLANE: (),
-}
-
-
 def _require(obj: dict, key: str, where: str):
     if key not in obj:
         raise LexiconFormatError("missing field", field=f"{where}.{key}")
@@ -255,12 +266,12 @@ def _parse_noun(obj: dict, where: str) -> NounEntry:
     if not isinstance(dims_obj, dict):
         raise LexiconFormatError("dimensions must be an object", field=f"{where}.dimensions")
     dims = []
-    for key in _DIM_KEYS[shape]:
+    for key in DIM_KEYS[shape]:
         value = _require(dims_obj, key, f"{where}.dimensions")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise LexiconFormatError("expected a number", field=f"{where}.dimensions.{key}")
         dims.append(float(value))
-    extra = set(dims_obj) - set(_DIM_KEYS[shape])
+    extra = set(dims_obj) - set(DIM_KEYS[shape])
     if extra:
         raise LexiconFormatError(
             f"unexpected dimension key(s) for {shape.value}: {sorted(extra)}",
@@ -361,7 +372,7 @@ def load_lexicon(text: str) -> Lexicon:
 
 
 def _noun_to_obj(entry: NounEntry) -> dict:
-    dims = dict(zip(_DIM_KEYS[entry.shape], entry.dimensions))
+    dims = dict(zip(DIM_KEYS[entry.shape], entry.dimensions))
     return {
         "lemma": entry.lemma,
         "shape": entry.shape.value,

@@ -28,11 +28,11 @@ from .errors import (
     NoSuccessfulRun,
 )
 from .kinematics import Rel, Vec3, WorldState, contact_relation
-from .lexicon import FLOOR_ID, Lexicon, PathKind, Shape, VerbClass
+from .lexicon import PREP_ROLES, Lexicon, PathKind, VerbClass
 from .parser import EventFrame
 from .record import record, replace
 from .rng import SplitMix64
-from .scene import ground_object_id, sample_underspecified
+from .scene import bare_duration, ground_object_id
 
 # Tolerance for "the new value differs from the old" in directed assignment.
 ASSIGN_TOL = 1e-9
@@ -639,7 +639,8 @@ def compile_event(frame: EventFrame, lex: Lexicon, cfg: SceneConfig) -> Program:
     path brackets it between an initial contact test and a final
     separation test, and a bare or direction-only sentence runs a
     seed-chosen number of ticks.  Path verbs do the same with generic
-    motion plus their presupposition tests.
+    motion plus their presupposition tests.  ``lex`` is not consulted: the
+    ground's object id follows from the frame alone.
     """
     verb = frame.verb
     theme = frame.theme
@@ -647,21 +648,16 @@ def compile_event(frame: EventFrame, lex: Lexicon, cfg: SceneConfig) -> Program:
     if prep is not None and prep not in verb.allowed_preps:
         raise IncompatiblePathError(verb.lemma, prep)
 
-    goal_formula = None
-    if frame.path is not None:
-        gid = ground_object_id(frame)
-        if lex.lookup_noun(frame.path.ground).shape is Shape.PLANE:
-            gid = FLOOR_ID
-        goal_formula = At(theme, gid)
-
-    duration = sample_underspecified(cfg, SplitMix64(cfg.seed)).duration_frames
+    goal_formula = None if frame.path is None else At(theme, ground_object_id(frame))
+    duration = bare_duration(cfg)
 
     if verb.verb_class in (VerbClass.MANNER, VerbClass.GENERIC):
         action = verb.tick_action
         assert action is not None
-        if prep in ("to", "at"):
+        role = PREP_ROLES.get(prep)
+        if role is PathKind.ARRIVE:
             return _goal_loop(action, theme, goal_formula, cfg.max_frames)
-        if prep == "from":
+        if role is PathKind.LEAVE:
             return _leave(action, theme, goal_formula, duration)
         return _chain(action, theme, duration)
 

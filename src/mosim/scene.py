@@ -24,10 +24,12 @@ from .kinematics import (
     rest_height,
     surface_distance,
 )
-from .lexicon import FLOOR_ID, Lexicon, NounEntry, Shape, VerbEntry, FloorContact
+from .lexicon import (
+    FLOOR_ID, PREP_ROLES, FloorContact, Lexicon, NounEntry, PathKind, Shape, VerbEntry,
+)
 from .parser import EventFrame
 from .record import record, replace
-from .rng import SplitMix64
+from .rng import stream_for
 
 # Initial floor gap for alternating-contact motion: low enough that at
 # least two contact episodes fit in the shortest bare duration.
@@ -35,14 +37,6 @@ BOUNCE_START_GAP = 0.1
 
 # Surface gap for airborne themes whose noun has no default altitude.
 FALLBACK_FLIGHT_GAP = 1.0
-
-GOAL_PREPS = ("to", "at", "towards")
-
-
-@record
-class ResolvedParams:
-    duration_frames: int
-    direction_angle: float
 
 
 @record
@@ -54,20 +48,36 @@ class Scene:
     direction: Vec3
 
 
-def sample_underspecified(cfg: SceneConfig, rng: SplitMix64) -> ResolvedParams:
-    """Draw the seed-determined values for what the sentence leaves open."""
-    duration = rng.stream("duration").randint(cfg.min_bare_frames, cfg.max_bare_frames)
-    angle = rng.stream("scene").uniform() * 2.0 * math.pi
-    return ResolvedParams(duration_frames=duration, direction_angle=angle)
+def bare_duration(cfg: SceneConfig) -> int:
+    """Tick count of a sentence without a goal, drawn from the seed's ``duration`` stream."""
+    return stream_for(cfg.seed, "duration").randint(cfg.min_bare_frames, cfg.max_bare_frames)
+
+
+def free_direction(cfg: SceneConfig) -> Vec3:
+    """Heading of a scene without a ground, drawn from the seed's ``scene`` stream."""
+    angle = stream_for(cfg.seed, "scene").uniform() * 2.0 * math.pi
+    return (math.cos(angle), 0.0, math.sin(angle))
 
 
 def ground_object_id(frame: EventFrame) -> str | None:
-    """Object id the path ground binds to; suffixed when it collides with the theme."""
+    """Object id the path ground binds to: the one rule the compiler, scene and verifier share.
+
+    The floor noun is the scene's floor; a ground with the theme's lemma is
+    a second body suffixed ``_2``; any other ground is its lemma.
+    """
     if frame.path is None:
         return None
-    if frame.path.ground == frame.theme:
-        return frame.path.ground + "_2"
-    return frame.path.ground
+    ground = frame.path.ground
+    if ground == FLOOR_ID:
+        return FLOOR_ID
+    if ground == frame.theme:
+        return ground + "_2"
+    return ground
+
+
+def _floor() -> Body:
+    return Body(id=FLOOR_ID, shape=Shape.PLANE, dimensions=(), mobile=False,
+                position=(0.0, 0.0, 0.0))
 
 
 def _make_body(object_id: str, noun: NounEntry, position: Vec3) -> Body:
@@ -121,12 +131,10 @@ def probe_scene(cfg: SceneConfig, lex: Lexicon, lemma: str = "ball") -> Scene:
     noun = lex.lookup_noun(lemma)
     if not noun.mobile:
         raise ImmobileThemeError(lemma)
-    floor = Body(id=FLOOR_ID, shape=Shape.PLANE, dimensions=(), mobile=False,
-                 position=(0.0, 0.0, 0.0))
     rest = rest_height(noun.shape, noun.dimensions)
     theme = replace(_make_body(lemma, noun, (0.0, rest, 0.0)), heading=PLUS_X)
     state = refresh_contacts(
-        WorldState(time=0.0, tick_index=0, bodies={FLOOR_ID: floor, lemma: theme}, cfg=cfg)
+        WorldState(time=0.0, tick_index=0, bodies={FLOOR_ID: _floor(), lemma: theme}, cfg=cfg)
     )
     return Scene(initial=state, theme_id=lemma, ground_id=None, goal_id=None, direction=PLUS_X)
 
@@ -137,39 +145,31 @@ def build_scene(frame: EventFrame, lex: Lexicon, cfg: SceneConfig) -> Scene:
     if not theme_noun.mobile:
         raise ImmobileThemeError(frame.theme)
 
-    floor = Body(id=FLOOR_ID, shape=Shape.PLANE, dimensions=(), mobile=False,
-                 position=(0.0, 0.0, 0.0))
     theme = _make_body(
         frame.theme, theme_noun,
         (0.0, _theme_center_height(theme_noun, frame.verb), 0.0),
     )
 
     ground = None
-    ground_id = None
+    ground_id = ground_object_id(frame)
     goal_id = None
     if frame.path is not None:
-        ground_noun = lex.lookup_noun(frame.path.ground)
-        ground_id = ground_object_id(frame)
-        if ground_noun.shape is Shape.PLANE:
-            ground_id = FLOOR_ID  # the floor is the only plane in a scene
-        elif frame.path.prep in GOAL_PREPS:
-            rest = rest_height(ground_noun.shape, ground_noun.dimensions)
-            ground = _make_body(ground_id, ground_noun, (cfg.ground_distance, rest, 0.0))
-        else:  # from
-            ground = _place_source_ground(theme, ground_noun, ground_id)
-        if frame.path.prep in GOAL_PREPS:
+        leaves = PREP_ROLES[frame.path.prep] is PathKind.LEAVE
+        if not leaves:
             goal_id = ground_id
+        if ground_id != FLOOR_ID:  # the floor is already in every scene
+            ground_noun = lex.lookup_noun(frame.path.ground)
+            if leaves:
+                ground = _place_source_ground(theme, ground_noun, ground_id)
+            else:
+                rest = rest_height(ground_noun.shape, ground_noun.dimensions)
+                ground = _make_body(ground_id, ground_noun, (cfg.ground_distance, rest, 0.0))
 
-    if ground is not None:
-        direction = PLUS_X
-    elif ground_id is not None:
-        direction = PLUS_X  # plane ground: keep the conventional axis
-    else:
-        angle = sample_underspecified(cfg, SplitMix64(cfg.seed)).direction_angle
-        direction = (math.cos(angle), 0.0, math.sin(angle))
+    # every grounded scene, the floor included, runs along +x
+    direction = PLUS_X if ground_id is not None else free_direction(cfg)
 
     theme = replace(theme, heading=direction)
-    bodies = {FLOOR_ID: floor, theme.id: theme}
+    bodies = {FLOOR_ID: _floor(), theme.id: theme}
     if ground is not None:
         bodies[ground.id] = ground
 

@@ -19,7 +19,7 @@ from .config import SceneConfig, config_from_dict
 from .programs import Trace
 from .errors import ConfigFormatError, TraceFormatError
 from .kinematics import PLUS_X, ZERO3, Body, WorldState, _with_contacts
-from .lexicon import _DIM_KEYS, FLOOR_ID, Shape
+from .lexicon import DIM_KEYS, FLOOR_ID, Shape
 from .record import record
 from .scene import Scene
 
@@ -212,9 +212,15 @@ def _catalog(bodies) -> dict[str, tuple[Shape, tuple[float, ...], bool]]:
         if not isinstance(dims, list):
             raise TraceFormatError(f"dimensions of {bid!r} must be a list")
         dims = _numbers(dims, f"dimensions of {bid!r}")
-        if len(dims) != len(_DIM_KEYS[shape]):
-            raise TraceFormatError(f"{shape.value} {bid!r} takes {len(_DIM_KEYS[shape])} dimension(s)")
+        if len(dims) != len(DIM_KEYS[shape]):
+            raise TraceFormatError(f"{shape.value} {bid!r} takes {len(DIM_KEYS[shape])} dimension(s)")
+        if (shape is Shape.PLANE) != (bid == FLOOR_ID):
+            raise TraceFormatError(
+                f"body {bid!r}: the floor is the only plane, and its id is {FLOOR_ID!r}"
+            )
         catalog[bid] = (shape, dims, bool(_need(entry, "mobile", f"body {bid}")))
+    if FLOOR_ID not in catalog:
+        raise TraceFormatError(f"header bodies have no {FLOOR_ID!r} plane")
     return catalog
 
 
@@ -237,6 +243,10 @@ def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) 
         raise TraceFormatError("trace has no state records")
     bindings = header["bindings"]
     theme_id = _need(bindings, "theme", "bindings")
+    if not isinstance(theme_id, str):
+        raise TraceFormatError("bindings.theme must be a string")
+    if theme_id == FLOOR_ID:
+        raise TraceFormatError("the theme cannot be the floor")
     ground_id = bindings.get("ground")
     direction = _vec(header["direction"], "direction")
     headings = {bid: direction if bid == theme_id else PLUS_X for bid in catalog}

@@ -13,8 +13,8 @@ from __future__ import annotations
 from .config import SceneConfig
 from .programs import At, Formula, Not, Trace, contains_diamond, eval_formula
 from .errors import DiamondNotAllowed, TraceSceneMismatch, UnboundObjectError
-from .kinematics import Rel, hnorm, vsub
-from .lexicon import FLOOR_ID, FloorContact, RotationCoupling
+from .kinematics import Body, Rel, hnorm, vsub
+from .lexicon import FLOOR_ID, PREP_ROLES, FloorContact, PathKind, RotationCoupling
 from .parser import EventFrame
 from .record import record
 from .scene import Scene, ground_object_id
@@ -135,11 +135,10 @@ def _contact_runs(rels: list[Rel]) -> list[tuple[Rel, int]]:
     return runs
 
 
-def _check_contact(trace: Trace, theme_id: str, contact: FloorContact) -> CheckResult:
+def _check_contact(rels: list[Rel], contact: FloorContact) -> CheckResult:
     name = "contact_profile"
     if contact is FloorContact.UNCONSTRAINED:
         return CheckResult(name, True, None, "skipped: contact unconstrained")
-    rels = _floor_relations(trace, theme_id)
     if not rels and contact is not FloorContact.ALTERNATING:
         return CheckResult(name, True, None, "vacuous: zero-motion trace")
     if contact is FloorContact.ALWAYS_EC or contact is FloorContact.ALWAYS_DC:
@@ -179,7 +178,10 @@ def _theme_path_length(trace: Trace, theme_id: str) -> float:
 
 def trace_metrics(trace: Trace, theme_id: str) -> TraceMetrics:
     """Horizontal path length, net rotation and floor-contact episode count."""
-    rels = _floor_relations(trace, theme_id)
+    return _metrics(trace, theme_id, _floor_relations(trace, theme_id))
+
+
+def _metrics(trace: Trace, theme_id: str, rels: list[Rel]) -> TraceMetrics:
     theme0 = trace.states[0].body(theme_id)
     return TraceMetrics(
         path_length=_theme_path_length(trace, theme_id),
@@ -188,19 +190,16 @@ def trace_metrics(trace: Trace, theme_id: str) -> TraceMetrics:
     )
 
 
-def _check_rotation(trace: Trace, theme_id: str, coupling: RotationCoupling) -> CheckResult:
+def _check_rotation(metrics: TraceMetrics, theme: Body, coupling: RotationCoupling) -> CheckResult:
     name = "rotation_coupling"
-    theme_first = trace.states[0].body(theme_id)
-    theme_last = trace.final.body(theme_id)
-    net = theme_last.rotation - theme_first.rotation
+    net = metrics.net_rotation
     if coupling is RotationCoupling.UNCONSTRAINED:
         return CheckResult(name, True, None, "skipped: rotation unconstrained")
     if coupling is RotationCoupling.NONE:
         if abs(net) <= ROTATION_NONE_TOL:
             return CheckResult(name, True, None, "no net rotation")
         return CheckResult(name, False, None, f"net rotation {net:.6g} rad, profile requires none")
-    length = _theme_path_length(trace, theme_id)
-    expected = length / theme_last.rolling_radius
+    expected = metrics.path_length / theme.rolling_radius
     if abs(net - expected) <= ROTATION_COUPLING_TOL:
         return CheckResult(name, True, None, "rotation matches arc length")
     return CheckResult(
@@ -218,8 +217,8 @@ def _path_checks(
             CheckResult("path_pre", True, None, skipped),
             CheckResult("path_post", True, None, skipped),
         )
-    prep = frame.path.prep
-    if prep == "towards":
+    role = PREP_ROLES[frame.path.prep]
+    if role is None:
         detail = "skipped: direction-only path"
         return (
             CheckResult("path_pre", True, None, detail),
@@ -228,8 +227,7 @@ def _path_checks(
     # the sentence's own ground drives the tests; an unbound ground
     # surfaces as a failing check, not an error
     goal = At(scene.theme_id, ground_object_id(frame))
-    goal_like = prep in ("to", "at")
-    if goal_like:
+    if role is PathKind.ARRIVE:
         if trace.tick_count == 0:
             pre = CheckResult("path_pre", True, None, "zero-motion trace: theme began at the goal")
         else:
@@ -290,14 +288,15 @@ def verify_trace(
         )
 
     profile = frame.verb.profile
-    contact = _check_contact(trace, scene.theme_id, profile.floor_contact)
-    rotation = _check_rotation(trace, scene.theme_id, profile.rotation_coupling)
+    rels = _floor_relations(trace, scene.theme_id)
+    metrics = _metrics(trace, scene.theme_id, rels)
+    contact = _check_contact(rels, profile.floor_contact)
+    rotation = _check_rotation(metrics, trace.final.body(scene.theme_id), profile.rotation_coupling)
     path_pre, path_post = _path_checks(trace, frame, scene)
     penetration = _check_no_penetration(trace)
     timing = _check_uniform_timing(trace, cfg)
 
     checks = (contact, rotation, path_pre, path_post, penetration, timing)
-    metrics = trace_metrics(trace, scene.theme_id)
     return VerificationReport(
         overall=all(c.passed for c in checks),
         checks=checks,

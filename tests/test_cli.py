@@ -138,8 +138,13 @@ def _edit_record(lines, edit):
     lambda ls: _edit_record(ls, lambda r: r["bodies"]["ball"]["pos"].__setitem__(1, float("nan"))),
     lambda ls: _edit_record(ls, lambda r: r.update(time=float("inf"))),
     lambda ls: _edit_header(ls, lambda h: h["bodies"]["wall"].update(dimensions=[4.0, 2.0])),
+    lambda ls: _edit_header(ls, lambda h: h["bindings"].update(theme=["ball"])),
+    lambda ls: _edit_header(ls, lambda h: h["bodies"].pop("floor")),
+    lambda ls: _edit_header(ls, lambda h: h["bindings"].update(theme="floor")),
+    lambda ls: _edit_header(ls, lambda h: h["bodies"]["wall"].update(shape="plane", dimensions=[])),
 ], ids=["dimensions-not-numbers", "bodies-a-list", "time-null", "rot-not-a-number",
-        "pos-nan", "time-infinite", "box-with-two-dimensions"])
+        "pos-nan", "time-infinite", "box-with-two-dimensions", "theme-not-a-string",
+        "no-floor", "floor-as-theme", "second-plane"])
 def test_check_malformed_trace_exits_2_with_one_line(tmp_path, capsys, damage):
     _, out = simulate(tmp_path, "--seed", "42")
     lines = out.read_text().splitlines()
@@ -402,3 +407,47 @@ def test_no_successful_run_exits_3(tmp_path, capsys):
     assert run(["simulate", "the ball rolled to the wall", "--max-frames", "50",
                 "--out", str(tmp_path / "x.jsonl")]) == 3
     assert "NoSuccessfulRun" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noun, sentence", [
+    ({"lemma": "ground", "shape": "plane", "mobile": False}, "the ball rolled to the ground"),
+    ({"lemma": "floor", "shape": "sphere", "dimensions": {"radius": 0.5}, "mobile": True},
+     "the floor rolled"),
+], ids=["second-plane-noun", "floor-not-a-plane"])
+def test_lexicon_breaking_the_plane_rule_exits_2_with_one_line(tmp_path, capsys, noun, sentence):
+    lexfile = tmp_path / "lex.json"
+    lexfile.write_text(json.dumps({"nouns": [noun]}))
+    code, out = simulate(tmp_path, "--lexicon", str(lexfile), "--verify", sentence=sentence)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("LexiconFormatError: the floor is the only plane") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_example_lexicon_sentence_verifies(tmp_path):
+    example = Path(__file__).resolve().parents[1] / "docs" / "lexicon.example.json"
+    code, _ = simulate(tmp_path, "--lexicon", str(example), "--verify",
+                       sentence="the puck rolled to the crate")
+    assert code == 0
+
+
+def test_simulate_summary_and_report_print_the_same_metrics(tmp_path, capsys):
+    code, _ = simulate(tmp_path, "--seed", "3", "--verify", sentence="the ball bounced")
+    assert code == 0
+    stdout = capsys.readouterr().out
+    metrics = json.loads(stdout[stdout.index("{"):])["metrics"]
+    assert f"path_length: {metrics['path_length']:.6g}\n" in stdout
+    assert f"net_rotation: {metrics['net_rotation']:.6g}\n" in stdout
+
+
+def test_a_closed_stdout_is_left_to_main(monkeypatch):
+    # run() maps OSError to exit 2 itself, but not a broken pipe: main() must also
+    # point stdout at devnull so the flush at exit cannot fail again
+    from mosim import cli
+
+    def closed_stdout(args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "cmd_parse", closed_stdout)
+    with pytest.raises(BrokenPipeError):
+        run(["parse", "the ball rolled"])

@@ -11,7 +11,13 @@ from mosim import (
     serialize_lexicon,
 )
 from mosim.errors import DuplicateEntryError, LexiconFormatError, UnknownWordError
-from mosim.lexicon import MANNER_PROFILES, MannerProfile, NounEntry, TICK_ACTIONS
+from mosim.lexicon import (
+    DIM_KEYS,
+    MANNER_PROFILES,
+    TICK_ACTIONS,
+    MannerProfile,
+    NounEntry,
+)
 
 # the fixed contact/rotation table for the four manner verbs
 PROFILE_TABLE = {
@@ -151,3 +157,25 @@ def test_plane_entries_are_immobile():
 def test_manner_profile_constants_consistent():
     assert MANNER_PROFILES["roll"].rotation_coupling is RotationCoupling.ARC_LENGTH
     assert MANNER_PROFILES["fly"].floor_contact is FloorContact.ALWAYS_DC
+
+
+@pytest.mark.parametrize("lemma, shape, dims, mobile", [
+    ("ground", Shape.PLANE, (), False),
+    ("floor", Shape.SPHERE, (0.5,), True),
+    ("floor", Shape.BOX, (1.0, 1.0, 1.0), False),
+])
+def test_the_floor_is_the_only_plane(lemma, shape, dims, mobile):
+    with pytest.raises(LexiconFormatError, match="the floor is the only plane"):
+        NounEntry(lemma, shape, dims, mobile)
+    obj = {"lemma": lemma, "shape": shape.value, "mobile": mobile,
+           "dimensions": dict(zip(DIM_KEYS[shape], dims))}
+    with pytest.raises(LexiconFormatError, match=r"the floor is the only plane.*\(field nouns\[0\]\)"):
+        load_lexicon(json.dumps({"nouns": [obj]}))
+
+
+def test_plane_rule_runs_after_the_older_checks():
+    with pytest.raises(LexiconFormatError, match="plane entries are immobile"):
+        NounEntry("sheet", Shape.PLANE, (), mobile=True)
+    with pytest.raises(LexiconFormatError, match="sphere takes 1 dimension"):
+        NounEntry("floor", Shape.SPHERE, (), mobile=False)
+

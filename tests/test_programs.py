@@ -45,6 +45,7 @@ from mosim.errors import (
 from mosim.kinematics import Body, Rel, WorldState, refresh_contacts, surface_distance, tick as kin_tick
 from mosim.lexicon import Shape
 from mosim.parser import EventFrame, PathComponent
+from mosim.progtext import format_program, parse_program
 from mosim.rng import SplitMix64, stream_for
 
 
@@ -535,3 +536,11 @@ def test_enumeration_node_count_is_pinned(probe):
     with pytest.raises(ExplosionGuard) as info:
         enumerate_traces(wide, probe.initial, budget=100, node_cap=1020)
     assert (info.value.nodes, info.value.cap) == (1021, 1020)
+
+
+def test_program_text_round_trips_over_random_programs():
+    # parsing may nest a seq differently from the generator, but printing flattens it again
+    gen = SplitMix64(1863)
+    for i in range(300):
+        text = format_program(_random_program(gen.stream(f"text{i}"), [3], [2]))
+        assert format_program(parse_program(text)) == text, text

@@ -10,14 +10,12 @@ import pytest
 
 from mosim import (
     SceneConfig,
-    SplitMix64,
     build_scene,
     check_formula_on_trace,
     compile_event,
     execute,
     parse_text,
     read_trace,
-    sample_underspecified,
     verify_trace,
     write_trace,
 )
@@ -90,7 +88,7 @@ def samples(lex, tmp_path_factory):
         programs._Outcome([trace], False, (0, None, "no run attempted")),
         cfg, built.initial.body("ball"), built.initial, lex.lookup_noun("ball"),
         frame.verb, frame.verb.profile, frame.path, frame,
-        sample_underspecified(cfg, SplitMix64(cfg.seed)), built, read_trace(path),
+        built, read_trace(path),
         check_formula_on_trace(trace, at, "finally"), report.checks[0], report.metrics, report,
     ]
     return {type(item): item for item in items}
@@ -104,7 +102,7 @@ def _dataclass_twin(rec):
 
 
 def test_samples_cover_every_record_class(samples):
-    assert len(RECORD_CLASSES) == 40
+    assert len(RECORD_CLASSES) == 39
     assert set(samples) == set(RECORD_CLASSES)
 
 

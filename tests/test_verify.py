@@ -14,12 +14,15 @@ from mosim import (
     compile_event,
     execute,
     parse_text,
+    trace_metrics,
     truth,
     verify_trace,
 )
 from mosim.errors import DiamondNotAllowed, TraceSceneMismatch
 from mosim.parser import EventFrame
+from mosim.progtext import format_program
 from mosim.rng import stream_for
+from mosim.scene import ground_object_id
 from mosim.verify import CHECK_NAMES
 
 from conftest import CORPUS
@@ -183,3 +186,25 @@ def test_metrics_report_roll_geometry(lex, cfg):
 def test_dc_throughout_on_fly_trace(lex, cfg):
     frame, scene, trace = run_sentence("the bird flew", lex, cfg)
     assert check_formula_on_trace(trace, DC("bird", "floor"), "throughout").passed
+
+
+@pytest.mark.parametrize("sentence", CORPUS + ["the ball bounced to the floor"])
+def test_report_metrics_are_the_trace_metrics(lex, cfg, sentence):
+    frame, scene, trace = run_sentence(sentence, lex, cfg)
+    assert verify_trace(trace, frame, scene, cfg).metrics == trace_metrics(trace, scene.theme_id)
+
+
+@pytest.mark.parametrize("sentence, ground_id", [
+    ("the ball rolled to the floor", "floor"),
+    ("the ball bounced to the floor", "floor"),
+    ("the ball rolled to the ball", "ball_2"),
+    ("the ball rolled from the wall", "wall"),
+])
+def test_compiler_scene_and_verifier_bind_the_ground_alike(lex, cfg, sentence, ground_id):
+    frame, scene, trace = run_sentence(sentence, lex, cfg)
+    assert ground_object_id(frame) == ground_id
+    assert scene.ground_id == ground_id
+    assert set(scene.initial.bodies) == {"floor", "ball"} | {ground_id}
+    assert f"(at ball {ground_id})" in format_program(compile_event(frame, lex, cfg))
+    report = verify_trace(trace, frame, scene, cfg)
+    assert "unbound" not in report.check("path_pre").detail + report.check("path_post").detail
