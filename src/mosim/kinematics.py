@@ -5,15 +5,15 @@ the bounce action.  Every tick is a pure function from world state to
 world state; determinism and checkability win over physical fidelity.
 Shapes are spheres, axis-aligned boxes and the horizontal floor plane,
 which keeps surface distances exact and the contact relations decidable.
-``contact_relation`` is the one place a relation is decided; every other
-module reads the flags it leaves on each body.
+``_relation`` is the one place a gap becomes a relation; every other
+module reads the flags ``refresh_contacts`` and ``tick`` leave on each body.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Mapping
+from typing import Container, Mapping
 
 from .config import SceneConfig
 from .errors import ImmobileThemeError, UnboundObjectError, UnsupportedShapePair
@@ -122,7 +122,11 @@ class WorldState:
     positions.  ``refresh_contacts``, ``tick``, the scene builders, ``loc``
     assignments and the trace reader produce only such states, and formula
     atoms and the scene's overlap check read the flags instead of recomputing
-    them.  A hand-built state may leave the maps empty, never stale.
+    them.  ``tick`` and the trace reader also carry the flag of every pair
+    whose bodies did not move into the next state unchanged, and ``tick``
+    reads the theme's ``DC`` flags instead of measuring its old gaps, so a
+    stale flag would outlive its state.  A hand-built state may leave the
+    maps empty, never stale.
     """
 
     time: float
@@ -150,6 +154,13 @@ class WorldState:
         return WorldState(self.time, self.tick_index, {**self.bodies, body.id: body}, self.cfg)
 
 
+# The members the per-pair code compares against, as plain module names:
+# on CPython 3.11 reading ``Shape.SPHERE`` takes ~150 ns, a global ~30 ns,
+# and every measured pair reads several.
+_SPHERE, _BOX, _PLANE = Shape.SPHERE, Shape.BOX, Shape.PLANE
+_EC, _DC, _PO = Rel.EC, Rel.DC, Rel.PO
+
+
 def rest_height(shape: Shape, dimensions: tuple[float, ...]) -> float:
     """Center height of a body of this shape and size resting on the floor."""
     if shape is Shape.SPHERE:
@@ -172,21 +183,21 @@ def _gap(a: Body, pa: Vec3, b: Body, pb: Vec3) -> float:
     bit; keeping that order keeps every trace byte-identical.
     """
     sa, sb = a.shape, b.shape
-    if sa is Shape.SPHERE:
-        if sb is Shape.PLANE:
+    if sa is _SPHERE:
+        if sb is _PLANE:
             return pa[1] - a.dimensions[0]
-        if sb is Shape.BOX:
+        if sb is _BOX:
             return _point_box_distance(pa, b, pb) - a.dimensions[0]
-        if sb is Shape.SPHERE:
+        if sb is _SPHERE:
             return vnorm(vsub(pa, pb)) - a.dimensions[0] - b.dimensions[0]
-    elif sa is Shape.BOX:
-        if sb is Shape.PLANE:
+    elif sa is _BOX:
+        if sb is _PLANE:
             return pa[1] - a.dimensions[1] / 2.0
-        if sb is Shape.SPHERE:
+        if sb is _SPHERE:
             return _point_box_distance(pb, a, pa) - b.dimensions[0]
-        if sb is Shape.BOX:
+        if sb is _BOX:
             return _box_box_distance(a, pa, b, pb)
-    elif sb is not Shape.PLANE:
+    elif sb is not _PLANE:
         return _gap(b, pb, a, pa)
     raise UnsupportedShapePair(sa.value, sb.value)
 
@@ -210,12 +221,15 @@ def _box_box_distance(a: Body, pa: Vec3, b: Body, pb: Vec3) -> float:
 
 
 def contact_relation(a: Body, b: Body, contact_eps: float) -> Rel:
-    d = surface_distance(a, b)
+    return _relation(surface_distance(a, b), contact_eps)
+
+
+def _relation(d: float, contact_eps: float) -> Rel:
     if d > contact_eps:
-        return Rel.DC
+        return _DC
     if d < -contact_eps:
-        return Rel.PO
-    return Rel.EC
+        return _PO
+    return _EC
 
 
 def refresh_contacts(state: WorldState) -> WorldState:
@@ -223,12 +237,24 @@ def refresh_contacts(state: WorldState) -> WorldState:
 
     Bodies whose flags come out unchanged are shared with ``state``, not copied.
     """
-    bodies = _with_contacts(state.bodies, state.cfg.contact_eps)
+    bodies = _with_contacts(state.bodies, state.cfg.contact_eps, state.bodies)
     return WorldState(state.time, state.tick_index, bodies, state.cfg)
 
 
-def _with_contacts(bodies: dict[str, Body], eps: float) -> dict[str, Body]:
-    """``bodies`` with fresh contact flags, each pair's relation computed once.
+def _with_contacts(
+    bodies: dict[str, Body],
+    eps: float,
+    moved: Container[str],
+    gaps: Mapping[tuple[str, str], float] | None = None,
+) -> dict[str, Body]:
+    """``bodies`` with fresh contact flags, each pair's relation decided once.
+
+    Only pairs with a body in ``moved`` are measured.  A pair of two bodies
+    that did not move keeps the flag its first body already carries, which
+    holds only because flags are never stale (see ``WorldState``); a pair
+    with no flag yet, as in a hand-built state, is measured.  ``gaps`` holds
+    surface distances already measured at these positions, keyed by the pair
+    in ``bodies`` order, as ``surface_distance`` of that order would give.
 
     A body is rebuilt only when its flags changed; otherwise the same object
     is kept.  That is sound because bodies are frozen and their flag maps are
@@ -237,12 +263,18 @@ def _with_contacts(bodies: dict[str, Body], eps: float) -> dict[str, Body]:
     items = list(bodies.items())
     flags: dict[str, dict[str, Rel]] = {key: {} for key, _ in items}
     for i, (a_id, a) in enumerate(items):
+        a_flags, a_moved = flags[a_id], a_id in moved
         for b_id, b in items[i + 1:]:
-            try:
-                rel = contact_relation(a, b, eps)
-            except UnsupportedShapePair:
-                continue
-            flags[a_id][b_id] = rel
+            rel = None if a_moved or b_id in moved else a.contacts.get(b_id)
+            if rel is None:
+                d = gaps.get((a_id, b_id)) if gaps else None
+                if d is None:
+                    try:
+                        d = _gap(a, a.position, b, b.position)
+                    except UnsupportedShapePair:
+                        continue
+                rel = _relation(d, eps)
+            a_flags[b_id] = rel
             flags[b_id][a_id] = rel
     return {
         key: b if b.contacts == flags[key] else Body(
@@ -279,22 +311,46 @@ def _clamp_fraction(theme: Body, start: Vec3, proposed: Vec3, obstacle: Body) ->
     return lo
 
 
-def _apply_obstacles(world: WorldState, theme: Body, proposed: Vec3, eps: float) -> Vec3:
-    """Clamp a proposed position against every solid body other than the floor."""
+def _apply_obstacles(
+    world: WorldState, theme: Body, proposed: Vec3, eps: float
+) -> tuple[Vec3, dict[tuple[str, str], float]]:
+    """Clamp a proposed position against every solid body other than the floor.
+
+    Also returns the gap to each obstacle that was measured at the returned
+    position, keyed for ``_with_contacts``.  A gap is kept, and the theme's
+    ``DC`` flag read in place of its old gap, only when the measurement has the
+    argument order ``_with_contacts`` uses: the shapes differ, or the theme
+    comes first in ``world.bodies`` (like shapes subtract sizes in argument
+    order, see ``_gap``).
+    """
     pos = proposed
-    for other in world.bodies.values():
-        if other.id == theme.id or other.shape is Shape.PLANE:
+    # the flags were decided with the world's eps; another eps cannot read them
+    flags = theme.contacts if eps == world.cfg.contact_eps else {}
+    theme_first = False
+    gaps = {}
+    for key, other in world.bodies.items():
+        if other.id == theme.id:
+            theme_first = True
             continue
-        d_old = _gap(theme, theme.position, other, other.position)
+        if other.shape is _PLANE:
+            continue
+        in_order = theme_first or other.shape is not theme.shape
         d_new = _gap(theme, pos, other, other.position)
-        if d_old <= eps and d_new < d_old:
-            # already in contact and not separating: no further motion
-            pos = (theme.position[0], pos[1], theme.position[2])
-            continue
+        # a DC flag means d_old > eps, so the branch below cannot be taken
+        if not (in_order and flags.get(key) is _DC):
+            d_old = _gap(theme, theme.position, other, other.position)
+            if d_old <= eps and d_new < d_old:
+                # already in contact and not separating: no further motion
+                pos = (theme.position[0], pos[1], theme.position[2])
+                gaps = {}  # the gaps so far were measured at the position just left
+                continue
         if d_new < 0.0:
             frac = _clamp_fraction(theme, theme.position, pos, other)
             pos = vadd(theme.position, vscale(vsub(pos, theme.position), frac))
-    return pos
+            gaps = {}
+        elif in_order:
+            gaps[(theme.id, key) if theme_first else (key, theme.id)] = d_new
+    return pos, gaps
 
 
 def tick(
@@ -349,7 +405,7 @@ def tick(
             vy = vy - g * dt
 
     proposed = (x, y, z)
-    final = _apply_obstacles(world, theme, proposed, cfg.contact_eps)
+    final, gaps = _apply_obstacles(world, theme, proposed, cfg.contact_eps)
 
     moved_h = math.hypot(final[0] - theme.position[0], final[2] - theme.position[2])
     rotation = theme.rotation
@@ -362,9 +418,11 @@ def tick(
         # restitution flip survives the floor clamp
         velocity = (velocity[0], vy, velocity[2])
 
-    # the old flags ride along; _with_contacts rebuilds the body only if they changed
+    # the old flags ride along; _with_contacts rebuilds the body only if they
+    # changed, and measures only the theme's pairs
     new_theme = Body(theme.id, theme.shape, theme.dimensions, theme.mobile, final,
                      direction, rotation, velocity, theme.contacts)
-    bodies = _with_contacts({**world.bodies, theme.id: new_theme}, world.cfg.contact_eps)
+    bodies = _with_contacts({**world.bodies, theme.id: new_theme}, world.cfg.contact_eps,
+                            (theme.id,), gaps)
     tick_index = world.tick_index + 1
     return WorldState(tick_index * cfg.dt, tick_index, bodies, world.cfg)

@@ -86,6 +86,12 @@ MANNER_PROFILES = {
 }
 
 
+# Noun sizes and altitudes, in meters.  Far outside this range the absolute
+# tolerances of contact and rotation checks stop meaning anything, and squared
+# gaps overflow.
+MIN_SIZE, MAX_SIZE = 1e-3, 1e3
+
+
 @record
 class NounEntry:
     lemma: str
@@ -112,6 +118,15 @@ class NounEntry:
             raise LexiconFormatError(
                 f"the floor is the only plane: {FLOOR_ID!r} and no other noun takes shape plane",
                 field="shape",
+            )
+        if not all(MIN_SIZE <= d <= MAX_SIZE for d in self.dimensions):
+            raise LexiconFormatError(
+                f"dimensions must lie within [{MIN_SIZE:g}, {MAX_SIZE:g}] m", field="dimensions"
+            )
+        if self.default_altitude is not None and not MIN_SIZE <= self.default_altitude <= MAX_SIZE:
+            raise LexiconFormatError(
+                f"default_altitude must lie within [{MIN_SIZE:g}, {MAX_SIZE:g}] m",
+                field="default_altitude",
             )
 
 

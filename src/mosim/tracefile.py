@@ -234,7 +234,7 @@ _pose_bits = struct.Struct("4d").pack
 
 
 def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) -> TraceDocument:
-    """World states from ``record(i, row)`` of each row, every contact recomputed."""
+    """World states from ``record(i, row)`` of each row; the pairs of moved bodies are remeasured."""
     if len(rows) != header["frames"]:
         raise TraceFormatError(
             f"record count {len(rows)} does not match header frames {header['frames']}"
@@ -261,15 +261,18 @@ def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) 
             raise TraceFormatError(f"record {i} has index {index}")
         bits = [_pose_bits(*pose) for pose in poses]
         bodies = {}
+        moved = set()
         for (bid, (shape, dims, mobile)), pose, b, old in zip(catalog.items(), poses, bits, last_bits):
             if b == old:
                 bodies[bid] = last[bid]
             else:
-                # the previous flags ride along; _with_contacts rebuilds the body only if they changed
+                # the previous flags ride along; _with_contacts rebuilds the body only if they
+                # changed, and measures only the pairs that hold a body whose pose changed
                 contacts = last[bid].contacts if last else None
                 bodies[bid] = Body(bid, shape, dims, mobile, pose[:3], headings[bid], pose[3],
                                    ZERO3, contacts)
-        last = _with_contacts(bodies, cfg.contact_eps)
+                moved.add(bid)
+        last = _with_contacts(bodies, cfg.contact_eps, moved)
         last_bits = bits
         states.append(WorldState(time, i, last, cfg))
         if i > 0:

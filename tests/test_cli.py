@@ -451,3 +451,36 @@ def test_a_closed_stdout_is_left_to_main(monkeypatch):
     monkeypatch.setattr(cli, "cmd_parse", closed_stdout)
     with pytest.raises(BrokenPipeError):
         run(["parse", "the ball rolled"])
+
+
+@pytest.mark.parametrize("size", [1e-3, 1e3], ids=["smallest", "largest"])
+def test_nouns_at_the_ends_of_the_size_range_verify_or_refuse(tmp_path, capsys, size):
+    from mosim import errors
+
+    lexfile = tmp_path / "lex.json"
+    lexfile.write_text(json.dumps({"nouns": [
+        {"lemma": "pebble", "shape": "sphere", "dimensions": {"radius": size}, "mobile": True},
+        {"lemma": "crate", "shape": "box", "mobile": True,
+         "dimensions": {"width": size, "height": size, "depth": size}},
+        {"lemma": "drone", "shape": "sphere", "dimensions": {"radius": size}, "mobile": True,
+         "default_altitude": size},
+    ]}))
+    sentences = [f"the ball rolled to the {noun}" for noun in ("pebble", "crate", "drone")]
+    for noun in ("pebble", "crate", "drone"):
+        for verb in ("rolled", "slid", "bounced", "flew", "moved"):
+            sentences += [f"the {noun} {verb}{path}"
+                          for path in ("", " to the wall", " from the wall", " to the floor")]
+        sentences += [f"the {noun} arrived at the wall", f"the {noun} left from the wall"]
+    documented = tuple(
+        name for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.MosimError)
+    )
+    for sentence in sentences:
+        code, _ = simulate(tmp_path, "--lexicon", str(lexfile), "--verify",
+                           "--max-frames", "1500", sentence=sentence)
+        err = capsys.readouterr().err
+        if code == 1:   # the one known family that fails its own sentence
+            assert sentence.endswith("bounced to the floor"), sentence
+        elif code != 0:
+            assert code in (2, 3) and err.count("\n") == 1, (sentence, err)
+            assert err.startswith(documented), (sentence, err)

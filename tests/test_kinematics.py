@@ -3,18 +3,25 @@ import math
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from mosim import Rel, SceneConfig, contact_relation, surface_distance, tick
+from mosim import Rel, SceneConfig, contact_relation, kinematics, surface_distance, tick
 from mosim.errors import ImmobileThemeError, UnsupportedShapePair
 from mosim.kinematics import (
     Body,
     WorldState,
+    _clamp_fraction,
+    _gap,
     _point_box_distance,
+    _unit_horizontal,
     hnorm,
     refresh_contacts,
+    rest_height,
+    vadd,
     vnorm,
+    vscale,
     vsub,
 )
 from mosim.lexicon import TICK_ACTIONS, Shape
+from mosim.record import replace
 
 FLOOR = Body(id="floor", shape=Shape.PLANE, dimensions=(), mobile=False,
              position=(0.0, 0.0, 0.0))
@@ -360,3 +367,194 @@ def test_tick_result_is_already_refreshed(theme, angle, hand_built):
     for action in ACTIONS:
         out = tick(w, action, "theme", direction)
         assert refresh_contacts(out) == out
+
+
+# -- the tick against the full-refresh kernel it replaced ---------------------------
+
+
+def _reference_obstacles(world, theme, proposed, eps):
+    pos = proposed
+    for other in world.bodies.values():
+        if other.id == theme.id or other.shape is Shape.PLANE:
+            continue
+        d_old = _gap(theme, theme.position, other, other.position)
+        d_new = _gap(theme, pos, other, other.position)
+        if d_old <= eps and d_new < d_old:
+            pos = (theme.position[0], pos[1], theme.position[2])
+            continue
+        if d_new < 0.0:
+            frac = _clamp_fraction(theme, theme.position, pos, other)
+            pos = vadd(theme.position, vscale(vsub(pos, theme.position), frac))
+    return pos
+
+
+def _reference_contacts(bodies, eps):
+    items = list(bodies.items())
+    flags = {key: {} for key, _ in items}
+    for i, (a_id, a) in enumerate(items):
+        for b_id, b in items[i + 1:]:
+            try:
+                rel = contact_relation(a, b, eps)
+            except UnsupportedShapePair:
+                continue
+            flags[a_id][b_id] = rel
+            flags[b_id][a_id] = rel
+    return {key: replace(b, contacts=flags[key]) for key, b in items}
+
+
+def reference_tick(world, action, theme_id, direction, cfg=None):
+    """The tick that measured every gap afresh and recomputed every pair."""
+    cfg = cfg or world.cfg
+    theme = world.body(theme_id)
+    direction = _unit_horizontal(direction)
+    dt = cfg.dt
+    step = cfg.speed * dt
+    x = theme.position[0] + direction[0] * step
+    z = theme.position[2] + direction[2] * step
+    vy = theme.velocity[1]
+    rest = rest_height(theme.shape, theme.dimensions)
+    if action in ("roll", "slide", "move"):
+        y, vy = rest, 0.0
+    elif action == "fly":
+        y, vy = theme.position[1], 0.0
+    else:
+        y0, g = theme.position[1], cfg.gravity
+        y = y0 + vy * dt - 0.5 * g * dt * dt
+        if y < rest:
+            impact_speed = math.sqrt(max(vy * vy + 2.0 * g * (y0 - rest), 0.0))
+            y, vy = rest, cfg.restitution * impact_speed
+        else:
+            vy = vy - g * dt
+    final = _reference_obstacles(world, theme, (x, y, z), cfg.contact_eps)
+    moved_h = math.hypot(final[0] - theme.position[0], final[2] - theme.position[2])
+    rotation = theme.rotation
+    if action == "roll":
+        rotation += moved_h / theme.rolling_radius
+    velocity = vscale(vsub(final, theme.position), 1.0 / dt)
+    if action == "bounce":
+        velocity = (velocity[0], vy, velocity[2])
+    new_theme = replace(theme, position=final, heading=direction, rotation=rotation,
+                        velocity=velocity)
+    bodies = _reference_contacts({**world.bodies, theme.id: new_theme}, world.cfg.contact_eps)
+    return WorldState((world.tick_index + 1) * cfg.dt, world.tick_index + 1, bodies, world.cfg)
+
+
+def assert_same_state_bits(got, want):
+    assert (got.time.hex(), got.tick_index) == (want.time.hex(), want.tick_index)
+    assert list(got.bodies) == list(want.bodies)
+    for key, w in want.bodies.items():
+        g = got.bodies[key]
+        assert [c.hex() for c in g.position] == [c.hex() for c in w.position], key
+        assert [c.hex() for c in g.velocity] == [c.hex() for c in w.velocity], key
+        assert g.rotation.hex() == w.rotation.hex(), key
+        assert g.heading == w.heading, key
+        assert dict(g.contacts) == dict(w.contacts), key
+
+
+NEAR = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
+
+
+@st.composite
+def obstacle_scenes(draw):
+    """A theme, the floor and one or two obstacles ahead of it, in a random order.
+
+    One obstacle has the theme's shape, and shuffling puts it before the theme
+    in about half the cases: the order in which like shapes are measured
+    decides the last bit of their gap.
+    """
+    theme = draw(bodies("theme", shapes=(Shape.SPHERE, Shape.BOX)))
+    x0, _, z0 = theme.position
+    theme = replace(theme, position=(x0, rest_height(theme.shape, theme.dimensions), z0))
+    obstacles = []
+    for k in range(draw(st.integers(min_value=1, max_value=2))):
+        shapes = (theme.shape,) if k == 0 else (Shape.SPHERE, Shape.BOX)
+        body = draw(bodies(f"ob{k}", shapes=shapes))
+        ahead = (x0 + draw(st.floats(min_value=0.0, max_value=4.0)),
+                 rest_height(body.shape, body.dimensions) + draw(NEAR) / 3.0,
+                 z0 + draw(NEAR))
+        obstacles.append(replace(body, position=ahead, mobile=draw(st.booleans())))
+    order = draw(st.permutations([FLOOR, theme, *obstacles]))
+    return {b.id: b for b in order}
+
+
+@seed(20161006)
+@settings(max_examples=150, deadline=None)
+@given(
+    scene=obstacle_scenes(),
+    hand_built=st.booleans(),
+    speed=st.sampled_from([1.0, 30.0, 120.0]),    # 1.7 cm, 0.5 m and 2 m per tick
+    other_eps=st.booleans(),
+    steps=st.lists(
+        st.tuples(st.sampled_from(ACTIONS), st.floats(min_value=-0.6, max_value=0.6)),
+        min_size=1, max_size=8,
+    ),
+)
+def test_tick_matches_the_full_refresh_kernel_bit_for_bit(scene, hand_built, speed, other_eps, steps):
+    cfg = SceneConfig(seed=0, speed=speed)
+    w = WorldState(0.0, 0, scene, cfg)
+    if not hand_built:  # hand-built states keep their empty contact maps
+        w = refresh_contacts(w)
+    # a tick given another config must measure the gaps the world's flags cannot answer
+    tick_cfg = SceneConfig(seed=0, speed=speed, contact_eps=2e-3) if other_eps else cfg
+    got = want = w
+    for action, angle in steps:
+        direction = (math.cos(angle), 0.0, math.sin(angle))
+        got = tick(got, action, "theme", direction, tick_cfg)
+        want = reference_tick(want, action, "theme", direction, tick_cfg)
+        assert_same_state_bits(got, want)
+
+
+def test_rolling_to_the_wall_measures_the_wall_once_per_tick(monkeypatch):
+    from mosim import build_scene, builtin_lexicon, compile_event, execute, parse_text
+    from mosim.rng import stream_for
+
+    lex, cfg = builtin_lexicon(), SceneConfig(seed=0, ground_distance=50)
+    frame = parse_text("the ball rolled to the wall", lex)
+    scene, program = build_scene(frame, lex, cfg), compile_event(frame, lex, cfg)
+    calls = []
+
+    def counted(p, box, c):
+        calls.append(None)
+        return _point_box_distance(p, box, c)
+
+    monkeypatch.setattr(kinematics, "_point_box_distance", counted)
+    trace = execute(program, scene.initial, stream_for(0, "choice"), cfg.max_frames)
+    assert trace.tick_count > 2500
+    # one d_new per tick; the old gap comes from the DC flag and the new flag from d_new
+    assert len(calls) <= trace.tick_count + 10
+
+
+def _sphere(body_id, r, x, y=None):
+    return Body(body_id, Shape.SPHERE, (r,), body_id == "theme", (x, r if y is None else y, 0.0))
+
+
+# Scenes where a shortcut the tick takes would go wrong if it were taken
+# under the wrong condition; each is compared with the full-refresh kernel.
+EDGE_CASES = {
+    # the ball-first gap is within eps but the scene-order one, which the DC
+    # flag reports, is one ulp beyond it: the old gap must be measured
+    "like shapes before the theme": (
+        [_sphere("ob", 0.1, 0.601, 0.5), _sphere("theme", 0.5, 0.0), FLOOR], 1e-3,
+    ),
+    # DC under the world's eps, in contact under the eps the tick is given
+    "another eps": (
+        [_sphere("theme", 0.5, 0.0),
+         Body("box", Shape.BOX, (1.0, 1.0, 0.2), False, (0.6015, 0.5, 0.0)), FLOOR], 2e-3,
+    ),
+    # the proposed position touches the sphere, but the box clamps the step
+    # well short of it: the gap measured at the proposed position is stale
+    "a later obstacle clamps": (
+        [_sphere("theme", 0.5, 0.0), _sphere("ob", 0.2, 1.7005, 0.5),
+         Body("box", Shape.BOX, (1.0, 1.0, 0.2), False, (1.1, 0.5, 0.0)), FLOOR], 1e-3,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_tick_matches_the_full_refresh_kernel_at_the_edges(case):
+    scene, tick_eps = EDGE_CASES[case]
+    cfg = SceneConfig(seed=0, speed=60.0)   # 1 m per tick
+    w = refresh_contacts(WorldState(0.0, 0, {b.id: b for b in scene}, cfg))
+    tick_cfg = SceneConfig(seed=0, speed=60.0, contact_eps=tick_eps)
+    got, want = (f(w, "slide", "theme", (1.0, 0.0, 0.0), tick_cfg) for f in (tick, reference_tick))
+    assert_same_state_bits(got, want)

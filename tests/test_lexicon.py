@@ -14,6 +14,8 @@ from mosim.errors import DuplicateEntryError, LexiconFormatError, UnknownWordErr
 from mosim.lexicon import (
     DIM_KEYS,
     MANNER_PROFILES,
+    MAX_SIZE,
+    MIN_SIZE,
     TICK_ACTIONS,
     MannerProfile,
     NounEntry,
@@ -179,3 +181,27 @@ def test_plane_rule_runs_after_the_older_checks():
     with pytest.raises(LexiconFormatError, match="sphere takes 1 dimension"):
         NounEntry("floor", Shape.SPHERE, (), mobile=False)
 
+
+
+@pytest.mark.parametrize("dims, altitude, field", [
+    ((MIN_SIZE * 0.999,), None, "dimensions"),
+    ((MAX_SIZE * 1.001,), None, "dimensions"),
+    ((1e308,), None, "dimensions"),
+    ((0.5,), MIN_SIZE * 0.999, "default_altitude"),
+    ((0.5,), 1e308, "default_altitude"),
+])
+def test_noun_sizes_and_altitudes_are_bounded(dims, altitude, field):
+    with pytest.raises(LexiconFormatError, match=rf"must lie within \[0\.001, 1000\] m \(field {field}\)"):
+        NounEntry("zed", Shape.SPHERE, dims, True, altitude)
+    obj = {"lemma": "zed", "shape": "sphere", "dimensions": {"radius": dims[0]}, "mobile": True,
+           "default_altitude": altitude}
+    with pytest.raises(LexiconFormatError, match=r"must lie within .* \(field nouns\[0\]\)"):
+        load_lexicon(json.dumps({"nouns": [obj]}))
+
+
+def test_sizes_at_the_ends_of_the_range_load(lex):
+    for size in (MIN_SIZE, MAX_SIZE):
+        NounEntry("zed", Shape.SPHERE, (size,), True, size)
+        NounEntry("zed", Shape.BOX, (size, size, size), True, size)
+    for entry in lex.nouns.values():   # the builtin lexicon is inside the range
+        assert all(MIN_SIZE <= d <= MAX_SIZE for d in entry.dimensions)

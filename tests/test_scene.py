@@ -1,3 +1,4 @@
+import json
 import math
 import statistics
 
@@ -10,6 +11,7 @@ from mosim import (
     bare_duration,
     build_scene,
     free_direction,
+    load_lexicon,
     parse_text,
     surface_distance,
 )
@@ -42,6 +44,19 @@ def test_flyer_placed_at_default_altitude(lex, cfg):
     bird = sc.initial.body("bird")
     assert bird.position[1] == pytest.approx(1.5)
     assert contact_relation(bird, sc.initial.body("floor"), cfg.contact_eps) is Rel.DC
+
+
+@pytest.mark.parametrize("altitude", [0.2, 0.2005])
+def test_flyer_whose_altitude_touches_the_floor_is_refused(cfg, altitude):
+    # a center height within contact_eps of the rest height could never give
+    # fly's always-DC floor profile; below it the overlap check refuses first
+    lex = load_lexicon(json.dumps({"nouns": [
+        {"lemma": "drone", "shape": "sphere", "dimensions": {"radius": 0.2}, "mobile": True,
+         "default_altitude": altitude},
+    ]}))
+    with pytest.raises(SceneBuildError, match="^'drone' would fly in contact with the floor$"):
+        scene_for("the drone flew", lex, cfg)
+    assert scene_for("the drone rolled", lex, cfg).initial.body("drone").position[1] == 0.2
 
 
 def test_bounce_theme_starts_above_floor(lex, cfg):

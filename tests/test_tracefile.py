@@ -256,6 +256,22 @@ def test_writer_matches_generic_json_walk_on_hand_built_traces(tmp_path_factory,
     assert path.read_bytes() == oracle_bytes(fmt, "a sentence, with «quotes»", trace, scene, cfg)
 
 
+@seed(20161006)
+@settings(max_examples=100, deadline=None)
+@given(run=hand_built_runs(), fmt=st.sampled_from(["jsonl", "csv"]))
+def test_read_back_flags_equal_a_full_refresh(tmp_path_factory, run, fmt):
+    # the reader measures only the pairs of bodies whose pose changed, whichever
+    # body that is; every other pair keeps its flag from the previous state
+    trace, scene, cfg = run
+    path = tmp_path_factory.mktemp("r") / f"t.{fmt}"
+    write_trace(path, fmt, "s", trace, scene, cfg)
+    for state, written in zip(read_trace(path).trace.states, trace.states):
+        assert state == refresh_contacts(state)
+        assert {k: b.contacts for k, b in state.bodies.items()} == {
+            k: b.contacts for k, b in written.bodies.items()
+        }
+
+
 NON_ASCII_LEXICON = json.dumps({
     "nouns": [
         {"lemma": "bål", "shape": "sphere", "dimensions": {"radius": 0.3}, "mobile": True},
