@@ -55,6 +55,13 @@ class Rel(Enum):
     PO = "PO"   # penetrating overlap: surface distance < -eps (a fault)
 
 
+# The members the per-tick code compares against, as plain module names:
+# on CPython 3.11 reading ``Shape.SPHERE`` takes ~150 ns, a global ~30 ns,
+# and every tick and every measured pair reads several.
+_SPHERE, _BOX, _PLANE = Shape.SPHERE, Shape.BOX, Shape.PLANE
+_EC, _DC, _PO = Rel.EC, Rel.DC, Rel.PO
+
+
 @record
 class Body:
     id: str
@@ -107,9 +114,9 @@ class Body:
     @property
     def rolling_radius(self) -> float:
         # boxes get an effective radius so roll stays total; spheres are exact
-        if self.shape is Shape.SPHERE:
+        if self.shape is _SPHERE:
             return self.radius
-        if self.shape is Shape.BOX:
+        if self.shape is _BOX:
             return self.dimensions[1] / 2.0
         raise UnsupportedShapePair(self.shape.value, "rolling")
 
@@ -154,18 +161,11 @@ class WorldState:
         return WorldState(self.time, self.tick_index, {**self.bodies, body.id: body}, self.cfg)
 
 
-# The members the per-pair code compares against, as plain module names:
-# on CPython 3.11 reading ``Shape.SPHERE`` takes ~150 ns, a global ~30 ns,
-# and every measured pair reads several.
-_SPHERE, _BOX, _PLANE = Shape.SPHERE, Shape.BOX, Shape.PLANE
-_EC, _DC, _PO = Rel.EC, Rel.DC, Rel.PO
-
-
 def rest_height(shape: Shape, dimensions: tuple[float, ...]) -> float:
     """Center height of a body of this shape and size resting on the floor."""
-    if shape is Shape.SPHERE:
+    if shape is _SPHERE:
         return dimensions[0]
-    if shape is Shape.BOX:
+    if shape is _BOX:
         return dimensions[1] / 2.0
     return 0.0
 
@@ -235,7 +235,8 @@ def _relation(d: float, contact_eps: float) -> Rel:
 def refresh_contacts(state: WorldState) -> WorldState:
     """Recompute every computable pairwise contact flag from positions.
 
-    Bodies whose flags come out unchanged are shared with ``state``, not copied.
+    A body's flag map is copied, and the body rebuilt, only when one of its
+    flags changes; every other body is shared with ``state``.
     """
     bodies = _with_contacts(state.bodies, state.cfg.contact_eps, state.bodies)
     return WorldState(state.time, state.tick_index, bodies, state.cfg)
@@ -250,39 +251,49 @@ def _with_contacts(
     """``bodies`` with fresh contact flags, each pair's relation decided once.
 
     Only pairs with a body in ``moved`` are measured.  A pair of two bodies
-    that did not move keeps the flag its first body already carries, which
-    holds only because flags are never stale (see ``WorldState``); a pair
-    with no flag yet, as in a hand-built state, is measured.  ``gaps`` holds
-    surface distances already measured at these positions, keyed by the pair
-    in ``bodies`` order, as ``surface_distance`` of that order would give.
+    that did not move keeps its flag, which holds only because flags are never
+    stale (see ``WorldState``); a pair that either map lacks, as in a
+    hand-built state with empty maps, is measured.  ``gaps`` holds surface
+    distances already measured at these positions, keyed by the pair in
+    ``bodies`` order, as ``surface_distance`` of that order would give.
 
-    A body is rebuilt only when its flags changed; otherwise the same object
-    is kept.  That is sound because bodies are frozen and their flag maps are
-    never mutated.
+    Copy on write: a body's flag map is copied, in ``bodies`` order, and the
+    body rebuilt only when one of its flags changes; every other body is the
+    same object, and when no flag changes ``bodies`` itself is returned.  That
+    is sound because bodies are frozen and their flag maps are never mutated.
     """
     items = list(bodies.items())
-    flags: dict[str, dict[str, Rel]] = {key: {} for key, _ in items}
-    for i, (a_id, a) in enumerate(items):
-        a_flags, a_moved = flags[a_id], a_id in moved
-        for b_id, b in items[i + 1:]:
-            rel = None if a_moved or b_id in moved else a.contacts.get(b_id)
-            if rel is None:
+    # the flags that change, by body; None drops the flag of a pair with no distance
+    changes: dict[str, dict[str, Rel | None]] = {}
+    for i, (a_id, a) in enumerate(items, 1):
+        a_flags, a_moved = a.contacts, a_id in moved
+        for b_id, b in items[i:]:
+            old, back = a_flags.get(b_id), b.contacts.get(a_id)
+            if a_moved or b_id in moved or old is None or back is None:
                 d = gaps.get((a_id, b_id)) if gaps else None
-                if d is None:
-                    try:
-                        d = _gap(a, a.position, b, b.position)
-                    except UnsupportedShapePair:
-                        continue
-                rel = _relation(d, eps)
-            a_flags[b_id] = rel
-            flags[b_id][a_id] = rel
-    return {
-        key: b if b.contacts == flags[key] else Body(
-            b.id, b.shape, b.dimensions, b.mobile, b.position, b.heading, b.rotation,
-            b.velocity, flags[key],
-        )
-        for key, b in items
-    }
+                try:
+                    rel = _relation(_gap(a, a.position, b, b.position) if d is None else d, eps)
+                except UnsupportedShapePair:
+                    rel = None
+            else:
+                rel = old
+            if rel is not old:
+                changes.setdefault(a_id, {})[b_id] = rel
+            if rel is not back:
+                changes.setdefault(b_id, {})[a_id] = rel
+    if not changes:
+        return bodies
+    out = dict(bodies)
+    for key, fix in changes.items():
+        b = bodies[key]
+        flags = {}
+        for other in bodies:
+            rel = fix[other] if other in fix else b.contacts.get(other)
+            if rel is not None and other != key:
+                flags[other] = rel
+        out[key] = Body(b.id, b.shape, b.dimensions, b.mobile, b.position, b.heading,
+                        b.rotation, b.velocity, flags)
+    return out
 
 
 def _unit_horizontal(direction: Vec3) -> Vec3:

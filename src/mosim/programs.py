@@ -27,7 +27,7 @@ from .errors import (
     IncompatiblePathError,
     NoSuccessfulRun,
 )
-from .kinematics import Rel, Vec3, WorldState, contact_relation
+from .kinematics import _DC, _EC, Vec3, WorldState, contact_relation
 from .lexicon import PREP_ROLES, Lexicon, PathKind, VerbClass
 from .parser import EventFrame
 from .record import record, replace
@@ -340,10 +340,10 @@ def _eval3(f: Formula, state: WorldState, budget: int, node_cap: int):
         if rel is None:
             rel = contact_relation(state.body(f.a), state.body(f.b), state.cfg.contact_eps)
         if isinstance(f, At):
-            return rel is not Rel.DC
+            return rel is not _DC
         if isinstance(f, EC):
-            return rel is Rel.EC
-        return rel is Rel.DC
+            return rel is _EC
+        return rel is _DC
     if isinstance(f, Eq):
         return _values_equal(eval_term(f.left, state), eval_term(f.right, state), f.tol)
     if isinstance(f, Leq):

@@ -9,16 +9,16 @@ byte-stable across runs and round-trip exactly.  Format version "1".
 from __future__ import annotations
 
 import json
-import math
 import struct
 from functools import cache
+from math import isfinite
 from operator import itemgetter
 from pathlib import Path
 
 from .config import SceneConfig, config_from_dict
 from .programs import Trace
 from .errors import ConfigFormatError, TraceFormatError
-from .kinematics import PLUS_X, ZERO3, Body, WorldState, _with_contacts
+from .kinematics import PLUS_X, ZERO3, Body, Rel, WorldState, _with_contacts
 from .lexicon import DIM_KEYS, FLOOR_ID, Shape
 from .record import record
 from .scene import Scene
@@ -82,13 +82,16 @@ def _state_lines(fmt: str, trace: Trace, scene: Scene):
     """One line per state in ``fmt``: the loop both formats share.
 
     A body shared with the previous state (walls, the floor) is formatted once,
-    and each JSON key and string once per distinct value.
+    and each JSON key, string and contact relation once per file.  A body whose
+    four numbers are floats is formatted by one f-string, whose ``.17g`` is
+    ``fmt_float`` of a float.
     """
     jsonl = fmt == "jsonl"
     theme_id, ground_id = scene.theme_id, scene.ground_id
     has_goal = ground_id is not None and ground_id != FLOOR_ID
     column_ids = list(trace.states[0].bodies)
     keys, strings = cache(json.dumps), cache(_json_value)
+    rel_text = {rel: strings(rel.value) if jsonl else rel.value for rel in Rel}
     done: dict[str, tuple[Body, str]] = {}
     for i, state in enumerate(trace.states):
         theme = state.body(theme_id)
@@ -96,23 +99,29 @@ def _state_lines(fmt: str, trace: Trace, scene: Scene):
         for body in state.bodies.values() if jsonl else map(state.bodies.__getitem__, column_ids):
             hit = done.get(body.id)
             if hit is None or hit[0] is not body:
-                if jsonl:
-                    pos = ",".join(map(_jnum, body.position))
-                    text = f'{keys(body.id)}:{{"pos":[{pos}],"rot":{_jnum(body.rotation)}}}'
+                pos, rot = body.position, body.rotation
+                if len(pos) == 3 and type(pos[0]) is type(pos[1]) is type(pos[2]) is type(rot) is float:
+                    x, y, z = pos
+                    if jsonl:
+                        text = f'{keys(body.id)}:{{"pos":[{x:.17g},{y:.17g},{z:.17g}],"rot":{rot:.17g}}}'
+                    else:
+                        text = f"{x:.17g},{y:.17g},{z:.17g},{rot:.17g}"
+                elif jsonl:
+                    text = f'{keys(body.id)}:{{"pos":[{",".join(map(_jnum, pos))}],"rot":{_jnum(rot)}}}'
                 else:
-                    text = ",".join(map(fmt_float, (*body.position, body.rotation)))
+                    text = ",".join(map(fmt_float, (*pos, rot)))
                 hit = done[body.id] = (body, text)
             parts.append(hit[1])
         label = trace.labels[i - 1] if i > 0 else None
-        floor = theme.contacts[FLOOR_ID].value
-        goal = theme.contacts[ground_id].value if has_goal else None
+        floor = rel_text[theme.contacts[FLOOR_ID]]
+        goal = rel_text[theme.contacts[ground_id]] if has_goal else None
         if jsonl:
             line = f'{{"index":{i},"time":{_jnum(state.time)},"bodies":{{{",".join(parts)}}}'
             if label is not None:
                 line += f',"action":{strings(label)}'
-            line += f',"floor_contact":{strings(floor)}'
+            line += f',"floor_contact":{floor}'
             if goal is not None:
-                line += f',"goal_contact":{strings(goal)}'
+                line += f',"goal_contact":{goal}'
             yield line + "}"
         else:
             yield ",".join((
@@ -161,19 +170,50 @@ class TraceDocument:
 
 def _need(obj: dict, key: str, where: str):
     if not isinstance(obj, dict) or key not in obj:
-        raise TraceFormatError(f"missing {key!r} in {where}")
+        raise _missing(key, where)
     return obj[key]
+
+
+def _missing(key: str, where: str) -> TraceFormatError:
+    return TraceFormatError(f"missing {key!r} in {where}")
 
 
 def _numbers(values, where: str) -> tuple[float, ...]:
     """``values`` as floats; a non-number or a non-finite number is a format error."""
-    try:
-        xs = tuple(map(float, values))
-    except (TypeError, ValueError, OverflowError):
-        xs = (math.nan,)
-    if not all(map(math.isfinite, xs)):
-        raise TraceFormatError(f"{where} must hold finite numbers, got {values!r:.60}")
+    xs = tuple(map(_number, values))
+    if None in xs:
+        raise _not_finite(where, values)
     return xs
+
+
+def _not_finite(where: str, values) -> TraceFormatError:
+    return TraceFormatError(f"{where} must hold finite numbers, got {values!r:.60}")
+
+
+def _pose(x, y, z, rot) -> tuple[float, float, float, float] | None:
+    """``_numbers`` of one pose, or None where it raises.
+
+    The record parsers check each pose and time this way and build a message,
+    with its location text, only when they raise.  Written out rather than as
+    four ``_number`` calls: poses are the bulk of a trace file, and the calls
+    took about twice as long.
+    """
+    try:
+        pose = (float(x), float(y), float(z), float(rot))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if isfinite(pose[0]) and isfinite(pose[1]) and isfinite(pose[2]) and isfinite(pose[3]):
+        return pose
+    return None
+
+
+def _number(value) -> float | None:
+    """``value`` as a float, or None when it is not a finite number."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return x if isfinite(x) else None
 
 
 def _vec(value, where: str) -> tuple[float, ...]:
@@ -225,7 +265,8 @@ def _catalog(bodies) -> dict[str, tuple[Shape, tuple[float, ...], bool]]:
 
 
 # One state record as both readers produce it: (index, time, poses, action), where
-# poses holds (x, y, z, rot) for each header body in header order.
+# poses holds (x, y, z, rot) for each header body in header order.  A reader may
+# hand back the previous record's pose object for a body it knows did not move.
 Record = tuple[object, float, list[tuple[float, float, float, float]], object]
 
 # A pose's bits: a body posed exactly as in the previous state is that state's
@@ -249,31 +290,36 @@ def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) 
         raise TraceFormatError("the theme cannot be the floor")
     ground_id = bindings.get("ground")
     direction = _vec(header["direction"], "direction")
-    headings = {bid: direction if bid == theme_id else PLUS_X for bid in catalog}
+    slots = [
+        (bid, shape, dims, mobile, direction if bid == theme_id else PLUS_X)
+        for bid, (shape, dims, mobile) in catalog.items()
+    ]
 
     states = []
     labels = []
-    last_bits: list = [None] * len(catalog)
+    last_poses: list = [None] * len(slots)
+    last_bits: list = [None] * len(slots)
     last: dict[str, Body] = {}
     for i, row in enumerate(rows):
         index, time, poses, action = record(i, row)
         if index != i:
             raise TraceFormatError(f"record {i} has index {index}")
-        bits = [_pose_bits(*pose) for pose in poses]
         bodies = {}
-        moved = set()
-        for (bid, (shape, dims, mobile)), pose, b, old in zip(catalog.items(), poses, bits, last_bits):
-            if b == old:
+        moved = []
+        for k, pose in enumerate(poses):
+            bid, shape, dims, mobile, heading = slots[k]
+            if pose is last_poses[k] or (bits := _pose_bits(*pose)) == last_bits[k]:
                 bodies[bid] = last[bid]
             else:
-                # the previous flags ride along; _with_contacts rebuilds the body only if they
-                # changed, and measures only the pairs that hold a body whose pose changed
+                # the previous flags ride along; _with_contacts copies them only if a
+                # pair that holds a moved body changed its relation
                 contacts = last[bid].contacts if last else None
-                bodies[bid] = Body(bid, shape, dims, mobile, pose[:3], headings[bid], pose[3],
+                bodies[bid] = Body(bid, shape, dims, mobile, pose[:3], heading, pose[3],
                                    ZERO3, contacts)
-                moved.add(bid)
+                moved.append(bid)
+                last_bits[k] = bits
+            last_poses[k] = pose
         last = _with_contacts(bodies, cfg.contact_eps, moved)
-        last_bits = bits
         states.append(WorldState(time, i, last, cfg))
         if i > 0:
             if not action:
@@ -292,19 +338,34 @@ def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) 
 
 
 def _jsonl_record(i: int, obj, ids) -> Record:
-    where = f"record {i}"
-    index = _need(obj, "index", where)
-    entries = _need(obj, "bodies", where)
+    # the location strings of the messages are built only when one is raised
+    if not isinstance(obj, dict) or "index" not in obj:
+        raise _missing("index", f"record {i}")
+    if "bodies" not in obj:
+        raise _missing("bodies", f"record {i}")
+    entries = obj["bodies"]
     poses = []
     for bid in ids:
-        entry = _need(entries, bid, where)
-        at = f"{where} body {bid}"
-        pos, rot = _need(entry, "pos", at), _need(entry, "rot", at)
+        if not isinstance(entries, dict) or bid not in entries:
+            raise _missing(bid, f"record {i}")
+        entry = entries[bid]
+        if not isinstance(entry, dict) or "pos" not in entry:
+            raise _missing("pos", f"record {i} body {bid}")
+        if "rot" not in entry:
+            raise _missing("rot", f"record {i} body {bid}")
+        pos = entry["pos"]
         if not isinstance(pos, list) or len(pos) != 3:
-            raise TraceFormatError(f"pos in {at} must be a 3-element list")
-        poses.append(_numbers((*pos, rot), f"pos and rot in {at}"))
-    time, = _numbers((_need(obj, "time", where),), f"time in {where}")
-    return index, time, poses, obj.get("action")
+            raise TraceFormatError(f"pos in record {i} body {bid} must be a 3-element list")
+        pose = _pose(*pos, entry["rot"])
+        if pose is None:
+            raise _not_finite(f"pos and rot in record {i} body {bid}", (*pos, entry["rot"]))
+        poses.append(pose)
+    if "time" not in obj:
+        raise _missing("time", f"record {i}")
+    time = _number(obj["time"])
+    if time is None:
+        raise _not_finite(f"time in record {i}", (obj["time"],))
+    return obj["index"], time, poses, obj.get("action")
 
 
 def _read_jsonl(text: str) -> TraceDocument:
@@ -351,6 +412,10 @@ def _read_csv(text: str) -> TraceDocument:
         itemgetter(*(column(f"{bid}_{axis}") for axis in ("x", "y", "z", "rot"))) for bid in catalog
     ]
 
+    # each body's cell text and pose in the previous row: text seen there is not parsed again
+    last_texts: list = [None] * len(pose_cells)
+    last_poses: list = [None] * len(pose_cells)
+
     def record(i: int, line: str) -> Record:
         cells = line.split(",")
         if len(cells) != len(names):
@@ -359,8 +424,18 @@ def _read_csv(text: str) -> TraceDocument:
             index = int(cells[index_col])
         except ValueError:
             raise TraceFormatError(f"bad csv row {i}: index {cells[index_col]!r:.40}") from None
-        poses = [_numbers(get(cells), f"csv row {i}") for get in pose_cells]
-        time, = _numbers((cells[time_col],), f"csv row {i} time")
+        poses = []
+        for k, get in enumerate(pose_cells):
+            texts = get(cells)
+            if texts != last_texts[k]:
+                pose = _pose(*texts)
+                if pose is None:
+                    raise _not_finite(f"csv row {i}", texts)
+                last_texts[k], last_poses[k] = texts, pose
+            poses.append(last_poses[k])
+        time = _number(cells[time_col])
+        if time is None:
+            raise _not_finite(f"csv row {i} time", (cells[time_col],))
         action = cells[action_col] if action_col is not None else None
         return index, time, poses, action
 

@@ -448,7 +448,8 @@ def assert_same_state_bits(got, want):
         assert [c.hex() for c in g.velocity] == [c.hex() for c in w.velocity], key
         assert g.rotation.hex() == w.rotation.hex(), key
         assert g.heading == w.heading, key
-        assert dict(g.contacts) == dict(w.contacts), key
+        # the same flags in the same order: the verifier reports the first PO it iterates to
+        assert list(g.contacts.items()) == list(w.contacts.items()), key
 
 
 NEAR = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
@@ -522,6 +523,35 @@ def test_rolling_to_the_wall_measures_the_wall_once_per_tick(monkeypatch):
     assert trace.tick_count > 2500
     # one d_new per tick; the old gap comes from the DC flag and the new flag from d_new
     assert len(calls) <= trace.tick_count + 10
+
+
+def test_flag_maps_are_copied_only_when_a_flag_changes():
+    w = world(FLOOR, ball_at((0.0, 0.5, 0.0)), WALL)
+    assert refresh_contacts(w).bodies is w.bodies  # nothing changed: the same dict
+    ball = w.body("ball")
+    # far from the wall: the theme keeps its map object, the others their Body objects
+    near = tick(w, "roll", "ball", (1.0, 0.0, 0.0))
+    assert near.body("ball").contacts is ball.contacts
+    assert near.body("floor") is w.body("floor") and near.body("wall") is w.body("wall")
+    # one 1/60 m step short of touching the wall's face (x = 4.9) the ball-wall flag
+    # changes: the ball and the wall get new maps in bodies order, the floor stays
+    w = world(FLOOR, ball_at((4.39, 0.5, 0.0)), WALL)
+    hit = tick(w, "roll", "ball", (1.0, 0.0, 0.0))
+    assert hit.body("ball").contacts == {"floor": Rel.EC, "wall": Rel.EC}
+    assert list(hit.body("ball").contacts) == ["floor", "wall"]
+    assert list(hit.body("wall").contacts) == ["floor", "ball"]
+    assert hit.body("wall").contacts is not w.body("wall").contacts
+    assert hit.body("floor") is w.body("floor")
+
+
+def test_a_partial_map_is_completed_in_bodies_order():
+    # a hand-built ball that holds its wall flag but not its floor flag
+    ball = ball_at((0.0, 0.5, 0.0), contacts={"wall": Rel.DC})
+    got = refresh_contacts(WorldState(0.0, 0, {"floor": FLOOR, "ball": ball, "wall": WALL},
+                                      SceneConfig(seed=0)))
+    assert list(got.body("ball").contacts.items()) == [("floor", Rel.EC), ("wall", Rel.DC)]
+    assert list(got.body("wall").contacts) == ["floor", "ball"]
+    assert list(got.body("floor").contacts) == ["ball", "wall"]
 
 
 def _sphere(body_id, r, x, y=None):

@@ -1,18 +1,22 @@
 import json
 import math
+import random
+import struct
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from mosim import SceneConfig, build_scene, compile_event, execute, parse_text, read_trace, write_trace
-from mosim.errors import TraceFormatError
-from mosim.kinematics import Body, WorldState, refresh_contacts
+from mosim import kinematics
+from mosim.errors import TraceFormatError, UnsupportedShapePair
+from mosim.kinematics import PLUS_X, ZERO3, Body, WorldState, contact_relation, refresh_contacts
 from mosim.lexicon import FLOOR_ID, Shape, load_lexicon
 from mosim.programs import Trace
 from mosim.record import replace
 from mosim.rng import stream_for
 from mosim.scene import Scene
-from mosim.tracefile import _header_dict, fmt_float
+from mosim.tracefile import _header_dict, _parse_header, _vec, fmt_float
 
 
 def make_run(lex, cfg, sentence="the ball rolled to the wall"):
@@ -344,3 +348,388 @@ def test_read_back_compares_poses_bit_for_bit(tmp_path, lex, cfg, fmt, signs):
     write_trace(path, fmt, "s", Trace(tuple(states), trace.labels[:2]), scene, cfg)
     got = read_trace(path).trace.states
     assert [math.copysign(1.0, s.body("wall").rotation) for s in got] == signs
+
+
+# -- the reader against the reader that parsed and remeasured every body --------------
+#
+# ``reference_read`` is the reader as it was before a state cost only its moved
+# bodies: every record parsed through ``_need``/``_numbers``, every csv cell
+# converted on every row, and every flag map rebuilt.  The header checks are
+# shared; they did not change.
+
+
+def _ref_need(obj, key, where):
+    if not isinstance(obj, dict) or key not in obj:
+        raise TraceFormatError(f"missing {key!r} in {where}")
+    return obj[key]
+
+
+def _ref_numbers(values, where):
+    try:
+        xs = tuple(map(float, values))
+    except (TypeError, ValueError, OverflowError):
+        xs = (math.nan,)
+    if not all(map(math.isfinite, xs)):
+        raise TraceFormatError(f"{where} must hold finite numbers, got {values!r:.60}")
+    return xs
+
+
+def _ref_with_contacts(bodies, eps, moved):
+    items = list(bodies.items())
+    flags = {key: {} for key, _ in items}
+    for i, (a_id, a) in enumerate(items):
+        a_flags, a_moved = flags[a_id], a_id in moved
+        for b_id, b in items[i + 1:]:
+            rel = None if a_moved or b_id in moved else a.contacts.get(b_id)
+            if rel is None:
+                try:
+                    rel = contact_relation(a, b, eps)
+                except UnsupportedShapePair:
+                    continue
+            a_flags[b_id] = rel
+            flags[b_id][a_id] = rel
+    return {
+        key: b if b.contacts == flags[key] else replace(b, contacts=flags[key])
+        for key, b in items
+    }
+
+
+def _ref_rebuild(header, cfg, catalog, rows, record):
+    if len(rows) != header["frames"]:
+        raise TraceFormatError(
+            f"record count {len(rows)} does not match header frames {header['frames']}"
+        )
+    if not rows:
+        raise TraceFormatError("trace has no state records")
+    bindings = header["bindings"]
+    theme_id = _ref_need(bindings, "theme", "bindings")
+    if not isinstance(theme_id, str):
+        raise TraceFormatError("bindings.theme must be a string")
+    if theme_id == FLOOR_ID:
+        raise TraceFormatError("the theme cannot be the floor")
+    direction = _vec(header["direction"], "direction")
+    headings = {bid: direction if bid == theme_id else PLUS_X for bid in catalog}
+    states, labels = [], []
+    last_bits = [None] * len(catalog)
+    last = {}
+    for i, row in enumerate(rows):
+        index, time, poses, action = record(i, row)
+        if index != i:
+            raise TraceFormatError(f"record {i} has index {index}")
+        bits = [struct.pack("4d", *pose) for pose in poses]
+        bodies, moved = {}, set()
+        for (bid, (shape, dims, mobile)), pose, b, old in zip(catalog.items(), poses, bits, last_bits):
+            if b == old:
+                bodies[bid] = last[bid]
+            else:
+                contacts = last[bid].contacts if last else None
+                bodies[bid] = Body(bid, shape, dims, mobile, pose[:3], headings[bid], pose[3],
+                                   ZERO3, contacts)
+                moved.add(bid)
+        last = _ref_with_contacts(bodies, cfg.contact_eps, moved)
+        last_bits = bits
+        states.append(WorldState(time, i, last, cfg))
+        if i > 0:
+            if not action:
+                raise TraceFormatError(f"record {i} is missing its action label")
+            labels.append(action)
+    return Trace(tuple(states), tuple(labels))
+
+
+def _ref_jsonl_record(i, obj, ids):
+    where = f"record {i}"
+    index = _ref_need(obj, "index", where)
+    entries = _ref_need(obj, "bodies", where)
+    poses = []
+    for bid in ids:
+        entry = _ref_need(entries, bid, where)
+        at = f"{where} body {bid}"
+        pos, rot = _ref_need(entry, "pos", at), _ref_need(entry, "rot", at)
+        if not isinstance(pos, list) or len(pos) != 3:
+            raise TraceFormatError(f"pos in {at} must be a 3-element list")
+        poses.append(_ref_numbers((*pos, rot), f"pos and rot in {at}"))
+    time, = _ref_numbers((_ref_need(obj, "time", where),), f"time in {where}")
+    return index, time, poses, obj.get("action")
+
+
+def reference_read(path) -> Trace:
+    text = path.read_text(encoding="utf-8")
+    if text.lstrip().startswith("{"):
+        objs = []
+        for n, line in enumerate(text.splitlines(), start=1):
+            if line.strip():
+                try:
+                    objs.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise TraceFormatError(
+                        f"invalid JSON in trace file: {exc.msg} (line {n}, column {exc.colno})"
+                    ) from exc
+        cfg, catalog = _parse_header(objs[0])
+        ids = list(catalog)
+        return _ref_rebuild(objs[0], cfg, catalog, objs[1:],
+                            lambda i, obj: _ref_jsonl_record(i, obj, ids))
+    lines = [line for line in text.splitlines() if line.strip()]
+    if len(lines) < 2 or not lines[0].startswith("# "):
+        raise TraceFormatError("csv trace must start with a '# ' header line")
+    try:
+        header = json.loads(lines[0][2:])
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"invalid JSON header: {exc.msg}") from exc
+    cfg, catalog = _parse_header(header)
+    names = lines[1].split(",")
+    where = {name: k for k, name in enumerate(names)}
+
+    def column(name):
+        try:
+            return where[name]
+        except KeyError:
+            raise TraceFormatError(f"csv trace has no {name!r} column") from None
+
+    index_col, time_col, action_col = column("index"), column("time"), where.get("action")
+    pose_cells = [
+        itemgetter(*(column(f"{bid}_{axis}") for axis in ("x", "y", "z", "rot"))) for bid in catalog
+    ]
+
+    def record(i, line):
+        cells = line.split(",")
+        if len(cells) != len(names):
+            raise TraceFormatError(f"row has {len(cells)} cells, expected {len(names)}")
+        try:
+            index = int(cells[index_col])
+        except ValueError:
+            raise TraceFormatError(f"bad csv row {i}: index {cells[index_col]!r:.40}") from None
+        poses = [_ref_numbers(get(cells), f"csv row {i}") for get in pose_cells]
+        time, = _ref_numbers((cells[time_col],), f"csv row {i} time")
+        action = cells[action_col] if action_col is not None else None
+        return index, time, poses, action
+
+    return _ref_rebuild(header, cfg, catalog, lines[2:], record)
+
+
+def assert_same_read(got: Trace, want: Trace):
+    """Equal labels, flags (in map order) and float bits, and the same Body sharing."""
+    assert got.labels == want.labels
+    assert len(got.states) == len(want.states)
+    for i, (g, w) in enumerate(zip(got.states, want.states)):
+        assert g.time.hex() == w.time.hex() and g.tick_index == w.tick_index == i
+        assert list(g.bodies) == list(w.bodies)
+        for bid, wb in w.bodies.items():
+            gb = g.bodies[bid]
+            assert [c.hex() for c in (*gb.position, gb.rotation)] == [
+                c.hex() for c in (*wb.position, wb.rotation)
+            ]
+            assert list(gb.contacts.items()) == list(wb.contacts.items())
+            assert gb == wb
+            if i > 0:
+                shared = gb is got.states[i - 1].bodies[bid]
+                assert shared == (wb is want.states[i - 1].bodies[bid]), (i, bid)
+
+
+def _respell(cell: str, pick) -> str:
+    """Another spelling of the csv cell ``cell``: the same float, or 0 for -0 and back."""
+    spellings = {cell}
+    if cell in ("0", "-0", "0.0", "-0.0"):
+        spellings |= {"0", "-0", "0.0", "-0.0"}
+    elif "e" not in cell and "." not in cell:
+        spellings.add(cell + ".0")  # 1 <-> 1.0
+    elif "e" not in cell:
+        spellings.add(cell + "0")
+        if cell.endswith(".0"):
+            spellings.add(cell[:-2])
+    return pick(sorted(spellings))
+
+
+def respelled_csv(text: str, pick, n_bodies: int) -> str:
+    lines = text.splitlines()
+    for k in range(2, len(lines)):
+        cells = lines[k].split(",")
+        for c in range(2, 2 + 4 * n_bodies):
+            cells[c] = _respell(cells[c], pick)
+        lines[k] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@seed(20161006)
+@settings(max_examples=150, deadline=None)
+@given(run=hand_built_runs(), fmt=st.sampled_from(["jsonl", "csv", "csv respelled"]),
+       data=st.data())
+def test_reader_equals_the_reference_reader_on_hand_built_traces(tmp_path_factory, run, fmt, data):
+    trace, scene, cfg = run
+    path = tmp_path_factory.mktemp("ref") / f"t.{fmt.split()[0]}"
+    write_trace(path, fmt.split()[0], "s", trace, scene, cfg)
+    if fmt == "csv respelled":
+        pick = lambda options: data.draw(st.sampled_from(options))
+        path.write_text(respelled_csv(path.read_text(), pick, len(trace.states[0].bodies)))
+    assert_same_read(read_trace(path).trace, reference_read(path))
+
+
+@seed(20161006)
+@settings(max_examples=40, deadline=None)
+@given(
+    sentence=st.sampled_from(["the ball rolled to the wall", "the ball bounced", "the bird flew",
+                              "the ball left", "the ball slid to the wall", "the ball rolled"]),
+    run_seed=st.integers(min_value=0, max_value=2**31),
+    fmt=st.sampled_from(["jsonl", "csv", "csv respelled"]),
+    respell_seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_reader_equals_the_reference_reader_on_executed_traces(
+    tmp_path_factory, lex, sentence, run_seed, fmt, respell_seed
+):
+    cfg = SceneConfig(seed=run_seed, ground_distance=1.5)
+    frame, scene, trace = make_run(lex, cfg, sentence)
+    path = tmp_path_factory.mktemp("ref") / f"t.{fmt.split()[0]}"
+    write_trace(path, fmt.split()[0], sentence, trace, scene, cfg)
+    if fmt == "csv respelled":
+        rng = random.Random(respell_seed)
+        path.write_text(respelled_csv(path.read_text(), rng.choice, len(trace.states[0].bodies)))
+    assert_same_read(read_trace(path).trace, reference_read(path))
+
+
+def test_respelled_csv_shares_a_body_whose_text_changed_but_not_its_bits(tmp_path, lex, cfg):
+    frame, scene, trace = make_run(lex, cfg)
+    path = tmp_path / "t.csv"
+    write_trace(path, "csv", "s", trace, scene, cfg)
+    lines = path.read_text().splitlines()
+    assert lines[3].split(",")[2:6] == ["0", "0", "0", "0"]  # the floor
+    cells = lines[3].split(",")
+    cells[2:6] = ["0.0", "0", "0e0", "0.000"]
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    got = read_trace(path).trace.states
+    assert got[1].body("floor") is got[0].body("floor")
+    assert_same_read(read_trace(path).trace, reference_read(path))
+
+
+# -- single-fault files: the messages of the reference reader --------------------------
+
+
+def _header(lines, fmt):
+    return json.loads(lines[0][2:] if fmt == "csv" else lines[0])
+
+
+def _set_header(lines, fmt, header):
+    lines[0] = ("# " if fmt == "csv" else "") + json.dumps(header)
+
+
+def edit_header(edit):
+    def damage(lines, fmt):
+        header = _header(lines, fmt)
+        edit(header)
+        _set_header(lines, fmt, header)
+    return damage
+
+
+def edit_record(edit):
+    def damage(lines, fmt):
+        record = json.loads(lines[3])
+        edit(record)
+        lines[3] = json.dumps(record)  # writes a NaN as the bare token NaN
+    return damage
+
+
+def edit_row(edit):
+    def damage(lines, fmt):
+        cells = lines[4].split(",")  # csv row 2
+        edit(cells)
+        lines[4] = ",".join(cells)
+    return damage
+
+
+HEADER_FAULTS = {
+    "dimensions-not-numbers": edit_header(lambda h: h["bodies"]["ball"].update(dimensions=["x"])),
+    "bodies-a-list": edit_header(lambda h: h.update(bodies=list(h["bodies"]))),
+    "box-with-two-dimensions": edit_header(
+        lambda h: h["bodies"]["wall"].update(dimensions=[4.0, 2.0])),
+    "theme-not-a-string": edit_header(lambda h: h["bindings"].update(theme=["ball"])),
+    "no-floor": edit_header(lambda h: h["bodies"].pop("floor")),
+    "floor-as-theme": edit_header(lambda h: h["bindings"].update(theme="floor")),
+    "second-plane": edit_header(
+        lambda h: h["bodies"]["wall"].update(shape="plane", dimensions=[])),
+}
+JSONL_FAULTS = {
+    "time-null": edit_record(lambda r: r.update(time=None)),
+    "rot-not-a-number": edit_record(lambda r: r["bodies"]["ball"].update(rot="a")),
+    "pos-nan": edit_record(lambda r: r["bodies"]["ball"]["pos"].__setitem__(1, float("nan"))),
+    "time-infinite": edit_record(lambda r: r.update(time=float("inf"))),
+    "no-index": edit_record(lambda r: r.pop("index")),
+    "no-bodies": edit_record(lambda r: r.pop("bodies")),
+    "no-time": edit_record(lambda r: r.pop("time")),
+    "no-pos": edit_record(lambda r: r["bodies"]["wall"].pop("pos")),
+    "no-rot": edit_record(lambda r: r["bodies"]["ball"].pop("rot")),
+    "no-body": edit_record(lambda r: r["bodies"].pop("wall")),
+    "bodies-a-list-in-a-record": edit_record(lambda r: r.update(bodies=[1, 2])),
+    "pos-not-a-list": edit_record(lambda r: r["bodies"]["ball"].update(pos="0,0,0")),
+    "pos-two-elements": edit_record(lambda r: r["bodies"]["ball"]["pos"].pop()),
+    "wrong-index": edit_record(lambda r: r.update(index=7)),
+    "no-action": edit_record(lambda r: r.pop("action")),
+}
+CSV_FAULTS = {
+    "wrong-cell-count": edit_row(lambda c: c.append("")),
+    "bad-index": edit_row(lambda c: c.__setitem__(0, "two")),
+    "wrong-index": edit_row(lambda c: c.__setitem__(0, "7")),
+    "rot-not-a-number": edit_row(lambda c: c.__setitem__(9, "a")),
+    "pos-nan": edit_row(lambda c: c.__setitem__(7, "nan")),
+    "time-infinite": edit_row(lambda c: c.__setitem__(1, "inf")),
+    "floor-not-a-number": edit_row(lambda c: c.__setitem__(2, "")),
+    "no-action": edit_row(lambda c: c.__setitem__(-3, "")),
+}
+FAULTS = [
+    *((fmt, name, damage) for name, damage in HEADER_FAULTS.items() for fmt in ("jsonl", "csv")),
+    *(("jsonl", name, damage) for name, damage in JSONL_FAULTS.items()),
+    *(("csv", name, damage) for name, damage in CSV_FAULTS.items()),
+]
+
+
+@pytest.mark.parametrize("fmt,damage", [(fmt, damage) for fmt, _, damage in FAULTS],
+                         ids=[f"{fmt}-{name}" for fmt, name, _ in FAULTS])
+def test_single_fault_messages_equal_the_reference_readers(tmp_path, lex, fmt, damage):
+    cfg = SceneConfig(seed=42)
+    frame, scene, trace = make_run(lex, cfg)
+    path = tmp_path / f"t.{fmt}"
+    write_trace(path, fmt, "the ball rolled to the wall", trace, scene, cfg)
+    lines = path.read_text().splitlines()
+    damage(lines, fmt)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError) as want:
+        reference_read(path)
+    with pytest.raises(TraceFormatError) as got:
+        read_trace(path)
+    assert str(got.value) == str(want.value)
+
+
+# -- what one read state costs, as counts ----------------------------------------------
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_reading_a_state_measures_the_themes_pairs_and_builds_one_body(
+    tmp_path, monkeypatch, lex, fmt
+):
+    cfg = SceneConfig(seed=0, ground_distance=50.0)
+    frame, scene, trace = make_run(lex, cfg)
+    path = tmp_path / f"t.{fmt}"
+    write_trace(path, fmt, "the ball rolled to the wall", trace, scene, cfg)
+    gaps, built, depth = [], [], []
+    gap, init = kinematics._gap, Body.__init__
+
+    def counted_gap(*args):
+        # a plane-first pair calls _gap again with the bodies swapped; count the pair once
+        if not depth:
+            gaps.append(None)
+        depth.append(None)
+        try:
+            return gap(*args)
+        finally:
+            depth.pop()
+
+    def counted_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(kinematics, "_gap", counted_gap)
+    monkeypatch.setattr(Body, "__init__", counted_init)
+    states = read_trace(path).trace.states
+    assert len(states) > 2900 and list(states[0].bodies) == ["floor", "ball", "wall"]
+    # the ball-floor and ball-wall pairs per state; the first state measures wall-floor too
+    assert len(gaps) <= 2 * len(states) + 10
+    # the moved ball per state; the first state's bodies and a contact change build a few more
+    assert len(built) <= len(states) + 10
