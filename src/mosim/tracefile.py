@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import struct
 from functools import cache
-from math import isfinite
+from math import isfinite, nan
 from operator import itemgetter
 from pathlib import Path
 
@@ -82,9 +82,9 @@ def _state_lines(fmt: str, trace: Trace, scene: Scene):
     """One line per state in ``fmt``: the loop both formats share.
 
     A body shared with the previous state (walls, the floor) is formatted once,
-    and each JSON key, string and contact relation once per file.  A body whose
-    four numbers are floats is formatted by one f-string, whose ``.17g`` is
-    ``fmt_float`` of a float.
+    and each JSON key, string and contact relation once per file.  A body is
+    formatted by one f-string whose ``.17g`` of a float is ``fmt_float``; jsonl
+    writes a body holding a non-float as the header writes it.
     """
     jsonl = fmt == "jsonl"
     theme_id, ground_id = scene.theme_id, scene.ground_id
@@ -100,16 +100,14 @@ def _state_lines(fmt: str, trace: Trace, scene: Scene):
             hit = done.get(body.id)
             if hit is None or hit[0] is not body:
                 pos, rot = body.position, body.rotation
-                if len(pos) == 3 and type(pos[0]) is type(pos[1]) is type(pos[2]) is type(rot) is float:
+                if not jsonl:
                     x, y, z = pos
-                    if jsonl:
-                        text = f'{keys(body.id)}:{{"pos":[{x:.17g},{y:.17g},{z:.17g}],"rot":{rot:.17g}}}'
-                    else:
-                        text = f"{x:.17g},{y:.17g},{z:.17g},{rot:.17g}"
-                elif jsonl:
-                    text = f'{keys(body.id)}:{{"pos":[{",".join(map(_jnum, pos))}],"rot":{_jnum(rot)}}}'
+                    text = f"{float(x):.17g},{float(y):.17g},{float(z):.17g},{float(rot):.17g}"
+                elif len(pos) == 3 and type(pos[0]) is type(pos[1]) is type(pos[2]) is type(rot) is float:
+                    x, y, z = pos
+                    text = f'{keys(body.id)}:{{"pos":[{x:.17g},{y:.17g},{z:.17g}],"rot":{rot:.17g}}}'
                 else:
-                    text = ",".join(map(fmt_float, (*pos, rot)))
+                    text = f'{keys(body.id)}:{{"pos":[{",".join(map(_jnum, pos))}],"rot":{_jnum(rot)}}}'
                 hit = done[body.id] = (body, text)
             parts.append(hit[1])
         label = trace.labels[i - 1] if i > 0 else None
@@ -170,50 +168,19 @@ class TraceDocument:
 
 def _need(obj: dict, key: str, where: str):
     if not isinstance(obj, dict) or key not in obj:
-        raise _missing(key, where)
+        raise TraceFormatError(f"missing {key!r} in {where}")
     return obj[key]
-
-
-def _missing(key: str, where: str) -> TraceFormatError:
-    return TraceFormatError(f"missing {key!r} in {where}")
 
 
 def _numbers(values, where: str) -> tuple[float, ...]:
     """``values`` as floats; a non-number or a non-finite number is a format error."""
-    xs = tuple(map(_number, values))
-    if None in xs:
-        raise _not_finite(where, values)
+    try:
+        xs = tuple(map(float, values))
+    except (TypeError, ValueError, OverflowError):
+        xs = (nan,)
+    if not all(map(isfinite, xs)):
+        raise TraceFormatError(f"{where} must hold finite numbers, got {values!r:.60}")
     return xs
-
-
-def _not_finite(where: str, values) -> TraceFormatError:
-    return TraceFormatError(f"{where} must hold finite numbers, got {values!r:.60}")
-
-
-def _pose(x, y, z, rot) -> tuple[float, float, float, float] | None:
-    """``_numbers`` of one pose, or None where it raises.
-
-    The record parsers check each pose and time this way and build a message,
-    with its location text, only when they raise.  Written out rather than as
-    four ``_number`` calls: poses are the bulk of a trace file, and the calls
-    took about twice as long.
-    """
-    try:
-        pose = (float(x), float(y), float(z), float(rot))
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if isfinite(pose[0]) and isfinite(pose[1]) and isfinite(pose[2]) and isfinite(pose[3]):
-        return pose
-    return None
-
-
-def _number(value) -> float | None:
-    """``value`` as a float, or None when it is not a finite number."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return x if isfinite(x) else None
 
 
 def _vec(value, where: str) -> tuple[float, ...]:
@@ -265,8 +232,7 @@ def _catalog(bodies) -> dict[str, tuple[Shape, tuple[float, ...], bool]]:
 
 
 # One state record as both readers produce it: (index, time, poses, action), where
-# poses holds (x, y, z, rot) for each header body in header order.  A reader may
-# hand back the previous record's pose object for a body it knows did not move.
+# poses holds (x, y, z, rot) for each header body in header order.
 Record = tuple[object, float, list[tuple[float, float, float, float]], object]
 
 # A pose's bits: a body posed exactly as in the previous state is that state's
@@ -297,7 +263,6 @@ def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) 
 
     states = []
     labels = []
-    last_poses: list = [None] * len(slots)
     last_bits: list = [None] * len(slots)
     last: dict[str, Body] = {}
     for i, row in enumerate(rows):
@@ -308,7 +273,8 @@ def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) 
         moved = []
         for k, pose in enumerate(poses):
             bid, shape, dims, mobile, heading = slots[k]
-            if pose is last_poses[k] or (bits := _pose_bits(*pose)) == last_bits[k]:
+            bits = _pose_bits(*pose)
+            if bits == last_bits[k]:
                 bodies[bid] = last[bid]
             else:
                 # the previous flags ride along; _with_contacts copies them only if a
@@ -318,7 +284,6 @@ def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) 
                                    ZERO3, contacts)
                 moved.append(bid)
                 last_bits[k] = bits
-            last_poses[k] = pose
         last = _with_contacts(bodies, cfg.contact_eps, moved)
         states.append(WorldState(time, i, last, cfg))
         if i > 0:
@@ -338,34 +303,48 @@ def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) 
 
 
 def _jsonl_record(i: int, obj, ids) -> Record:
-    # the location strings of the messages are built only when one is raised
-    if not isinstance(obj, dict) or "index" not in obj:
-        raise _missing("index", f"record {i}")
-    if "bodies" not in obj:
-        raise _missing("bodies", f"record {i}")
-    entries = obj["bodies"]
+    """One state record; a record that is not well formed is left to ``_checked_jsonl_record``.
+
+    Nearly every record is well formed, and reading it without a check per key
+    takes about a third of the checked walk's time.  The walk, which names the
+    first fault, runs only when this fails; any record this accepts, it would
+    accept with the same values.
+    """
+    try:
+        entries = obj["bodies"]
+        poses = []
+        for bid in ids:
+            entry = entries[bid]
+            pos = entry["pos"]
+            if type(pos) is not list or len(pos) != 3:
+                break
+            pose = (float(pos[0]), float(pos[1]), float(pos[2]), float(entry["rot"]))
+            if not (isfinite(pose[0]) and isfinite(pose[1]) and isfinite(pose[2]) and isfinite(pose[3])):
+                break
+            poses.append(pose)
+        else:
+            time = float(obj["time"])
+            if isfinite(time):
+                return obj["index"], time, poses, obj.get("action")
+    except (TypeError, KeyError, ValueError, OverflowError):
+        pass
+    return _checked_jsonl_record(i, obj, ids)
+
+
+def _checked_jsonl_record(i: int, obj, ids) -> Record:
+    where = f"record {i}"
+    index = _need(obj, "index", where)
+    entries = _need(obj, "bodies", where)
     poses = []
     for bid in ids:
-        if not isinstance(entries, dict) or bid not in entries:
-            raise _missing(bid, f"record {i}")
-        entry = entries[bid]
-        if not isinstance(entry, dict) or "pos" not in entry:
-            raise _missing("pos", f"record {i} body {bid}")
-        if "rot" not in entry:
-            raise _missing("rot", f"record {i} body {bid}")
-        pos = entry["pos"]
+        entry = _need(entries, bid, where)
+        at = f"{where} body {bid}"
+        pos, rot = _need(entry, "pos", at), _need(entry, "rot", at)
         if not isinstance(pos, list) or len(pos) != 3:
-            raise TraceFormatError(f"pos in record {i} body {bid} must be a 3-element list")
-        pose = _pose(*pos, entry["rot"])
-        if pose is None:
-            raise _not_finite(f"pos and rot in record {i} body {bid}", (*pos, entry["rot"]))
-        poses.append(pose)
-    if "time" not in obj:
-        raise _missing("time", f"record {i}")
-    time = _number(obj["time"])
-    if time is None:
-        raise _not_finite(f"time in record {i}", (obj["time"],))
-    return obj["index"], time, poses, obj.get("action")
+            raise TraceFormatError(f"pos in {at} must be a 3-element list")
+        poses.append(_numbers((*pos, rot), f"pos and rot in {at}"))
+    time, = _numbers((_need(obj, "time", where),), f"time in {where}")
+    return index, time, poses, obj.get("action")
 
 
 def _read_jsonl(text: str) -> TraceDocument:
@@ -428,14 +407,9 @@ def _read_csv(text: str) -> TraceDocument:
         for k, get in enumerate(pose_cells):
             texts = get(cells)
             if texts != last_texts[k]:
-                pose = _pose(*texts)
-                if pose is None:
-                    raise _not_finite(f"csv row {i}", texts)
-                last_texts[k], last_poses[k] = texts, pose
+                last_texts[k], last_poses[k] = texts, _numbers(texts, f"csv row {i}")
             poses.append(last_poses[k])
-        time = _number(cells[time_col])
-        if time is None:
-            raise _not_finite(f"csv row {i} time", (cells[time_col],))
+        time, = _numbers((cells[time_col],), f"csv row {i} time")
         action = cells[action_col] if action_col is not None else None
         return index, time, poses, action
 

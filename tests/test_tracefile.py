@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from mosim import SceneConfig, build_scene, compile_event, execute, parse_text, read_trace, write_trace
-from mosim import kinematics
+from mosim import kinematics, tracefile
 from mosim.errors import TraceFormatError, UnsupportedShapePair
 from mosim.kinematics import PLUS_X, ZERO3, Body, WorldState, contact_relation, refresh_contacts
 from mosim.lexicon import FLOOR_ID, Shape, load_lexicon
@@ -627,6 +627,10 @@ def edit_record(edit):
     return damage
 
 
+def record_a_list(lines, fmt):
+    lines[3] = json.dumps(list(json.loads(lines[3]).items()))
+
+
 def edit_row(edit):
     def damage(lines, fmt):
         cells = lines[4].split(",")  # csv row 2
@@ -660,8 +664,14 @@ JSONL_FAULTS = {
     "bodies-a-list-in-a-record": edit_record(lambda r: r.update(bodies=[1, 2])),
     "pos-not-a-list": edit_record(lambda r: r["bodies"]["ball"].update(pos="0,0,0")),
     "pos-two-elements": edit_record(lambda r: r["bodies"]["ball"]["pos"].pop()),
+    # three items that float() takes, but not a list
+    "pos-a-3-digit-string": edit_record(lambda r: r["bodies"]["ball"].update(pos="000")),
+    "pos-an-object-of-3-digit-keys": edit_record(
+        lambda r: r["bodies"]["ball"].update(pos={"1": 0, "2": 0, "3": 0})),
+    "body-a-list": edit_record(lambda r: r["bodies"].update(wall=[0, 0, 0])),
     "wrong-index": edit_record(lambda r: r.update(index=7)),
     "no-action": edit_record(lambda r: r.pop("action")),
+    "record-a-list": record_a_list,
 }
 CSV_FAULTS = {
     "wrong-cell-count": edit_row(lambda c: c.append("")),
@@ -708,8 +718,8 @@ def test_reading_a_state_measures_the_themes_pairs_and_builds_one_body(
     frame, scene, trace = make_run(lex, cfg)
     path = tmp_path / f"t.{fmt}"
     write_trace(path, fmt, "the ball rolled to the wall", trace, scene, cfg)
-    gaps, built, depth = [], [], []
-    gap, init = kinematics._gap, Body.__init__
+    gaps, built, depth, uncopied = [], [], [], []
+    gap, init, with_contacts = kinematics._gap, Body.__init__, tracefile._with_contacts
 
     def counted_gap(*args):
         # a plane-first pair calls _gap again with the bodies swapped; count the pair once
@@ -725,11 +735,20 @@ def test_reading_a_state_measures_the_themes_pairs_and_builds_one_body(
         built.append(None)
         init(self, *args, **kwargs)
 
+    def counted_with_contacts(bodies, *args):
+        out = with_contacts(bodies, *args)
+        if out is bodies:
+            uncopied.append(None)
+        return out
+
     monkeypatch.setattr(kinematics, "_gap", counted_gap)
     monkeypatch.setattr(Body, "__init__", counted_init)
+    monkeypatch.setattr(tracefile, "_with_contacts", counted_with_contacts)
     states = read_trace(path).trace.states
     assert len(states) > 2900 and list(states[0].bodies) == ["floor", "ball", "wall"]
     # the ball-floor and ball-wall pairs per state; the first state measures wall-floor too
     assert len(gaps) <= 2 * len(states) + 10
     # the moved ball per state; the first state's bodies and a contact change build a few more
     assert len(built) <= len(states) + 10
+    # a state with no flag change is the dict the reader built: no flag map or body is copied
+    assert len(uncopied) >= len(states) - 10
