@@ -197,8 +197,11 @@ def _gap(a: Body, pa: Vec3, b: Body, pb: Vec3) -> float:
             return _point_box_distance(pb, a, pa) - b.dimensions[0]
         if sb is _BOX:
             return _box_box_distance(a, pa, b, pb)
-    elif sb is not _PLANE:
-        return _gap(b, pb, a, pa)
+    elif sa is _PLANE:
+        if sb is _SPHERE:
+            return pb[1] - b.dimensions[0]
+        if sb is _BOX:
+            return pb[1] - b.dimensions[1] / 2.0
     raise UnsupportedShapePair(sa.value, sb.value)
 
 

@@ -333,29 +333,31 @@ _T, _F, _U = True, False, None
 
 
 def _eval3(f: Formula, state: WorldState, budget: int, node_cap: int):
-    if isinstance(f, (EC, DC, At)):
+    # dispatch on the exact node type, the goal tests' contact atoms first
+    t = type(f)
+    if t is At or t is EC or t is DC:
         # the state's own flag answers; only a pair without one (a hand-built
         # state, an unsupported shape pair, a body with itself) is computed
         rel = state.body(f.a).contacts.get(f.b)
         if rel is None:
             rel = contact_relation(state.body(f.a), state.body(f.b), state.cfg.contact_eps)
-        if isinstance(f, At):
+        if t is At:
             return rel is not _DC
-        if isinstance(f, EC):
+        if t is EC:
             return rel is _EC
         return rel is _DC
-    if isinstance(f, Eq):
+    if t is Not:
+        sub = _eval3(f.sub, state, budget, node_cap)
+        return _U if sub is _U else (not sub)
+    if t is Eq:
         return _values_equal(eval_term(f.left, state), eval_term(f.right, state), f.tol)
-    if isinstance(f, Leq):
+    if t is Leq:
         left = eval_term(f.left, state)
         right = eval_term(f.right, state)
         if _is_vec(left) or _is_vec(right):
             raise DimensionMismatchError("ordering is defined on scalars only")
         return left <= right
-    if isinstance(f, Not):
-        sub = _eval3(f.sub, state, budget, node_cap)
-        return _U if sub is _U else (not sub)
-    if isinstance(f, And):
+    if t is And:
         left = _eval3(f.left, state, budget, node_cap)
         if left is _F:
             return _F
@@ -363,7 +365,7 @@ def _eval3(f: Formula, state: WorldState, budget: int, node_cap: int):
         if right is _F:
             return _F
         return _U if (left is _U or right is _U) else _T
-    if isinstance(f, Or):
+    if t is Or:
         left = _eval3(f.left, state, budget, node_cap)
         if left is _T:
             return _T
@@ -371,7 +373,7 @@ def _eval3(f: Formula, state: WorldState, budget: int, node_cap: int):
         if right is _T:
             return _T
         return _U if (left is _U or right is _U) else _F
-    if isinstance(f, Diamond):
+    if t is Diamond:
         return _eval_diamond(f, state, budget, node_cap)
     raise TypeError(f"not a formula: {f!r}")
 
@@ -416,6 +418,9 @@ def eval_formula(
 # the prefix they have in common.  The Trace is built once, when a run
 # succeeds.
 History = Union[None, tuple]
+
+# The node of a continuation cell that holds a pending iteration; see _search.
+_LOOP = object()
 
 
 def _trace_of(history: History, cur: WorldState) -> Trace:
@@ -488,13 +493,16 @@ def _search(
 
     The stack holds pending runs as (continuation, history, state, ticks),
     where a continuation is a linked list of program nodes, None | (node,
-    rest).  Each popped run is one node against ``node_cap``; it runs its
-    deterministic prefix up to success, failure or a two-way branch (a
-    choice, or a bounded iteration), which pushes both alternatives with
-    the first on top.  With an rng, one bit drawn at the branch may swap
-    them, and the first successful run ends the search.  Without one, the
-    order is left-biased and (with want_all) every successful run is
-    collected once, deduplicated on its numbered history.
+    rest).  An iteration with n passes left continues as the cell (_LOOP,
+    (body, n, rest)), so a pass builds no Star record.  Each popped run is
+    one node against ``node_cap``; it runs its deterministic prefix up to
+    success, failure or a two-way branch (a choice, or a bounded
+    iteration), which pushes both alternatives with the first on top.
+    With an rng, one bit drawn at the branch may swap them, and the first
+    successful run ends the search.  Without one, the order is left-biased
+    and (with want_all) every successful run is collected once,
+    deduplicated on its numbered history.  Nodes are told apart by their
+    exact type, the most frequent first.
     """
     traces: list[Trace] = []
     history_ids = _HistoryIds() if want_all else None
@@ -511,25 +519,8 @@ def _search(
         failed = None
         while cont is not None:
             node, rest = cont
-            if isinstance(node, Seq):
-                cont = (node.first, (node.second, rest))
-            elif isinstance(node, Test):
-                tv = _eval3(node.formula, cur, budget - ticks, node_cap)
-                if tv is not _T:
-                    pruned = pruned or tv is _U
-                    failed = (ticks, node, "test failed")
-                    break
-                cont = rest
-            elif isinstance(node, (Assign, DirectedAssign)):
-                value = eval_term(node.term, cur)
-                if isinstance(node, DirectedAssign):
-                    old = eval_term(AttrTerm(node.attr), cur)
-                    if _values_equal(old, value, ASSIGN_TOL):
-                        failed = (ticks, node, "directed assignment left the value unchanged")
-                        break
-                cur = _set_attr(cur, node.attr, value)
-                cont = rest
-            elif isinstance(node, Tick):
+            t = type(node)
+            if t is Tick:
                 if ticks >= budget:
                     pruned = True
                     failed = (ticks, node, "tick budget exhausted at")
@@ -539,18 +530,41 @@ def _search(
                 cur = kinematics.tick(cur, node.action, node.theme, heading, cur.cfg)
                 ticks += 1
                 cont = rest
-            elif isinstance(node, Star) and node.bound <= 0:
+            elif t is Test:
+                tv = _eval3(node.formula, cur, budget - ticks, node_cap)
+                if tv is not _T:
+                    pruned = pruned or tv is _U
+                    failed = (ticks, node, "test failed")
+                    break
                 cont = rest
-            elif isinstance(node, (Choice, Star)):
-                if isinstance(node, Choice):
+            elif t is Seq:
+                cont = (node.first, (node.second, rest))
+            elif t is Star or node is _LOOP or t is Choice:
+                if t is Choice:
                     first, second = (node.left, rest), (node.right, rest)
-                else:  # zero more iterations first
-                    first, second = rest, (node.body, (Star(node.body, node.bound - 1), rest))
+                else:  # an iteration with ``bound`` passes left: zero more first
+                    if t is Star:
+                        body, bound = node.body, node.bound
+                    else:
+                        body, bound, rest = rest
+                    if bound <= 0:
+                        cont = rest
+                        continue
+                    first, second = rest, (body, (_LOOP, (body, bound - 1, rest)))
                 if rng is not None and rng.next_bit():
                     first, second = second, first
                 stack.append((second, history, cur, ticks))
                 stack.append((first, history, cur, ticks))
                 break
+            elif t is Assign or t is DirectedAssign:
+                value = eval_term(node.term, cur)
+                if t is DirectedAssign:
+                    old = eval_term(AttrTerm(node.attr), cur)
+                    if _values_equal(old, value, ASSIGN_TOL):
+                        failed = (ticks, node, "directed assignment left the value unchanged")
+                        break
+                cur = _set_attr(cur, node.attr, value)
+                cont = rest
             else:
                 raise TypeError(f"not a program: {node!r}")
         else:  # the run succeeded

@@ -183,10 +183,19 @@ def _numbers(values, where: str) -> tuple[float, ...]:
     return xs
 
 
+def _json_numbers(values, where: str) -> tuple[float, ...]:
+    """``_numbers`` for JSON values, where a string or a boolean is not a number."""
+    xs = _numbers(values, where)
+    for value in values:
+        if isinstance(value, (str, bool)):
+            raise TraceFormatError(f"{where}: {json.dumps(value):.40} is not a number")
+    return xs
+
+
 def _vec(value, where: str) -> tuple[float, ...]:
     if not isinstance(value, list) or len(value) != 3:
         raise TraceFormatError(f"{where} must be a 3-element list")
-    return _numbers(value, where)
+    return _json_numbers(value, where)
 
 
 def _parse_header(obj: dict) -> tuple[SceneConfig, dict]:
@@ -218,7 +227,7 @@ def _catalog(bodies) -> dict[str, tuple[Shape, tuple[float, ...], bool]]:
         dims = _need(entry, "dimensions", f"body {bid}")
         if not isinstance(dims, list):
             raise TraceFormatError(f"dimensions of {bid!r} must be a list")
-        dims = _numbers(dims, f"dimensions of {bid!r}")
+        dims = _json_numbers(dims, f"dimensions of {bid!r}")
         if len(dims) != len(DIM_KEYS[shape]):
             raise TraceFormatError(f"{shape.value} {bid!r} takes {len(DIM_KEYS[shape])} dimension(s)")
         if (shape is Shape.PLANE) != (bid == FLOOR_ID):
@@ -302,6 +311,10 @@ def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) 
     return TraceDocument(header=header, trace=trace, scene=scene, cfg=cfg)
 
 
+# The types json.loads gives a number (bool is an int subclass, and not one of them).
+_NUMBER = frozenset((float, int))
+
+
 def _jsonl_record(i: int, obj, ids) -> Record:
     """One state record; a record that is not well formed is left to ``_checked_jsonl_record``.
 
@@ -315,17 +328,21 @@ def _jsonl_record(i: int, obj, ids) -> Record:
         poses = []
         for bid in ids:
             entry = entries[bid]
-            pos = entry["pos"]
-            if type(pos) is not list or len(pos) != 3:
+            # three values of a JSON number type make a pos list: a string or
+            # an object unpacks to strings
+            x, y, z = entry["pos"]
+            rot = entry["rot"]
+            if not (type(x) in _NUMBER and type(y) in _NUMBER and type(z) in _NUMBER
+                    and type(rot) in _NUMBER):
                 break
-            pose = (float(pos[0]), float(pos[1]), float(pos[2]), float(entry["rot"]))
+            pose = (float(x), float(y), float(z), float(rot))
             if not (isfinite(pose[0]) and isfinite(pose[1]) and isfinite(pose[2]) and isfinite(pose[3])):
                 break
             poses.append(pose)
         else:
-            time = float(obj["time"])
-            if isfinite(time):
-                return obj["index"], time, poses, obj.get("action")
+            time = obj["time"]
+            if type(time) in _NUMBER and isfinite(time):
+                return obj["index"], float(time), poses, obj.get("action")
     except (TypeError, KeyError, ValueError, OverflowError):
         pass
     return _checked_jsonl_record(i, obj, ids)
@@ -342,8 +359,8 @@ def _checked_jsonl_record(i: int, obj, ids) -> Record:
         pos, rot = _need(entry, "pos", at), _need(entry, "rot", at)
         if not isinstance(pos, list) or len(pos) != 3:
             raise TraceFormatError(f"pos in {at} must be a 3-element list")
-        poses.append(_numbers((*pos, rot), f"pos and rot in {at}"))
-    time, = _numbers((_need(obj, "time", where),), f"time in {where}")
+        poses.append(_json_numbers((*pos, rot), f"pos and rot in {at}"))
+    time, = _json_numbers((_need(obj, "time", where),), f"time in {where}")
     return index, time, poses, obj.get("action")
 
 

@@ -34,6 +34,7 @@ from mosim import (
     probe_scene,
     truth,
 )
+from mosim import programs
 from mosim.programs import Scale, Sub, eval_term
 from mosim.errors import (
     DimensionMismatchError,
@@ -536,6 +537,64 @@ def test_enumeration_node_count_is_pinned(probe):
     with pytest.raises(ExplosionGuard) as info:
         enumerate_traces(wide, probe.initial, budget=100, node_cap=1020)
     assert (info.value.nodes, info.value.cap) == (1021, 1020)
+
+
+def test_a_goal_loop_builds_no_star_and_pops_at_most_two_nodes_per_tick(lex, monkeypatch):
+    cfg = SceneConfig(seed=0, ground_distance=50.0)
+    frame = parse_text("the ball rolled to the wall", lex)
+    scene = build_scene(frame, lex, cfg)
+    program = compile_event(frame, lex, cfg)
+    built = []
+    check = Star.__post_init__
+
+    def counted_post_init(self):
+        built.append(None)
+        check(self)
+
+    monkeypatch.setattr(Star, "__post_init__", counted_post_init)
+    trace = execute(program, scene.initial, stream_for(cfg.seed, "choice"), cfg.max_frames)
+    assert trace.tick_count > 2900
+    assert built == []  # a pass keeps the loop's remaining bound in its continuation
+
+    def search(node_cap):
+        return programs._search(program, scene.initial, cfg.max_frames,
+                                rng=stream_for(cfg.seed, "choice"), want_all=False,
+                                node_cap=node_cap)
+
+    # one pass pops its body and, when the rng puts it first, the loop's exit
+    assert search(2 * trace.tick_count + 2).traces == [trace]
+    # and the count is pinned: the same pushes in the same order, whatever a pass builds
+    assert search(4455).traces == [trace]
+    with pytest.raises(ExplosionGuard) as info:
+        search(4454)
+    assert info.value.nodes == 4455
+
+
+class _Foreign:
+    def __repr__(self):
+        return "<foreign>"
+
+
+@pytest.mark.parametrize("node", [_Foreign(), "tick", (roll(), 1), (roll(), 1, None)],
+                         ids=["object", "str", "pair", "triple"])
+def test_a_foreign_program_node_fails_loudly(probe, node):
+    # after a tick and a test, in a choice, in a loop's pass: wherever the search meets it
+    loop = Seq(Star(node, 2), Test(Not(truth())))
+    for program in (Seq(roll(), Seq(Test(truth()), node)), Choice(node, node), loop):
+        with pytest.raises(TypeError, match=r"^not a program: "):
+            programs._search(program, probe.initial, 10, rng=None, want_all=False,
+                             node_cap=100)
+        with pytest.raises(TypeError, match=r"^not a program: "):
+            execute(program, probe.initial, SplitMix64(0), budget=10)
+
+
+@pytest.mark.parametrize("formula", [_Foreign(), "at", (At("ball", "floor"),), True])
+def test_a_foreign_formula_fails_loudly(probe, formula):
+    for f in (formula, Not(formula), And(truth(), formula), Or(Not(truth()), formula)):
+        with pytest.raises(TypeError, match=r"^not a formula: "):
+            eval_formula(f, probe.initial)
+    with pytest.raises(TypeError, match=r"^not a formula: "):
+        execute(Test(formula), probe.initial, SplitMix64(0), budget=10)
 
 
 def test_program_text_round_trips_over_random_programs():

@@ -374,6 +374,15 @@ def _ref_numbers(values, where):
     return xs
 
 
+def _ref_json_numbers(values, where):
+    # a JSON string or boolean is not a number, even where float() takes it
+    xs = _ref_numbers(values, where)
+    for value in values:
+        if type(value) in (str, bool):
+            raise TraceFormatError(f"{where}: {json.dumps(value):.40} is not a number")
+    return xs
+
+
 def _ref_with_contacts(bodies, eps, moved):
     items = list(bodies.items())
     flags = {key: {} for key, _ in items}
@@ -447,8 +456,8 @@ def _ref_jsonl_record(i, obj, ids):
         pos, rot = _ref_need(entry, "pos", at), _ref_need(entry, "rot", at)
         if not isinstance(pos, list) or len(pos) != 3:
             raise TraceFormatError(f"pos in {at} must be a 3-element list")
-        poses.append(_ref_numbers((*pos, rot), f"pos and rot in {at}"))
-    time, = _ref_numbers((_ref_need(obj, "time", where),), f"time in {where}")
+        poses.append(_ref_json_numbers((*pos, rot), f"pos and rot in {at}"))
+    time, = _ref_json_numbers((_ref_need(obj, "time", where),), f"time in {where}")
     return index, time, poses, obj.get("action")
 
 
@@ -653,6 +662,10 @@ HEADER_FAULTS = {
 JSONL_FAULTS = {
     "time-null": edit_record(lambda r: r.update(time=None)),
     "rot-not-a-number": edit_record(lambda r: r["bodies"]["ball"].update(rot="a")),
+    # JSON strings and booleans that float() would take
+    "rot-a-numeric-string": edit_record(lambda r: r["bodies"]["ball"].update(rot="1.5")),
+    "pos-holding-true": edit_record(lambda r: r["bodies"]["wall"]["pos"].__setitem__(0, True)),
+    "time-a-padded-string": edit_record(lambda r: r.update(time=" 0.03 ")),
     "pos-nan": edit_record(lambda r: r["bodies"]["ball"]["pos"].__setitem__(1, float("nan"))),
     "time-infinite": edit_record(lambda r: r.update(time=float("inf"))),
     "no-index": edit_record(lambda r: r.pop("index")),
@@ -707,6 +720,33 @@ def test_single_fault_messages_equal_the_reference_readers(tmp_path, lex, fmt, d
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("fmt,damage,message", [
+    ("jsonl", JSONL_FAULTS["rot-a-numeric-string"],
+     'pos and rot in record 2 body ball: "1.5" is not a number'),
+    ("jsonl", JSONL_FAULTS["pos-holding-true"],
+     "pos and rot in record 2 body wall: true is not a number"),
+    ("jsonl", JSONL_FAULTS["time-a-padded-string"],
+     'time in record 2: " 0.03 " is not a number'),
+    *((fmt, edit_header(lambda h: h["bodies"]["ball"].update(dimensions=["0.5"])),
+       'dimensions of \'ball\': "0.5" is not a number') for fmt in ("jsonl", "csv")),
+    *((fmt, edit_header(lambda h: h.update(direction=[1, False, 0])),
+       "direction: false is not a number") for fmt in ("jsonl", "csv")),
+], ids=["rot-a-numeric-string", "pos-holding-true", "time-a-padded-string",
+        "jsonl-dimensions-a-numeric-string", "csv-dimensions-a-numeric-string",
+        "jsonl-direction-holding-false", "csv-direction-holding-false"])
+def test_a_json_string_or_boolean_is_not_a_number(tmp_path, lex, fmt, damage, message):
+    cfg = SceneConfig(seed=42)
+    frame, scene, trace = make_run(lex, cfg)
+    path = tmp_path / f"t.{fmt}"
+    write_trace(path, fmt, "the ball rolled to the wall", trace, scene, cfg)
+    lines = path.read_text().splitlines()
+    damage(lines, fmt)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError) as got:
+        read_trace(path)
+    assert str(got.value) == message
+
+
 # -- what one read state costs, as counts ----------------------------------------------
 
 
@@ -718,18 +758,12 @@ def test_reading_a_state_measures_the_themes_pairs_and_builds_one_body(
     frame, scene, trace = make_run(lex, cfg)
     path = tmp_path / f"t.{fmt}"
     write_trace(path, fmt, "the ball rolled to the wall", trace, scene, cfg)
-    gaps, built, depth, uncopied = [], [], [], []
+    gaps, built, uncopied = [], [], []
     gap, init, with_contacts = kinematics._gap, Body.__init__, tracefile._with_contacts
 
     def counted_gap(*args):
-        # a plane-first pair calls _gap again with the bodies swapped; count the pair once
-        if not depth:
-            gaps.append(None)
-        depth.append(None)
-        try:
-            return gap(*args)
-        finally:
-            depth.pop()
+        gaps.append(None)
+        return gap(*args)
 
     def counted_init(self, *args, **kwargs):
         built.append(None)
@@ -746,7 +780,8 @@ def test_reading_a_state_measures_the_themes_pairs_and_builds_one_body(
     monkeypatch.setattr(tracefile, "_with_contacts", counted_with_contacts)
     states = read_trace(path).trace.states
     assert len(states) > 2900 and list(states[0].bodies) == ["floor", "ball", "wall"]
-    # the ball-floor and ball-wall pairs per state; the first state measures wall-floor too
+    # the ball-floor and ball-wall pairs per state, one call each (a plane-first pair
+    # too); the first state measures wall-floor too
     assert len(gaps) <= 2 * len(states) + 10
     # the moved ball per state; the first state's bodies and a contact change build a few more
     assert len(built) <= len(states) + 10
