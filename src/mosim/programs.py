@@ -17,6 +17,8 @@ semantics so a determined false cannot be masked.
 
 from __future__ import annotations
 
+import gc
+from functools import wraps
 from typing import Union
 
 from . import kinematics
@@ -423,6 +425,26 @@ History = Union[None, tuple]
 _LOOP = object()
 
 
+def _without_collector(fn):
+    """``fn`` with the cyclic garbage collector paused while it runs.
+
+    A run builds its states from immutable records and makes no reference
+    cycle (a tier-1 test pins this), so reference counting frees all it drops,
+    and a collector pass while the run grows scans those records to find
+    nothing.  A collector the caller disabled stays disabled.
+    """
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
 def _trace_of(history: History, cur: WorldState) -> Trace:
     states = [cur]
     labels = []
@@ -581,6 +603,7 @@ def _search(
     return _Outcome(traces, pruned, failure)
 
 
+@_without_collector
 def execute(
     program: Program,
     s0: WorldState,
@@ -606,6 +629,7 @@ def execute(
     raise NoSuccessfulRun(f"after {max(ticks, 0)} tick(s): {_describe_failure(node, reason)}")
 
 
+@_without_collector
 def enumerate_traces(
     program: Program,
     s0: WorldState,

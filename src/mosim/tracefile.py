@@ -16,9 +16,9 @@ from operator import itemgetter
 from pathlib import Path
 
 from .config import SceneConfig, config_from_dict
-from .programs import Trace
+from .programs import Trace, _without_collector
 from .errors import ConfigFormatError, TraceFormatError
-from .kinematics import PLUS_X, ZERO3, Body, Rel, WorldState, _with_contacts
+from .kinematics import PLUS_X, ZERO3, Body, Rel, WorldState, _fill_contacts, _with_contacts
 from .lexicon import DIM_KEYS, FLOOR_ID, Shape
 from .record import record
 from .scene import Scene
@@ -234,7 +234,12 @@ def _catalog(bodies) -> dict[str, tuple[Shape, tuple[float, ...], bool]]:
             raise TraceFormatError(
                 f"body {bid!r}: the floor is the only plane, and its id is {FLOOR_ID!r}"
             )
-        catalog[bid] = (shape, dims, bool(_need(entry, "mobile", f"body {bid}")))
+        mobile = _need(entry, "mobile", f"body {bid}")
+        if not isinstance(mobile, bool):
+            raise TraceFormatError(
+                f"mobile of {bid!r} must be true or false, got {json.dumps(mobile):.40}"
+            )
+        catalog[bid] = (shape, dims, mobile)
     if FLOOR_ID not in catalog:
         raise TraceFormatError(f"header bodies have no {FLOOR_ID!r} plane")
     return catalog
@@ -293,7 +298,11 @@ def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) 
                                    ZERO3, contacts)
                 moved.append(bid)
                 last_bits[k] = bits
-        last = _with_contacts(bodies, cfg.contact_eps, moved)
+        if last:
+            last = _with_contacts(bodies, cfg.contact_eps, moved)
+        else:  # the first state's bodies are new, each with its own empty map
+            _fill_contacts(bodies, cfg.contact_eps)
+            last = bodies
         states.append(WorldState(time, i, last, cfg))
         if i > 0:
             if not action:
@@ -433,6 +442,7 @@ def _read_csv(text: str) -> TraceDocument:
     return _rebuild(header, cfg, catalog, lines[2:], record)
 
 
+@_without_collector
 def read_trace(path: str | Path) -> TraceDocument:
     """Load a trace file in either format, rebuilding full world states."""
     try:

@@ -145,10 +145,11 @@ def _edit_record(lines, edit):
     lambda ls: _edit_record(ls, lambda r: r["bodies"]["ball"].update(rot="1.5")),
     lambda ls: _edit_record(ls, lambda r: r["bodies"]["wall"]["pos"].__setitem__(0, True)),
     lambda ls: _edit_record(ls, lambda r: r.update(time=" 0.03 ")),
+    lambda ls: _edit_header(ls, lambda h: h["bodies"]["wall"].update(mobile="no")),
 ], ids=["dimensions-not-numbers", "bodies-a-list", "time-null", "rot-not-a-number",
         "pos-nan", "time-infinite", "box-with-two-dimensions", "theme-not-a-string",
         "no-floor", "floor-as-theme", "second-plane", "rot-a-numeric-string",
-        "pos-holding-true", "time-a-padded-string"])
+        "pos-holding-true", "time-a-padded-string", "mobile-a-string"])
 def test_check_malformed_trace_exits_2_with_one_line(tmp_path, capsys, damage):
     _, out = simulate(tmp_path, "--seed", "42")
     lines = out.read_text().splitlines()

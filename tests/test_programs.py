@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -280,13 +281,18 @@ def test_execute_raises_with_deepest_failure(probe):
     assert "1 tick" in str(exc.value)
 
 
-def test_execute_refusal_names_the_deepest_failing_node(lex):
+def refusal(lex):
+    """``the bird flew to the block`` at ``max_frames=300``: a call that refuses."""
     cfg = SceneConfig(seed=3, max_frames=300)
     frame = parse_text("the bird flew to the block", lex)
     scene = build_scene(frame, lex, cfg)
     program = compile_event(frame, lex, cfg)
+    return lambda: execute(program, scene.initial, stream_for(cfg.seed, "choice"), cfg.max_frames)
+
+
+def test_execute_refusal_names_the_deepest_failing_node(lex):
     with pytest.raises(NoSuccessfulRun) as exc:
-        execute(program, scene.initial, stream_for(cfg.seed, "choice"), cfg.max_frames)
+        refusal(lex)()
     assert str(exc.value) == (
         "no successful run: after 300 tick(s): test failed: (test (at bird block))"
     )
@@ -603,3 +609,55 @@ def test_program_text_round_trips_over_random_programs():
     for i in range(300):
         text = format_program(_random_program(gen.stream(f"text{i}"), [3], [2]))
         assert format_program(parse_program(text)) == text, text
+
+
+# -- the cyclic collector ---------------------------------------------------------------
+
+
+def test_runs_pause_the_collector_and_leave_it_as_they_found_it(probe, lex, monkeypatch, collector):
+    seen = []
+    search = programs._search
+
+    def spied_search(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(programs, "_search", spied_search)
+    wide = Star(Choice(roll(), slide()), 8)
+    calls = [
+        (lambda: execute(Seq(roll(), slide()), probe.initial, SplitMix64(0), budget=10), None),
+        (lambda: enumerate_traces(wide, probe.initial, budget=100), None),
+        (refusal(lex), NoSuccessfulRun),
+        (lambda: enumerate_traces(wide, probe.initial, budget=100, node_cap=100), ExplosionGuard),
+    ]
+    for call, error in calls:
+        if error is None:
+            call()
+        else:
+            with pytest.raises(error):
+                call()
+        assert gc.isenabled() is collector
+    assert seen == [False] * len(calls)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(programs, "_search", interrupted)
+    for call, _ in calls:
+        with pytest.raises(KeyboardInterrupt):
+            call()
+        assert gc.isenabled() is collector
+
+
+def test_runs_make_no_reference_cycles(probe, lex, cycles_left_by):
+    # so pausing the collector for a run (see _without_collector) leaks nothing
+    cfg = SceneConfig(seed=0, ground_distance=50.0)
+    frame = parse_text("the ball rolled to the wall", lex)
+    scene = build_scene(frame, lex, cfg)
+    program = compile_event(frame, lex, cfg)
+    star = Star(Choice(roll(), slide()), 10)
+    assert cycles_left_by(
+        lambda: execute(program, scene.initial, stream_for(cfg.seed, "choice"), cfg.max_frames)
+    ) == 0
+    assert cycles_left_by(lambda: enumerate_traces(star, probe.initial, budget=100)) == 0
+    assert cycles_left_by(refusal(lex), NoSuccessfulRun) == 0

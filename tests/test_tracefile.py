@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -648,6 +649,26 @@ def edit_row(edit):
     return damage
 
 
+def written_trace(path, lex, damage=None):
+    """The seed-42 roll to the wall, written to ``path`` in the format its suffix names.
+
+    ``damage(lines, fmt)``, if given, edits the file's lines in place.
+    """
+    fmt = path.suffix[1:]
+    cfg = SceneConfig(seed=42)
+    frame, scene, trace = make_run(lex, cfg)
+    write_trace(path, fmt, "the ball rolled to the wall", trace, scene, cfg)
+    if damage is not None:
+        lines = path.read_text().splitlines()
+        damage(lines, fmt)
+        path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def broken_json(lines, fmt):
+    lines[3] = lines[3].replace(",", "", 1)
+
+
 HEADER_FAULTS = {
     "dimensions-not-numbers": edit_header(lambda h: h["bodies"]["ball"].update(dimensions=["x"])),
     "bodies-a-list": edit_header(lambda h: h.update(bodies=list(h["bodies"]))),
@@ -658,6 +679,7 @@ HEADER_FAULTS = {
     "floor-as-theme": edit_header(lambda h: h["bindings"].update(theme="floor")),
     "second-plane": edit_header(
         lambda h: h["bodies"]["wall"].update(shape="plane", dimensions=[])),
+    "mobile-a-string": edit_header(lambda h: h["bodies"]["wall"].update(mobile="no")),
 }
 JSONL_FAULTS = {
     "time-null": edit_record(lambda r: r.update(time=None)),
@@ -706,13 +728,7 @@ FAULTS = [
 @pytest.mark.parametrize("fmt,damage", [(fmt, damage) for fmt, _, damage in FAULTS],
                          ids=[f"{fmt}-{name}" for fmt, name, _ in FAULTS])
 def test_single_fault_messages_equal_the_reference_readers(tmp_path, lex, fmt, damage):
-    cfg = SceneConfig(seed=42)
-    frame, scene, trace = make_run(lex, cfg)
-    path = tmp_path / f"t.{fmt}"
-    write_trace(path, fmt, "the ball rolled to the wall", trace, scene, cfg)
-    lines = path.read_text().splitlines()
-    damage(lines, fmt)
-    path.write_text("\n".join(lines) + "\n")
+    path = written_trace(tmp_path / f"t.{fmt}", lex, damage)
     with pytest.raises(TraceFormatError) as want:
         reference_read(path)
     with pytest.raises(TraceFormatError) as got:
@@ -735,16 +751,58 @@ def test_single_fault_messages_equal_the_reference_readers(tmp_path, lex, fmt, d
         "jsonl-dimensions-a-numeric-string", "csv-dimensions-a-numeric-string",
         "jsonl-direction-holding-false", "csv-direction-holding-false"])
 def test_a_json_string_or_boolean_is_not_a_number(tmp_path, lex, fmt, damage, message):
-    cfg = SceneConfig(seed=42)
-    frame, scene, trace = make_run(lex, cfg)
-    path = tmp_path / f"t.{fmt}"
-    write_trace(path, fmt, "the ball rolled to the wall", trace, scene, cfg)
-    lines = path.read_text().splitlines()
-    damage(lines, fmt)
-    path.write_text("\n".join(lines) + "\n")
+    path = written_trace(tmp_path / f"t.{fmt}", lex, damage)
     with pytest.raises(TraceFormatError) as got:
         read_trace(path)
     assert str(got.value) == message
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("bid,value,shown", [
+    ("wall", "no", '"no"'), ("floor", [], "[]"), ("ball", 1, "1"), ("ball", None, "null"),
+], ids=["string", "list", "number", "null"])
+def test_mobile_must_be_a_json_boolean(tmp_path, lex, fmt, bid, value, shown):
+    damage = edit_header(lambda h: h["bodies"][bid].update(mobile=value))
+    path = written_trace(tmp_path / f"t.{fmt}", lex, damage)
+    with pytest.raises(TraceFormatError) as got:
+        read_trace(path)
+    assert str(got.value) == f"mobile of {bid!r} must be true or false, got {shown}"
+
+
+def test_reading_pauses_the_collector_and_leaves_it_as_it_found_it(
+    tmp_path, lex, monkeypatch, collector
+):
+    good = written_trace(tmp_path / "t.jsonl", lex)
+    bad = written_trace(tmp_path / "bad.jsonl", lex, broken_json)
+    seen = []
+    parse_header = tracefile._parse_header
+
+    def spied_parse_header(header):
+        seen.append(gc.isenabled())
+        return parse_header(header)
+
+    monkeypatch.setattr(tracefile, "_parse_header", spied_parse_header)
+    read_trace(good)
+    assert gc.isenabled() is collector
+    with pytest.raises(TraceFormatError, match="invalid JSON"):
+        read_trace(bad)
+    assert gc.isenabled() is collector
+    assert seen == [False]
+
+    def interrupted(header):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(tracefile, "_parse_header", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        read_trace(good)
+    assert gc.isenabled() is collector
+
+
+def test_reading_makes_no_reference_cycles(tmp_path, lex, cycles_left_by):
+    good = written_trace(tmp_path / "t.jsonl", lex)
+    bad = written_trace(tmp_path / "bad.jsonl", lex, broken_json)
+    assert cycles_left_by(lambda: read_trace(good)) == 0
+    assert cycles_left_by(lambda: read_trace(bad), TraceFormatError) == 0
 
 
 # -- what one read state costs, as counts ----------------------------------------------
@@ -783,7 +841,8 @@ def test_reading_a_state_measures_the_themes_pairs_and_builds_one_body(
     # the ball-floor and ball-wall pairs per state, one call each (a plane-first pair
     # too); the first state measures wall-floor too
     assert len(gaps) <= 2 * len(states) + 10
-    # the moved ball per state; the first state's bodies and a contact change build a few more
-    assert len(built) <= len(states) + 10
+    # the moved ball per state, the first state's floor and wall once each, and the ball
+    # and the wall again when the ball's contact with the wall changes
+    assert len(built) == len(states) + 4
     # a state with no flag change is the dict the reader built: no flag map or body is copied
     assert len(uncopied) >= len(states) - 10
