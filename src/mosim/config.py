@@ -7,17 +7,27 @@ all read from the same object, so a trace header can snapshot it whole.
 
 from __future__ import annotations
 
-import json
 import math
 
-from .errors import ConfigFormatError
+from .errors import INTEGER, NUMBER, ConfigFormatError, parse_json, walk_fields
 from .record import asdict, record
 from .record import replace as replace_fields
 
 _FLOAT_FIELDS = (
     "dt", "speed", "ground_distance", "contact_eps", "gravity", "restitution",
 )
-_INT_FIELDS = ("min_bare_frames", "max_bare_frames", "max_frames", "seed")
+
+# Inclusive ranges of the float fields, in s, m/s, m, m and m/s^2, and the most
+# frames a run may take.  Inside them a run moves a body at most
+# speed * dt * MAX_FRAMES = 1e9 m, so squared gaps stay far from overflowing.
+RANGES = {
+    "dt": (1e-4, 1.0),
+    "speed": (1e-3, 1e3),
+    "ground_distance": (1e-3, 1e3),
+    "contact_eps": (1e-6, 0.1),
+    "gravity": (1e-3, 1e3),
+}
+MAX_FRAMES = 1_000_000
 
 
 @record
@@ -49,6 +59,11 @@ class SceneConfig:
             raise ValueError("min_bare_frames must not exceed max_bare_frames")
         if self.min_bare_frames < 0 or self.max_frames < 1:
             raise ValueError("frame counts must be positive")
+        for name, (lo, hi) in RANGES.items():
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(f"{name} must lie within [{lo:g}, {hi:g}]")
+        if max(self.max_bare_frames, self.max_frames) > MAX_FRAMES:
+            raise ValueError(f"frame counts must not exceed {MAX_FRAMES:,}")
 
     def replace(self, **kwargs) -> "SceneConfig":
         return replace_fields(self, **kwargs)
@@ -59,30 +74,16 @@ class SceneConfig:
 
 def config_from_dict(data: dict, base: SceneConfig | None = None) -> SceneConfig:
     """Build a config from a JSON-shaped dict, starting from ``base``."""
-    if not isinstance(data, dict):
-        raise ConfigFormatError("config document must be an object")
-    cfg = base or SceneConfig()
-    updates = {}
-    for key, value in data.items():
-        if key in _FLOAT_FIELDS:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigFormatError("expected a number", field=key)
-            updates[key] = float(value)
-        elif key in _INT_FIELDS:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigFormatError("expected an integer", field=key)
-            updates[key] = value
-        else:
-            raise ConfigFormatError("unknown config field", field=key)
+    spec = {
+        name: (NUMBER if name in _FLOAT_FIELDS else INTEGER, value)
+        for name, value in (base or SceneConfig()).to_dict().items()
+    }
+    fields = walk_fields(data, spec, None, ConfigFormatError)
     try:
-        return cfg.replace(**updates)
+        return SceneConfig(**fields)
     except ValueError as exc:
         raise ConfigFormatError(str(exc)) from exc
 
 
 def load_config(text: str, base: SceneConfig | None = None) -> SceneConfig:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
-    return config_from_dict(data, base)
+    return config_from_dict(parse_json(text, ConfigFormatError), base)

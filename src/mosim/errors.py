@@ -2,10 +2,14 @@
 
 Each stage raises a distinct class so the CLI can map failures onto its
 exit-code contract (2 for input/build errors, 3 for search failures,
-1 for a verification that ran and failed).
+1 for a verification that ran and failed).  The lexicon and config loaders
+check their documents here too, with one typed field walk.
 """
 
 from __future__ import annotations
+
+import json
+import math
 
 
 class MosimError(Exception):
@@ -35,6 +39,70 @@ class LexiconFormatError(DocumentFormatError):
 
 class ConfigFormatError(DocumentFormatError):
     pass
+
+
+def parse_json(text: str, error: type[DocumentFormatError]):
+    """The JSON value ``text`` holds; text the parser refuses raises ``error``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError:
+        raise error("invalid JSON: nested too deeply") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise error("invalid JSON: a number with too many digits") from None
+
+
+# The kinds of value a document field takes, named as the walk's messages name them.
+NUMBER, INTEGER, STRING, BOOLEAN = "a number", "an integer", "a string", "a boolean"
+LIST, STRINGS, OBJECT = "a list", "a list of strings", "an object"
+REQUIRED = object()  # the default of a field that must be present
+
+_IS_KIND = {
+    NUMBER: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    INTEGER: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    STRING: lambda v: isinstance(v, str),
+    BOOLEAN: lambda v: isinstance(v, bool),
+    LIST: lambda v: isinstance(v, list),
+    STRINGS: lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+    OBJECT: lambda v: isinstance(v, dict),
+}
+
+
+def walk_fields(obj, spec: dict, where: str | None, error: type[DocumentFormatError]) -> dict:
+    """The fields of the JSON object ``obj``, each checked against ``spec``.
+
+    ``spec`` maps a field name to ``(kind, default)``: an absent field takes its
+    default unless that is ``REQUIRED``, and null stands for an absent field whose
+    default is None.  A number comes back as a float, infinite where it is too
+    large for one (as JSON reads ``1e999``), and the record it fills checks its
+    range.  A fault raises ``error`` at field ``where.name``, or ``name``.
+    """
+    if not isinstance(obj, dict):
+        raise error(f"expected {OBJECT}", field=where)
+    prefix = f"{where}." if where else ""
+    for key in obj:
+        if key not in spec:
+            raise error("unknown field", field=prefix + key)
+    fields = {}
+    for key, (kind, default) in spec.items():
+        if key not in obj:
+            if default is REQUIRED:
+                raise error("missing field", field=prefix + key)
+            fields[key] = default
+            continue
+        value = obj[key]
+        if value is None is default:
+            pass
+        elif not _IS_KIND[kind](value):
+            raise error(f"expected {kind}", field=prefix + key)
+        elif kind is NUMBER:
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.inf if value > 0 else -math.inf
+        fields[key] = value
+    return fields
 
 
 class DuplicateEntryError(MosimError):

@@ -13,7 +13,20 @@ from __future__ import annotations
 import enum
 import json
 
-from .errors import DuplicateEntryError, LexiconFormatError, UnknownWordError
+from .errors import (
+    BOOLEAN,
+    LIST,
+    NUMBER,
+    OBJECT,
+    REQUIRED,
+    STRING,
+    STRINGS,
+    DuplicateEntryError,
+    LexiconFormatError,
+    UnknownWordError,
+    parse_json,
+    walk_fields,
+)
 from .record import record
 
 # The floor is a scene's only plane, and this is its id and its noun's lemma.
@@ -258,94 +271,67 @@ def builtin_lexicon() -> Lexicon:
 
 # -- JSON lexicon files -------------------------------------------------------
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise LexiconFormatError("missing field", field=f"{where}.{key}")
-    return obj[key]
+_NOUN_FIELDS = {
+    "lemma": (STRING, REQUIRED),
+    "shape": (STRING, REQUIRED),
+    "dimensions": (OBJECT, {}),
+    "default_altitude": (NUMBER, None),
+    "mobile": (BOOLEAN, REQUIRED),
+}
+_VERB_FIELDS = {
+    "lemma": (STRING, REQUIRED),
+    "past_forms": (STRINGS, REQUIRED),
+    "class": (STRING, REQUIRED),
+    "tick_action": (STRING, None),
+    "path_kind": (STRING, None),
+    "profile": (OBJECT, None),
+    "allowed_preps": (STRINGS, []),
+}
+_PROFILE_FIELDS = {"floor_contact": (STRING, REQUIRED), "rotation_coupling": (STRING, REQUIRED)}
 
 
-def _parse_noun(obj: dict, where: str) -> NounEntry:
-    if not isinstance(obj, dict):
-        raise LexiconFormatError("noun entry must be an object", field=where)
-    known = {"lemma", "shape", "dimensions", "mobile", "default_altitude"}
-    for key in obj:
-        if key not in known:
-            raise LexiconFormatError("unknown field", field=f"{where}.{key}")
-    lemma = _require(obj, "lemma", where)
-    shape_name = _require(obj, "shape", where)
+def _member(enum_type: type[enum.Enum], value: str, message: str, field: str):
     try:
-        shape = Shape(shape_name)
+        return enum_type(value)
     except ValueError:
-        raise LexiconFormatError(f"unknown shape {shape_name!r}", field=f"{where}.shape")
-    dims_obj = obj.get("dimensions", {})
-    if not isinstance(dims_obj, dict):
-        raise LexiconFormatError("dimensions must be an object", field=f"{where}.dimensions")
-    dims = []
-    for key in DIM_KEYS[shape]:
-        value = _require(dims_obj, key, f"{where}.dimensions")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise LexiconFormatError("expected a number", field=f"{where}.dimensions.{key}")
-        dims.append(float(value))
-    extra = set(dims_obj) - set(DIM_KEYS[shape])
+        raise LexiconFormatError(message, field=field) from None
+
+
+def _parse_noun(obj, where: str) -> NounEntry:
+    f = walk_fields(obj, _NOUN_FIELDS, where, LexiconFormatError)
+    shape = _member(Shape, f["shape"], f"unknown shape {f['shape']!r}", f"{where}.shape")
+    keys = DIM_KEYS[shape]
+    extra = set(f["dimensions"]) - set(keys)
     if extra:
         raise LexiconFormatError(
             f"unexpected dimension key(s) for {shape.value}: {sorted(extra)}",
             field=f"{where}.dimensions",
         )
-    altitude = obj.get("default_altitude")
-    if altitude is not None:
-        if not isinstance(altitude, (int, float)) or isinstance(altitude, bool):
-            raise LexiconFormatError("expected a number", field=f"{where}.default_altitude")
-        altitude = float(altitude)
-    mobile = _require(obj, "mobile", where)
-    if not isinstance(mobile, bool):
-        raise LexiconFormatError("expected a boolean", field=f"{where}.mobile")
+    dims = walk_fields(f["dimensions"], {key: (NUMBER, REQUIRED) for key in keys},
+                       f"{where}.dimensions", LexiconFormatError)
     try:
-        return NounEntry(lemma, shape, tuple(dims), mobile, altitude)
+        return NounEntry(f["lemma"], shape, tuple(dims.values()), f["mobile"], f["default_altitude"])
     except LexiconFormatError as exc:
         raise LexiconFormatError(str(exc), field=where) from exc
 
 
-def _parse_verb(obj: dict, where: str) -> VerbEntry:
-    if not isinstance(obj, dict):
-        raise LexiconFormatError("verb entry must be an object", field=where)
-    known = {"lemma", "past_forms", "class", "tick_action", "profile", "path_kind", "allowed_preps"}
-    for key in obj:
-        if key not in known:
-            raise LexiconFormatError("unknown field", field=f"{where}.{key}")
-    lemma = _require(obj, "lemma", where)
-    past = _require(obj, "past_forms", where)
-    if not isinstance(past, list) or not all(isinstance(p, str) for p in past):
-        raise LexiconFormatError("past_forms must be a list of tokens", field=f"{where}.past_forms")
-    try:
-        cls = VerbClass(_require(obj, "class", where))
-    except ValueError:
-        raise LexiconFormatError("unknown verb class", field=f"{where}.class")
-    action = obj.get("tick_action")
-    kind_name = obj.get("path_kind")
+def _parse_verb(obj, where: str) -> VerbEntry:
+    f = walk_fields(obj, _VERB_FIELDS, where, LexiconFormatError)
+    cls = _member(VerbClass, f["class"], "unknown verb class", f"{where}.class")
     kind = None
-    if kind_name is not None:
-        try:
-            kind = PathKind(kind_name)
-        except ValueError:
-            raise LexiconFormatError("unknown path_kind", field=f"{where}.path_kind")
+    if f["path_kind"] is not None:
+        kind = _member(PathKind, f["path_kind"], "unknown path_kind", f"{where}.path_kind")
     profile = MOVE_PROFILE
-    if "profile" in obj and obj["profile"] is not None:
-        pobj = obj["profile"]
-        if not isinstance(pobj, dict):
-            raise LexiconFormatError("profile must be an object", field=f"{where}.profile")
-        try:
-            profile = MannerProfile(
-                FloorContact(_require(pobj, "floor_contact", f"{where}.profile")),
-                RotationCoupling(_require(pobj, "rotation_coupling", f"{where}.profile")),
-            )
-        except ValueError:
-            raise LexiconFormatError("unknown profile value", field=f"{where}.profile")
-    preps = obj.get("allowed_preps", [])
-    if not isinstance(preps, list) or not all(isinstance(p, str) for p in preps):
-        raise LexiconFormatError("allowed_preps must be a list", field=f"{where}.allowed_preps")
+    if f["profile"] is not None:
+        p = walk_fields(f["profile"], _PROFILE_FIELDS, f"{where}.profile", LexiconFormatError)
+        profile = MannerProfile(
+            _member(FloorContact, p["floor_contact"], "unknown profile value", f"{where}.profile"),
+            _member(RotationCoupling, p["rotation_coupling"], "unknown profile value",
+                    f"{where}.profile"),
+        )
     try:
-        return VerbEntry(lemma, tuple(past), cls, action, profile, kind, frozenset(preps))
+        return VerbEntry(f["lemma"], tuple(f["past_forms"]), cls, f["tick_action"], profile, kind,
+                         frozenset(f["allowed_preps"]))
     except LexiconFormatError as exc:
         raise LexiconFormatError(str(exc), field=where) from exc
 
@@ -355,34 +341,18 @@ def load_lexicon(text: str) -> Lexicon:
 
     Duplicates inside the document raise; overriding a builtin does not.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LexiconFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
-    if not isinstance(data, dict):
-        raise LexiconFormatError("lexicon document must be an object")
-    for key in data:
-        if key not in ("nouns", "verbs"):
-            raise LexiconFormatError("unknown top-level key", field=key)
-
+    data = parse_json(text, LexiconFormatError)
+    doc = walk_fields(data, {"nouns": (LIST, []), "verbs": (LIST, [])}, None, LexiconFormatError)
     base = builtin_lexicon()
-    nouns = base.nouns
-    verbs = base.verbs
-    seen: set[str] = set()
-
-    for i, obj in enumerate(data.get("nouns", [])):
-        entry = _parse_noun(obj, f"nouns[{i}]")
-        if entry.lemma in seen:
-            raise DuplicateEntryError(entry.lemma)
-        seen.add(entry.lemma)
-        nouns[entry.lemma] = entry
-    seen.clear()
-    for i, obj in enumerate(data.get("verbs", [])):
-        entry = _parse_verb(obj, f"verbs[{i}]")
-        if entry.lemma in seen:
-            raise DuplicateEntryError(entry.lemma)
-        seen.add(entry.lemma)
-        verbs[entry.lemma] = entry
+    nouns, verbs = base.nouns, base.verbs
+    for key, parse, entries in (("nouns", _parse_noun, nouns), ("verbs", _parse_verb, verbs)):
+        seen: set[str] = set()
+        for i, obj in enumerate(doc[key]):
+            entry = parse(obj, f"{key}[{i}]")
+            if entry.lemma in seen:
+                raise DuplicateEntryError(entry.lemma)
+            seen.add(entry.lemma)
+            entries[entry.lemma] = entry
     return Lexicon(nouns, verbs)
 
 

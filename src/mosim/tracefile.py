@@ -19,13 +19,17 @@ from .config import SceneConfig, config_from_dict
 from .programs import Trace, _without_collector
 from .errors import ConfigFormatError, TraceFormatError
 from .kinematics import PLUS_X, ZERO3, Body, Rel, WorldState, _fill_contacts, _with_contacts
-from .lexicon import DIM_KEYS, FLOOR_ID, Shape
+from .lexicon import DIM_KEYS, FLOOR_ID, MAX_SIZE, MIN_SIZE, Shape
 from .record import record
 from .scene import Scene
 
 FORMAT_VERSION = "1"
 COORD_CONVENTION = "y-up right-handed, goal along +x"
 FORMATS = ("jsonl", "csv")
+
+# The largest magnitude of a position or rotation a trace may hold.  Runs within
+# the config ranges stay below 1e9 m and 1e12 rad; squared gaps overflow past 1e154.
+MAX_COORDINATE = 1e30
 
 
 def fmt_float(x: float) -> str:
@@ -230,6 +234,10 @@ def _catalog(bodies) -> dict[str, tuple[Shape, tuple[float, ...], bool]]:
         dims = _json_numbers(dims, f"dimensions of {bid!r}")
         if len(dims) != len(DIM_KEYS[shape]):
             raise TraceFormatError(f"{shape.value} {bid!r} takes {len(DIM_KEYS[shape])} dimension(s)")
+        if not all(MIN_SIZE <= d <= MAX_SIZE for d in dims):
+            raise TraceFormatError(
+                f"dimensions of {bid!r} must lie within [{MIN_SIZE:g}, {MAX_SIZE:g}] m"
+            )
         if (shape is Shape.PLANE) != (bid == FLOOR_ID):
             raise TraceFormatError(
                 f"body {bid!r}: the floor is the only plane, and its id is {FLOOR_ID!r}"
@@ -239,6 +247,8 @@ def _catalog(bodies) -> dict[str, tuple[Shape, tuple[float, ...], bool]]:
             raise TraceFormatError(
                 f"mobile of {bid!r} must be true or false, got {json.dumps(mobile):.40}"
             )
+        if mobile and shape is Shape.PLANE:
+            raise TraceFormatError(f"body {bid!r}: a plane is immobile")
         catalog[bid] = (shape, dims, mobile)
     if FLOOR_ID not in catalog:
         raise TraceFormatError(f"header bodies have no {FLOOR_ID!r} plane")
@@ -268,6 +278,8 @@ def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) 
         raise TraceFormatError("bindings.theme must be a string")
     if theme_id == FLOOR_ID:
         raise TraceFormatError("the theme cannot be the floor")
+    if theme_id in catalog and not catalog[theme_id][2]:
+        raise TraceFormatError(f"the theme {theme_id!r} is immobile")
     ground_id = bindings.get("ground")
     direction = _vec(header["direction"], "direction")
     slots = [
@@ -291,6 +303,11 @@ def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) 
             if bits == last_bits[k]:
                 bodies[bid] = last[bid]
             else:
+                if max(pose) > MAX_COORDINATE or min(pose) < -MAX_COORDINATE:
+                    raise TraceFormatError(
+                        f"pos and rot in record {i} body {bid} must lie within"
+                        f" [{-MAX_COORDINATE:g}, {MAX_COORDINATE:g}]"
+                    )
                 # the previous flags ride along; _with_contacts copies them only if a
                 # pair that holds a moved body changed its relation
                 contacts = last[bid].contacts if last else None
@@ -386,6 +403,8 @@ def _read_jsonl(text: str) -> TraceDocument:
             ) from exc
         except RecursionError:
             raise TraceFormatError(f"JSON nested too deeply in trace file (line {n})") from None
+        except ValueError:  # an integer past the interpreter's digit limit
+            raise TraceFormatError(f"number with too many digits in trace file (line {n})") from None
     header = objs[0]
     cfg, catalog = _parse_header(header)
     ids = list(catalog)
@@ -402,6 +421,8 @@ def _read_csv(text: str) -> TraceDocument:
         raise TraceFormatError(f"invalid JSON header: {exc.msg}") from exc
     except RecursionError:
         raise TraceFormatError("JSON nested too deeply in csv header") from None
+    except ValueError:
+        raise TraceFormatError("number with too many digits in csv header") from None
     cfg, catalog = _parse_header(header)
     names = lines[1].split(",")
     where = {name: k for k, name in enumerate(names)}  # a repeated name means its last column

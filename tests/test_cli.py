@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -5,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from mosim.cli import run
 
@@ -146,10 +150,19 @@ def _edit_record(lines, edit):
     lambda ls: _edit_record(ls, lambda r: r["bodies"]["wall"]["pos"].__setitem__(0, True)),
     lambda ls: _edit_record(ls, lambda r: r.update(time=" 0.03 ")),
     lambda ls: _edit_header(ls, lambda h: h["bodies"]["wall"].update(mobile="no")),
+    lambda ls: _edit_record(ls, lambda r: r["bodies"]["ball"]["pos"].__setitem__(0, 1e308)),
+    lambda ls: _edit_record(ls, lambda r: r["bodies"]["ball"].update(rot=-1e308)),
+    lambda ls: _edit_header(ls, lambda h: h["bodies"]["ball"].update(dimensions=[0])),
+    lambda ls: _edit_header(ls, lambda h: h["cfg"].update(ground_distance=1e308)),
+    lambda ls: _edit_header(ls, lambda h: h["bodies"]["floor"].update(mobile=True)),
+    lambda ls: _edit_header(ls, lambda h: h["bodies"]["ball"].update(mobile=False)),
+    lambda ls: ls.__setitem__(3, '{"index": 1%s}' % ("0" * 5000)),
 ], ids=["dimensions-not-numbers", "bodies-a-list", "time-null", "rot-not-a-number",
         "pos-nan", "time-infinite", "box-with-two-dimensions", "theme-not-a-string",
         "no-floor", "floor-as-theme", "second-plane", "rot-a-numeric-string",
-        "pos-holding-true", "time-a-padded-string", "mobile-a-string"])
+        "pos-holding-true", "time-a-padded-string", "mobile-a-string", "pos-1e308",
+        "rot-minus-1e308", "radius-zero", "cfg-out-of-range", "mobile-floor", "immobile-theme",
+        "index-of-5001-digits"])
 def test_check_malformed_trace_exits_2_with_one_line(tmp_path, capsys, damage):
     _, out = simulate(tmp_path, "--seed", "42")
     lines = out.read_text().splitlines()
@@ -300,6 +313,27 @@ def test_bad_numeric_flag_exits_2_with_one_line(tmp_path, capsys, flags):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("ConfigFormatError: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--speed", "1e300"), "speed must lie within [0.001, 1000]"),
+    (("--dt", "1e300"), "dt must lie within [0.0001, 1]"),
+    (("--max-frames", "1" + "0" * 400), "frame counts must not exceed 1,000,000"),
+], ids=["speed", "dt", "max-frames"])
+def test_a_flag_outside_its_range_exits_2_with_one_line(tmp_path, capsys, flags, message):
+    code, out = simulate(tmp_path, *flags)
+    assert code == 2
+    assert capsys.readouterr().err == f"ConfigFormatError: {message}\n"
+    assert not out.exists()
+
+
+def test_a_config_file_outside_its_range_exits_2_with_one_line(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text('{"ground_distance": 1e308}')
+    code, out = simulate(tmp_path, "--config", str(cfgfile))
+    assert code == 2
+    assert capsys.readouterr().err == "ConfigFormatError: ground_distance must lie within [0.001, 1000]\n"
     assert not out.exists()
 
 
@@ -489,3 +523,176 @@ def test_nouns_at_the_ends_of_the_size_range_verify_or_refuse(tmp_path, capsys, 
         elif code != 0:
             assert code in (2, 3) and err.count("\n") == 1, (sentence, err)
             assert err.startswith(documented), (sentence, err)
+
+
+# -- no input ends in a traceback ---------------------------------------------------
+#
+# The property of Claessen and Hughes (QuickCheck, ICFP 2000), derandomized: for any
+# argv and any bytes in a config, lexicon, program or trace file, run() returns an
+# exit code in {0, 1, 2, 3}, an error is one stderr line, and exit 1 comes only with
+# a verification report.  A file is random bytes or a valid document with one or two
+# values replaced; frame, bound and node limits stay small so each example is quick.
+
+ODD_VALUES = st.sampled_from(
+    [1, None, "x", [], {}, True, 1.5, 0, -1, 10**400, 1e308, -1e308, float("nan")]
+) | st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4) | st.floats() | st.integers(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+NUMBER_TEXT = st.sampled_from(["0.05", "0.1", "1", "2", "8", "1e300", "-1", "0", "nan", "x", ""])
+COUNT_TEXT = st.integers(min_value=-2, max_value=200).map(str)
+SENTENCES = st.sampled_from([
+    "the ball rolled to the wall", "the ball bounced", "the bird flew to the wall", "the ball left",
+    "the ball slid from the wall", "the wall rolled", "the block moved to the ball", "zorp",
+]) | st.text(max_size=12)
+PROGRAMS = st.sampled_from([
+    b"(tick roll)", b"(star (choice (tick roll) (tick slide)) 3)",
+    b"(seq (tick fly) (test (dc ball floor)))", b"(assign (loc ball) (vec 1 0.5 0))",
+]) | st.binary(max_size=24) | st.text(alphabet="()abcdeiklnorstvy 0123456789.-", max_size=40).map(str.encode)
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one or two of its values (or the whole of it) replaced or dropped."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.sampled_from([1, 1, 1, 2]))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(ODD_VALUES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(ODD_VALUES)
+    return doc
+
+
+def _json_bytes(doc) -> bytes:
+    return json.dumps(doc).encode()
+
+
+def _jsonl_bytes(objs) -> bytes:
+    objs = objs if isinstance(objs, list) else [objs]
+    return "".join(json.dumps(obj) + "\n" for obj in objs).encode()
+
+
+@st.composite
+def csv_with_a_new_cell(draw, text):
+    lines = text.splitlines()
+    k = draw(st.integers(min_value=1, max_value=len(lines) - 1))
+    cells = lines[k].split(",")
+    cells[draw(st.integers(min_value=0, max_value=len(cells) - 1))] = draw(
+        NUMBER_TEXT | st.text(max_size=4))
+    lines[k] = ",".join(cells)
+    return ("\n".join(lines) + "\n").encode()
+
+
+@st.composite
+def jsonl_with_a_new_number(draw, objs):
+    """A record's time, or one of a body's pos and rot values, replaced: the file still reads."""
+    objs = copy.deepcopy(objs)
+    record = objs[draw(st.integers(min_value=1, max_value=len(objs) - 1))]
+    odd = draw(st.sampled_from([1e308, -1e308, 1e30, 10**400, -0.0, 5e-324, 2**53 + 1, 1e15]))
+    entry = record["bodies"][draw(st.sampled_from(sorted(record["bodies"])))]
+    slot = draw(st.sampled_from(["time", "rot", 0, 1, 2]))
+    if slot == "time":
+        record["time"] = odd
+    elif slot == "rot":
+        entry["rot"] = odd
+    else:
+        entry["pos"][slot] = odd
+    return _jsonl_bytes(objs)
+
+
+@pytest.fixture(scope="module")
+def valid_documents(tmp_path_factory):
+    """A short jsonl and csv trace of the roll to the wall, the builtin lexicon and a config."""
+    from mosim import builtin_lexicon, serialize_lexicon
+
+    where = tmp_path_factory.mktemp("valid")
+    traces = {}
+    for fmt in ("jsonl", "csv"):
+        path = where / f"t.{fmt}"
+        assert run(["simulate", "the ball rolled to the wall", "--speed", "8", "--dt", "0.1",
+                    "--format", fmt, "--out", str(path)]) == 0
+        traces[fmt] = path.read_text()
+    return {
+        "jsonl": [json.loads(line) for line in traces["jsonl"].splitlines()],
+        "csv": traces["csv"],
+        "lexicon": json.loads(serialize_lexicon(builtin_lexicon())),
+        "config": {"seed": 1, "dt": 0.05, "speed": 2.0, "ground_distance": 2.0,
+                   "min_bare_frames": 3, "max_bare_frames": 6},
+    }
+
+
+@st.composite
+def invocations(draw, docs, where):
+    """An argv for run() and the bytes of each file it names."""
+    files = {}
+
+    def file(name, content):
+        files[name] = draw(content)
+        return str(where / name)
+
+    def lexicon():
+        return file("lexicon.json", mutated(docs["lexicon"]).map(_json_bytes) | st.binary(max_size=24))
+
+    command = draw(st.sampled_from(["simulate", "parse", "check", "enumerate"]))
+    argv = [command]
+    options = {"--lexicon": st.builds(lexicon) | st.just(str(where / "absent.json"))}
+    if command in ("simulate", "parse"):
+        argv.append(draw(SENTENCES))
+    if command == "simulate":
+        argv += ["--out", str(where / "out"), "--max-frames", draw(COUNT_TEXT)]
+        options.update({
+            "--config": st.builds(lambda: file("config.json", mutated(docs["config"]).map(_json_bytes)
+                                               | st.binary(max_size=24))),
+            "--seed": st.integers().map(str) | NUMBER_TEXT, "--dt": NUMBER_TEXT, "--speed": NUMBER_TEXT,
+            "--format": st.sampled_from(["jsonl", "csv", "xml"]), "--verify": st.none(),
+        })
+    elif command == "check":
+        trace = (jsonl_with_a_new_number(docs["jsonl"]) | mutated(docs["jsonl"]).map(_jsonl_bytes)
+                 | csv_with_a_new_cell(docs["csv"]) | st.binary(max_size=48))
+        argv += ["--trace", file("trace", trace), "--sentence",
+                 draw(st.just("the ball rolled to the wall") | SENTENCES)]
+    elif command == "enumerate":
+        argv += ["--program", file("program.txt", PROGRAMS),
+                 "--bound", draw(COUNT_TEXT), "--cap", draw(COUNT_TEXT)]
+        options["--theme"] = SENTENCES
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), unique=True, max_size=3)):
+        value = draw(options[flag])
+        argv += [flag] if value is None else [flag, value]
+    return argv, files
+
+
+@seed(20161006)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_no_input_ends_in_a_traceback(tmp_path_factory, valid_documents, data):
+    where = tmp_path_factory.getbasetemp() / "no-traceback"
+    where.mkdir(exist_ok=True)
+    argv, files = data.draw(invocations(valid_documents, where))
+    for name, content in files.items():
+        (where / name).write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse: a usage error or --help
+            assert exc.code in (0, 2), argv
+            return
+    assert code in (0, 1, 2, 3), argv
+    if code == 1:
+        assert '"overall": "fail"' in out.getvalue(), argv
+    assert err.getvalue().count("\n") == (code >= 2), (argv, err.getvalue())

@@ -769,6 +769,68 @@ def test_mobile_must_be_a_json_boolean(tmp_path, lex, fmt, bid, value, shown):
     assert str(got.value) == f"mobile of {bid!r} must be true or false, got {shown}"
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("bid,mobile,message", [
+    ("floor", True, "body 'floor': a plane is immobile"),
+    ("ball", False, "the theme 'ball' is immobile"),
+], ids=["mobile-floor", "immobile-theme"])
+def test_a_mobile_plane_or_an_immobile_theme_is_refused(tmp_path, lex, fmt, bid, mobile, message):
+    damage = edit_header(lambda h: h["bodies"][bid].update(mobile=mobile))
+    path = written_trace(tmp_path / f"t.{fmt}", lex, damage)
+    with pytest.raises(TraceFormatError) as got:
+        read_trace(path)
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("axis,value", [
+    (0, 1e308), (0, math.nextafter(-1e30, -math.inf)), (3, -1e308), (0, 1e30), (3, -1e30),
+], ids=["x-1e308", "x-just-past", "rot-minus-1e308", "x-at-the-limit", "rot-at-the-limit"])
+def test_a_pose_value_past_the_coordinate_limit_is_refused(tmp_path, lex, fmt, axis, value):
+    def damage(lines, fmt):
+        if fmt == "csv":
+            edit_row(lambda c: c.__setitem__(6 + axis, repr(value)))(lines, fmt)
+        elif axis == 3:
+            edit_record(lambda r: r["bodies"]["ball"].update(rot=value))(lines, fmt)
+        else:
+            edit_record(lambda r: r["bodies"]["ball"]["pos"].__setitem__(axis, value))(lines, fmt)
+
+    path = written_trace(tmp_path / f"t.{fmt}", lex, damage)
+    if abs(value) <= tracefile.MAX_COORDINATE:
+        ball = read_trace(path).trace.states[2].body("ball")
+        assert (*ball.position, ball.rotation)[axis] == value
+        return
+    with pytest.raises(TraceFormatError) as got:
+        read_trace(path)
+    assert str(got.value) == "pos and rot in record 2 body ball must lie within [-1e+30, 1e+30]"
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("bid,dims", [
+    ("ball", [0]), ("ball", [1e308]), ("wall", [4.0, 2.0, -0.2]),
+], ids=["radius-zero", "radius-1e308", "depth-negative"])
+def test_header_dimensions_lie_within_the_lexicon_range(tmp_path, lex, fmt, bid, dims):
+    damage = edit_header(lambda h: h["bodies"][bid].update(dimensions=dims))
+    path = written_trace(tmp_path / f"t.{fmt}", lex, damage)
+    with pytest.raises(TraceFormatError) as got:
+        read_trace(path)
+    assert str(got.value) == f"dimensions of {bid!r} must lie within [0.001, 1000] m"
+
+
+@pytest.mark.parametrize("fmt,line,message", [
+    ("jsonl", 3, "number with too many digits in trace file (line 4)"),
+    ("csv", 0, "number with too many digits in csv header"),
+])
+def test_an_integer_past_the_digit_limit_is_a_format_error(tmp_path, lex, fmt, line, message):
+    def damage(lines, fmt):
+        lines[line] = ("# " if fmt == "csv" else "") + '{"index": 1%s}' % ("0" * 5000)
+
+    path = written_trace(tmp_path / f"t.{fmt}", lex, damage)
+    with pytest.raises(TraceFormatError) as got:
+        read_trace(path)
+    assert str(got.value) == message
+
+
 def test_reading_pauses_the_collector_and_leaves_it_as_it_found_it(
     tmp_path, lex, monkeypatch, collector
 ):
