@@ -7,6 +7,9 @@ Shapes are spheres, axis-aligned boxes and the horizontal floor plane,
 which keeps surface distances exact and the contact relations decidable.
 ``_relation`` is the one place a gap becomes a relation; every other
 module reads the flags ``refresh_contacts`` and ``tick`` leave on each body.
+A tick moves only its theme, so it decides only the theme's relations, in
+one pass over the bodies; ``refresh_contacts`` and the trace reader, where
+any body may have moved, decide theirs with ``_with_contacts``.
 """
 
 from __future__ import annotations
@@ -129,11 +132,12 @@ class WorldState:
     positions.  ``refresh_contacts``, ``tick``, the scene builders, ``loc``
     assignments and the trace reader produce only such states, and formula
     atoms and the scene's overlap check read the flags instead of recomputing
-    them.  ``tick`` and the trace reader also carry the flag of every pair
-    whose bodies did not move into the next state unchanged, and ``tick``
-    reads the theme's ``DC`` flags instead of measuring its old gaps, so a
-    stale flag would outlive its state.  A hand-built state may leave the
-    maps empty, never stale.
+    them.  ``tick`` measures only the theme's pairs and the trace reader only
+    the pairs of a moved body, and both carry every other flag into the next
+    state unchanged; ``tick`` also reads the theme's ``DC`` flags instead of
+    measuring its old gaps.  So a stale flag would outlive its state.  A
+    hand-built state may leave the maps empty or partial, never stale; a tick
+    of such a state refreshes every pair.
     """
 
     time: float
@@ -245,20 +249,14 @@ def refresh_contacts(state: WorldState) -> WorldState:
     return WorldState(state.time, state.tick_index, bodies, state.cfg)
 
 
-def _with_contacts(
-    bodies: dict[str, Body],
-    eps: float,
-    moved: Container[str],
-    gaps: Mapping[tuple[str, str], float] | None = None,
-) -> dict[str, Body]:
+def _with_contacts(bodies: dict[str, Body], eps: float, moved: Container[str]) -> dict[str, Body]:
     """``bodies`` with fresh contact flags, each pair's relation decided once.
 
-    Only pairs with a body in ``moved`` are measured.  A pair of two bodies
-    that did not move keeps its flag, which holds only because flags are never
-    stale (see ``WorldState``); a pair that either map lacks, as in a
-    hand-built state with empty maps, is measured.  ``gaps`` holds surface
-    distances already measured at these positions, keyed by the pair in
-    ``bodies`` order, as ``surface_distance`` of that order would give.
+    For ``refresh_contacts`` and the trace reader; ``tick`` decides its
+    theme's pairs itself.  Only pairs with a body in ``moved`` are measured.
+    A pair of two bodies that did not move keeps its flag, which holds only
+    because flags are never stale (see ``WorldState``); a pair that either map
+    lacks, as in a hand-built state with empty maps, is measured.
 
     Copy on write: a body's flag map is copied, in ``bodies`` order, and the
     body rebuilt only when one of its flags changes; every other body is the
@@ -273,9 +271,8 @@ def _with_contacts(
         for b_id, b in items[i:]:
             old, back = a_flags.get(b_id), b.contacts.get(a_id)
             if a_moved or b_id in moved or old is None or back is None:
-                d = gaps.get((a_id, b_id)) if gaps else None
                 try:
-                    rel = _relation(_gap(a, a.position, b, b.position) if d is None else d, eps)
+                    rel = _relation(_gap(a, a.position, b, b.position), eps)
                 except UnsupportedShapePair:
                     rel = None
             else:
@@ -288,15 +285,20 @@ def _with_contacts(
         return bodies
     out = dict(bodies)
     for key, fix in changes.items():
-        b = bodies[key]
-        flags = {}
-        for other in bodies:
-            rel = fix[other] if other in fix else b.contacts.get(other)
-            if rel is not None and other != key:
-                flags[other] = rel
-        out[key] = Body(b.id, b.shape, b.dimensions, b.mobile, b.position, b.heading,
-                        b.rotation, b.velocity, flags)
+        out[key] = _with_flags(bodies, key, fix)
     return out
+
+
+def _with_flags(bodies: dict[str, Body], key: str, fix: Mapping[str, Rel | None]) -> Body:
+    """``bodies[key]`` with the flags in ``fix`` (None drops one), its map in ``bodies`` order."""
+    b = bodies[key]
+    flags = {}
+    for other in bodies:
+        rel = fix[other] if other in fix else b.contacts.get(other)
+        if rel is not None and other != key:
+            flags[other] = rel
+    return Body(b.id, b.shape, b.dimensions, b.mobile, b.position, b.heading,
+                b.rotation, b.velocity, flags)
 
 
 def _fill_contacts(bodies: dict[str, Body], eps: float) -> None:
@@ -341,48 +343,6 @@ def _clamp_fraction(theme: Body, start: Vec3, proposed: Vec3, obstacle: Body) ->
         else:
             hi = mid
     return lo
-
-
-def _apply_obstacles(
-    world: WorldState, theme: Body, proposed: Vec3, eps: float
-) -> tuple[Vec3, dict[tuple[str, str], float]]:
-    """Clamp a proposed position against every solid body other than the floor.
-
-    Also returns the gap to each obstacle that was measured at the returned
-    position, keyed for ``_with_contacts``.  A gap is kept, and the theme's
-    ``DC`` flag read in place of its old gap, only when the measurement has the
-    argument order ``_with_contacts`` uses: the shapes differ, or the theme
-    comes first in ``world.bodies`` (like shapes subtract sizes in argument
-    order, see ``_gap``).
-    """
-    pos = proposed
-    # the flags were decided with the world's eps; another eps cannot read them
-    flags = theme.contacts if eps == world.cfg.contact_eps else {}
-    theme_first = False
-    gaps = {}
-    for key, other in world.bodies.items():
-        if other.id == theme.id:
-            theme_first = True
-            continue
-        if other.shape is _PLANE:
-            continue
-        in_order = theme_first or other.shape is not theme.shape
-        d_new = _gap(theme, pos, other, other.position)
-        # a DC flag means d_old > eps, so the branch below cannot be taken
-        if not (in_order and flags.get(key) is _DC):
-            d_old = _gap(theme, theme.position, other, other.position)
-            if d_old <= eps and d_new < d_old:
-                # already in contact and not separating: no further motion
-                pos = (theme.position[0], pos[1], theme.position[2])
-                gaps = {}  # the gaps so far were measured at the position just left
-                continue
-        if d_new < 0.0:
-            frac = _clamp_fraction(theme, theme.position, pos, other)
-            pos = vadd(theme.position, vscale(vsub(pos, theme.position), frac))
-            gaps = {}
-        elif in_order:
-            gaps[(theme.id, key) if theme_first else (key, theme.id)] = d_new
-    return pos, gaps
 
 
 def tick(
@@ -436,25 +396,86 @@ def tick(
         else:
             vy = vy - g * dt
 
-    proposed = (x, y, z)
-    final, gaps = _apply_obstacles(world, theme, proposed, cfg.contact_eps)
+    # Clamp against every solid body but the floor, in bodies order.  ``gaps``
+    # keeps each obstacle's gap, theme first, measured at ``pos``; moving the
+    # theme back empties it.
+    eps, flag_eps = cfg.contact_eps, world.cfg.contact_eps
+    # the flags were decided with the world's eps; another eps cannot read them
+    flags = theme.contacts if eps == flag_eps else {}
+    shape = theme.shape
+    pos = (x, y, z)
+    gaps = {}
+    seen = False
+    for key, other in world.bodies.items():
+        if other is theme:
+            seen = True
+            continue
+        if other.shape is _PLANE:
+            continue
+        d_new = _gap(theme, pos, other, other.position)
+        # a DC flag means d_old > eps, so the branch below cannot be taken; the
+        # flag was measured in bodies order, which a like shape before the theme
+        # reverses (see _gap)
+        if not ((seen or other.shape is not shape) and flags.get(key) is _DC):
+            d_old = _gap(theme, theme.position, other, other.position)
+            if d_old <= eps and d_new < d_old:
+                # already in contact and not separating: no further motion
+                pos = (theme.position[0], pos[1], theme.position[2])
+                gaps = {}
+                continue
+        if d_new < 0.0:
+            frac = _clamp_fraction(theme, theme.position, pos, other)
+            pos = vadd(theme.position, vscale(vsub(pos, theme.position), frac))
+            gaps = {}
+        else:
+            gaps[key] = d_new
 
-    moved_h = math.hypot(final[0] - theme.position[0], final[2] - theme.position[2])
+    moved_h = math.hypot(pos[0] - theme.position[0], pos[2] - theme.position[2])
     rotation = theme.rotation
     if action == "roll":
         rotation += moved_h / theme.rolling_radius
 
-    velocity = vscale(vsub(final, theme.position), 1.0 / dt)
+    velocity = vscale(vsub(pos, theme.position), 1.0 / dt)
     if action == "bounce":
         # report the ballistic state, not the positional difference, so the
         # restitution flip survives the floor clamp
         velocity = (velocity[0], vy, velocity[2])
 
-    # the old flags ride along; _with_contacts rebuilds the body only if they
-    # changed, and measures only the theme's pairs
-    new_theme = Body(theme.id, theme.shape, theme.dimensions, theme.mobile, final,
-                     direction, rotation, velocity, theme.contacts)
-    bodies = _with_contacts({**world.bodies, theme.id: new_theme}, world.cfg.contact_eps,
-                            (theme.id,), gaps)
+    # Only the theme moved, so only its pairs can change.  Each is measured in
+    # bodies order, or read from ``gaps`` when the theme-first gap is that
+    # measurement.  Copy on write: the theme keeps its flag map, and another
+    # body its Body object, unless one of its flags changed.
+    old = theme.contacts
+    new = {}
+    changed = False
+    complete = True
+    full = len(world.bodies) - 1
+    bodies = world.bodies.copy()
+    seen = False
+    for key, other in world.bodies.items():
+        if other is theme:
+            seen = True
+            continue
+        d = gaps.get(key) if seen or other.shape is not shape else None
+        try:
+            if d is None:
+                d = (_gap(theme, pos, other, other.position) if seen
+                     else _gap(other, other.position, theme, pos))
+            rel = _relation(d, flag_eps)
+        except UnsupportedShapePair:
+            rel = None
+        else:
+            new[key] = rel
+        if rel is not old.get(key):
+            changed = True
+        back = other.contacts
+        if len(back) < full:
+            complete = False
+        if rel is not back.get(theme_id):
+            bodies[key] = _with_flags(world.bodies, key, {theme_id: rel})
+    bodies[theme_id] = Body(theme.id, shape, theme.dimensions, theme.mobile, pos, direction,
+                            rotation, velocity, new if changed else old)
     tick_index = world.tick_index + 1
-    return WorldState(tick_index * cfg.dt, tick_index, bodies, world.cfg)
+    state = WorldState(tick_index * cfg.dt, tick_index, bodies, world.cfg)
+    # a hand-built state may lack the flags of pairs the theme is not in
+    return state if complete else refresh_contacts(state)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import struct
 from functools import cache
-from math import isfinite, nan
+from math import hypot, isfinite, nan
 from operator import itemgetter
 from pathlib import Path
 
@@ -19,7 +19,7 @@ from .config import SceneConfig, config_from_dict
 from .programs import Trace, _without_collector
 from .errors import ConfigFormatError, TraceFormatError
 from .kinematics import PLUS_X, ZERO3, Body, Rel, WorldState, _fill_contacts, _with_contacts
-from .lexicon import DIM_KEYS, FLOOR_ID, MAX_SIZE, MIN_SIZE, Shape
+from .lexicon import DIM_KEYS, FLOOR_ID, MAX_SIZE, MIN_SIZE, TICK_ACTIONS, Shape
 from .record import record
 from .scene import Scene
 
@@ -280,8 +280,18 @@ def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) 
         raise TraceFormatError("the theme cannot be the floor")
     if theme_id in catalog and not catalog[theme_id][2]:
         raise TraceFormatError(f"the theme {theme_id!r} is immobile")
-    ground_id = bindings.get("ground")
+    ground_id, goal_id = bindings.get("ground"), header.get("goal")
+    for name, value in (("bindings.ground", ground_id), ("goal", goal_id)):
+        if value is not None and (type(value) is not str or value not in catalog):
+            raise TraceFormatError(
+                f"{name} must be null or the id of a header body, got {json.dumps(value):.40}"
+            )
     direction = _vec(header["direction"], "direction")
+    # the headings tick accepts (see kinematics._unit_horizontal), of length 1
+    if abs(direction[1]) > 1e-9 or abs(hypot(direction[0], direction[2]) - 1.0) > 1e-9:
+        raise TraceFormatError(
+            f"direction must be a horizontal unit vector, got {json.dumps(header['direction']):.60}"
+        )
     slots = [
         (bid, shape, dims, mobile, direction if bid == theme_id else PLUS_X)
         for bid, (shape, dims, mobile) in catalog.items()
@@ -324,6 +334,11 @@ def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) 
         if i > 0:
             if not action:
                 raise TraceFormatError(f"record {i} is missing its action label")
+            if type(action) is not str or action not in TICK_ACTIONS:
+                raise TraceFormatError(
+                    f"record {i} has an unknown action {json.dumps(action):.40}"
+                    f" (one of {', '.join(sorted(TICK_ACTIONS))})"
+                )
             labels.append(action)
 
     trace = Trace(tuple(states), tuple(labels))
@@ -331,7 +346,7 @@ def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) 
         initial=states[0],
         theme_id=theme_id,
         ground_id=ground_id,
-        goal_id=header.get("goal"),
+        goal_id=goal_id,
         direction=direction,
     )
     return TraceDocument(header=header, trace=trace, scene=scene, cfg=cfg)

@@ -10,10 +10,12 @@ different verbs stay comparable.
 
 from __future__ import annotations
 
+from math import hypot
+
 from .config import SceneConfig
 from .programs import At, Formula, Not, Trace, contains_diamond, eval_formula
 from .errors import DiamondNotAllowed, TraceSceneMismatch, UnboundObjectError
-from .kinematics import Body, Rel, hnorm, vsub
+from .kinematics import Body, Rel, WorldState
 from .lexicon import FLOOR_ID, PREP_ROLES, FloorContact, PathKind, RotationCoupling
 from .parser import EventFrame
 from .record import record
@@ -22,6 +24,8 @@ from .scene import Scene, ground_object_id
 ROTATION_COUPLING_TOL = 1e-4   # rad, loose against float accumulation
 ROTATION_NONE_TOL = 1e-9       # rad, tight against any real per-frame rotation
 TIMING_TOL = 1e-9              # s
+
+_PO = Rel.PO
 
 CHECK_NAMES = (
     "contact_profile",
@@ -117,41 +121,75 @@ def check_formula_on_trace(trace: Trace, f: Formula, mode: str) -> CheckOutcome:
     return CheckOutcome(True)
 
 
-def _floor_relations(trace: Trace, theme_id: str) -> list[Rel]:
-    """Theme-floor relation on each post-tick state, in order."""
-    rels = []
-    for state in trace.states[1:]:
-        rels.append(state.body(theme_id).contacts[FLOOR_ID])
-    return rels
+def _scan(
+    trace: Trace, theme_id: str, dt: float
+) -> tuple[list[tuple[Rel, int]], float, tuple[int, str, str] | None, tuple[int, float] | None]:
+    """What the metrics and the mechanical checks read, in one pass over the states.
 
-
-def _contact_runs(rels: list[Rel]) -> list[tuple[Rel, int]]:
+    Returns the runs of the theme's floor relation over the post-tick states,
+    as (relation, length); the theme's horizontal path length, summed state by
+    state; the first ``PO`` flag as (state, body id, other id), in bodies and
+    then map order; and the first step off ``dt`` as (step, its length).
+    """
+    states = trace.states
     runs: list[tuple[Rel, int]] = []
-    for rel in rels:
-        if runs and runs[-1][0] is rel:
-            runs[-1] = (rel, runs[-1][1] + 1)
+    first = states[0]
+    po, step = _first_po(first, 0), None
+    p, t = first.body(theme_id).position, first.time
+    run, n = None, 0
+    total = 0.0
+    for i in range(1, len(states)):
+        state = states[i]
+        theme = state.body(theme_id)
+        rel = theme.contacts[FLOOR_ID]
+        if rel is run:
+            n += 1
         else:
-            runs.append((rel, 1))
-    return runs
+            if n:
+                runs.append((run, n))
+            run, n = rel, 1
+        q = theme.position
+        total += hypot(q[0] - p[0], q[2] - p[2])
+        p = q
+        if po is None:
+            po = _first_po(state, i)
+        delta = state.time - t
+        if step is None and abs(delta - dt) > TIMING_TOL:
+            step = (i, delta)
+        t = state.time
+    if n:
+        runs.append((run, n))
+    return runs, total, po, step
 
 
-def _check_contact(rels: list[Rel], contact: FloorContact) -> CheckResult:
+def _first_po(state: WorldState, i: int) -> tuple[int, str, str] | None:
+    for body in state.bodies.values():
+        flags = body.contacts
+        if _PO in flags.values():
+            for other, rel in flags.items():
+                if rel is _PO:
+                    return i, body.id, other
+    return None
+
+
+def _check_contact(runs: list[tuple[Rel, int]], contact: FloorContact) -> CheckResult:
     name = "contact_profile"
     if contact is FloorContact.UNCONSTRAINED:
         return CheckResult(name, True, None, "skipped: contact unconstrained")
-    if not rels and contact is not FloorContact.ALTERNATING:
+    if not runs and contact is not FloorContact.ALTERNATING:
         return CheckResult(name, True, None, "vacuous: zero-motion trace")
     if contact is FloorContact.ALWAYS_EC or contact is FloorContact.ALWAYS_DC:
         wanted = Rel.EC if contact is FloorContact.ALWAYS_EC else Rel.DC
-        for i, rel in enumerate(rels, start=1):
+        i = 1  # the state each run starts at
+        for rel, n in runs:
             if rel is not wanted:
                 return CheckResult(
                     name, False, i,
                     f"floor relation {rel.value} at state {i}, profile requires {wanted.value}",
                 )
-        return CheckResult(name, True, None, f"floor {wanted.value} on all {len(rels)} tick states")
+            i += n
+        return CheckResult(name, True, None, f"floor {wanted.value} on all {i - 1} tick states")
     # alternating: at least two contact episodes separated by a clear break
-    runs = _contact_runs(rels)
     ec_seen = 0
     separated = False
     for rel, _ in runs:
@@ -169,24 +207,20 @@ def _check_contact(rels: list[Rel], contact: FloorContact) -> CheckResult:
     )
 
 
-def _theme_path_length(trace: Trace, theme_id: str) -> float:
-    total = 0.0
-    for prev, cur in zip(trace.states, trace.states[1:]):
-        total += hnorm(vsub(cur.body(theme_id).position, prev.body(theme_id).position))
-    return total
-
-
 def trace_metrics(trace: Trace, theme_id: str) -> TraceMetrics:
     """Horizontal path length, net rotation and floor-contact episode count."""
-    return _metrics(trace, theme_id, _floor_relations(trace, theme_id))
+    runs, path_length, _, _ = _scan(trace, theme_id, trace.states[0].cfg.dt)
+    return _metrics(trace, theme_id, runs, path_length)
 
 
-def _metrics(trace: Trace, theme_id: str, rels: list[Rel]) -> TraceMetrics:
+def _metrics(
+    trace: Trace, theme_id: str, runs: list[tuple[Rel, int]], path_length: float
+) -> TraceMetrics:
     theme0 = trace.states[0].body(theme_id)
     return TraceMetrics(
-        path_length=_theme_path_length(trace, theme_id),
+        path_length=path_length,
         net_rotation=trace.final.body(theme_id).rotation - theme0.rotation,
-        contact_intervals=sum(1 for rel, _ in _contact_runs(rels) if rel is Rel.EC),
+        contact_intervals=sum(1 for rel, _ in runs if rel is Rel.EC),
     )
 
 
@@ -247,27 +281,20 @@ def _path_checks(
     return pre, post
 
 
-def _check_no_penetration(trace: Trace) -> CheckResult:
+def _check_no_penetration(po: tuple[int, str, str] | None) -> CheckResult:
     name = "no_penetration"
-    for i, state in enumerate(trace.states):
-        for body in state.bodies.values():
-            for other, rel in body.contacts.items():
-                if rel is Rel.PO:
-                    return CheckResult(
-                        name, False, i, f"{body.id} penetrates {other} at state {i}"
-                    )
-    return CheckResult(name, True, None, "no interpenetration")
+    if po is None:
+        return CheckResult(name, True, None, "no interpenetration")
+    i, body_id, other = po
+    return CheckResult(name, False, i, f"{body_id} penetrates {other} at state {i}")
 
 
-def _check_uniform_timing(trace: Trace, cfg: SceneConfig) -> CheckResult:
+def _check_uniform_timing(step: tuple[int, float] | None, dt: float) -> CheckResult:
     name = "uniform_timing"
-    for i in range(1, len(trace.states)):
-        delta = trace.states[i].time - trace.states[i - 1].time
-        if abs(delta - cfg.dt) > TIMING_TOL:
-            return CheckResult(
-                name, False, i, f"step {i} advanced {delta:.12g} s, expected {cfg.dt:.12g}"
-            )
-    return CheckResult(name, True, None, "uniform timestep")
+    if step is None:
+        return CheckResult(name, True, None, "uniform timestep")
+    i, delta = step
+    return CheckResult(name, False, i, f"step {i} advanced {delta:.12g} s, expected {dt:.12g}")
 
 
 def verify_trace(
@@ -288,13 +315,13 @@ def verify_trace(
         )
 
     profile = frame.verb.profile
-    rels = _floor_relations(trace, scene.theme_id)
-    metrics = _metrics(trace, scene.theme_id, rels)
-    contact = _check_contact(rels, profile.floor_contact)
+    runs, path_length, po, step = _scan(trace, scene.theme_id, cfg.dt)
+    metrics = _metrics(trace, scene.theme_id, runs, path_length)
+    contact = _check_contact(runs, profile.floor_contact)
     rotation = _check_rotation(metrics, trace.final.body(scene.theme_id), profile.rotation_coupling)
     path_pre, path_post = _path_checks(trace, frame, scene)
-    penetration = _check_no_penetration(trace)
-    timing = _check_uniform_timing(trace, cfg)
+    penetration = _check_no_penetration(po)
+    timing = _check_uniform_timing(step, cfg.dt)
 
     checks = (contact, rotation, path_pre, path_post, penetration, timing)
     return VerificationReport(

@@ -554,6 +554,19 @@ def test_a_partial_map_is_completed_in_bodies_order():
     assert list(got.body("floor").contacts) == ["ball", "wall"]
 
 
+@pytest.mark.parametrize("missing", [("floor", "wall"), ("wall", "floor"), ("ball", "wall")])
+def test_a_tick_of_a_partial_state_flags_every_pair(missing):
+    # a hand-built state that lacks one flag: a pair the theme is not in, or one it is
+    full = refresh_contacts(world(FLOOR, ball_at((4.39, 0.5, 0.0)), WALL))
+    holder, other = missing
+    body = full.body(holder)
+    partial = full.with_body(replace(body, contacts={k: r for k, r in body.contacts.items()
+                                                     if k != other}))
+    got = tick(partial, "roll", "ball", (1.0, 0.0, 0.0))
+    assert_same_state_bits(got, reference_tick(partial, "roll", "ball", (1.0, 0.0, 0.0)))
+    assert got == refresh_contacts(got)
+
+
 def _sphere(body_id, r, x, y=None):
     return Body(body_id, Shape.SPHERE, (r,), body_id == "theme", (x, r if y is None else y, 0.0))
 

@@ -218,11 +218,12 @@ NAME = st.text(alphabet="abxyzéßø球_", min_size=1, max_size=4)  # never "flo
 
 
 @st.composite
-def hand_built_runs(draw):
+def hand_built_runs(draw, actions=("roll", "slide")):
     """A theme sphere, the floor and 0-2 more bodies, any of which steps or stays.
 
     Coordinates, rotations and times are ints or floats; bodies that do not
-    step stay the same object, as in an executed trace.
+    step stay the same object, as in an executed trace.  The transitions are
+    labelled from ``actions``; the reader takes only tick actions.
     """
     cfg = SceneConfig(seed=0)
     ids = draw(st.lists(NAME, min_size=1, max_size=3, unique=True))
@@ -244,7 +245,7 @@ def hand_built_runs(draw):
             moved = replace(world.bodies[mover], position=draw(POINT), rotation=draw(NUMBER))
             world = world.with_body(moved)
         states.append(refresh_contacts(WorldState(draw(NUMBER), k + 1, world.bodies, cfg)))
-        labels.append(draw(st.sampled_from(["roll", "slide", "glissé", "滚"])))
+        labels.append(draw(st.sampled_from(actions)))
     ground_id = draw(st.sampled_from([None, FLOOR_ID, *others]))
     scene = Scene(initial=states[0], theme_id=theme_id, ground_id=ground_id,
                   goal_id=ground_id, direction=(1.0, 0.0, 0.0))
@@ -253,7 +254,8 @@ def hand_built_runs(draw):
 
 @seed(20161006)
 @settings(max_examples=200, deadline=None)
-@given(run=hand_built_runs(), fmt=st.sampled_from(["jsonl", "csv"]))
+@given(run=hand_built_runs(actions=("roll", "slide", "glissé", "滚")),
+       fmt=st.sampled_from(["jsonl", "csv"]))
 def test_writer_matches_generic_json_walk_on_hand_built_traces(tmp_path_factory, run, fmt):
     trace, scene, cfg = run
     path = tmp_path_factory.mktemp("w") / f"t.{fmt}"
@@ -755,6 +757,69 @@ def test_a_json_string_or_boolean_is_not_a_number(tmp_path, lex, fmt, damage, me
     with pytest.raises(TraceFormatError) as got:
         read_trace(path)
     assert str(got.value) == message
+
+
+NOT_A_BODY = "must be null or the id of a header body, got"
+ACTIONS = "(one of bounce, fly, move, roll, slide)"
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("damage,message", [
+    (edit_header(lambda h: h["bindings"].update(ground="ghost")), f'bindings.ground {NOT_A_BODY} "ghost"'),
+    (edit_header(lambda h: h["bindings"].update(ground=5)), f"bindings.ground {NOT_A_BODY} 5"),
+    (edit_header(lambda h: h["bindings"].update(ground=["wall"])), f'bindings.ground {NOT_A_BODY} ["wall"]'),
+    (edit_header(lambda h: h.update(goal=5)), f"goal {NOT_A_BODY} 5"),
+    (edit_header(lambda h: h.update(goal="Wall")), f'goal {NOT_A_BODY} "Wall"'),
+    (edit_header(lambda h: h.update(direction=[0, 0, 0])),
+     "direction must be a horizontal unit vector, got [0, 0, 0]"),
+    (edit_header(lambda h: h.update(direction=[1e308, 0, 0])),
+     "direction must be a horizontal unit vector, got [1e+308, 0, 0]"),
+    (edit_header(lambda h: h.update(direction=[1, 2e-9, 0])),
+     "direction must be a horizontal unit vector, got [1, 2e-09, 0]"),
+    (edit_header(lambda h: h.update(direction=[0, 1, 0])),
+     "direction must be a horizontal unit vector, got [0, 1, 0]"),
+    (edit_header(lambda h: h.update(direction=[2, 0, 0])),
+     "direction must be a horizontal unit vector, got [2, 0, 0]"),
+], ids=["ground-ghost", "ground-a-number", "ground-a-list", "goal-a-number", "goal-ghost",
+        "direction-zero", "direction-1e308", "direction-tilted", "direction-up", "direction-length-2"])
+def test_header_bindings_and_direction_are_checked(tmp_path, lex, fmt, damage, message):
+    path = written_trace(tmp_path / f"t.{fmt}", lex, damage)
+    with pytest.raises(TraceFormatError) as got:
+        read_trace(path)
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("edit", [
+    lambda h: h["bindings"].update(ground=None),
+    lambda h: h.update(goal=None),
+    lambda h: h["bindings"].update(ground="floor"),
+    lambda h: h.update(direction=[0.6, 0, -0.8]),
+    lambda h: h.update(direction=[1 + 5e-10, 1e-9, 0]),
+], ids=["ground-null", "goal-null", "ground-the-floor", "direction-off-axis",
+        "direction-within-1e-9"])
+def test_header_bindings_and_direction_within_the_rules_are_read(tmp_path, lex, fmt, edit):
+    header = {}
+    path = written_trace(tmp_path / f"t.{fmt}", lex, edit_header(lambda h: (edit(h), header.update(h))))
+    doc = read_trace(path)
+    assert (doc.scene.ground_id, doc.scene.goal_id) == (header["bindings"]["ground"], header["goal"])
+    assert doc.scene.direction == tuple(header["direction"])
+
+
+@pytest.mark.parametrize("fmt,damage,shown", [
+    ("jsonl", edit_record(lambda r: r.update(action=5)), "5"),
+    ("jsonl", edit_record(lambda r: r.update(action="hop")), '"hop"'),
+    ("jsonl", edit_record(lambda r: r.update(action=["roll"])), '["roll"]'),
+    ("jsonl", edit_record(lambda r: r.update(action="Roll")), '"Roll"'),
+    ("csv", edit_row(lambda c: c.__setitem__(-3, "hop")), '"hop"'),
+    ("csv", edit_row(lambda c: c.__setitem__(-3, " roll")), '" roll"'),
+], ids=["jsonl-a-number", "jsonl-hop", "jsonl-a-list", "jsonl-capitalised", "csv-hop",
+        "csv-padded"])
+def test_a_record_action_must_be_a_tick_action(tmp_path, lex, fmt, damage, shown):
+    path = written_trace(tmp_path / f"t.{fmt}", lex, damage)
+    with pytest.raises(TraceFormatError) as got:
+        read_trace(path)
+    assert str(got.value) == f"record 2 has an unknown action {shown} {ACTIONS}"
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])

@@ -19,8 +19,11 @@ from mosim import (
     verify_trace,
 )
 from mosim.errors import DiamondNotAllowed, TraceSceneMismatch
+from mosim.kinematics import Rel
 from mosim.parser import EventFrame
+from mosim.programs import Trace
 from mosim.progtext import format_program
+from mosim.record import replace
 from mosim.rng import stream_for
 from mosim.scene import ground_object_id
 from mosim.verify import CHECK_NAMES
@@ -208,3 +211,57 @@ def test_compiler_scene_and_verifier_bind_the_ground_alike(lex, cfg, sentence, g
     assert f"(at ball {ground_id})" in format_program(compile_event(frame, lex, cfg))
     report = verify_trace(trace, frame, scene, cfg)
     assert "unbound" not in report.check("path_pre").detail + report.check("path_post").detail
+
+
+# -- the mechanical checks on hand-built traces: the first fault is the one reported --
+
+
+def _with_flag(trace, i, body_id, other, rel):
+    """``trace`` with ``body_id``'s flag for ``other`` set to ``rel`` in state ``i`` only."""
+    state = trace.states[i]
+    body = state.body(body_id)
+    states = list(trace.states)
+    states[i] = state.with_body(replace(body, contacts={**body.contacts, other: rel}))
+    return Trace(tuple(states), trace.labels)
+
+
+def _with_time(trace, i, time):
+    states = list(trace.states)
+    states[i] = replace(states[i], time=time)
+    return Trace(tuple(states), trace.labels)
+
+
+@pytest.mark.parametrize("faults,index,detail", [
+    # the wall's map, not the theme's: every body's map is read
+    ([(0, "wall", "floor"), (5, "floor", "wall")], 0, "wall penetrates floor at state 0"),
+    ([(9, "wall", "ball"), (7, "floor", "wall")], 7, "floor penetrates wall at state 7"),
+    # two in one state: the first in bodies order, then in map order
+    ([(4, "wall", "ball"), (4, "floor", "wall")], 4, "floor penetrates wall at state 4"),
+    ([(4, "wall", "ball"), (4, "wall", "floor")], 4, "wall penetrates floor at state 4"),
+], ids=["state-0-and-later", "two-later-states", "two-bodies-in-one-state", "one-map-twice"])
+def test_no_penetration_reports_the_first_po_flag(lex, cfg, faults, index, detail):
+    frame, scene, trace = run_sentence("the ball rolled to the wall", lex, cfg)
+    assert list(trace.states[0].bodies) == ["floor", "ball", "wall"]
+    for i, body_id, other in faults:
+        trace = _with_flag(trace, i, body_id, other, Rel.PO)
+    got = verify_trace(trace, frame, scene, cfg).check("no_penetration")
+    assert (got.passed, got.offending_index, got.detail) == (False, index, detail)
+
+
+def test_uniform_timing_reports_the_first_bad_step(lex, cfg):
+    frame, scene, trace = run_sentence("the ball rolled to the wall", lex, cfg)
+    # state 3 an hour late: steps 3 and 4 are both off, and step 3 is reported
+    trace = _with_time(trace, 3, 3600.0)
+    report = verify_trace(trace, frame, scene, cfg)
+    got = report.check("uniform_timing")
+    assert (got.passed, got.offending_index) == (False, 3)
+    assert got.detail == "step 3 advanced 3599.96666667 s, expected 0.0166666666667"
+    assert report.check("no_penetration").passed
+
+
+def test_uniform_timing_reports_the_earlier_of_two_bad_steps(lex, cfg):
+    frame, scene, trace = run_sentence("the ball rolled to the wall", lex, cfg)
+    trace = _with_time(_with_time(trace, 6, trace.states[6].time + 0.5), 2, 0.0)
+    got = verify_trace(trace, frame, scene, cfg).check("uniform_timing")
+    assert (got.passed, got.offending_index) == (False, 2)
+    assert got.detail == "step 2 advanced -0.0166666666667 s, expected 0.0166666666667"
