@@ -414,11 +414,13 @@ def eval_formula(
 # -- the execution machine --------------------------------------------------------------
 
 # A history is a linked list of the states a run has left, newest first:
-# None | (state, label, rest), where label is the action of the tick that
-# left the state.  A tick pushes one cell and never copies, so a run of n
-# ticks costs O(n), and the alternatives pending on the search stack share
+# None | (state, label, rest, number), where label is the action of the tick
+# that left the state.  A tick pushes one cell and never copies, so a run of
+# n ticks costs O(n), and the alternatives pending on the search stack share
 # the prefix they have in common.  The Trace is built once, when a run
-# succeeds.
+# succeeds.  ``number`` is None under execute; under enumeration it is a
+# one-item list that holds the cell's number once a run through the cell
+# has succeeded (see _HistoryIds).
 History = Union[None, tuple]
 
 # The node of a continuation cell that holds a pending iteration; see _search.
@@ -449,7 +451,7 @@ def _trace_of(history: History, cur: WorldState) -> Trace:
     states = [cur]
     labels = []
     while history is not None:
-        state, label, history = history
+        state, label, history, _ = history
         states.append(state)
         labels.append(label)
     states.reverse()
@@ -458,32 +460,40 @@ def _trace_of(history: History, cur: WorldState) -> Trace:
 
 
 class _HistoryIds:
-    """Numbers the histories of one search: equal numbers mean equal histories.
+    """Numbers the successful runs of one search: equal numbers mean equal runs.
 
-    A cell's number is interned from (number of its rest, key of its state,
-    its label), so two histories get the same number exactly when they hold
-    the same state keys and labels in the same order.  Each cell is keyed once;
-    ``(number of the history, key of the final state)`` is then equal
-    exactly when ``Trace.key()`` is.
+    A cell is numbered by (number of its rest, its label), and the first state
+    seen under that pair takes the number unkeyed.  Only a second state object
+    under the pair keys both (``_state_key``), and the pair is keyed by state
+    from then on.  So two histories get the same number exactly when they hold
+    the same labels and state keys in the same order, and a final state
+    interned as (number of its history, None) is equal exactly when
+    ``Trace.key()`` is.  A cell keeps its number in its last slot.
     """
 
     def __init__(self) -> None:
-        self._numbers: dict[tuple, int] = {}
-        # id(cell) -> (cell, number); holding the cell keeps its id unique
-        self._cells: dict[int, tuple] = {}
+        # pair -> (first state, or None once keyed; number), and (pair, state key) -> number
+        self._numbers: dict[tuple, object] = {}
 
-    def number(self, history: History) -> int:
-        pending = []
-        while history is not None and id(history) not in self._cells:
-            pending.append(history)
+    def add(self, history: History, final: WorldState) -> bool:
+        """Number the run that left ``history`` and ended in ``final``; true if it is new."""
+        cells = [(final, None, None, [None])]
+        while history is not None and history[3][0] is None:
+            cells.append(history)
             history = history[2]
-        number = 0 if history is None else self._cells[id(history)][1]
-        for cell in reversed(pending):
-            state, label, _ = cell
-            key = (number, _state_key(state), label)
-            number = self._numbers.setdefault(key, len(self._numbers) + 1)
-            self._cells[id(cell)] = (cell, number)
-        return number
+        number = 0 if history is None else history[3][0]
+        numbers = self._numbers
+        for state, label, _, slot in reversed(cells):
+            count = len(numbers)  # a new number is the count once it is stored: above all others
+            pair = (number, label)
+            first, number = numbers.setdefault(pair, (state, count + 1))
+            if first is not state:
+                if first is not None:
+                    numbers[pair] = (None, number)
+                    numbers[pair, _state_key(first)] = number
+                number = numbers.setdefault((pair, _state_key(state)), len(numbers) + 1)
+            slot[0] = number
+        return number > count
 
 
 @record
@@ -522,13 +532,13 @@ def _search(
     iteration), which pushes both alternatives with the first on top.
     With an rng, one bit drawn at the branch may swap them, and the first
     successful run ends the search.  Without one, the order is left-biased
-    and (with want_all) every successful run is collected once,
-    deduplicated on its numbered history.  Nodes are told apart by their
-    exact type, the most frequent first.
+    and (with want_all) every successful run is collected once: a run is
+    numbered by its labels when it succeeds, and its states are keyed only
+    where two runs with the same labels meet (see _HistoryIds).  Nodes are
+    told apart by their exact type, the most frequent first.
     """
     traces: list[Trace] = []
     history_ids = _HistoryIds() if want_all else None
-    seen_keys: set = set()
     pruned = False
     failure: tuple = (-1, None, "no run attempted")
     stack: list[tuple] = [((program, None), None, s0, 0)]
@@ -547,7 +557,7 @@ def _search(
                     pruned = True
                     failed = (ticks, node, "tick budget exhausted at")
                     break
-                history = (cur, node.action, history)
+                history = (cur, node.action, history, [None] if want_all else None)
                 heading = cur.body(node.theme).heading
                 cur = kinematics.tick(cur, node.action, node.theme, heading, cur.cfg)
                 ticks += 1
@@ -593,9 +603,7 @@ def _search(
             if history_ids is None:
                 traces.append(_trace_of(history, cur))
                 break
-            key = (history_ids.number(history), _state_key(cur))
-            if key not in seen_keys:
-                seen_keys.add(key)
+            if history_ids.add(history, cur):
                 traces.append(_trace_of(history, cur))
             continue
         if failed is not None and failed[0] >= failure[0]:

@@ -142,6 +142,11 @@ def write_trace(
 ) -> None:
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}")
+    for label in trace.labels:  # the labels the reader takes back
+        if type(label) is not str or label not in TICK_ACTIONS:
+            raise ValueError(
+                f"label {label!r:.40} is not a tick action (one of {', '.join(sorted(TICK_ACTIONS))})"
+            )
     header = _json_value(_header_dict(sentence, trace, scene, cfg))
     if fmt == "jsonl":
         lines = [header]
@@ -215,6 +220,8 @@ def _parse_header(obj: dict) -> tuple[SceneConfig, dict]:
         raise TraceFormatError(f"bad cfg snapshot: {exc}") from exc
     for key in ("sentence", "frames", "bindings", "bodies", "direction"):
         _need(obj, key, "header")
+    if type(obj["frames"]) is not int:
+        raise TraceFormatError(f"header frames must be an integer, got {json.dumps(obj['frames']):.40}")
     return cfg, _catalog(obj["bodies"])
 
 
@@ -340,6 +347,10 @@ def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) 
                     f" (one of {', '.join(sorted(TICK_ACTIONS))})"
                 )
             labels.append(action)
+        elif action is not None:
+            raise TraceFormatError(
+                f"record 0 has an action {json.dumps(action):.40}; the first state has no incoming tick"
+            )
 
     trace = Trace(tuple(states), tuple(labels))
     scene = Scene(
@@ -405,12 +416,24 @@ def _checked_jsonl_record(i: int, obj, ids) -> Record:
     return index, time, poses, obj.get("action")
 
 
+# The scanner json.loads runs: a line whose value it reads to the end of the line
+# is what json.loads would make of it, without the whitespace checks around it.
+_scan_json = json.JSONDecoder().scan_once
+
+
 def _read_jsonl(text: str) -> TraceDocument:
     objs = []
     for n, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
+            obj, end = _scan_json(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end == len(line):
+            objs.append(obj)
+            continue
+        try:  # padding around the value is read here, and any fault raises as before
             objs.append(json.loads(line))
         except json.JSONDecodeError as exc:
             raise TraceFormatError(
@@ -472,7 +495,7 @@ def _read_csv(text: str) -> TraceDocument:
                 last_texts[k], last_poses[k] = texts, _numbers(texts, f"csv row {i}")
             poses.append(last_poses[k])
         time, = _numbers((cells[time_col],), f"csv row {i} time")
-        action = cells[action_col] if action_col is not None else None
+        action = (cells[action_col] or None) if action_col is not None else None  # empty: none
         return index, time, poses, action
 
     return _rebuild(header, cfg, catalog, lines[2:], record)

@@ -36,7 +36,7 @@ from mosim import (
     truth,
 )
 from mosim import programs
-from mosim.programs import Scale, Sub, eval_term
+from mosim.programs import Add, Scale, Sub, eval_term
 from mosim.errors import (
     DimensionMismatchError,
     ExplosionGuard,
@@ -471,33 +471,50 @@ def test_compile_bare_leave_is_generic_motion(lex):
 # -- randomized oracle equivalence --------------------------------------------------------
 
 
-def _random_program(r, choices_left, stars_left, depth=0):
+_ASSIGNED = {
+    "rot": [Const(0.0), Const(1.0), Add(AttrTerm(Attr("ball", "rot")), Const(1.0))],
+    "loc": [Const((0.0, 0.5, 0.0)), Const((1.0, 0.5, 0.0)), Const((0.0, 2.0, 0.0))],
+}
+
+
+def _random_program(r, choices_left, stars_left, depth=0, assigns=False):
+    """A small program over the ball; ``assigns`` adds assignments and choices of a branch with itself."""
     options = ["tick", "tick", "test"]
+    if assigns:
+        options += ["assign", "dassign"]
     if depth < 3:
         options.append("seq")
         if choices_left[0] > 0:
             options.append("choice")
+            if assigns:
+                options.append("same-choice")
         if stars_left[0] > 0:
             options.append("star")
     kind = options[r.next_u64() % len(options)]
+
+    def sub():
+        return _random_program(r, choices_left, stars_left, depth + 1, assigns)
+
     if kind == "tick":
         return Tick(["roll", "slide", "move"][r.next_u64() % 3], "ball")
     if kind == "test":
         formulas = [truth(), EC("ball", "floor"), DC("ball", "floor"), Not(EC("ball", "floor"))]
         return Test(formulas[r.next_u64() % len(formulas)])
+    if kind in ("assign", "dassign"):
+        name = ["rot", "loc"][r.next_u64() % 2]
+        term = _ASSIGNED[name][r.next_u64() % len(_ASSIGNED[name])]
+        return (Assign if kind == "assign" else DirectedAssign)(Attr("ball", name), term)
     if kind == "seq":
-        return Seq(
-            _random_program(r, choices_left, stars_left, depth + 1),
-            _random_program(r, choices_left, stars_left, depth + 1),
-        )
+        return Seq(sub(), sub())
     if kind == "choice":
         choices_left[0] -= 1
-        return Choice(
-            _random_program(r, choices_left, stars_left, depth + 1),
-            _random_program(r, choices_left, stars_left, depth + 1),
-        )
+        return Choice(sub(), sub())
+    if kind == "same-choice":
+        choices_left[0] -= 1
+        branch = sub()
+        return Choice(branch, branch)
     stars_left[0] -= 1
-    return Star(_random_program(r, choices_left, stars_left, depth + 1), r.next_u64() % 4 + 1)
+    return Star(sub(), r.next_u64() % 4 + 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -534,6 +551,97 @@ def test_diamond_holds_exactly_when_some_enumerated_run_ends_in_the_formula(prob
         for f in formulas:
             expected = any(eval_formula(f, s).value for s in finals)
             assert eval_formula(Diamond(program, f), s0, budget).value == expected, (i, f)
+
+
+def _reference_runs(program, s0, budget):
+    """Every successful run as (states, labels), by a left-biased depth-first walk.
+
+    Choices take the left branch first, and an iteration stops before it
+    takes one more pass.
+    """
+    def walk(cont, state, ticks, left, labels):
+        if not cont:
+            yield (*left, state), labels
+            return
+        node, rest = cont[0], cont[1:]
+        if isinstance(node, Tick):
+            if ticks < budget:
+                after = kin_tick(state, node.action, node.theme, state.body(node.theme).heading,
+                                 state.cfg)
+                yield from walk(rest, after, ticks + 1, (*left, state), (*labels, node.action))
+        elif isinstance(node, Test):
+            if eval_formula(node.formula, state, budget - ticks).value:
+                yield from walk(rest, state, ticks, left, labels)
+        elif isinstance(node, Seq):
+            yield from walk((node.first, node.second, *rest), state, ticks, left, labels)
+        elif isinstance(node, Choice):
+            yield from walk((node.left, *rest), state, ticks, left, labels)
+            yield from walk((node.right, *rest), state, ticks, left, labels)
+        elif isinstance(node, Star):
+            yield from walk(rest, state, ticks, left, labels)
+            if node.bound > 0:
+                again = (node.body, Star(node.body, node.bound - 1), *rest)
+                yield from walk(again, state, ticks, left, labels)
+        else:
+            value = eval_term(node.term, state)
+            if isinstance(node, DirectedAssign) and programs._values_equal(
+                eval_term(AttrTerm(node.attr), state), value, programs.ASSIGN_TOL
+            ):
+                return
+            yield from walk(rest, programs._set_attr(state, node.attr, value), ticks, left, labels)
+
+    return walk((program,), s0, 0, (), ())
+
+
+def reference_enumeration(program, s0, budget):
+    """The first run of each ``Trace.key()``, stably sorted by tick count."""
+    kept = {}
+    for states, labels in _reference_runs(program, s0, budget):
+        trace = programs.Trace(states, labels)
+        kept.setdefault(trace.key(), trace)
+    return sorted(kept.values(), key=lambda t: t.tick_count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(index=st.integers(min_value=0, max_value=10_000))
+def test_enumeration_equals_the_reference_in_order(index):
+    from mosim import builtin_lexicon
+
+    s0 = probe_scene(SceneConfig(seed=0), builtin_lexicon()).initial
+    gen = SplitMix64(1517).stream(f"prog{index}")
+    program = _random_program(gen, [3], [2], assigns=True)
+    budget = int(3 + gen.next_u64() % 10)
+    got = enumerate_traces(program, s0, budget)
+    want = reference_enumeration(program, s0, budget)
+    assert [(t.labels, t.key()) for t in got] == [(t.labels, t.key()) for t in want]
+
+
+def test_a_star_of_distinct_labels_keys_no_state(probe, monkeypatch):
+    # every run has its own labels, so no two runs meet and no state is keyed
+    calls = []
+    key = programs._state_key
+    monkeypatch.setattr(programs, "_state_key", lambda state: calls.append(None) or key(state))
+    traces = enumerate_traces(Star(Choice(roll(), slide()), 10), probe.initial, budget=100)
+    assert len(traces) == 2**11 - 1
+    assert calls == []
+    # runs that meet under the same labels are keyed, and kept once; a pair,
+    # once keyed, does not key its first state again (38 calls if it did)
+    assert len(enumerate_traces(Star(Choice(roll(), roll()), 3), probe.initial, budget=100)) == 4
+    assert len(calls) == 24
+
+
+def test_an_enumeration_where_no_run_succeeds_numbers_no_cell(probe, monkeypatch):
+    made = []
+
+    class Recorded(programs._HistoryIds):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(programs, "_HistoryIds", Recorded)
+    program = Seq(Star(Choice(roll(), slide()), 8), Test(DC("ball", "floor")))
+    assert enumerate_traces(program, probe.initial, budget=100) == []
+    assert len(made) == 1 and made[0]._numbers == {}
 
 
 def test_enumeration_node_count_is_pinned(probe):

@@ -12,7 +12,7 @@ from mosim import SceneConfig, build_scene, compile_event, execute, parse_text, 
 from mosim import kinematics, tracefile
 from mosim.errors import TraceFormatError, UnsupportedShapePair
 from mosim.kinematics import PLUS_X, ZERO3, Body, WorldState, contact_relation, refresh_contacts
-from mosim.lexicon import FLOOR_ID, Shape, load_lexicon
+from mosim.lexicon import FLOOR_ID, TICK_ACTIONS, Shape, load_lexicon
 from mosim.programs import Trace
 from mosim.record import replace
 from mosim.rng import stream_for
@@ -141,6 +141,21 @@ def test_bad_json_reports_its_line_in_the_file(tmp_path, lex, cfg):
         read_trace(path)
 
 
+def test_a_jsonl_line_reads_as_json_loads_reads_it(tmp_path, lex):
+    plain = read_trace(written_trace(tmp_path / "plain.jsonl", lex)).trace
+
+    def pad(lines, fmt):
+        lines[2] = " \t" + lines[2] + "  "
+
+    assert read_trace(written_trace(tmp_path / "padded.jsonl", lex, pad)).trace == plain
+
+    def two_values(lines, fmt):
+        lines[2] = lines[2] + "," + lines[3]
+
+    with pytest.raises(TraceFormatError, match=r"^invalid JSON in trace file: Extra data \(line 3, column"):
+        read_trace(written_trace(tmp_path / "two.jsonl", lex, two_values))
+
+
 # -- the writer against the generic JSON walk it replaced ----------------------------
 
 
@@ -259,6 +274,12 @@ def hand_built_runs(draw, actions=("roll", "slide")):
 def test_writer_matches_generic_json_walk_on_hand_built_traces(tmp_path_factory, run, fmt):
     trace, scene, cfg = run
     path = tmp_path_factory.mktemp("w") / f"t.{fmt}"
+    if not TICK_ACTIONS.issuperset(trace.labels):
+        # a label the reader refuses is refused before the file is opened
+        with pytest.raises(ValueError, match=r"^label '(glissé|滚)' is not a tick action \(one of "):
+            write_trace(path, fmt, "a sentence, with «quotes»", trace, scene, cfg)
+        assert not path.exists()
+        return
     write_trace(path, fmt, "a sentence, with «quotes»", trace, scene, cfg)
     assert path.read_bytes() == oracle_bytes(fmt, "a sentence, with «quotes»", trace, scene, cfg)
 
@@ -894,6 +915,59 @@ def test_an_integer_past_the_digit_limit_is_a_format_error(tmp_path, lex, fmt, l
     with pytest.raises(TraceFormatError) as got:
         read_trace(path)
     assert str(got.value) == message
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("as_written", [float, lambda n: True, str], ids=["float", "bool", "string"])
+def test_header_frames_must_be_a_json_integer(tmp_path, lex, fmt, as_written):
+    header = {}
+
+    def edit(h):
+        h.update(frames=as_written(h["frames"]))
+        header.update(h)
+
+    path = written_trace(tmp_path / f"t.{fmt}", lex, edit_header(edit))
+    with pytest.raises(TraceFormatError) as got:
+        read_trace(path)
+    assert str(got.value) == f"header frames must be an integer, got {json.dumps(header['frames'])}"
+
+
+def edit_first_state(edit):
+    """``edit`` applied to record 0: its jsonl object, or its csv cells."""
+    def damage(lines, fmt):
+        if fmt == "csv":
+            cells = lines[2].split(",")
+            edit(cells)
+            lines[2] = ",".join(cells)
+        else:
+            record = json.loads(lines[1])
+            edit(record)
+            lines[1] = json.dumps(record)
+    return damage
+
+
+@pytest.mark.parametrize("fmt,edit,shown", [
+    ("jsonl", lambda r: r.update(action=[1, 2]), "[1, 2]"),
+    ("jsonl", lambda r: r.update(action="roll"), '"roll"'),
+    ("jsonl", lambda r: r.update(action=""), '""'),
+    ("jsonl", lambda r: r.update(action=False), "false"),
+    ("csv", lambda c: c.__setitem__(-3, "roll"), '"roll"'),
+    ("csv", lambda c: c.__setitem__(-3, " "), '" "'),
+], ids=["jsonl-a-list", "jsonl-roll", "jsonl-empty-string", "jsonl-false", "csv-roll", "csv-a-space"])
+def test_record_0_carries_no_action(tmp_path, lex, fmt, edit, shown):
+    path = written_trace(tmp_path / f"t.{fmt}", lex, edit_first_state(edit))
+    with pytest.raises(TraceFormatError) as got:
+        read_trace(path)
+    assert str(got.value) == (
+        f"record 0 has an action {shown}; the first state has no incoming tick"
+    )
+
+
+def test_record_0_may_write_its_missing_action_as_null(tmp_path, lex):
+    plain = read_trace(written_trace(tmp_path / "plain.jsonl", lex))
+    null = read_trace(written_trace(tmp_path / "null.jsonl", lex,
+                                    edit_first_state(lambda r: r.update(action=None))))
+    assert null.trace == plain.trace
 
 
 def test_reading_pauses_the_collector_and_leaves_it_as_it_found_it(
