@@ -5,8 +5,9 @@ the bounce action.  Every tick is a pure function from world state to
 world state; determinism and checkability win over physical fidelity.
 Shapes are spheres, axis-aligned boxes and the horizontal floor plane,
 which keeps surface distances exact and the contact relations decidable.
-``_relation`` is the one place a gap becomes a relation; every other
-module reads the flags ``refresh_contacts`` and ``tick`` leave on each body.
+A gap becomes a relation only here, by ``_relation`` or, in ``tick``, the
+same test written inline; every other module reads the flags
+``refresh_contacts`` and ``tick`` leave on each body.
 A tick moves only its theme, so it decides only the theme's relations, in
 one pass over the bodies; ``refresh_contacts`` and the trace reader, where
 any body may have moved, decide theirs with ``_with_contacts``.
@@ -320,11 +321,23 @@ def _fill_contacts(bodies: dict[str, Body], eps: float) -> None:
 
 
 def _unit_horizontal(direction: Vec3) -> Vec3:
-    if abs(direction[1]) > 1e-9:
+    """``direction`` divided by its horizontal length, with y set to +0.0.
+
+    A heading already in that form comes back as the same object: dividing
+    by exactly 1.0 changes no bit, so a heading tick stored is not rebuilt.
+    """
+    if direction is PLUS_X:
+        return direction
+    y = direction[1]
+    if abs(y) > 1e-9:
         raise ValueError("motion direction must be horizontal")
     n = hnorm(direction)
     if n == 0.0:
         raise ValueError("motion direction must be nonzero")
+    if (n == 1.0 and type(direction) is tuple and len(direction) == 3
+            and type(direction[0]) is float and type(direction[2]) is float
+            and type(y) is float and y == 0.0 and math.copysign(1.0, y) == 1.0):
+        return direction
     return (direction[0] / n, 0.0, direction[2] / n)
 
 
@@ -349,7 +362,7 @@ def tick(
     world: WorldState,
     action: str,
     theme_id: str,
-    direction: Vec3,
+    direction: Vec3 | None = None,
     cfg: SceneConfig | None = None,
 ) -> WorldState:
     """Advance the world by one timestep of the named atomic action.
@@ -359,34 +372,42 @@ def tick(
     is the generic translation.  fly translates at the current altitude.
     bounce adds semi-implicit vertical ballistics with a restitution
     bounce on floor crossing.  Any action stops at the surface of a goal
-    body instead of entering it.  Contact flags use ``world.cfg.contact_eps``.
+    body instead of entering it.
+
+    ``direction`` defaults to the theme's own heading.  The tick runs under
+    ``world.cfg``, whose ``contact_eps`` decided the flags it reads; ``cfg``
+    is accepted only as that config, and any other raises ``ValueError``.
     """
-    cfg = cfg or world.cfg
+    if cfg is not None and cfg is not world.cfg and cfg != world.cfg:
+        raise ValueError("tick runs under the world's config; another config was given")
+    cfg = world.cfg
     theme = world.body(theme_id)
     if not theme.mobile:
         raise ImmobileThemeError(theme_id)
-    direction = _unit_horizontal(direction)
+    direction = _unit_horizontal(theme.heading if direction is None else direction)
     if action not in TICK_ACTIONS:
         raise ValueError(f"unknown tick action {action!r}")
 
     dt = cfg.dt
     step = cfg.speed * dt
-    x = theme.position[0] + direction[0] * step
-    z = theme.position[2] + direction[2] * step
+    p0 = theme.position
+    x = p0[0] + direction[0] * step
+    z = p0[2] + direction[2] * step
     vy = theme.velocity[1]
-    rest = rest_height(theme.shape, theme.dimensions)
+    shape, dims = theme.shape, theme.dimensions
+    rest = dims[0] if shape is _SPHERE else dims[1] / 2.0 if shape is _BOX else 0.0
 
     if action in ("roll", "slide", "move"):
         y = rest  # contact clamp prevents drift
         vy = 0.0
     elif action == "fly":
-        y = theme.position[1]
+        y = p0[1]
         vy = 0.0
     else:  # bounce
         # exact constant-gravity flight, sampled at dt; a floor crossing
         # parks the body at contact for the rest of the step and stores
         # the restitution-scaled rebound speed (apex decay stays e^2-exact)
-        y0 = theme.position[1]
+        y0 = p0[1]
         g = cfg.gravity
         y = y0 + vy * dt - 0.5 * g * dt * dt
         if y < rest:
@@ -399,10 +420,8 @@ def tick(
     # Clamp against every solid body but the floor, in bodies order.  ``gaps``
     # keeps each obstacle's gap, theme first, measured at ``pos``; moving the
     # theme back empties it.
-    eps, flag_eps = cfg.contact_eps, world.cfg.contact_eps
-    # the flags were decided with the world's eps; another eps cannot read them
-    flags = theme.contacts if eps == flag_eps else {}
-    shape = theme.shape
+    eps = cfg.contact_eps
+    flags = theme.contacts
     pos = (x, y, z)
     gaps = {}
     seen = False
@@ -417,35 +436,34 @@ def tick(
         # flag was measured in bodies order, which a like shape before the theme
         # reverses (see _gap)
         if not ((seen or other.shape is not shape) and flags.get(key) is _DC):
-            d_old = _gap(theme, theme.position, other, other.position)
+            d_old = _gap(theme, p0, other, other.position)
             if d_old <= eps and d_new < d_old:
                 # already in contact and not separating: no further motion
-                pos = (theme.position[0], pos[1], theme.position[2])
+                pos = (p0[0], pos[1], p0[2])
                 gaps = {}
                 continue
         if d_new < 0.0:
-            frac = _clamp_fraction(theme, theme.position, pos, other)
-            pos = vadd(theme.position, vscale(vsub(pos, theme.position), frac))
+            frac = _clamp_fraction(theme, p0, pos, other)
+            pos = vadd(p0, vscale(vsub(pos, p0), frac))
             gaps = {}
         else:
             gaps[key] = d_new
 
-    moved_h = math.hypot(pos[0] - theme.position[0], pos[2] - theme.position[2])
     rotation = theme.rotation
     if action == "roll":
-        rotation += moved_h / theme.rolling_radius
+        rotation += math.hypot(pos[0] - p0[0], pos[2] - p0[2]) / theme.rolling_radius
 
-    velocity = vscale(vsub(pos, theme.position), 1.0 / dt)
-    if action == "bounce":
-        # report the ballistic state, not the positional difference, so the
-        # restitution flip survives the floor clamp
-        velocity = (velocity[0], vy, velocity[2])
+    inv_dt = 1.0 / dt
+    # a bounce reports the ballistic state, not the positional difference, so
+    # the restitution flip survives the floor clamp
+    velocity = ((pos[0] - p0[0]) * inv_dt,
+                vy if action == "bounce" else (pos[1] - p0[1]) * inv_dt,
+                (pos[2] - p0[2]) * inv_dt)
 
     # Only the theme moved, so only its pairs can change.  Each is measured in
     # bodies order, or read from ``gaps`` when the theme-first gap is that
     # measurement.  Copy on write: the theme keeps its flag map, and another
     # body its Body object, unless one of its flags changed.
-    old = theme.contacts
     new = {}
     changed = False
     complete = True
@@ -461,21 +479,21 @@ def tick(
             if d is None:
                 d = (_gap(theme, pos, other, other.position) if seen
                      else _gap(other, other.position, theme, pos))
-            rel = _relation(d, flag_eps)
         except UnsupportedShapePair:
             rel = None
         else:
+            rel = _DC if d > eps else _PO if d < -eps else _EC
             new[key] = rel
-        if rel is not old.get(key):
+        if rel is not flags.get(key):
             changed = True
         back = other.contacts
         if len(back) < full:
             complete = False
         if rel is not back.get(theme_id):
             bodies[key] = _with_flags(world.bodies, key, {theme_id: rel})
-    bodies[theme_id] = Body(theme.id, shape, theme.dimensions, theme.mobile, pos, direction,
-                            rotation, velocity, new if changed else old)
+    bodies[theme_id] = Body(theme.id, shape, dims, theme.mobile, pos, direction,
+                            rotation, velocity, new if changed else flags)
     tick_index = world.tick_index + 1
-    state = WorldState(tick_index * cfg.dt, tick_index, bodies, world.cfg)
+    state = WorldState(tick_index * dt, tick_index, bodies, cfg)
     # a hand-built state may lack the flags of pairs the theme is not in
     return state if complete else refresh_contacts(state)

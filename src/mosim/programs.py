@@ -529,7 +529,8 @@ def _search(
     (body, n, rest)), so a pass builds no Star record.  Each popped run is
     one node against ``node_cap``; it runs its deterministic prefix up to
     success, failure or a two-way branch (a choice, or a bounded
-    iteration), which pushes both alternatives with the first on top.
+    iteration).  A branch pushes its second alternative and runs the first
+    in place, counted as one more node, as if it had been pushed and popped.
     With an rng, one bit drawn at the branch may swap them, and the first
     successful run ends the search.  Without one, the order is left-biased
     and (with want_all) every successful run is collected once: a run is
@@ -558,8 +559,7 @@ def _search(
                     failed = (ticks, node, "tick budget exhausted at")
                     break
                 history = (cur, node.action, history, [None] if want_all else None)
-                heading = cur.body(node.theme).heading
-                cur = kinematics.tick(cur, node.action, node.theme, heading, cur.cfg)
+                cur = kinematics.tick(cur, node.action, node.theme)
                 ticks += 1
                 cont = rest
             elif t is Test:
@@ -586,8 +586,11 @@ def _search(
                 if rng is not None and rng.next_bit():
                     first, second = second, first
                 stack.append((second, history, cur, ticks))
-                stack.append((first, history, cur, ticks))
-                break
+                # the first alternative runs in place, one node as if popped
+                nodes += 1
+                if nodes > node_cap:
+                    raise ExplosionGuard(nodes, node_cap)
+                cont = first
             elif t is Assign or t is DirectedAssign:
                 value = eval_term(node.term, cur)
                 if t is DirectedAssign:

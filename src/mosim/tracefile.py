@@ -222,6 +222,17 @@ def _parse_header(obj: dict) -> tuple[SceneConfig, dict]:
         _need(obj, key, "header")
     if type(obj["frames"]) is not int:
         raise TraceFormatError(f"header frames must be an integer, got {json.dumps(obj['frames']):.40}")
+    if type(obj["sentence"]) is not str:
+        raise TraceFormatError(f"header sentence must be a string, got {json.dumps(obj['sentence']):.40}")
+    # seed and dt repeat the cfg snapshot's; a copy that disagrees is a damaged header
+    if "seed" in obj and (type(obj["seed"]) is not int or obj["seed"] != cfg.seed):
+        raise TraceFormatError(
+            f"header seed must be the cfg snapshot's integer {cfg.seed}, got {json.dumps(obj['seed']):.40}"
+        )
+    if "dt" in obj and (type(obj["dt"]) not in (int, float) or obj["dt"] != cfg.dt):
+        raise TraceFormatError(
+            f"header dt must equal the cfg snapshot's {json.dumps(cfg.dt)}, got {json.dumps(obj['dt']):.40}"
+        )
     return cfg, _catalog(obj["bodies"])
 
 

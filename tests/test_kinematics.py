@@ -6,6 +6,7 @@ from hypothesis import given, seed, settings, strategies as st
 from mosim import Rel, SceneConfig, contact_relation, kinematics, surface_distance, tick
 from mosim.errors import ImmobileThemeError, UnsupportedShapePair
 from mosim.kinematics import (
+    PLUS_X,
     Body,
     WorldState,
     _clamp_fraction,
@@ -402,11 +403,21 @@ def _reference_contacts(bodies, eps):
     return {key: replace(b, contacts=flags[key]) for key, b in items}
 
 
-def reference_tick(world, action, theme_id, direction, cfg=None):
+def dividing_unit_horizontal(direction):
+    """``_unit_horizontal`` as it was: every heading divided by its length."""
+    if abs(direction[1]) > 1e-9:
+        raise ValueError("motion direction must be horizontal")
+    n = hnorm(direction)
+    if n == 0.0:
+        raise ValueError("motion direction must be nonzero")
+    return (direction[0] / n, 0.0, direction[2] / n)
+
+
+def reference_tick(world, action, theme_id, direction):
     """The tick that measured every gap afresh and recomputed every pair."""
-    cfg = cfg or world.cfg
+    cfg = world.cfg
     theme = world.body(theme_id)
-    direction = _unit_horizontal(direction)
+    direction = dividing_unit_horizontal(direction)
     dt = cfg.dt
     step = cfg.speed * dt
     x = theme.position[0] + direction[0] * step
@@ -435,8 +446,63 @@ def reference_tick(world, action, theme_id, direction, cfg=None):
         velocity = (velocity[0], vy, velocity[2])
     new_theme = replace(theme, position=final, heading=direction, rotation=rotation,
                         velocity=velocity)
-    bodies = _reference_contacts({**world.bodies, theme.id: new_theme}, world.cfg.contact_eps)
+    bodies = _reference_contacts({**world.bodies, theme.id: new_theme}, cfg.contact_eps)
     return WorldState((world.tick_index + 1) * cfg.dt, world.tick_index + 1, bodies, world.cfg)
+
+
+def _near_unit(draw):
+    """A heading whose length is 1.0, or within a few ulps of it, in either rounding."""
+    angle = draw(st.floats(min_value=-math.pi, max_value=math.pi))
+    x, z = math.cos(angle), math.sin(angle)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        x = math.nextafter(x, draw(st.sampled_from([math.inf, -math.inf])))
+    return x, z
+
+
+COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.6, -0.8, math.inf, math.nan]),
+    st.integers(min_value=-2, max_value=2),
+    st.floats(min_value=-2.0, max_value=2.0),
+)
+
+
+@st.composite
+def headings(draw):
+    x, z = _near_unit(draw) if draw(st.booleans()) else (draw(COMPONENT), draw(COMPONENT))
+    y = draw(st.sampled_from([0.0, -0.0, 0, 1e-10, -1e-10, 2e-9, 1.0]))
+    return draw(st.sampled_from([tuple, list]))((x, y, z))
+
+
+@seed(20161006)
+@settings(max_examples=400, deadline=None)
+@given(direction=headings())
+def test_unit_horizontal_matches_the_dividing_form_bit_for_bit(direction):
+    try:
+        want = dividing_unit_horizontal(direction)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            _unit_horizontal(direction)
+        return
+    got = _unit_horizontal(direction)
+    assert type(got) is tuple
+    assert [c.hex() for c in got] == [c.hex() for c in want]
+    # a float tuple of length 1.0 with y = +0.0 is already in normal form: it is not rebuilt
+    unit = (type(direction) is tuple and [type(c) for c in direction] == [float] * 3
+            and hnorm(direction) == 1.0 and math.copysign(1.0, direction[1]) == 1.0
+            and direction[1] == 0.0)
+    assert (got is direction) == unit
+
+
+def test_unit_horizontal_returns_plus_x_and_a_stored_heading_as_themselves():
+    assert _unit_horizontal(PLUS_X) is PLUS_X
+    w = world(FLOOR, ball_at((0.0, 0.5, 0.0)))
+    for _ in range(3):
+        w = tick(w, "roll", "ball")
+        assert w.body("ball").heading is PLUS_X
+    # a heading of length 1.0 that tick did not make is carried along as well
+    w = tick(w, "roll", "ball", (0.6, 0.0, 0.8))
+    heading = w.body("ball").heading
+    assert tick(w, "roll", "ball").body("ball").heading is heading
 
 
 def assert_same_state_bits(got, want):
@@ -484,24 +550,26 @@ def obstacle_scenes(draw):
     scene=obstacle_scenes(),
     hand_built=st.booleans(),
     speed=st.sampled_from([1.0, 30.0, 120.0]),    # 1.7 cm, 0.5 m and 2 m per tick
-    other_eps=st.booleans(),
     steps=st.lists(
-        st.tuples(st.sampled_from(ACTIONS), st.floats(min_value=-0.6, max_value=0.6)),
+        # an angle of None ticks along the theme's own heading
+        st.tuples(st.sampled_from(ACTIONS), st.none() | st.floats(min_value=-0.6, max_value=0.6)),
         min_size=1, max_size=8,
     ),
 )
-def test_tick_matches_the_full_refresh_kernel_bit_for_bit(scene, hand_built, speed, other_eps, steps):
+def test_tick_matches_the_full_refresh_kernel_bit_for_bit(scene, hand_built, speed, steps):
     cfg = SceneConfig(seed=0, speed=speed)
     w = WorldState(0.0, 0, scene, cfg)
     if not hand_built:  # hand-built states keep their empty contact maps
         w = refresh_contacts(w)
-    # a tick given another config must measure the gaps the world's flags cannot answer
-    tick_cfg = SceneConfig(seed=0, speed=speed, contact_eps=2e-3) if other_eps else cfg
     got = want = w
     for action, angle in steps:
-        direction = (math.cos(angle), 0.0, math.sin(angle))
-        got = tick(got, action, "theme", direction, tick_cfg)
-        want = reference_tick(want, action, "theme", direction, tick_cfg)
+        if angle is None:
+            got = tick(got, action, "theme")
+            want = reference_tick(want, action, "theme", want.body("theme").heading)
+        else:
+            direction = (math.cos(angle), 0.0, math.sin(angle))
+            got = tick(got, action, "theme", direction)
+            want = reference_tick(want, action, "theme", direction)
         assert_same_state_bits(got, want)
 
 
@@ -576,28 +644,36 @@ def _sphere(body_id, r, x, y=None):
 EDGE_CASES = {
     # the ball-first gap is within eps but the scene-order one, which the DC
     # flag reports, is one ulp beyond it: the old gap must be measured
-    "like shapes before the theme": (
-        [_sphere("ob", 0.1, 0.601, 0.5), _sphere("theme", 0.5, 0.0), FLOOR], 1e-3,
-    ),
-    # DC under the world's eps, in contact under the eps the tick is given
-    "another eps": (
-        [_sphere("theme", 0.5, 0.0),
-         Body("box", Shape.BOX, (1.0, 1.0, 0.2), False, (0.6015, 0.5, 0.0)), FLOOR], 2e-3,
-    ),
+    "like shapes before the theme": [
+        _sphere("ob", 0.1, 0.601, 0.5), _sphere("theme", 0.5, 0.0), FLOOR,
+    ],
     # the proposed position touches the sphere, but the box clamps the step
     # well short of it: the gap measured at the proposed position is stale
-    "a later obstacle clamps": (
-        [_sphere("theme", 0.5, 0.0), _sphere("ob", 0.2, 1.7005, 0.5),
-         Body("box", Shape.BOX, (1.0, 1.0, 0.2), False, (1.1, 0.5, 0.0)), FLOOR], 1e-3,
-    ),
+    "a later obstacle clamps": [
+        _sphere("theme", 0.5, 0.0), _sphere("ob", 0.2, 1.7005, 0.5),
+        Body("box", Shape.BOX, (1.0, 1.0, 0.2), False, (1.1, 0.5, 0.0)), FLOOR,
+    ],
 }
 
 
 @pytest.mark.parametrize("case", EDGE_CASES)
 def test_tick_matches_the_full_refresh_kernel_at_the_edges(case):
-    scene, tick_eps = EDGE_CASES[case]
     cfg = SceneConfig(seed=0, speed=60.0)   # 1 m per tick
-    w = refresh_contacts(WorldState(0.0, 0, {b.id: b for b in scene}, cfg))
-    tick_cfg = SceneConfig(seed=0, speed=60.0, contact_eps=tick_eps)
-    got, want = (f(w, "slide", "theme", (1.0, 0.0, 0.0), tick_cfg) for f in (tick, reference_tick))
+    w = refresh_contacts(WorldState(0.0, 0, {b.id: b for b in EDGE_CASES[case]}, cfg))
+    got, want = (f(w, "slide", "theme", (1.0, 0.0, 0.0)) for f in (tick, reference_tick))
     assert_same_state_bits(got, want)
+
+
+def test_tick_refuses_a_config_other_than_the_worlds():
+    # the flags a tick reads were decided under world.cfg's contact_eps; a tick
+    # under another config would mix two configs in one state
+    scene = [_sphere("theme", 0.5, 0.0),
+             Body("box", Shape.BOX, (1.0, 1.0, 0.2), False, (0.6015, 0.5, 0.0)), FLOOR]
+    w = refresh_contacts(WorldState(0.0, 0, {b.id: b for b in scene}, SceneConfig(seed=0)))
+    for other in (SceneConfig(seed=0, contact_eps=2e-3), SceneConfig(seed=1)):
+        with pytest.raises(ValueError, match="the world's config"):
+            tick(w, "slide", "theme", PLUS_X, other)
+    # the world's own config, or one equal to it, is the same tick as none
+    for same in (w.cfg, SceneConfig(seed=0)):
+        assert_same_state_bits(tick(w, "slide", "theme", PLUS_X, same),
+                               tick(w, "slide", "theme", PLUS_X))

@@ -932,6 +932,49 @@ def test_header_frames_must_be_a_json_integer(tmp_path, lex, fmt, as_written):
     assert str(got.value) == f"header frames must be an integer, got {json.dumps(header['frames'])}"
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("value", [5, None, ["the ball rolled to the wall"]],
+                         ids=["number", "null", "list"])
+def test_header_sentence_must_be_a_string(tmp_path, lex, fmt, value):
+    path = written_trace(tmp_path / f"t.{fmt}", lex, edit_header(lambda h: h.update(sentence=value)))
+    with pytest.raises(TraceFormatError) as got:
+        read_trace(path)
+    assert str(got.value) == f"header sentence must be a string, got {json.dumps(value)}"
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("value", ["x", "42", True, 42.0, 43, None],
+                         ids=["string", "numeric-string", "bool", "float", "another", "null"])
+def test_header_seed_must_be_the_cfg_snapshots_integer(tmp_path, lex, fmt, value):
+    # the written trace ran at seed 42
+    path = written_trace(tmp_path / f"t.{fmt}", lex, edit_header(lambda h: h.update(seed=value)))
+    with pytest.raises(TraceFormatError) as got:
+        read_trace(path)
+    assert str(got.value) == (
+        f"header seed must be the cfg snapshot's integer 42, got {json.dumps(value)}"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("value", [5, 1 / 30, "0.016666666666666666", False, None],
+                         ids=["five", "another", "string", "bool", "null"])
+def test_header_dt_must_equal_the_cfg_snapshots(tmp_path, lex, fmt, value):
+    path = written_trace(tmp_path / f"t.{fmt}", lex, edit_header(lambda h: h.update(dt=value)))
+    with pytest.raises(TraceFormatError) as got:
+        read_trace(path)
+    assert str(got.value) == (
+        f"header dt must equal the cfg snapshot's 0.016666666666666666, got {json.dumps(value)}"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_header_seed_and_dt_may_be_absent(tmp_path, lex, fmt):
+    plain = read_trace(written_trace(tmp_path / f"plain.{fmt}", lex))
+    bare = read_trace(written_trace(tmp_path / f"bare.{fmt}", lex,
+                                    edit_header(lambda h: (h.pop("seed"), h.pop("dt")))))
+    assert bare.trace == plain.trace and bare.cfg == plain.cfg
+
+
 def edit_first_state(edit):
     """``edit`` applied to record 0: its jsonl object, or its csv cells."""
     def damage(lines, fmt):
