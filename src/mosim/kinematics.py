@@ -5,9 +5,8 @@ the bounce action.  Every tick is a pure function from world state to
 world state; determinism and checkability win over physical fidelity.
 Shapes are spheres, axis-aligned boxes and the horizontal floor plane,
 which keeps surface distances exact and the contact relations decidable.
-A gap becomes a relation only here, by ``_relation`` or, in ``tick``, the
-same test written inline; every other module reads the flags
-``refresh_contacts`` and ``tick`` leave on each body.
+``_relation`` is the one place a gap becomes a relation; every other
+module reads the flags ``refresh_contacts`` and ``tick`` leave on each body.
 A tick moves only its theme, so it decides only the theme's relations, in
 one pass over the bodies; ``refresh_contacts`` and the trace reader, where
 any body may have moved, decide theirs with ``_with_contacts``.
@@ -323,21 +322,16 @@ def _fill_contacts(bodies: dict[str, Body], eps: float) -> None:
 def _unit_horizontal(direction: Vec3) -> Vec3:
     """``direction`` divided by its horizontal length, with y set to +0.0.
 
-    A heading already in that form comes back as the same object: dividing
-    by exactly 1.0 changes no bit, so a heading tick stored is not rebuilt.
+    ``PLUS_X``, the heading of every goal and probe scene, is already in that
+    form and comes back as itself: dividing it by 1.0 would change no bit.
     """
     if direction is PLUS_X:
         return direction
-    y = direction[1]
-    if abs(y) > 1e-9:
+    if abs(direction[1]) > 1e-9:
         raise ValueError("motion direction must be horizontal")
     n = hnorm(direction)
     if n == 0.0:
         raise ValueError("motion direction must be nonzero")
-    if (n == 1.0 and type(direction) is tuple and len(direction) == 3
-            and type(direction[0]) is float and type(direction[2]) is float
-            and type(y) is float and y == 0.0 and math.copysign(1.0, y) == 1.0):
-        return direction
     return (direction[0] / n, 0.0, direction[2] / n)
 
 
@@ -394,8 +388,7 @@ def tick(
     x = p0[0] + direction[0] * step
     z = p0[2] + direction[2] * step
     vy = theme.velocity[1]
-    shape, dims = theme.shape, theme.dimensions
-    rest = dims[0] if shape is _SPHERE else dims[1] / 2.0 if shape is _BOX else 0.0
+    rest = rest_height(theme.shape, theme.dimensions)
 
     if action in ("roll", "slide", "move"):
         y = rest  # contact clamp prevents drift
@@ -422,6 +415,7 @@ def tick(
     # theme back empties it.
     eps = cfg.contact_eps
     flags = theme.contacts
+    shape = theme.shape
     pos = (x, y, z)
     gaps = {}
     seen = False
@@ -449,13 +443,14 @@ def tick(
         else:
             gaps[key] = d_new
 
+    moved_h = math.hypot(pos[0] - p0[0], pos[2] - p0[2])
     rotation = theme.rotation
     if action == "roll":
-        rotation += math.hypot(pos[0] - p0[0], pos[2] - p0[2]) / theme.rolling_radius
+        rotation += moved_h / theme.rolling_radius
 
-    inv_dt = 1.0 / dt
     # a bounce reports the ballistic state, not the positional difference, so
     # the restitution flip survives the floor clamp
+    inv_dt = 1.0 / dt
     velocity = ((pos[0] - p0[0]) * inv_dt,
                 vy if action == "bounce" else (pos[1] - p0[1]) * inv_dt,
                 (pos[2] - p0[2]) * inv_dt)
@@ -482,7 +477,7 @@ def tick(
         except UnsupportedShapePair:
             rel = None
         else:
-            rel = _DC if d > eps else _PO if d < -eps else _EC
+            rel = _relation(d, eps)
             new[key] = rel
         if rel is not flags.get(key):
             changed = True
@@ -491,7 +486,7 @@ def tick(
             complete = False
         if rel is not back.get(theme_id):
             bodies[key] = _with_flags(world.bodies, key, {theme_id: rel})
-    bodies[theme_id] = Body(theme.id, shape, dims, theme.mobile, pos, direction,
+    bodies[theme_id] = Body(theme.id, shape, theme.dimensions, theme.mobile, pos, direction,
                             rotation, velocity, new if changed else flags)
     tick_index = world.tick_index + 1
     state = WorldState(tick_index * dt, tick_index, bodies, cfg)

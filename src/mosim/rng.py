@@ -50,11 +50,7 @@ class SplitMix64:
         return _mix64(self._state)
 
     def next_bit(self) -> int:
-        """``next_u64() & 1``, with the mix written out: a search draws one per branch."""
-        z = self._state = (self._state + _GAMMA) & _MASK
-        z = (z ^ (z >> 30)) * _MIX1 & _MASK
-        z = (z ^ (z >> 27)) * _MIX2 & _MASK
-        return (z ^ (z >> 31)) & 1
+        return self.next_u64() & 1
 
     def uniform(self) -> float:
         """Float in [0, 1) with 53 random bits."""
