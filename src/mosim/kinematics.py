@@ -301,24 +301,6 @@ def _with_flags(bodies: dict[str, Body], key: str, fix: Mapping[str, Rel | None]
                 b.rotation, b.velocity, flags)
 
 
-def _fill_contacts(bodies: dict[str, Body], eps: float) -> None:
-    """Write every pair's flag into the empty maps of new ``bodies``, in ``bodies`` order.
-
-    The flags ``_with_contacts`` would give these bodies, without building
-    each body a second time.  Only for bodies no state holds yet: their maps
-    are written in place.
-    """
-    items = list(bodies.items())
-    for i, (a_id, a) in enumerate(items, 1):
-        for b_id, b in items[i:]:
-            try:
-                rel = _relation(_gap(a, a.position, b, b.position), eps)
-            except UnsupportedShapePair:
-                continue
-            a.contacts[b_id] = rel
-            b.contacts[a_id] = rel
-
-
 def _unit_horizontal(direction: Vec3) -> Vec3:
     """``direction`` divided by its horizontal length, with y set to +0.0.
 

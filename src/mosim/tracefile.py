@@ -18,7 +18,7 @@ from pathlib import Path
 from .config import SceneConfig, config_from_dict
 from .programs import Trace, _without_collector
 from .errors import ConfigFormatError, TraceFormatError
-from .kinematics import PLUS_X, ZERO3, Body, Rel, WorldState, _fill_contacts, _with_contacts
+from .kinematics import PLUS_X, ZERO3, Body, Rel, WorldState, _with_contacts
 from .lexicon import DIM_KEYS, FLOOR_ID, MAX_SIZE, MIN_SIZE, TICK_ACTIONS, Shape
 from .record import record
 from .scene import Scene
@@ -296,7 +296,11 @@ def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) 
         raise TraceFormatError("bindings.theme must be a string")
     if theme_id == FLOOR_ID:
         raise TraceFormatError("the theme cannot be the floor")
-    if theme_id in catalog and not catalog[theme_id][2]:
+    if theme_id not in catalog:
+        raise TraceFormatError(
+            f"bindings.theme must be the id of a header body, got {json.dumps(theme_id):.40}"
+        )
+    if not catalog[theme_id][2]:
         raise TraceFormatError(f"the theme {theme_id!r} is immobile")
     ground_id, goal_id = bindings.get("ground"), header.get("goal")
     for name, value in (("bindings.ground", ground_id), ("goal", goal_id)):
@@ -337,17 +341,14 @@ def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) 
                         f" [{-MAX_COORDINATE:g}, {MAX_COORDINATE:g}]"
                     )
                 # the previous flags ride along; _with_contacts copies them only if a
-                # pair that holds a moved body changed its relation
+                # pair that holds a moved body changed its relation.  In the first
+                # state every body is new, with an empty map, so every pair is measured
                 contacts = last[bid].contacts if last else None
                 bodies[bid] = Body(bid, shape, dims, mobile, pose[:3], heading, pose[3],
                                    ZERO3, contacts)
                 moved.append(bid)
                 last_bits[k] = bits
-        if last:
-            last = _with_contacts(bodies, cfg.contact_eps, moved)
-        else:  # the first state's bodies are new, each with its own empty map
-            _fill_contacts(bodies, cfg.contact_eps)
-            last = bodies
+        last = _with_contacts(bodies, cfg.contact_eps, moved)
         states.append(WorldState(time, i, last, cfg))
         if i > 0:
             if not action:
@@ -432,28 +433,31 @@ def _checked_jsonl_record(i: int, obj, ids) -> Record:
 _scan_json = json.JSONDecoder().scan_once
 
 
+def _json_line(line: str, n: int, start: int = 0):
+    """The JSON value in ``line`` from ``start`` on; ``n`` is the line's number in the file.
+
+    A fault names the line, and a column counted from the start of the line.
+    """
+    try:
+        obj, end = _scan_json(line, start)
+    except (StopIteration, ValueError, RecursionError):
+        end = -1
+    if end == len(line):
+        return obj
+    try:  # padding around the value is read here, and a fault is named
+        return json.loads(line[start:])
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(
+            f"invalid JSON in trace file: {exc.msg} (line {n}, column {start + exc.colno})"
+        ) from exc
+    except RecursionError:
+        raise TraceFormatError(f"JSON nested too deeply in trace file (line {n})") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise TraceFormatError(f"number with too many digits in trace file (line {n})") from None
+
+
 def _read_jsonl(text: str) -> TraceDocument:
-    objs = []
-    for n, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj, end = _scan_json(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        if end == len(line):
-            objs.append(obj)
-            continue
-        try:  # padding around the value is read here, and any fault raises as before
-            objs.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(
-                f"invalid JSON in trace file: {exc.msg} (line {n}, column {exc.colno})"
-            ) from exc
-        except RecursionError:
-            raise TraceFormatError(f"JSON nested too deeply in trace file (line {n})") from None
-        except ValueError:  # an integer past the interpreter's digit limit
-            raise TraceFormatError(f"number with too many digits in trace file (line {n})") from None
+    objs = [_json_line(line, n) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
     header = objs[0]
     cfg, catalog = _parse_header(header)
     ids = list(catalog)
@@ -461,17 +465,12 @@ def _read_jsonl(text: str) -> TraceDocument:
 
 
 def _read_csv(text: str) -> TraceDocument:
-    lines = [line for line in text.splitlines() if line.strip()]
+    file_lines = text.splitlines()
+    lines = [line for line in file_lines if line.strip()]
     if len(lines) < 2 or not lines[0].startswith("# "):
         raise TraceFormatError("csv trace must start with a '# ' header line")
-    try:
-        header = json.loads(lines[0][2:])
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"invalid JSON header: {exc.msg}") from exc
-    except RecursionError:
-        raise TraceFormatError("JSON nested too deeply in csv header") from None
-    except ValueError:
-        raise TraceFormatError("number with too many digits in csv header") from None
+    # only blank lines come before the header, so its first copy is the header
+    header = _json_line(lines[0], file_lines.index(lines[0]) + 1, 2)
     cfg, catalog = _parse_header(header)
     names = lines[1].split(",")
     where = {name: k for k, name in enumerate(names)}  # a repeated name means its last column

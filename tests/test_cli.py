@@ -160,6 +160,7 @@ def _edit_record(lines, edit):
     lambda ls: _edit_header(ls, lambda h: h["bindings"].update(ground="ghost")),
     lambda ls: _edit_header(ls, lambda h: h.update(direction=[0, 0, 0])),
     lambda ls: _edit_record(ls, lambda r: r.update(action="hop")),
+    lambda ls: _edit_header(ls, lambda h: h["bindings"].update(theme="ghost")),
     lambda ls: _edit_header(ls, lambda h: h.update(frames=float(h["frames"]))),
     lambda ls: ls.__setitem__(1, json.dumps({**json.loads(ls[1]), "action": [1, 2]})),
 ], ids=["dimensions-not-numbers", "bodies-a-list", "time-null", "rot-not-a-number",
@@ -168,7 +169,7 @@ def _edit_record(lines, edit):
         "pos-holding-true", "time-a-padded-string", "mobile-a-string", "pos-1e308",
         "rot-minus-1e308", "radius-zero", "cfg-out-of-range", "mobile-floor", "immobile-theme",
         "index-of-5001-digits", "ground-not-a-body", "direction-zero", "action-hop",
-        "frames-a-float", "record-0-action"])
+        "theme-not-a-body", "frames-a-float", "record-0-action"])
 def test_check_malformed_trace_exits_2_with_one_line(tmp_path, capsys, damage):
     _, out = simulate(tmp_path, "--seed", "42")
     lines = out.read_text().splitlines()

@@ -141,6 +141,19 @@ def test_bad_json_reports_its_line_in_the_file(tmp_path, lex, cfg):
         read_trace(path)
 
 
+@pytest.mark.parametrize("fmt,column", [("jsonl", 18), ("csv", 20)])
+def test_bad_json_in_a_header_reports_its_line_and_column_in_the_file(tmp_path, lex, fmt, column):
+    def damage(lines, fmt):
+        # a blank line first makes the header line 2; the column counts csv's "# "
+        lines[0] = "\n" + lines[0].replace(":", "", 1)
+
+    with pytest.raises(TraceFormatError) as got:
+        read_trace(written_trace(tmp_path / f"t.{fmt}", lex, damage))
+    assert str(got.value) == (
+        f"invalid JSON in trace file: Expecting ':' delimiter (line 2, column {column})"
+    )
+
+
 def test_a_jsonl_line_reads_as_json_loads_reads_it(tmp_path, lex):
     plain = read_trace(written_trace(tmp_path / "plain.jsonl", lex)).trace
 
@@ -440,6 +453,10 @@ def _ref_rebuild(header, cfg, catalog, rows, record):
         raise TraceFormatError("bindings.theme must be a string")
     if theme_id == FLOOR_ID:
         raise TraceFormatError("the theme cannot be the floor")
+    if theme_id not in catalog:
+        raise TraceFormatError(
+            f"bindings.theme must be the id of a header body, got {json.dumps(theme_id)}"
+        )
     direction = _vec(header["direction"], "direction")
     headings = {bid: direction if bid == theme_id else PLUS_X for bid in catalog}
     states, labels = [], []
@@ -504,10 +521,13 @@ def reference_read(path) -> Trace:
     lines = [line for line in text.splitlines() if line.strip()]
     if len(lines) < 2 or not lines[0].startswith("# "):
         raise TraceFormatError("csv trace must start with a '# ' header line")
+    n = next(n for n, line in enumerate(text.splitlines(), start=1) if line.strip())
     try:
         header = json.loads(lines[0][2:])
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"invalid JSON header: {exc.msg}") from exc
+    except json.JSONDecodeError as exc:  # the column counts the "# " before the JSON
+        raise TraceFormatError(
+            f"invalid JSON in trace file: {exc.msg} (line {n}, column {exc.colno + 2})"
+        ) from exc
     cfg, catalog = _parse_header(header)
     names = lines[1].split(",")
     where = {name: k for k, name in enumerate(names)}
@@ -700,6 +720,7 @@ HEADER_FAULTS = {
     "theme-not-a-string": edit_header(lambda h: h["bindings"].update(theme=["ball"])),
     "no-floor": edit_header(lambda h: h["bodies"].pop("floor")),
     "floor-as-theme": edit_header(lambda h: h["bindings"].update(theme="floor")),
+    "theme-not-a-body": edit_header(lambda h: h["bindings"].update(theme="ghost")),
     "second-plane": edit_header(
         lambda h: h["bodies"]["wall"].update(shape="plane", dimensions=[])),
     "mobile-a-string": edit_header(lambda h: h["bodies"]["wall"].update(mobile="no")),
@@ -740,6 +761,7 @@ CSV_FAULTS = {
     "time-infinite": edit_row(lambda c: c.__setitem__(1, "inf")),
     "floor-not-a-number": edit_row(lambda c: c.__setitem__(2, "")),
     "no-action": edit_row(lambda c: c.__setitem__(-3, "")),
+    "header-not-json": lambda lines, fmt: lines.__setitem__(0, lines[0].replace(":", "", 1)),
 }
 FAULTS = [
     *((fmt, name, damage) for name, damage in HEADER_FAULTS.items() for fmt in ("jsonl", "csv")),
@@ -905,7 +927,7 @@ def test_header_dimensions_lie_within_the_lexicon_range(tmp_path, lex, fmt, bid,
 
 @pytest.mark.parametrize("fmt,line,message", [
     ("jsonl", 3, "number with too many digits in trace file (line 4)"),
-    ("csv", 0, "number with too many digits in csv header"),
+    ("csv", 0, "number with too many digits in trace file (line 1)"),
 ])
 def test_an_integer_past_the_digit_limit_is_a_format_error(tmp_path, lex, fmt, line, message):
     def damage(lines, fmt):
@@ -1085,8 +1107,9 @@ def test_reading_a_state_measures_the_themes_pairs_and_builds_one_body(
     # the ball-floor and ball-wall pairs per state, one call each (a plane-first pair
     # too); the first state measures wall-floor too
     assert len(gaps) <= 2 * len(states) + 10
-    # the moved ball per state, the first state's floor and wall once each, and the ball
-    # and the wall again when the ball's contact with the wall changes
-    assert len(built) == len(states) + 4
+    # the moved ball per state, the first state's floor and wall once each, the first
+    # state's floor, ball and wall once more when their empty flag maps are filled, and
+    # the ball and the wall again when the ball's contact with the wall changes
+    assert len(built) == len(states) + 7
     # a state with no flag change is the dict the reader built: no flag map or body is copied
     assert len(uncopied) >= len(states) - 10
