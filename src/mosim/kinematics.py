@@ -8,15 +8,20 @@ which keeps surface distances exact and the contact relations decidable.
 ``_relation`` is the one place a gap becomes a relation; every other
 module reads the flags ``refresh_contacts`` and ``tick`` leave on each body.
 A tick moves only its theme, so it decides only the theme's relations, in
-one pass over the bodies; ``refresh_contacts`` and the trace reader, where
-any body may have moved, decide theirs with ``_with_contacts``.
+one pass over the bodies.  ``_with_contacts`` measures the pairs that hold a
+moved body, each once: ``refresh_contacts`` counts every body as moved, and
+the trace reader every body in its first state and then the bodies whose
+pose changed, which in an engine-written trace is the theme alone.  The gap
+kernels are straight-line float arithmetic with no ``max``, ``min`` or ``sum``
+calls, added left to right, so they give the same bits on every Python version.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Container, Mapping
+from math import sqrt
+from typing import Iterable, Mapping
 
 from .config import SceneConfig
 from .errors import ImmobileThemeError, UnboundObjectError, UnsupportedShapePair
@@ -137,7 +142,8 @@ class WorldState:
     state unchanged; ``tick`` also reads the theme's ``DC`` flags instead of
     measuring its old gaps.  So a stale flag would outlive its state.  A
     hand-built state may leave the maps empty or partial, never stale; a tick
-    of such a state refreshes every pair.
+    of such a state refreshes every pair, and ``refresh_contacts`` measures
+    every pair of any state.  No other path fills a missing flag.
     """
 
     time: float
@@ -193,7 +199,8 @@ def _gap(a: Body, pa: Vec3, b: Body, pb: Vec3) -> float:
         if sb is _BOX:
             return _point_box_distance(pa, b, pb) - a.dimensions[0]
         if sb is _SPHERE:
-            return vnorm(vsub(pa, pb)) - a.dimensions[0] - b.dimensions[0]
+            dx, dy, dz = pa[0] - pb[0], pa[1] - pb[1], pa[2] - pb[2]
+            return sqrt(dx * dx + dy * dy + dz * dz) - a.dimensions[0] - b.dimensions[0]
     elif sa is _BOX:
         if sb is _PLANE:
             return pa[1] - a.dimensions[1] / 2.0
@@ -210,21 +217,36 @@ def _gap(a: Body, pa: Vec3, b: Body, pb: Vec3) -> float:
 
 
 def _point_box_distance(p: Vec3, box: Body, c: Vec3) -> float:
-    """Distance from a point to an axis-aligned box centred at ``c`` (negative inside)."""
+    """Distance from a point to an axis-aligned box centred at ``c`` (negative inside).
+
+    The bits of ``sqrt(sum(max(di, 0.0) ** 2)) + min(max(d0, d1, d2), 0.0)``
+    with its sum taken left to right, computed without the builtin calls.
+    """
     w, h, d = box.dimensions  # half extents are (d, h, w) / 2, as in Body.half_extents
     d0 = abs(p[0] - c[0]) - d / 2.0
     d1 = abs(p[1] - c[1]) - h / 2.0
     d2 = abs(p[2] - c[2]) - w / 2.0
-    outside = math.sqrt(max(d0, 0.0) ** 2 + max(d1, 0.0) ** 2 + max(d2, 0.0) ** 2)
-    return outside + min(max(d0, d1, d2), 0.0)
+    # ``** 2`` (C pow), not ``x * x``: the two differ in the last bit for some floats
+    outside = sqrt((d0 ** 2 if d0 > 0.0 else 0.0) + (d1 ** 2 if d1 > 0.0 else 0.0)
+                   + (d2 ** 2 if d2 > 0.0 else 0.0))
+    # the first of equal maxima wins, as in max()
+    m = d0 if d0 >= d1 else d1
+    m = m if m >= d2 else d2
+    return outside + (m if m <= 0.0 else 0.0)
 
 
 def _box_box_distance(a: Body, pa: Vec3, b: Body, pb: Vec3) -> float:
-    ha, hb = a.half_extents, b.half_extents
-    gaps = [abs(pa[i] - pb[i]) - ha[i] - hb[i] for i in range(3)]
-    if all(g <= 0 for g in gaps):
-        return max(gaps)
-    return math.sqrt(sum(max(g, 0.0) ** 2 for g in gaps))
+    """Gap between two axis-aligned boxes, its squares added left to right."""
+    aw, ah, ad = a.dimensions
+    bw, bh, bd = b.dimensions
+    g0 = abs(pa[0] - pb[0]) - ad / 2.0 - bd / 2.0
+    g1 = abs(pa[1] - pb[1]) - ah / 2.0 - bh / 2.0
+    g2 = abs(pa[2] - pb[2]) - aw / 2.0 - bw / 2.0
+    if g0 <= 0.0 and g1 <= 0.0 and g2 <= 0.0:
+        m = g0 if g0 >= g1 else g1
+        return m if m >= g2 else g2
+    return sqrt((g0 ** 2 if g0 > 0.0 else 0.0) + (g1 ** 2 if g1 > 0.0 else 0.0)
+                + (g2 ** 2 if g2 > 0.0 else 0.0))
 
 
 def contact_relation(a: Body, b: Body, contact_eps: float) -> Rel:
@@ -249,38 +271,48 @@ def refresh_contacts(state: WorldState) -> WorldState:
     return WorldState(state.time, state.tick_index, bodies, state.cfg)
 
 
-def _with_contacts(bodies: dict[str, Body], eps: float, moved: Container[str]) -> dict[str, Body]:
-    """``bodies`` with fresh contact flags, each pair's relation decided once.
+def _with_contacts(bodies: dict[str, Body], eps: float, moved: Iterable[str]) -> dict[str, Body]:
+    """``bodies`` with fresh contact flags for the pairs that hold a body in ``moved``.
 
     For ``refresh_contacts`` and the trace reader; ``tick`` decides its
-    theme's pairs itself.  Only pairs with a body in ``moved`` are measured.
-    A pair of two bodies that did not move keeps its flag, which holds only
-    because flags are never stale (see ``WorldState``); a pair that either map
-    lacks, as in a hand-built state with empty maps, is measured.
+    theme's pairs itself.  Each moved body is measured against every body not
+    yet measured against it, the earlier of the two in ``bodies`` order
+    first, so a pair of two moved bodies is measured once.  A pair of two
+    bodies that did not move keeps its flag, which holds only because flags
+    are never stale (see ``WorldState``).  Callers with incomplete maps pass
+    every body as moved: ``refresh_contacts``, and the reader's first state.
 
     Copy on write: a body's flag map is copied, in ``bodies`` order, and the
     body rebuilt only when one of its flags changes; every other body is the
     same object, and when no flag changes ``bodies`` itself is returned.  That
     is sound because bodies are frozen and their flag maps are never mutated.
     """
-    items = list(bodies.items())
     # the flags that change, by body; None drops the flag of a pair with no distance
     changes: dict[str, dict[str, Rel | None]] = {}
-    for i, (a_id, a) in enumerate(items, 1):
-        a_flags, a_moved = a.contacts, a_id in moved
-        for b_id, b in items[i:]:
-            old, back = a_flags.get(b_id), b.contacts.get(a_id)
-            if a_moved or b_id in moved or old is None or back is None:
-                try:
-                    rel = _relation(_gap(a, a.position, b, b.position), eps)
-                except UnsupportedShapePair:
-                    rel = None
-            else:
-                rel = old
-            if rel is not old:
-                changes.setdefault(a_id, {})[b_id] = rel
-            if rel is not back:
-                changes.setdefault(b_id, {})[a_id] = rel
+    done = set()
+    for m_id in moved:
+        m = bodies[m_id]
+        m_flags = m.contacts
+        seen = False
+        for o_id, o in bodies.items():
+            if o is m:
+                seen = True
+                continue
+            if o_id in done:
+                continue
+            try:
+                if seen:
+                    d = _gap(m, m.position, o, o.position)
+                else:
+                    d = _gap(o, o.position, m, m.position)
+                rel = _relation(d, eps)
+            except UnsupportedShapePair:
+                rel = None
+            if rel is not m_flags.get(o_id):
+                changes.setdefault(m_id, {})[o_id] = rel
+            if rel is not o.contacts.get(m_id):
+                changes.setdefault(o_id, {})[m_id] = rel
+        done.add(m_id)
     if not changes:
         return bodies
     out = dict(bodies)
@@ -324,10 +356,12 @@ def _clamp_fraction(theme: Body, start: Vec3, proposed: Vec3, obstacle: Body) ->
     desk scale, so this converges to the contact point.
     """
     lo, hi = 0.0, 1.0
-    delta = vsub(proposed, start)
+    x, y, z = start
+    dx, dy, dz = proposed[0] - x, proposed[1] - y, proposed[2] - z
+    at = obstacle.position
     for _ in range(80):
         mid = (lo + hi) / 2.0
-        if _gap(theme, vadd(start, vscale(delta, mid)), obstacle, obstacle.position) >= 0.0:
+        if _gap(theme, (x + dx * mid, y + dy * mid, z + dz * mid), obstacle, at) >= 0.0:
             lo = mid
         else:
             hi = mid

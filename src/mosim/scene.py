@@ -11,6 +11,8 @@ are resolved from labelled seed streams, never from global state.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 
 from .config import SceneConfig
 from .errors import ImmobileThemeError, SceneBuildError
@@ -22,7 +24,7 @@ from .kinematics import (
     WorldState,
     refresh_contacts,
     rest_height,
-    surface_distance,
+    _gap,
 )
 from .lexicon import (
     FLOOR_ID, PREP_ROLES, FloorContact, Lexicon, NounEntry, PathKind, Shape, VerbEntry,
@@ -105,25 +107,28 @@ def _theme_center_height(noun: NounEntry, verb: VerbEntry) -> float:
 def _place_source_ground(theme: Body, ground_noun: NounEntry, ground_id: str) -> Body:
     """Place a source ground on -x so it exactly touches the theme."""
     rest = rest_height(ground_noun.shape, ground_noun.dimensions)
+    # _gap reads only the ground's shape and size, so one body serves every probe
+    ground, p = _make_body(ground_id, ground_noun, (0.0, rest, 0.0)), theme.position
 
-    def at(offset: float) -> Body:
-        return _make_body(ground_id, ground_noun, (-offset, rest, 0.0))
+    def gap(offset: float) -> float:
+        return _gap(theme, p, ground, (-offset, rest, 0.0))
 
     lo = 0.0
-    hi = sum(theme.dimensions) + sum(ground_noun.dimensions) + 1.0
-    if surface_distance(theme, at(hi)) < 0.0:
+    # the sizes added left to right: sum() of floats is compensated from Python 3.12 on
+    hi = reduce(add, theme.dimensions, 0.0) + reduce(add, ground_noun.dimensions, 0.0) + 1.0
+    if gap(hi) < 0.0:
         raise SceneBuildError(f"cannot place {ground_id!r} in contact with the theme")
-    if surface_distance(theme, at(lo)) > 0.0:
+    if gap(lo) > 0.0:
         raise SceneBuildError(
             f"{ground_id!r} cannot touch the theme at its starting height"
         )
     for _ in range(80):
         mid = (lo + hi) / 2.0
-        if surface_distance(theme, at(mid)) < 0.0:
+        if gap(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return at(hi)
+    return _make_body(ground_id, ground_noun, (-hi, rest, 0.0))
 
 
 def probe_scene(cfg: SceneConfig, lex: Lexicon, lemma: str = "ball") -> Scene:

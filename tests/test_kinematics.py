@@ -332,7 +332,9 @@ def point_box_distance_oracle(p, box):
     """The generator-expression formula the unrolled kernel replaced."""
     h = box.half_extents
     d = [abs(p[i] - box.position[i]) - h[i] for i in range(3)]
-    outside = math.sqrt(sum(max(di, 0.0) ** 2 for di in d))
+    # added left to right: sum() of floats is compensated from Python 3.12 on
+    sq = [max(di, 0.0) ** 2 for di in d]
+    outside = math.sqrt(sq[0] + sq[1] + sq[2])
     inside = min(max(d), 0.0)
     return outside + inside
 
@@ -347,6 +349,78 @@ def test_unrolled_point_box_distance_matches_oracle_bit_for_bit(box, offset):
     p = tuple(c + o for c, o in zip(box.position, offset))
     got = _point_box_distance(p, box, box.position)
     assert got.hex() == point_box_distance_oracle(p, box).hex()
+
+
+@st.composite
+def offsets(draw, reach):
+    """Per axis: a signed zero, that axis' ``reach`` either way, or an offset within or beyond it."""
+    return tuple(
+        draw(st.one_of(st.sampled_from((0.0, -0.0, r, -r)),
+                       st.floats(min_value=-r, max_value=r),
+                       st.floats(min_value=r, max_value=r + 8.0),
+                       st.floats(min_value=-r - 8.0, max_value=-r)))
+        for r in reach
+    )
+
+
+def box_box_distance_oracle(a, pa, b, pb):
+    """The list-and-generator formula the unrolled kernel replaced, added left to right."""
+    ha, hb = a.half_extents, b.half_extents
+    gaps = [abs(pa[i] - pb[i]) - ha[i] - hb[i] for i in range(3)]
+    if all(g <= 0 for g in gaps):
+        return max(gaps)
+    sq = [max(g, 0.0) ** 2 for g in gaps]
+    return math.sqrt(sq[0] + sq[1] + sq[2])
+
+
+@seed(20161006)
+@settings(max_examples=500, deadline=None)
+@given(a=bodies("a", shapes=(Shape.BOX,)), b=bodies("b", shapes=(Shape.BOX,)), data=st.data())
+def test_unrolled_box_box_distance_matches_oracle_bit_for_bit(a, b, data):
+    # faces touch at an offset of the two half extents summed along an axis
+    reach = tuple(x + y for x, y in zip(a.half_extents, b.half_extents))
+    pb = tuple(c + o for c, o in zip(a.position, data.draw(offsets(reach))))
+    for x, px, y, py in ((a, a.position, b, pb), (b, pb, a, a.position)):
+        got = _gap(x, px, y, py)
+        assert got.hex() == box_box_distance_oracle(x, px, y, py).hex()
+
+
+@seed(20161006)
+@settings(max_examples=500, deadline=None)
+@given(a=bodies("a", shapes=(Shape.SPHERE,)), b=bodies("b", shapes=(Shape.SPHERE,)),
+       data=st.data())
+def test_unrolled_sphere_sphere_gap_matches_the_vector_form_bit_for_bit(a, b, data):
+    pb = tuple(c + o for c, o in zip(a.position, data.draw(offsets((a.radius + b.radius,) * 3))))
+    got = _gap(a, a.position, b, pb)
+    assert got.hex() == (vnorm(vsub(a.position, pb)) - a.radius - b.radius).hex()
+
+
+def clamp_fraction_oracle(theme, start, proposed, obstacle):
+    """The bisection that built each probe point with vadd and vscale."""
+    lo, hi = 0.0, 1.0
+    delta = vsub(proposed, start)
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        if _gap(theme, vadd(start, vscale(delta, mid)), obstacle, obstacle.position) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@seed(20161006)
+@settings(max_examples=200, deadline=None)
+@given(
+    theme=bodies("theme", shapes=(Shape.SPHERE, Shape.BOX)),
+    obstacle=bodies("obstacle", shapes=(Shape.SPHERE, Shape.BOX)),
+    data=st.data(),
+)
+def test_clamp_fraction_matches_the_vector_form_bit_for_bit(theme, obstacle, data):
+    reach = (max(theme.dimensions) + max(obstacle.dimensions),) * 3
+    start = tuple(c + o for c, o in zip(obstacle.position, data.draw(offsets(reach))))
+    proposed = tuple(c + o for c, o in zip(obstacle.position, data.draw(offsets(reach))))
+    got = _clamp_fraction(theme, start, proposed, obstacle)
+    assert got.hex() == clamp_fraction_oracle(theme, start, proposed, obstacle).hex()
 
 
 ACTIONS = ("roll", "slide", "move", "fly", "bounce")

@@ -1,9 +1,11 @@
 import json
 import math
 import statistics
+from functools import reduce
+from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from mosim import (
     Rel,
@@ -16,8 +18,9 @@ from mosim import (
     surface_distance,
 )
 from mosim.errors import ImmobileThemeError, SceneBuildError
-from mosim.kinematics import contact_relation, vnorm
-from mosim.scene import BOUNCE_START_GAP
+from mosim.kinematics import contact_relation, rest_height, vnorm
+from mosim.lexicon import NounEntry, Shape
+from mosim.scene import BOUNCE_START_GAP, _make_body, _place_source_ground
 
 from conftest import CORPUS
 
@@ -180,3 +183,57 @@ def test_sample_mean_matches_uniform_oracle():
     assert abs(statistics.fmean(values) - target) / target <= 0.05
     assert min(values) >= cfg.min_bare_frames
     assert max(values) <= cfg.max_bare_frames
+
+
+def place_source_ground_oracle(theme, ground_noun, ground_id):
+    """The placement that built a Body for every probe and measured it with surface_distance."""
+    rest = rest_height(ground_noun.shape, ground_noun.dimensions)
+
+    def at(offset):
+        return _make_body(ground_id, ground_noun, (-offset, rest, 0.0))
+
+    lo = 0.0
+    # the sizes added left to right, as sum() adds floats before Python 3.12
+    hi = reduce(add, theme.dimensions, 0.0) + reduce(add, ground_noun.dimensions, 0.0) + 1.0
+    if surface_distance(theme, at(hi)) < 0.0:
+        raise SceneBuildError(f"cannot place {ground_id!r} in contact with the theme")
+    if surface_distance(theme, at(lo)) > 0.0:
+        raise SceneBuildError(f"{ground_id!r} cannot touch the theme at its starting height")
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        if surface_distance(theme, at(mid)) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return at(hi)
+
+
+SIZE = st.floats(min_value=0.05, max_value=4.0, allow_nan=False)
+
+
+@st.composite
+def solid_nouns(draw, lemma):
+    shape = draw(st.sampled_from((Shape.SPHERE, Shape.BOX)))
+    dims = (draw(SIZE),) if shape is Shape.SPHERE else draw(st.tuples(SIZE, SIZE, SIZE))
+    return NounEntry(lemma, shape, dims, mobile=True)
+
+
+@seed(20161006)
+@settings(max_examples=300, deadline=None)
+@given(theme_noun=solid_nouns("ball"), ground_noun=solid_nouns("wall"),
+       height=st.one_of(st.sampled_from((0.0, -0.0, 0.5, 1.0)),
+                        st.floats(min_value=0.0, max_value=8.0)))
+def test_source_ground_placement_matches_the_body_per_probe_form_bit_for_bit(
+    theme_noun, ground_noun, height
+):
+    # at height 0 the theme's centre sits on the floor: a ground can be too low to touch it
+    theme = _make_body("ball", theme_noun, (0.0, height, 0.0))
+    try:
+        want = place_source_ground_oracle(theme, ground_noun, "wall")
+    except SceneBuildError as exc:
+        with pytest.raises(SceneBuildError) as refused:
+            _place_source_ground(theme, ground_noun, "wall")
+        assert str(refused.value) == str(exc)
+        return
+    got = _place_source_ground(theme, ground_noun, "wall")
+    assert got == want and [x.hex() for x in got.position] == [x.hex() for x in want.position]

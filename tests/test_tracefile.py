@@ -11,7 +11,9 @@ from hypothesis import given, seed, settings, strategies as st
 from mosim import SceneConfig, build_scene, compile_event, execute, parse_text, read_trace, write_trace
 from mosim import kinematics, tracefile
 from mosim.errors import TraceFormatError, UnsupportedShapePair
-from mosim.kinematics import PLUS_X, ZERO3, Body, WorldState, contact_relation, refresh_contacts
+from mosim.kinematics import (
+    PLUS_X, ZERO3, Body, Rel, WorldState, contact_relation, refresh_contacts,
+)
 from mosim.lexicon import FLOOR_ID, TICK_ACTIONS, Shape, load_lexicon
 from mosim.programs import Trace
 from mosim.record import replace
@@ -1113,3 +1115,75 @@ def test_reading_a_state_measures_the_themes_pairs_and_builds_one_body(
     assert len(built) == len(states) + 7
     # a state with no flag change is the dict the reader built: no flag map or body is copied
     assert len(uncopied) >= len(states) - 10
+
+
+# -- the flag pass: which pairs a state with moved bodies measures ------------------
+
+
+def _flag_pass_state(*extra):
+    """Floor, ball, then ``extra``, with flags refreshed: every map complete."""
+    bodies = [Body(FLOOR_ID, Shape.PLANE, (), False, (0.0, 0.0, 0.0)),
+              Body("ball", Shape.SPHERE, (0.5,), True, (0.0, 0.5, 0.0)), *extra]
+    return refresh_contacts(WorldState(0.0, 0, {b.id: b for b in bodies}, SceneConfig(seed=0)))
+
+
+def _moved(state, poses):
+    """``state.bodies`` with each body in ``poses`` rebuilt at its new position, flags kept."""
+    return {key: replace(b, position=poses[key]) if key in poses else b
+            for key, b in state.bodies.items()}
+
+
+def _counted_gaps(monkeypatch):
+    pairs, gap = [], kinematics._gap
+
+    def counted(a, pa, b, pb):
+        pairs.append((a.id, b.id))
+        return gap(a, pa, b, pb)
+
+    monkeypatch.setattr(kinematics, "_gap", counted)
+    return pairs
+
+
+def test_a_moved_theme_measures_only_its_two_pairs(monkeypatch):
+    wall = Body("wall", Shape.BOX, (4.0, 2.0, 0.2), False, (5.0, 1.0, 0.0))
+    state = _flag_pass_state(wall)
+    bodies = _moved(state, {"ball": (4.4, 0.5, 0.0)})
+    pairs = _counted_gaps(monkeypatch)
+    out = kinematics._with_contacts(bodies, state.cfg.contact_eps, ["ball"])
+    assert pairs == [("floor", "ball"), ("ball", "wall")]
+    assert out["ball"].contacts == {"floor": Rel.EC, "wall": Rel.EC}
+
+
+@pytest.mark.parametrize("moved", [["ball", "ball_2"], ["ball_2", "ball"]])
+def test_a_pair_of_two_moved_bodies_is_measured_once_earlier_body_first(monkeypatch, moved):
+    state = _flag_pass_state(Body("ball_2", Shape.SPHERE, (0.5,), True, (3.0, 0.5, 0.0)))
+    bodies = _moved(state, {"ball": (1.0, 0.5, 0.0), "ball_2": (2.0, 0.5, 0.0)})
+    pairs = _counted_gaps(monkeypatch)
+    out = kinematics._with_contacts(bodies, state.cfg.contact_eps, moved)
+    assert sorted(pairs) == [("ball", "ball_2"), ("floor", "ball"), ("floor", "ball_2")]
+    assert out["ball"].contacts["ball_2"] is out["ball_2"].contacts["ball"] is Rel.EC
+
+
+FLAG_PASS_X = st.one_of(st.floats(min_value=-1.0, max_value=6.0),
+                        st.sampled_from((0.0, -0.0, 1.0, 4.4, 4.9)))
+
+
+@seed(20161006)
+@settings(max_examples=150, deadline=None)
+@given(
+    moved=st.sampled_from([("ball",), ("ball_2",), ("ball", "wall"), ("wall", "ball_2"),
+                           ("floor", "ball", "ball_2", "wall")]),
+    xs=st.tuples(FLAG_PASS_X, FLAG_PASS_X, FLAG_PASS_X),
+    ys=st.tuples(*[st.sampled_from((0.5, 0.3, 1.0, 2.6))] * 3),
+)
+def test_the_flag_pass_matches_the_all_pairs_reference(moved, xs, ys):
+    state = _flag_pass_state(Body("ball_2", Shape.SPHERE, (0.5,), True, (3.0, 0.5, 0.0)),
+                             Body("wall", Shape.BOX, (4.0, 2.0, 0.2), True, (5.0, 1.0, 0.0)))
+    poses = {key: (x, y, 0.0) for key, x, y in zip(("ball", "ball_2", "wall"), xs, ys)}
+    bodies = _moved(state, {key: poses.get(key, (0.0, 0.0, 0.0)) for key in moved})
+    eps = state.cfg.contact_eps
+    got, want = kinematics._with_contacts(bodies, eps, moved), _ref_with_contacts(bodies, eps, moved)
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key] == want[key]
+        assert list(got[key].contacts) == list(want[key].contacts)
