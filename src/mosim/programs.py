@@ -276,9 +276,13 @@ class Trace:
     states: tuple[WorldState, ...]
     labels: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.states) != len(self.labels) + 1:
+    # written out as Body's is: enumeration builds one per run
+    def __init__(self, states: tuple[WorldState, ...], labels: tuple[str, ...]) -> None:
+        if len(states) != len(labels) + 1:
             raise ValueError("a trace has exactly one more state than labels")
+        s_states, s_labels = self._setters
+        s_states(self, states)
+        s_labels(self, labels)
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -413,16 +417,6 @@ def eval_formula(
 
 # -- the execution machine --------------------------------------------------------------
 
-# A history is a linked list of the states a run has left, newest first:
-# None | (state, label, rest, number), where label is the action of the tick
-# that left the state.  A tick pushes one cell and never copies, so a run of
-# n ticks costs O(n), and the alternatives pending on the search stack share
-# the prefix they have in common.  The Trace is built once, when a run
-# succeeds.  ``number`` is None under execute; under enumeration it is a
-# one-item list that holds the cell's number once a run through the cell
-# has succeeded (see _HistoryIds).
-History = Union[None, tuple]
-
 # The node of a continuation cell that holds a pending iteration; see _search.
 _LOOP = object()
 
@@ -447,53 +441,42 @@ def _without_collector(fn):
     return paused
 
 
-def _trace_of(history: History, cur: WorldState) -> Trace:
-    states = [cur]
-    labels = []
-    while history is not None:
-        state, label, history, _ = history
-        states.append(state)
-        labels.append(label)
-    states.reverse()
-    labels.reverse()
-    return Trace(tuple(states), tuple(labels))
-
-
 class _HistoryIds:
     """Numbers the successful runs of one search: equal numbers mean equal runs.
 
-    A cell is numbered by (number of its rest, its label), and the first state
-    seen under that pair takes the number unkeyed.  Only a second state object
-    under the pair keys both (``_state_key``), and the pair is keyed by state
-    from then on.  So two histories get the same number exactly when they hold
-    the same labels and state keys in the same order, and a final state
-    interned as (number of its history, None) is equal exactly when
-    ``Trace.key()`` is.  A cell keeps its number in its last slot.
+    Position i of a run is numbered by (number of position i - 1, or 0 at the
+    start; label i), and the first state seen under that pair takes the number
+    unkeyed.  Only a second state object under the pair keys both
+    (``_state_key``), and the pair is keyed by state from then on.  So two
+    runs get the same number at i exactly when they hold the same labels and
+    state keys up to i, and a final state numbered under (number of the last
+    position, None) is equal exactly when ``Trace.key()`` is.  ``nums`` holds
+    the numbers of the current run's first positions, as many as are numbered.
     """
 
     def __init__(self) -> None:
         # pair -> (first state, or None once keyed; number), and (pair, state key) -> number
         self._numbers: dict[tuple, object] = {}
 
-    def add(self, history: History, final: WorldState) -> bool:
-        """Number the run that left ``history`` and ended in ``final``; true if it is new."""
-        cells = [(final, None, None, [None])]
-        while history is not None and history[3][0] is None:
-            cells.append(history)
-            history = history[2]
-        number = 0 if history is None else history[3][0]
+    def add(self, path: list, labels: list, nums: list, final: WorldState) -> bool:
+        """Number the run that left ``path`` and ended in ``final``; true if it is new."""
+        number = nums[-1] if nums else 0
+        for i in range(len(nums), len(path)):
+            number = self._number(number, labels[i], path[i])
+            nums.append(number)
+        count = len(self._numbers)  # a new number is the count once it is stored: above all others
+        return self._number(number, None, final) > count
+
+    def _number(self, number: int, label: str | None, state: WorldState) -> int:
         numbers = self._numbers
-        for state, label, _, slot in reversed(cells):
-            count = len(numbers)  # a new number is the count once it is stored: above all others
-            pair = (number, label)
-            first, number = numbers.setdefault(pair, (state, count + 1))
-            if first is not state:
-                if first is not None:
-                    numbers[pair] = (None, number)
-                    numbers[pair, _state_key(first)] = number
-                number = numbers.setdefault((pair, _state_key(state)), len(numbers) + 1)
-            slot[0] = number
-        return number > count
+        pair = (number, label)
+        first, number = numbers.setdefault(pair, (state, len(numbers) + 1))
+        if first is not state:
+            if first is not None:
+                numbers[pair] = (None, number)
+                numbers[pair, _state_key(first)] = number
+            number = numbers.setdefault((pair, _state_key(state)), len(numbers) + 1)
+        return number
 
 
 @record
@@ -523,29 +506,44 @@ def _search(
 ) -> _Outcome:
     """Depth-first search over the nondeterministic runs of a program.
 
-    The stack holds pending runs as (continuation, history, state, ticks),
-    where a continuation is a linked list of program nodes, None | (node,
-    rest).  An iteration with n passes left continues as the cell (_LOOP,
-    (body, n, rest)), so a pass builds no Star record.  Each popped run is
-    one node against ``node_cap``; it runs its deterministic prefix up to
-    success, failure or a two-way branch (a choice, or a bounded
-    iteration).  A branch pushes its second alternative and runs the first
-    in place, counted as one more node, as if it had been pushed and popped.
-    With an rng, one bit drawn at the branch may swap them, and the first
-    successful run ends the search.  Without one, the order is left-biased
-    and (with want_all) every successful run is collected once: a run is
-    numbered by its labels when it succeeds, and its states are keyed only
-    where two runs with the same labels meet (see _HistoryIds).  Nodes are
-    told apart by their exact type, the most frequent first.
+    The stack holds pending runs as (continuation, state, ticks), where a
+    continuation is a linked list of program nodes, None | (node, rest).  An
+    iteration with n passes left continues as the cell (_LOOP, (body, n,
+    rest)), so a pass builds no Star record.  Each popped run is one node
+    against ``node_cap``; it runs its deterministic prefix up to success,
+    failure or a two-way branch (a choice, or a bounded iteration).  A
+    branch pushes its second alternative and runs the first in place,
+    counted as one more node, as if it had been pushed and popped.  With an
+    rng, one bit drawn at the branch may swap them, and the first successful
+    run ends the search.  Without one, the order is left-biased and (with
+    want_all) every successful run is collected once: a run is numbered by
+    its labels when it succeeds, and its states are keyed only where two
+    runs with the same labels meet (see _HistoryIds).  Nodes are told apart
+    by their exact type, the most frequent first.
+
+    The current run is two lists indexed by depth: ``path``, the states it
+    has left, and ``labels``, the actions of the ticks that left them.  A
+    tick appends to both, an assignment changes only the current state, and
+    a pop truncates both to the popped run's ``ticks``; a successful run is
+    ``Trace((*path, cur), tuple(labels))``.  This holds because the search
+    is depth first: the stack's ``ticks`` never fall from bottom to top, so
+    every pending run left exactly the first ``ticks`` states of the lists.
+    Under enumeration ``nums`` holds the numbers of the run's first
+    positions and is truncated with them.  That loses no number a later run
+    could reuse: a truncated one numbered a position of the abandoned run,
+    and _HistoryIds keeps every number it gives, so a later run with the
+    same labels and state keys up to there is given the same number again.
     """
     traces: list[Trace] = []
     history_ids = _HistoryIds() if want_all else None
     pruned = False
     failure: tuple = (-1, None, "no run attempted")
-    stack: list[tuple] = [((program, None), None, s0, 0)]
+    stack: list[tuple] = [((program, None), s0, 0)]
+    path, labels, nums = [], [], []  # the current run by depth, as above
     nodes = 0
     while stack:
-        cont, history, cur, ticks = stack.pop()
+        cont, cur, ticks = stack.pop()
+        del path[ticks:], labels[ticks:], nums[ticks:]
         nodes += 1
         if nodes > node_cap:
             raise ExplosionGuard(nodes, node_cap)
@@ -558,7 +556,8 @@ def _search(
                     pruned = True
                     failed = (ticks, node, "tick budget exhausted at")
                     break
-                history = (cur, node.action, history, [None] if want_all else None)
+                path.append(cur)
+                labels.append(node.action)
                 cur = kinematics.tick(cur, node.action, node.theme)
                 ticks += 1
                 cont = rest
@@ -585,7 +584,7 @@ def _search(
                     first, second = rest, (body, (_LOOP, (body, bound - 1, rest)))
                 if rng is not None and rng.next_bit():
                     first, second = second, first
-                stack.append((second, history, cur, ticks))
+                stack.append((second, cur, ticks))
                 # the first alternative runs in place, one node as if popped
                 nodes += 1
                 if nodes > node_cap:
@@ -604,10 +603,10 @@ def _search(
                 raise TypeError(f"not a program: {node!r}")
         else:  # the run succeeded
             if history_ids is None:
-                traces.append(_trace_of(history, cur))
+                traces.append(Trace((*path, cur), tuple(labels)))
                 break
-            if history_ids.add(history, cur):
-                traces.append(_trace_of(history, cur))
+            if history_ids.add(path, labels, nums, cur):
+                traces.append(Trace((*path, cur), tuple(labels)))
             continue
         if failed is not None and failed[0] >= failure[0]:
             failure = failed

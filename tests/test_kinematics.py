@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from mosim import Rel, SceneConfig, contact_relation, kinematics, surface_distance, tick
 from mosim.errors import ImmobileThemeError, UnsupportedShapePair
@@ -345,6 +345,9 @@ def point_box_distance_oracle(p, box):
     box=bodies("box", shapes=(Shape.BOX,)),
     offset=st.tuples(*[st.one_of(COORD, st.sampled_from((0.0, 0.5, -0.5, 2.0)))] * 3),
 )
+# a ball centre by the wall where squaring with ``x * x`` instead of ``** 2`` moves
+# the last bit: 0.49287190855899127, and 0.4928719085589913 with ``x * x``
+@example(box=WALL, offset=(0.591105944315764, 1.041685365589189, 0.0))
 def test_unrolled_point_box_distance_matches_oracle_bit_for_bit(box, offset):
     p = tuple(c + o for c, o in zip(box.position, offset))
     got = _point_box_distance(p, box, box.position)
@@ -373,13 +376,24 @@ def box_box_distance_oracle(a, pa, b, pb):
     return math.sqrt(sq[0] + sq[1] + sq[2])
 
 
-@seed(20161006)
-@settings(max_examples=500, deadline=None)
-@given(a=bodies("a", shapes=(Shape.BOX,)), b=bodies("b", shapes=(Shape.BOX,)), data=st.data())
-def test_unrolled_box_box_distance_matches_oracle_bit_for_bit(a, b, data):
+@st.composite
+def box_pairs(draw):
+    """Two boxes and where the second stands: at an offset from the first."""
+    a, b = draw(bodies("a", shapes=(Shape.BOX,))), draw(bodies("b", shapes=(Shape.BOX,)))
     # faces touch at an offset of the two half extents summed along an axis
     reach = tuple(x + y for x, y in zip(a.half_extents, b.half_extents))
-    pb = tuple(c + o for c, o in zip(a.position, data.draw(offsets(reach))))
+    return a, b, tuple(c + o for c, o in zip(a.position, draw(offsets(reach))))
+
+
+@seed(20161006)
+@settings(max_examples=500, deadline=None)
+@given(pair=box_pairs())
+# a 1 m block by the wall where squaring with ``x * x`` instead of ``** 2`` moves
+# the last bit: 0.4481076043847342, and 0.4481076043847341 with ``x * x``
+@example(pair=(WALL, Body("block", Shape.BOX, (1.0, 1.0, 1.0), True, (0.0, 0.5, 0.0)),
+               (5.843735046554402, 2.8760234729223018, 0.0)))
+def test_unrolled_box_box_distance_matches_oracle_bit_for_bit(pair):
+    a, b, pb = pair
     for x, px, y, py in ((a, a.position, b, pb), (b, pb, a, a.position)):
         got = _gap(x, px, y, py)
         assert got.hex() == box_box_distance_oracle(x, px, y, py).hex()

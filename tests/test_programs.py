@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mosim import (
     And,
@@ -553,12 +553,19 @@ def test_diamond_holds_exactly_when_some_enumerated_run_ends_in_the_formula(prob
             assert eval_formula(Diamond(program, f), s0, budget).value == expected, (i, f)
 
 
-def _reference_runs(program, s0, budget):
+def _reference_runs(program, s0, budget, rng=None):
     """Every successful run as (states, labels), by a left-biased depth-first walk.
 
     Choices take the left branch first, and an iteration stops before it
-    takes one more pass.
+    takes one more pass.  With an rng, a bit drawn on reaching each two-way
+    branch swaps its alternatives, as ``execute`` draws it.
     """
+    def branch(first, second):
+        if rng is not None and rng.next_bit():
+            first, second = second, first
+        yield from first()
+        yield from second()
+
     def walk(cont, state, ticks, left, labels):
         if not cont:
             yield (*left, state), labels
@@ -575,13 +582,15 @@ def _reference_runs(program, s0, budget):
         elif isinstance(node, Seq):
             yield from walk((node.first, node.second, *rest), state, ticks, left, labels)
         elif isinstance(node, Choice):
-            yield from walk((node.left, *rest), state, ticks, left, labels)
-            yield from walk((node.right, *rest), state, ticks, left, labels)
+            yield from branch(lambda: walk((node.left, *rest), state, ticks, left, labels),
+                              lambda: walk((node.right, *rest), state, ticks, left, labels))
         elif isinstance(node, Star):
-            yield from walk(rest, state, ticks, left, labels)
             if node.bound > 0:
                 again = (node.body, Star(node.body, node.bound - 1), *rest)
-                yield from walk(again, state, ticks, left, labels)
+                yield from branch(lambda: walk(rest, state, ticks, left, labels),
+                                  lambda: walk(again, state, ticks, left, labels))
+            else:
+                yield from walk(rest, state, ticks, left, labels)
         else:
             value = eval_term(node.term, state)
             if isinstance(node, DirectedAssign) and programs._values_equal(
@@ -604,16 +613,44 @@ def reference_enumeration(program, s0, budget):
 
 @settings(max_examples=150, deadline=None)
 @given(index=st.integers(min_value=0, max_value=10_000))
+# backtracking after an assignment: a choice whose first alternative assigns and
+# ticks, while the second ticks from the state before the assignment; the runs
+# agree in their labels, or the first fails after its tick
+@example(index="(seq (choice (seq (assign (loc ball) (vec 1 0.5 0)) (tick roll)) (tick roll))"
+               " (tick slide))")
+@example(index="(seq (choice (seq (assign (rot ball) 2) (tick roll)) (tick roll)) (tick roll))")
+@example(index="(seq (choice (seq (assign (rot ball) 2) (tick roll)) (tick roll))"
+               " (test (leq (rot ball) 1)))")
+@example(index="(seq (choice (seq (assign (loc ball) (vec 0 3 0)) (tick roll)) (tick roll))"
+               " (test (ec ball floor)))")
+@example(index="(star (choice (seq (assign (loc ball) (add (loc ball) (vec 0 0 1))) (tick slide))"
+               " (tick slide)) 3)")
+# and a diamond test, a search of its own, inside a star pass
+@example(index="(star (seq (test (diamond (tick roll) (ec ball floor)))"
+               " (choice (seq (assign (rot ball) 1) (tick roll)) (tick roll))) 2)")
 def test_enumeration_equals_the_reference_in_order(index):
+    """``index`` draws a random program, or is the text of a pinned one."""
     from mosim import builtin_lexicon
 
     s0 = probe_scene(SceneConfig(seed=0), builtin_lexicon()).initial
-    gen = SplitMix64(1517).stream(f"prog{index}")
-    program = _random_program(gen, [3], [2], assigns=True)
-    budget = int(3 + gen.next_u64() % 10)
+    if isinstance(index, str):
+        program, budget = parse_program(index), 6
+    else:
+        gen = SplitMix64(1517).stream(f"prog{index}")
+        program = _random_program(gen, [3], [2], assigns=True)
+        budget = int(3 + gen.next_u64() % 10)
     got = enumerate_traces(program, s0, budget)
     want = reference_enumeration(program, s0, budget)
     assert [(t.labels, t.key()) for t in got] == [(t.labels, t.key()) for t in want]
+    # seeds whose first bit is 1, 1, 0, 1: either alternative of the first branch first
+    for seed in range(4):
+        first = next(_reference_runs(program, s0, budget, SplitMix64(seed)), None)
+        if first is None:
+            with pytest.raises(NoSuccessfulRun):
+                execute(program, s0, SplitMix64(seed), budget)
+        else:
+            trace = execute(program, s0, SplitMix64(seed), budget)
+            assert (trace.states, trace.labels) == first
 
 
 def test_a_star_of_distinct_labels_keys_no_state(probe, monkeypatch):
