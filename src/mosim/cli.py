@@ -86,8 +86,8 @@ def cmd_simulate(args) -> int:
 
     report = verify_trace(trace, frame, scene, cfg) if args.verify else None
     metrics = report.metrics if report else trace_metrics(trace, scene.theme_id)
-    theme = trace.final.body(scene.theme_id)
-    contacts = " ".join(f"{other}={rel.value}" for other, rel in sorted(theme.contacts.items()))
+    contacts = " ".join(f"{b}={rel.value}" for (a, b), rel in sorted(trace.final.contacts.items())
+                        if a == scene.theme_id)
     print(f"frames: {trace.tick_count}")
     print(f"path_length: {metrics.path_length:.6g}")
     print(f"net_rotation: {metrics.net_rotation:.6g}")

@@ -197,8 +197,7 @@ class SceneBuildError(MosimError):
 # -- verification and trace files ---------------------------------------------
 
 class TraceSceneMismatch(MosimError):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """A trace that does not fit the scene it is verified against."""
 
 
 class DiamondNotAllowed(MosimError):
@@ -207,5 +206,4 @@ class DiamondNotAllowed(MosimError):
 
 
 class TraceFormatError(MosimError):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """A malformed trace file: the message names the first fault found."""

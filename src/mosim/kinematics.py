@@ -5,13 +5,15 @@ the bounce action.  Every tick is a pure function from world state to
 world state; determinism and checkability win over physical fidelity.
 Shapes are spheres, axis-aligned boxes and the horizontal floor plane,
 which keeps surface distances exact and the contact relations decidable.
-``_relation`` is the one place a gap becomes a relation; every other
-module reads the flags ``refresh_contacts`` and ``tick`` leave on each body.
-A tick moves only its theme, so it decides only the theme's relations, in
-one pass over the bodies.  ``_with_contacts`` measures the pairs that hold a
-moved body, each once: ``refresh_contacts`` counts every body as moved, and
-the trace reader every body in its first state and then the bodies whose
-pose changed, which in an engine-written trace is the theme alone.  The gap
+``_relation`` is the one place a gap becomes a relation, and this module
+is the one writer of the relations: each state holds them in one map,
+``WorldState.contacts``, keyed by the pair under both orders, and every other
+module reads that map.  A tick moves only its theme, so it decides only the
+theme's relations, in one pass over the bodies.  ``_with_contacts`` measures
+the pairs that hold a moved body, each once: ``refresh_contacts`` counts
+every body as moved, and the trace reader every body in its first state and
+then the bodies whose pose changed, which in an engine-written trace is the
+theme alone.  No body is rebuilt for a relation's sake.  The gap
 kernels are straight-line float arithmetic with no ``max``, ``min`` or ``sum``
 calls, added left to right, so they give the same bits on every Python version.
 """
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from math import sqrt
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .config import SceneConfig
 from .errors import ImmobileThemeError, UnboundObjectError, UnsupportedShapePair
@@ -63,6 +65,10 @@ class Rel(Enum):
     PO = "PO"   # penetrating overlap: surface distance < -eps (a fault)
 
 
+# a state's relations, keyed by body pair under both orders (see WorldState)
+Contacts = dict[tuple[str, str], Rel]
+
+
 # The members the per-tick code compares against, as plain module names:
 # on CPython 3.11 reading ``Shape.SPHERE`` takes ~150 ns, a global ~30 ns,
 # and every tick and every measured pair reads several.
@@ -80,8 +86,6 @@ class Body:
     heading: Vec3
     rotation: float        # accumulated angle about the rolling axis, rad
     velocity: Vec3         # y component doubles as the ballistic state
-    # relation to each other body at this position (see WorldState)
-    contacts: Mapping[str, Rel]
 
     # written out rather than Record.__init__'s loop: tick builds one per
     # step, and with Record.__init__ for Body and WorldState long runs
@@ -96,9 +100,8 @@ class Body:
         heading: Vec3 = PLUS_X,
         rotation: float = 0.0,
         velocity: Vec3 = ZERO3,
-        contacts: Mapping[str, Rel] | None = None,
     ) -> None:
-        s_id, s_shape, s_dims, s_mobile, s_pos, s_head, s_rot, s_vel, s_contacts = self._setters
+        s_id, s_shape, s_dims, s_mobile, s_pos, s_head, s_rot, s_vel = self._setters
         s_id(self, id)
         s_shape(self, shape)
         s_dims(self, dimensions)
@@ -107,7 +110,6 @@ class Body:
         s_head(self, heading)
         s_rot(self, rotation)
         s_vel(self, velocity)
-        s_contacts(self, {} if contacts is None else contacts)
 
     @property
     def radius(self) -> float:
@@ -131,35 +133,42 @@ class Body:
 
 @record
 class WorldState:
-    """One instant: every body with its contact flags, and the config.
+    """One instant: every body, the contact relation of each pair, and the config.
 
-    Invariant: each body's ``contacts`` hold the relations of the current
-    positions.  ``refresh_contacts``, ``tick``, the scene builders, ``loc``
-    assignments and the trace reader produce only such states, and formula
-    atoms and the scene's overlap check read the flags instead of recomputing
-    them.  ``tick`` measures only the theme's pairs and the trace reader only
-    the pairs of a moved body, and both carry every other flag into the next
-    state unchanged; ``tick`` also reads the theme's ``DC`` flags instead of
-    measuring its old gaps.  So a stale flag would outlive its state.  A
-    hand-built state may leave the maps empty or partial, never stale; a tick
-    of such a state refreshes every pair, and ``refresh_contacts`` measures
-    every pair of any state.  No other path fills a missing flag.
+    Invariant: ``contacts`` holds the relation of each pair of bodies at the
+    current positions, keyed by ``(a, b)`` under both orders, with no entry
+    for a body with itself or for a pair of shapes that has no distance.
+    ``kinematics`` is its only writer: ``refresh_contacts``, ``tick`` and the
+    trace reader (through ``_with_contacts``) produce only such states, and
+    formula atoms, the scene's overlap check, the verifier and the trace
+    writer read the map instead of recomputing relations.  ``tick`` measures
+    only the theme's pairs and the trace reader only the pairs of a moved
+    body, and both carry every other entry into the next state unchanged;
+    ``tick`` also reads the theme's ``DC`` entries instead of measuring its old
+    gaps.  So a stale entry would outlive its state.  A hand-built state may
+    leave the map empty or short, never stale; a tick of such a state
+    refreshes every pair, and ``refresh_contacts`` measures every pair of any
+    state.  No other path fills a missing entry.  States share the map until
+    a relation changes, so it is never mutated once a state holds it.
     """
 
     time: float
     tick_index: int
     bodies: dict[str, Body]
     cfg: SceneConfig
+    contacts: Contacts
 
     # written out for the same reason as Body's
     def __init__(
-        self, time: float, tick_index: int, bodies: dict[str, Body], cfg: SceneConfig
+        self, time: float, tick_index: int, bodies: dict[str, Body], cfg: SceneConfig,
+        contacts: Contacts | None = None,
     ) -> None:
-        s_time, s_index, s_bodies, s_cfg = self._setters
+        s_time, s_index, s_bodies, s_cfg, s_contacts = self._setters
         s_time(self, time)
         s_index(self, tick_index)
         s_bodies(self, bodies)
         s_cfg(self, cfg)
+        s_contacts(self, {} if contacts is None else contacts)
 
     def body(self, object_id: str) -> Body:
         try:
@@ -168,7 +177,10 @@ class WorldState:
             raise UnboundObjectError(object_id) from None
 
     def with_body(self, body: Body) -> "WorldState":
-        return WorldState(self.time, self.tick_index, {**self.bodies, body.id: body}, self.cfg)
+        """This state with ``body`` put in; the contacts ride along unchanged,
+        so a caller that moves a body refreshes them."""
+        return WorldState(self.time, self.tick_index, {**self.bodies, body.id: body}, self.cfg,
+                          self.contacts)
 
 
 def rest_height(shape: Shape, dimensions: tuple[float, ...]) -> float:
@@ -262,37 +274,36 @@ def _relation(d: float, contact_eps: float) -> Rel:
 
 
 def refresh_contacts(state: WorldState) -> WorldState:
-    """Recompute every computable pairwise contact flag from positions.
+    """Recompute every computable pairwise contact relation from positions.
 
-    A body's flag map is copied, and the body rebuilt, only when one of its
-    flags changes; every other body is shared with ``state``.
+    The map is copied only when a relation changes; otherwise the new state
+    shares ``state``'s map.
     """
-    bodies = _with_contacts(state.bodies, state.cfg.contact_eps, state.bodies)
-    return WorldState(state.time, state.tick_index, bodies, state.cfg)
+    contacts = _with_contacts(state.bodies, state.contacts, state.cfg.contact_eps, state.bodies)
+    return WorldState(state.time, state.tick_index, state.bodies, state.cfg, contacts)
 
 
-def _with_contacts(bodies: dict[str, Body], eps: float, moved: Iterable[str]) -> dict[str, Body]:
-    """``bodies`` with fresh contact flags for the pairs that hold a body in ``moved``.
+def _with_contacts(
+    bodies: dict[str, Body], contacts: Contacts, eps: float, moved: Iterable[str]
+) -> Contacts:
+    """``contacts`` with fresh relations for the pairs that hold a body in ``moved``.
 
     For ``refresh_contacts`` and the trace reader; ``tick`` decides its
     theme's pairs itself.  Each moved body is measured against every body not
     yet measured against it, the earlier of the two in ``bodies`` order
     first, so a pair of two moved bodies is measured once.  A pair of two
-    bodies that did not move keeps its flag, which holds only because flags
-    are never stale (see ``WorldState``).  Callers with incomplete maps pass
-    every body as moved: ``refresh_contacts``, and the reader's first state.
+    bodies that did not move keeps its relation, which holds only because
+    the map is never stale (see ``WorldState``).  Callers with a short map
+    pass every body as moved: ``refresh_contacts``, and the reader's first
+    state.
 
-    Copy on write: a body's flag map is copied, in ``bodies`` order, and the
-    body rebuilt only when one of its flags changes; every other body is the
-    same object, and when no flag changes ``bodies`` itself is returned.  That
-    is sound because bodies are frozen and their flag maps are never mutated.
+    Copy on write: the map is copied once, at the first relation that
+    changes, and when none changes ``contacts`` itself is returned.
     """
-    # the flags that change, by body; None drops the flag of a pair with no distance
-    changes: dict[str, dict[str, Rel | None]] = {}
+    out = contacts
     done = set()
     for m_id in moved:
         m = bodies[m_id]
-        m_flags = m.contacts
         seen = False
         for o_id, o in bodies.items():
             if o is m:
@@ -308,29 +319,21 @@ def _with_contacts(bodies: dict[str, Body], eps: float, moved: Iterable[str]) ->
                 rel = _relation(d, eps)
             except UnsupportedShapePair:
                 rel = None
-            if rel is not m_flags.get(o_id):
-                changes.setdefault(m_id, {})[o_id] = rel
-            if rel is not o.contacts.get(m_id):
-                changes.setdefault(o_id, {})[m_id] = rel
+            if rel is not out.get((m_id, o_id)) or rel is not out.get((o_id, m_id)):
+                if out is contacts:
+                    out = contacts.copy()
+                _set_pair(out, m_id, o_id, rel)
         done.add(m_id)
-    if not changes:
-        return bodies
-    out = dict(bodies)
-    for key, fix in changes.items():
-        out[key] = _with_flags(bodies, key, fix)
     return out
 
 
-def _with_flags(bodies: dict[str, Body], key: str, fix: Mapping[str, Rel | None]) -> Body:
-    """``bodies[key]`` with the flags in ``fix`` (None drops one), its map in ``bodies`` order."""
-    b = bodies[key]
-    flags = {}
-    for other in bodies:
-        rel = fix[other] if other in fix else b.contacts.get(other)
-        if rel is not None and other != key:
-            flags[other] = rel
-    return Body(b.id, b.shape, b.dimensions, b.mobile, b.position, b.heading,
-                b.rotation, b.velocity, flags)
+def _set_pair(contacts: Contacts, a: str, b: str, rel: Rel | None) -> None:
+    """Write ``rel`` for the pair under both orders; None drops the pair."""
+    if rel is None:
+        contacts.pop((a, b), None)
+        contacts.pop((b, a), None)
+    else:
+        contacts[a, b] = contacts[b, a] = rel
 
 
 def _unit_horizontal(direction: Vec3) -> Vec3:
@@ -385,7 +388,7 @@ def tick(
     body instead of entering it.
 
     ``direction`` defaults to the theme's own heading.  The tick runs under
-    ``world.cfg``, whose ``contact_eps`` decided the flags it reads; ``cfg``
+    ``world.cfg``, whose ``contact_eps`` decided the relations it reads; ``cfg``
     is accepted only as that config, and any other raises ``ValueError``.
     """
     if cfg is not None and cfg is not world.cfg and cfg != world.cfg:
@@ -430,7 +433,7 @@ def tick(
     # keeps each obstacle's gap, theme first, measured at ``pos``; moving the
     # theme back empties it.
     eps = cfg.contact_eps
-    flags = theme.contacts
+    contacts = world.contacts
     shape = theme.shape
     pos = (x, y, z)
     gaps = {}
@@ -442,10 +445,10 @@ def tick(
         if other.shape is _PLANE:
             continue
         d_new = _gap(theme, pos, other, other.position)
-        # a DC flag means d_old > eps, so the branch below cannot be taken; the
-        # flag was measured in bodies order, which a like shape before the theme
+        # a DC relation means d_old > eps, so the branch below cannot be taken;
+        # it was measured in bodies order, which a like shape before the theme
         # reverses (see _gap)
-        if not ((seen or other.shape is not shape) and flags.get(key) is _DC):
+        if not ((seen or other.shape is not shape) and contacts.get((theme_id, key)) is _DC):
             d_old = _gap(theme, p0, other, other.position)
             if d_old <= eps and d_new < d_old:
                 # already in contact and not separating: no further motion
@@ -473,13 +476,9 @@ def tick(
 
     # Only the theme moved, so only its pairs can change.  Each is measured in
     # bodies order, or read from ``gaps`` when the theme-first gap is that
-    # measurement.  Copy on write: the theme keeps its flag map, and another
-    # body its Body object, unless one of its flags changed.
-    new = {}
-    changed = False
-    complete = True
-    full = len(world.bodies) - 1
-    bodies = world.bodies.copy()
+    # measurement.  Copy on write: the new state shares the map unless one of
+    # the theme's relations changed.
+    out = contacts
     seen = False
     for key, other in world.bodies.items():
         if other is theme:
@@ -494,17 +493,15 @@ def tick(
             rel = None
         else:
             rel = _relation(d, eps)
-            new[key] = rel
-        if rel is not flags.get(key):
-            changed = True
-        back = other.contacts
-        if len(back) < full:
-            complete = False
-        if rel is not back.get(theme_id):
-            bodies[key] = _with_flags(world.bodies, key, {theme_id: rel})
+        if rel is not out.get((theme_id, key)):
+            if out is contacts:
+                out = contacts.copy()
+            _set_pair(out, theme_id, key, rel)
+    bodies = world.bodies.copy()
     bodies[theme_id] = Body(theme.id, shape, theme.dimensions, theme.mobile, pos, direction,
-                            rotation, velocity, new if changed else flags)
+                            rotation, velocity)
     tick_index = world.tick_index + 1
-    state = WorldState(tick_index * dt, tick_index, bodies, cfg)
-    # a hand-built state may lack the flags of pairs the theme is not in
-    return state if complete else refresh_contacts(state)
+    state = WorldState(tick_index * dt, tick_index, bodies, cfg, out)
+    # a short map (a hand-built state's) is refreshed whole
+    n = len(bodies)
+    return state if len(out) >= n * (n - 1) else refresh_contacts(state)

@@ -342,9 +342,9 @@ def _eval3(f: Formula, state: WorldState, budget: int, node_cap: int):
     # dispatch on the exact node type, the goal tests' contact atoms first
     t = type(f)
     if t is At or t is EC or t is DC:
-        # the state's own flag answers; only a pair without one (a hand-built
+        # the state's own relation answers; only a pair without one (a hand-built
         # state, an unsupported shape pair, a body with itself) is computed
-        rel = state.body(f.a).contacts.get(f.b)
+        rel = state.contacts.get((f.a, f.b))
         if rel is None:
             rel = contact_relation(state.body(f.a), state.body(f.b), state.cfg.contact_eps)
         if t is At:

@@ -183,10 +183,10 @@ def build_scene(frame: EventFrame, lex: Lexicon, cfg: SceneConfig) -> Scene:
     ids = list(state.bodies)
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
-            if state.bodies[a].contacts.get(b) is Rel.PO:
+            if state.contacts.get((a, b)) is Rel.PO:
                 raise SceneBuildError(f"bodies {a!r} and {b!r} interpenetrate at t=0")
     if (frame.verb.profile.floor_contact is FloorContact.ALWAYS_DC
-            and state.bodies[theme.id].contacts[FLOOR_ID] is not Rel.DC):
+            and state.contacts[theme.id, FLOOR_ID] is not Rel.DC):
         # a default_altitude at or just above the rest height
         raise SceneBuildError(f"{theme.id!r} would fly in contact with the floor")
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from .config import SceneConfig, config_from_dict
 from .programs import Trace, _without_collector
 from .errors import ConfigFormatError, TraceFormatError
-from .kinematics import PLUS_X, ZERO3, Body, Rel, WorldState, _with_contacts
+from .kinematics import PLUS_X, Body, Contacts, Rel, WorldState, _with_contacts
 from .lexicon import DIM_KEYS, FLOOR_ID, MAX_SIZE, MIN_SIZE, TICK_ACTIONS, Shape
 from .record import record
 from .scene import Scene
@@ -98,7 +98,6 @@ def _state_lines(fmt: str, trace: Trace, scene: Scene):
     rel_text = {rel: strings(rel.value) if jsonl else rel.value for rel in Rel}
     done: dict[str, tuple[Body, str]] = {}
     for i, state in enumerate(trace.states):
-        theme = state.body(theme_id)
         parts = []
         for body in state.bodies.values() if jsonl else map(state.bodies.__getitem__, column_ids):
             hit = done.get(body.id)
@@ -115,8 +114,8 @@ def _state_lines(fmt: str, trace: Trace, scene: Scene):
                 hit = done[body.id] = (body, text)
             parts.append(hit[1])
         label = trace.labels[i - 1] if i > 0 else None
-        floor = rel_text[theme.contacts[FLOOR_ID]]
-        goal = rel_text[theme.contacts[ground_id]] if has_goal else None
+        floor = rel_text[state.contacts[theme_id, FLOOR_ID]]
+        goal = rel_text[state.contacts[theme_id, ground_id]] if has_goal else None
         if jsonl:
             line = f'{{"index":{i},"time":{_jnum(state.time)},"bodies":{{{",".join(parts)}}}'
             if label is not None:
@@ -323,6 +322,7 @@ def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) 
     labels = []
     last_bits: list = [None] * len(slots)
     last: dict[str, Body] = {}
+    contacts: Contacts = {}
     for i, row in enumerate(rows):
         index, time, poses, action = record(i, row)
         if index != i:
@@ -340,16 +340,13 @@ def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) 
                         f"pos and rot in record {i} body {bid} must lie within"
                         f" [{-MAX_COORDINATE:g}, {MAX_COORDINATE:g}]"
                     )
-                # the previous flags ride along; _with_contacts copies them only if a
-                # pair that holds a moved body changed its relation.  In the first
-                # state every body is new, with an empty map, so every pair is measured
-                contacts = last[bid].contacts if last else None
-                bodies[bid] = Body(bid, shape, dims, mobile, pose[:3], heading, pose[3],
-                                   ZERO3, contacts)
+                bodies[bid] = Body(bid, shape, dims, mobile, pose[:3], heading, pose[3])
                 moved.append(bid)
                 last_bits[k] = bits
-        last = _with_contacts(bodies, cfg.contact_eps, moved)
-        states.append(WorldState(time, i, last, cfg))
+        # the first state measures every pair; later ones only the pairs of a moved body
+        contacts = _with_contacts(bodies, contacts, cfg.contact_eps, moved)
+        states.append(WorldState(time, i, bodies, cfg, contacts))
+        last = bodies
         if i > 0:
             if not action:
                 raise TraceFormatError(f"record {i} is missing its action label")

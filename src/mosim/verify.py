@@ -18,7 +18,7 @@ from .errors import DiamondNotAllowed, TraceSceneMismatch, UnboundObjectError
 from .kinematics import Body, Rel, WorldState
 from .lexicon import FLOOR_ID, PREP_ROLES, FloorContact, PathKind, RotationCoupling
 from .parser import EventFrame
-from .record import record
+from .record import asdict, record
 from .scene import Scene, ground_object_id
 
 ROTATION_COUPLING_TOL = 1e-4   # rad, loose against float accumulation
@@ -54,12 +54,7 @@ class CheckResult:
     detail: str
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "offending_index": self.offending_index,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @record
@@ -69,11 +64,7 @@ class TraceMetrics:
     contact_intervals: int
 
     def to_dict(self) -> dict:
-        return {
-            "path_length": self.path_length,
-            "net_rotation": self.net_rotation,
-            "contact_intervals": self.contact_intervals,
-        }
+        return asdict(self)
 
 
 @record
@@ -128,8 +119,9 @@ def _scan(
 
     Returns the runs of the theme's floor relation over the post-tick states,
     as (relation, length); the theme's horizontal path length, summed state by
-    state; the first ``PO`` flag as (state, body id, other id), in bodies and
-    then map order; and the first step off ``dt`` as (step, its length).
+    state; the first ``PO`` relation as (state, body id, other id), at the first
+    pair in bodies order with the earlier body named first; and the first step
+    off ``dt`` as (step, its length).
     """
     states = trace.states
     runs: list[tuple[Rel, int]] = []
@@ -141,7 +133,7 @@ def _scan(
     for i in range(1, len(states)):
         state = states[i]
         theme = state.body(theme_id)
-        rel = theme.contacts[FLOOR_ID]
+        rel = state.contacts[theme_id, FLOOR_ID]
         if rel is run:
             n += 1
         else:
@@ -163,12 +155,13 @@ def _scan(
 
 
 def _first_po(state: WorldState, i: int) -> tuple[int, str, str] | None:
-    for body in state.bodies.values():
-        flags = body.contacts
-        if _PO in flags.values():
-            for other, rel in flags.items():
-                if rel is _PO:
-                    return i, body.id, other
+    contacts = state.contacts
+    if _PO in contacts.values():
+        ids = list(state.bodies)
+        for k, a in enumerate(ids):
+            for b in ids[k + 1:]:
+                if contacts.get((a, b)) is _PO:
+                    return i, a, b
     return None
 
 

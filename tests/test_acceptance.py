@@ -64,7 +64,7 @@ def test_a1_running_example(tmp_path):
     trace = doc.trace
     assert eval_formula(EC("ball", "wall"), trace.final).value
     for state in trace.states[1:]:
-        assert state.body("ball").contacts["floor"] is Rel.EC
+        assert state.contacts["ball", "floor"] is Rel.EC
     metrics = trace_metrics(trace, "ball")
     radius = trace.final.body("ball").radius
     assert abs(metrics.net_rotation - metrics.path_length / radius) <= 1e-4

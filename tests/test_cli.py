@@ -31,6 +31,18 @@ def test_simulate_verify_running_example(tmp_path, capsys):
     assert report["overall"] == "pass"
 
 
+@pytest.mark.parametrize("sentence,line", [
+    ("the ball rolled to the wall", "final_contacts: floor=EC wall=EC"),
+    ("the ball rolled from the wall", "final_contacts: floor=EC wall=DC"),
+    ("the bird flew", "final_contacts: floor=DC"),
+])
+def test_simulate_prints_the_themes_final_contacts(tmp_path, capsys, sentence, line):
+    # the theme's relation to every other body in the last state, sorted by body id
+    code, _ = simulate(tmp_path, sentence=sentence)
+    assert code == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_simulate_reruns_byte_identical(tmp_path):
     _, a = simulate(tmp_path, "--seed", "42")
     b = tmp_path / "again.jsonl"

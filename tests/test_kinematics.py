@@ -193,7 +193,7 @@ def test_bounce_alternates_floor_contact():
     rels = []
     for _ in range(60):
         w = tick(w, "bounce", "ball", (1, 0, 0), cfg)
-        rels.append(w.body("ball").contacts["floor"])
+        rels.append(w.contacts["ball", "floor"])
     assert Rel.EC in rels and Rel.DC in rels
     assert Rel.PO not in rels
 
@@ -204,7 +204,7 @@ def test_fly_keeps_altitude_and_stays_dc():
     for _ in range(100):
         w = tick(w, "fly", "ball", (1, 0, 0), cfg)
         assert w.body("ball").position[1] == 1.5
-        assert w.body("ball").contacts["floor"] is Rel.DC
+        assert w.contacts["ball", "floor"] is Rel.DC
 
 
 def test_goal_clamp_stops_at_contact_without_tunneling():
@@ -214,7 +214,7 @@ def test_goal_clamp_stops_at_contact_without_tunneling():
         w = tick(w, "slide", "ball", (1, 0, 0), cfg)
         d = surface_distance(w.body("ball"), w.body("wall"))
         assert d > -cfg.contact_eps  # never PO against the goal
-    assert w.body("ball").contacts["wall"] is Rel.EC
+    assert w.contacts["ball", "wall"] is Rel.EC
 
 
 def test_position_fixed_point_after_goal_contact():
@@ -265,7 +265,7 @@ def test_roll_slide_move_preserve_floor_contact():
         w = world(FLOOR, ball_at((0, 0.5, 0)), cfg=cfg)
         for _ in range(200):
             w = tick(w, action, "ball", (0, 0, 1), cfg)
-            assert w.body("ball").contacts["floor"] is Rel.EC
+            assert w.contacts["ball", "floor"] is Rel.EC
 
 
 @settings(max_examples=25, deadline=None)
@@ -291,7 +291,7 @@ def test_tick_shares_bodies_whose_contacts_did_not_change():
     w2 = tick(w, "roll", "ball", (1, 0, 0))
     assert w2.body("floor") is w.body("floor")
     assert w2.body("wall") is w.body("wall")
-    assert w2.body("ball").contacts is w.body("ball").contacts
+    assert w2.contacts is w.contacts
 
 
 # -- kernel properties -----------------------------------------------------------
@@ -479,16 +479,16 @@ def _reference_obstacles(world, theme, proposed, eps):
 
 def _reference_contacts(bodies, eps):
     items = list(bodies.items())
-    flags = {key: {} for key, _ in items}
+    contacts = {}
     for i, (a_id, a) in enumerate(items):
         for b_id, b in items[i + 1:]:
             try:
                 rel = contact_relation(a, b, eps)
             except UnsupportedShapePair:
                 continue
-            flags[a_id][b_id] = rel
-            flags[b_id][a_id] = rel
-    return {key: replace(b, contacts=flags[key]) for key, b in items}
+            contacts[a_id, b_id] = rel
+            contacts[b_id, a_id] = rel
+    return contacts
 
 
 def dividing_unit_horizontal(direction):
@@ -534,8 +534,9 @@ def reference_tick(world, action, theme_id, direction):
         velocity = (velocity[0], vy, velocity[2])
     new_theme = replace(theme, position=final, heading=direction, rotation=rotation,
                         velocity=velocity)
-    bodies = _reference_contacts({**world.bodies, theme.id: new_theme}, cfg.contact_eps)
-    return WorldState((world.tick_index + 1) * cfg.dt, world.tick_index + 1, bodies, world.cfg)
+    bodies = {**world.bodies, theme.id: new_theme}
+    return WorldState((world.tick_index + 1) * cfg.dt, world.tick_index + 1, bodies, world.cfg,
+                      _reference_contacts(bodies, cfg.contact_eps))
 
 
 COMPONENT = st.one_of(
@@ -586,8 +587,8 @@ def assert_same_state_bits(got, want):
         assert [c.hex() for c in g.velocity] == [c.hex() for c in w.velocity], key
         assert g.rotation.hex() == w.rotation.hex(), key
         assert g.heading == w.heading, key
-        # the same flags in the same order: the verifier reports the first PO it iterates to
-        assert list(g.contacts.items()) == list(w.contacts.items()), key
+    # the same relations; every reader looks a pair up by its key, so order is free
+    assert got.contacts == want.contacts
 
 
 NEAR = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
@@ -665,43 +666,65 @@ def test_rolling_to_the_wall_measures_the_wall_once_per_tick(monkeypatch):
     assert len(calls) <= trace.tick_count + 10
 
 
+def test_executing_the_roll_to_the_wall_builds_one_body_per_tick(monkeypatch):
+    from mosim import build_scene, builtin_lexicon, compile_event, execute, parse_text
+    from mosim.rng import stream_for
+
+    lex, cfg = builtin_lexicon(), SceneConfig(seed=0, ground_distance=50)
+    frame = parse_text("the ball rolled to the wall", lex)
+    scene, program = build_scene(frame, lex, cfg), compile_event(frame, lex, cfg)
+    built, init = [], Body.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Body, "__init__", counted)
+    trace = execute(program, scene.initial, stream_for(0, "choice"), cfg.max_frames)
+    assert trace.tick_count > 2500
+    # the moved theme; the wall is not rebuilt when the ball's contact with it changes
+    assert len(built) == trace.tick_count
+
+
 def test_flag_maps_are_copied_only_when_a_flag_changes():
     w = world(FLOOR, ball_at((0.0, 0.5, 0.0)), WALL)
-    assert refresh_contacts(w).bodies is w.bodies  # nothing changed: the same dict
-    ball = w.body("ball")
-    # far from the wall: the theme keeps its map object, the others their Body objects
+    again = refresh_contacts(w)  # nothing changed: the same dicts
+    assert again.bodies is w.bodies and again.contacts is w.contacts
+    # far from the wall: the state shares the map, and the others their Body objects
     near = tick(w, "roll", "ball", (1.0, 0.0, 0.0))
-    assert near.body("ball").contacts is ball.contacts
+    assert near.contacts is w.contacts
     assert near.body("floor") is w.body("floor") and near.body("wall") is w.body("wall")
-    # one 1/60 m step short of touching the wall's face (x = 4.9) the ball-wall flag
-    # changes: the ball and the wall get new maps in bodies order, the floor stays
+    # one 1/60 m step short of touching the wall's face (x = 4.9) the ball-wall relation
+    # changes: the map is copied with both of the pair's keys written, no other body rebuilt
     w = world(FLOOR, ball_at((4.39, 0.5, 0.0)), WALL)
     hit = tick(w, "roll", "ball", (1.0, 0.0, 0.0))
-    assert hit.body("ball").contacts == {"floor": Rel.EC, "wall": Rel.EC}
-    assert list(hit.body("ball").contacts) == ["floor", "wall"]
-    assert list(hit.body("wall").contacts) == ["floor", "ball"]
-    assert hit.body("wall").contacts is not w.body("wall").contacts
-    assert hit.body("floor") is w.body("floor")
+    assert hit.contacts is not w.contacts
+    assert hit.contacts == {**w.contacts, ("ball", "wall"): Rel.EC, ("wall", "ball"): Rel.EC}
+    assert w.contacts["ball", "wall"] is w.contacts["wall", "ball"] is Rel.DC
+    assert list(hit.contacts) == list(w.contacts)
+    assert hit.body("floor") is w.body("floor") and hit.body("wall") is w.body("wall")
 
 
 def test_a_partial_map_is_completed_in_bodies_order():
-    # a hand-built ball that holds its wall flag but not its floor flag
-    ball = ball_at((0.0, 0.5, 0.0), contacts={"wall": Rel.DC})
-    got = refresh_contacts(WorldState(0.0, 0, {"floor": FLOOR, "ball": ball, "wall": WALL},
-                                      SceneConfig(seed=0)))
-    assert list(got.body("ball").contacts.items()) == [("floor", Rel.EC), ("wall", Rel.DC)]
-    assert list(got.body("wall").contacts) == ["floor", "ball"]
-    assert list(got.body("floor").contacts) == ["ball", "wall"]
+    # a hand-built state that holds the ball-wall relation but no floor relation
+    given = {("ball", "wall"): Rel.DC, ("wall", "ball"): Rel.DC}
+    got = refresh_contacts(WorldState(0.0, 0, {"floor": FLOOR, "ball": ball_at((0.0, 0.5, 0.0)),
+                                               "wall": WALL}, SceneConfig(seed=0), given))
+    assert given == {("ball", "wall"): Rel.DC, ("wall", "ball"): Rel.DC}  # copied, not mutated
+    # the missing pairs are appended in bodies order, each under both orders at once
+    assert list(got.contacts.items()) == [
+        *given.items(),
+        (("floor", "ball"), Rel.EC), (("ball", "floor"), Rel.EC),
+        (("floor", "wall"), Rel.EC), (("wall", "floor"), Rel.EC),
+    ]
 
 
 @pytest.mark.parametrize("missing", [("floor", "wall"), ("wall", "floor"), ("ball", "wall")])
 def test_a_tick_of_a_partial_state_flags_every_pair(missing):
-    # a hand-built state that lacks one flag: a pair the theme is not in, or one it is
+    # a hand-built state that lacks one key: of a pair the theme is not in, or one it is
     full = refresh_contacts(world(FLOOR, ball_at((4.39, 0.5, 0.0)), WALL))
-    holder, other = missing
-    body = full.body(holder)
-    partial = full.with_body(replace(body, contacts={k: r for k, r in body.contacts.items()
-                                                     if k != other}))
+    partial = WorldState(full.time, full.tick_index, full.bodies, full.cfg,
+                         {k: r for k, r in full.contacts.items() if k != missing})
     got = tick(partial, "roll", "ball", (1.0, 0.0, 0.0))
     assert_same_state_bits(got, reference_tick(partial, "roll", "ball", (1.0, 0.0, 0.0)))
     assert got == refresh_contacts(got)

@@ -99,7 +99,7 @@ def box(body_id, dims, x=0.0):
 
 
 def hand_built(*bodies):
-    """A state with the bodies as given: empty contact maps, default config."""
+    """A state with the bodies as given: an empty contact map, default config."""
     return WorldState(0.0, 0, {b.id: b for b in bodies}, SceneConfig(seed=0))
 
 
@@ -108,7 +108,7 @@ def atoms(state, a, b):
 
 
 def assert_atoms_follow_the_flag(state, a, b):
-    rel = state.body(a).contacts[b]
+    rel = state.contacts[a, b]
     expected = (rel is not Rel.DC, rel is Rel.EC, rel is Rel.DC)
     assert atoms(state, a, b) == expected
     assert atoms(state, b, a) == expected
@@ -161,7 +161,7 @@ def test_pairs_without_flags_give_what_refreshed_flags_give(x):
     # x 1.0 puts the ball's surface on the block's face; smaller x overlaps them
     state = hand_built(FLOOR_BODY, box("block", (1.0, 1.0, 1.0)), sphere("ball", 0.5, x))
     refreshed = refresh_contacts(state)
-    assert all(not b.contacts for b in state.bodies.values())
+    assert not state.contacts
     for a in state.bodies:
         for b in state.bodies:
             if a == b == "floor":

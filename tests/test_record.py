@@ -21,7 +21,7 @@ from mosim import (
 )
 from mosim import config, kinematics, lexicon, parser, programs, scene, tracefile, verify
 from mosim.errors import LexiconFormatError
-from mosim.kinematics import PLUS_X, ZERO3, Body
+from mosim.kinematics import PLUS_X, ZERO3, Body, WorldState
 from mosim.lexicon import MannerProfile, NounEntry, PathKind, Shape, VerbClass, VerbEntry
 from mosim.programs import (
     DC,
@@ -175,15 +175,20 @@ def test_repr_texts():
     assert repr(Attr("ball", "loc")) == "Attr(obj='ball', name='loc')"
 
 
-def test_body_defaults_give_a_fresh_contacts_map_each():
+def test_world_state_defaults_give_a_fresh_contacts_map_each():
     a = Body("ball", Shape.SPHERE, (0.5,), True, (0.0, 0.5, 0.0))
     b = Body("ball", Shape.SPHERE, (0.5,), True, (0.0, 0.5, 0.0))
-    assert a.contacts == {} and b.contacts == {} and a.contacts is not b.contacts
     assert (a.heading, a.rotation, a.velocity) == (PLUS_X, 0.0, ZERO3)
     assert a == b
     kw = Body(id="ball", shape=Shape.SPHERE, dimensions=(0.5,), mobile=True,
-              position=(0.0, 0.5, 0.0), contacts=None)
-    assert kw == a and kw.contacts is not a.contacts
+              position=(0.0, 0.5, 0.0))
+    assert kw == a
+    s = WorldState(0.0, 0, {"ball": a}, SceneConfig())
+    t = WorldState(0.0, 0, {"ball": a}, SceneConfig())
+    assert s.contacts == {} and t.contacts == {} and s.contacts is not t.contacts
+    assert s == t
+    u = WorldState(time=0.0, tick_index=0, bodies={"ball": a}, cfg=SceneConfig(), contacts=None)
+    assert u == s and u.contacts is not s.contacts
 
 
 def test_keyword_positional_and_default_construction():
@@ -212,11 +217,11 @@ def test_bad_arguments_raise_type_error(make):
 
 
 def test_replace_changes_the_named_fields_only():
-    body = Body("ball", Shape.SPHERE, (0.5,), True, (0.0, 0.5, 0.0), contacts={"floor": None})
+    body = Body("ball", Shape.SPHERE, [0.5], True, (0.0, 0.5, 0.0))
     moved = replace(body, position=(1.0, 0.5, 0.0))
     assert moved.position == (1.0, 0.5, 0.0)
     assert asdict(moved) == {**asdict(body), "position": (1.0, 0.5, 0.0)}
-    assert moved.contacts is body.contacts
+    assert moved.dimensions is body.dimensions
     with pytest.raises(TypeError):
         replace(body, mass=1.0)
     assert SceneConfig().replace(seed=4).to_dict() == {**SceneConfig().to_dict(), "seed": 4}

@@ -12,7 +12,7 @@ from mosim import SceneConfig, build_scene, compile_event, execute, parse_text, 
 from mosim import kinematics, tracefile
 from mosim.errors import TraceFormatError, UnsupportedShapePair
 from mosim.kinematics import (
-    PLUS_X, ZERO3, Body, Rel, WorldState, contact_relation, refresh_contacts,
+    PLUS_X, Body, Rel, WorldState, contact_relation, refresh_contacts,
 )
 from mosim.lexicon import FLOOR_ID, TICK_ACTIONS, Shape, load_lexicon
 from mosim.programs import Trace
@@ -195,7 +195,6 @@ def _oracle_json_value(value) -> str:
 
 
 def _oracle_state_record(index, state, label, theme_id, ground_id) -> dict:
-    theme = state.body(theme_id)
     record: dict = {"index": index, "time": state.time}
     record["bodies"] = {
         body.id: {"pos": list(body.position), "rot": body.rotation}
@@ -203,9 +202,9 @@ def _oracle_state_record(index, state, label, theme_id, ground_id) -> dict:
     }
     if label is not None:
         record["action"] = label
-    record["floor_contact"] = theme.contacts[FLOOR_ID].value
+    record["floor_contact"] = state.contacts[theme_id, FLOOR_ID].value
     if ground_id is not None and ground_id != FLOOR_ID:
-        record["goal_contact"] = theme.contacts[ground_id].value
+        record["goal_contact"] = state.contacts[theme_id, ground_id].value
     return record
 
 
@@ -310,9 +309,7 @@ def test_read_back_flags_equal_a_full_refresh(tmp_path_factory, run, fmt):
     write_trace(path, fmt, "s", trace, scene, cfg)
     for state, written in zip(read_trace(path).trace.states, trace.states):
         assert state == refresh_contacts(state)
-        assert {k: b.contacts for k, b in state.bodies.items()} == {
-            k: b.contacts for k, b in written.bodies.items()
-        }
+        assert state.contacts == written.contacts
 
 
 NON_ASCII_LEXICON = json.dumps({
@@ -355,15 +352,13 @@ def test_read_back_shares_static_bodies_and_equals_the_written_trace(tmp_path, l
     doc = read_trace(path)
     got = doc.trace.states
     assert len(got) == len(trace.states) > 2
-    shared = 0
     for before, after in zip(got, got[1:]):
         assert after.body("ball") is not before.body("ball")
         for bid in ("wall", "floor"):
-            # a static body is the previous state's object until its contact flags change
-            same_flags = after.body(bid).contacts == before.body(bid).contacts
-            assert (after.body(bid) is before.body(bid)) == same_flags
-            shared += same_flags
-    assert shared >= 2 * (len(got) - 1) - 2
+            # a static body is the previous state's object, whatever its contacts do
+            assert after.body(bid) is before.body(bid)
+        # the map is the previous state's until a relation changes
+        assert (after.contacts is before.contacts) == (after.contacts == before.contacts)
     assert doc.trace.labels == trace.labels
     for g, w in zip(got, trace.states):
         assert g.time == w.time
@@ -371,7 +366,7 @@ def test_read_back_shares_static_bodies_and_equals_the_written_trace(tmp_path, l
         for bid, body in w.bodies.items():
             assert g.body(bid).position == body.position
             assert g.body(bid).rotation == body.rotation
-            assert g.body(bid).contacts == body.contacts
+        assert g.contacts == w.contacts
 
 
 # csv keeps the sign of zero; JSON reads the "-0" that %.17g writes as the integer 0
@@ -393,7 +388,7 @@ def test_read_back_compares_poses_bit_for_bit(tmp_path, lex, cfg, fmt, signs):
 #
 # ``reference_read`` is the reader as it was before a state cost only its moved
 # bodies: every record parsed through ``_need``/``_numbers``, every csv cell
-# converted on every row, and every flag map rebuilt.  The header checks are
+# converted on every row, and the contact map rebuilt from every pair.  The header checks are
 # shared; they did not change.
 
 
@@ -422,24 +417,21 @@ def _ref_json_numbers(values, where):
     return xs
 
 
-def _ref_with_contacts(bodies, eps, moved):
+def _ref_with_contacts(bodies, contacts, eps, moved):
     items = list(bodies.items())
-    flags = {key: {} for key, _ in items}
+    out = {}
     for i, (a_id, a) in enumerate(items):
-        a_flags, a_moved = flags[a_id], a_id in moved
+        a_moved = a_id in moved
         for b_id, b in items[i + 1:]:
-            rel = None if a_moved or b_id in moved else a.contacts.get(b_id)
+            rel = None if a_moved or b_id in moved else contacts.get((a_id, b_id))
             if rel is None:
                 try:
                     rel = contact_relation(a, b, eps)
                 except UnsupportedShapePair:
                     continue
-            a_flags[b_id] = rel
-            flags[b_id][a_id] = rel
-    return {
-        key: b if b.contacts == flags[key] else replace(b, contacts=flags[key])
-        for key, b in items
-    }
+            out[a_id, b_id] = rel
+            out[b_id, a_id] = rel
+    return contacts if out == contacts else out
 
 
 def _ref_rebuild(header, cfg, catalog, rows, record):
@@ -463,7 +455,7 @@ def _ref_rebuild(header, cfg, catalog, rows, record):
     headings = {bid: direction if bid == theme_id else PLUS_X for bid in catalog}
     states, labels = [], []
     last_bits = [None] * len(catalog)
-    last = {}
+    last, contacts = {}, {}
     for i, row in enumerate(rows):
         index, time, poses, action = record(i, row)
         if index != i:
@@ -474,13 +466,11 @@ def _ref_rebuild(header, cfg, catalog, rows, record):
             if b == old:
                 bodies[bid] = last[bid]
             else:
-                contacts = last[bid].contacts if last else None
-                bodies[bid] = Body(bid, shape, dims, mobile, pose[:3], headings[bid], pose[3],
-                                   ZERO3, contacts)
+                bodies[bid] = Body(bid, shape, dims, mobile, pose[:3], headings[bid], pose[3])
                 moved.add(bid)
-        last = _ref_with_contacts(bodies, cfg.contact_eps, moved)
-        last_bits = bits
-        states.append(WorldState(time, i, last, cfg))
+        contacts = _ref_with_contacts(bodies, contacts, cfg.contact_eps, moved)
+        last, last_bits = bodies, bits
+        states.append(WorldState(time, i, bodies, cfg, contacts))
         if i > 0:
             if not action:
                 raise TraceFormatError(f"record {i} is missing its action label")
@@ -562,18 +552,21 @@ def reference_read(path) -> Trace:
 
 
 def assert_same_read(got: Trace, want: Trace):
-    """Equal labels, flags (in map order) and float bits, and the same Body sharing."""
+    """Equal labels, contacts and float bits, and the same sharing of bodies and maps."""
     assert got.labels == want.labels
     assert len(got.states) == len(want.states)
     for i, (g, w) in enumerate(zip(got.states, want.states)):
         assert g.time.hex() == w.time.hex() and g.tick_index == w.tick_index == i
         assert list(g.bodies) == list(w.bodies)
+        assert g.contacts == w.contacts
+        if i > 0:
+            shared = g.contacts is got.states[i - 1].contacts
+            assert shared == (w.contacts is want.states[i - 1].contacts), i
         for bid, wb in w.bodies.items():
             gb = g.bodies[bid]
             assert [c.hex() for c in (*gb.position, gb.rotation)] == [
                 c.hex() for c in (*wb.position, wb.rotation)
             ]
-            assert list(gb.contacts.items()) == list(wb.contacts.items())
             assert gb == wb
             if i > 0:
                 shared = gb is got.states[i - 1].bodies[bid]
@@ -1095,9 +1088,9 @@ def test_reading_a_state_measures_the_themes_pairs_and_builds_one_body(
         built.append(None)
         init(self, *args, **kwargs)
 
-    def counted_with_contacts(bodies, *args):
-        out = with_contacts(bodies, *args)
-        if out is bodies:
+    def counted_with_contacts(bodies, contacts, *args):
+        out = with_contacts(bodies, contacts, *args)
+        if out is contacts:
             uncopied.append(None)
         return out
 
@@ -1109,11 +1102,10 @@ def test_reading_a_state_measures_the_themes_pairs_and_builds_one_body(
     # the ball-floor and ball-wall pairs per state, one call each (a plane-first pair
     # too); the first state measures wall-floor too
     assert len(gaps) <= 2 * len(states) + 10
-    # the moved ball per state, the first state's floor and wall once each, the first
-    # state's floor, ball and wall once more when their empty flag maps are filled, and
-    # the ball and the wall again when the ball's contact with the wall changes
-    assert len(built) == len(states) + 7
-    # a state with no flag change is the dict the reader built: no flag map or body is copied
+    # the moved ball per state and the first state's floor and wall once each: no body
+    # is built for a contact's sake
+    assert len(built) == len(states) + 2
+    # a state with no relation change shares the previous state's map: nothing is copied
     assert len(uncopied) >= len(states) - 10
 
 
@@ -1121,14 +1113,14 @@ def test_reading_a_state_measures_the_themes_pairs_and_builds_one_body(
 
 
 def _flag_pass_state(*extra):
-    """Floor, ball, then ``extra``, with flags refreshed: every map complete."""
+    """Floor, ball, then ``extra``, with contacts refreshed: the map complete."""
     bodies = [Body(FLOOR_ID, Shape.PLANE, (), False, (0.0, 0.0, 0.0)),
               Body("ball", Shape.SPHERE, (0.5,), True, (0.0, 0.5, 0.0)), *extra]
     return refresh_contacts(WorldState(0.0, 0, {b.id: b for b in bodies}, SceneConfig(seed=0)))
 
 
 def _moved(state, poses):
-    """``state.bodies`` with each body in ``poses`` rebuilt at its new position, flags kept."""
+    """``state.bodies`` with each body in ``poses`` rebuilt at its new position."""
     return {key: replace(b, position=poses[key]) if key in poses else b
             for key, b in state.bodies.items()}
 
@@ -1149,9 +1141,10 @@ def test_a_moved_theme_measures_only_its_two_pairs(monkeypatch):
     state = _flag_pass_state(wall)
     bodies = _moved(state, {"ball": (4.4, 0.5, 0.0)})
     pairs = _counted_gaps(monkeypatch)
-    out = kinematics._with_contacts(bodies, state.cfg.contact_eps, ["ball"])
+    out = kinematics._with_contacts(bodies, state.contacts, state.cfg.contact_eps, ["ball"])
     assert pairs == [("floor", "ball"), ("ball", "wall")]
-    assert out["ball"].contacts == {"floor": Rel.EC, "wall": Rel.EC}
+    assert out == {**state.contacts, ("ball", "wall"): Rel.EC, ("wall", "ball"): Rel.EC}
+    assert state.contacts["ball", "wall"] is Rel.DC  # the map was copied, not written
 
 
 @pytest.mark.parametrize("moved", [["ball", "ball_2"], ["ball_2", "ball"]])
@@ -1159,9 +1152,9 @@ def test_a_pair_of_two_moved_bodies_is_measured_once_earlier_body_first(monkeypa
     state = _flag_pass_state(Body("ball_2", Shape.SPHERE, (0.5,), True, (3.0, 0.5, 0.0)))
     bodies = _moved(state, {"ball": (1.0, 0.5, 0.0), "ball_2": (2.0, 0.5, 0.0)})
     pairs = _counted_gaps(monkeypatch)
-    out = kinematics._with_contacts(bodies, state.cfg.contact_eps, moved)
+    out = kinematics._with_contacts(bodies, state.contacts, state.cfg.contact_eps, moved)
     assert sorted(pairs) == [("ball", "ball_2"), ("floor", "ball"), ("floor", "ball_2")]
-    assert out["ball"].contacts["ball_2"] is out["ball_2"].contacts["ball"] is Rel.EC
+    assert out["ball", "ball_2"] is out["ball_2", "ball"] is Rel.EC
 
 
 FLAG_PASS_X = st.one_of(st.floats(min_value=-1.0, max_value=6.0),
@@ -1182,8 +1175,7 @@ def test_the_flag_pass_matches_the_all_pairs_reference(moved, xs, ys):
     poses = {key: (x, y, 0.0) for key, x, y in zip(("ball", "ball_2", "wall"), xs, ys)}
     bodies = _moved(state, {key: poses.get(key, (0.0, 0.0, 0.0)) for key in moved})
     eps = state.cfg.contact_eps
-    got, want = kinematics._with_contacts(bodies, eps, moved), _ref_with_contacts(bodies, eps, moved)
-    assert list(got) == list(want)
-    for key in want:
-        assert got[key] == want[key]
-        assert list(got[key].contacts) == list(want[key].contacts)
+    got = kinematics._with_contacts(bodies, state.contacts, eps, moved)
+    want = _ref_with_contacts(bodies, state.contacts, eps, moved)
+    assert got == want
+    assert (got is state.contacts) == (want is state.contacts)

@@ -217,11 +217,10 @@ def test_compiler_scene_and_verifier_bind_the_ground_alike(lex, cfg, sentence, g
 
 
 def _with_flag(trace, i, body_id, other, rel):
-    """``trace`` with ``body_id``'s flag for ``other`` set to ``rel`` in state ``i`` only."""
+    """``trace`` with the pair's relation set to ``rel``, under both orders, in state ``i`` only."""
     state = trace.states[i]
-    body = state.body(body_id)
     states = list(trace.states)
-    states[i] = state.with_body(replace(body, contacts={**body.contacts, other: rel}))
+    states[i] = replace(state, contacts={**state.contacts, (body_id, other): rel, (other, body_id): rel})
     return Trace(tuple(states), trace.labels)
 
 
@@ -232,12 +231,12 @@ def _with_time(trace, i, time):
 
 
 @pytest.mark.parametrize("faults,index,detail", [
-    # the wall's map, not the theme's: every body's map is read
-    ([(0, "wall", "floor"), (5, "floor", "wall")], 0, "wall penetrates floor at state 0"),
+    # a pair without the theme is read too, its earlier body in bodies order named first
+    ([(0, "wall", "floor"), (5, "floor", "wall")], 0, "floor penetrates wall at state 0"),
     ([(9, "wall", "ball"), (7, "floor", "wall")], 7, "floor penetrates wall at state 7"),
-    # two in one state: the first in bodies order, then in map order
+    # two in one state: the first pair in bodies order, whatever order they were set in
     ([(4, "wall", "ball"), (4, "floor", "wall")], 4, "floor penetrates wall at state 4"),
-    ([(4, "wall", "ball"), (4, "wall", "floor")], 4, "wall penetrates floor at state 4"),
+    ([(4, "ball", "wall"), (4, "ball", "floor")], 4, "floor penetrates ball at state 4"),
 ], ids=["state-0-and-later", "two-later-states", "two-bodies-in-one-state", "one-map-twice"])
 def test_no_penetration_reports_the_first_po_flag(lex, cfg, faults, index, detail):
     frame, scene, trace = run_sentence("the ball rolled to the wall", lex, cfg)
