@@ -3,7 +3,7 @@
 Each stage raises a distinct class so the CLI can map failures onto its
 exit-code contract (2 for input/build errors, 3 for search failures,
 1 for a verification that ran and failed).  The lexicon and config loaders
-check their documents here too, with one typed field walk.
+and the trace reader check their documents here too, with one typed field walk.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ class MosimError(Exception):
     """Base class for every error raised by this package."""
 
 
-# -- lexicon and config files -------------------------------------------------
+# -- lexicon, config and trace files -------------------------------------------
 
 class DocumentFormatError(MosimError):
-    """A malformed lexicon or config JSON document, located by field and line."""
+    """A malformed lexicon, config or trace document, located by field and line."""
 
     def __init__(self, message: str, field: str | None = None, line: int | None = None):
         self.field = field
@@ -41,6 +41,10 @@ class ConfigFormatError(DocumentFormatError):
     pass
 
 
+class TraceFormatError(DocumentFormatError):
+    """A malformed trace file: the message names the first fault found."""
+
+
 def parse_json(text: str, error: type[DocumentFormatError]):
     """The JSON value ``text`` holds; text the parser refuses raises ``error``."""
     try:
@@ -55,8 +59,16 @@ def parse_json(text: str, error: type[DocumentFormatError]):
 
 # The kinds of value a document field takes, named as the walk's messages name them.
 NUMBER, INTEGER, STRING, BOOLEAN = "a number", "an integer", "a string", "a boolean"
-LIST, STRINGS, OBJECT = "a list", "a list of strings", "an object"
+LIST, STRINGS, NUMBERS, OBJECT = "a list", "a list of strings", "a list of finite numbers", "an object"
 REQUIRED = object()  # the default of a field that must be present
+
+
+def _is_finite_number(v) -> bool:
+    try:
+        return _IS_KIND[NUMBER](v) and math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
+
 
 _IS_KIND = {
     NUMBER: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
@@ -65,6 +77,7 @@ _IS_KIND = {
     BOOLEAN: lambda v: isinstance(v, bool),
     LIST: lambda v: isinstance(v, list),
     STRINGS: lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+    NUMBERS: lambda v: isinstance(v, list) and all(map(_is_finite_number, v)),
     OBJECT: lambda v: isinstance(v, dict),
 }
 
@@ -76,7 +89,9 @@ def walk_fields(obj, spec: dict, where: str | None, error: type[DocumentFormatEr
     default unless that is ``REQUIRED``, and null stands for an absent field whose
     default is None.  A number comes back as a float, infinite where it is too
     large for one (as JSON reads ``1e999``), and the record it fills checks its
-    range.  A fault raises ``error`` at field ``where.name``, or ``name``.
+    range.  A list of numbers comes back as a tuple of floats; a string, a
+    boolean or a number that is not finite in it is a fault.  A fault raises
+    ``error`` at field ``where.name``, or ``name``.
     """
     if not isinstance(obj, dict):
         raise error(f"expected {OBJECT}", field=where)
@@ -101,6 +116,8 @@ def walk_fields(obj, spec: dict, where: str | None, error: type[DocumentFormatEr
                 value = float(value)
             except OverflowError:
                 value = math.inf if value > 0 else -math.inf
+        elif kind is NUMBERS:
+            value = tuple(map(float, value))
         fields[key] = value
     return fields
 
@@ -203,7 +220,3 @@ class TraceSceneMismatch(MosimError):
 class DiamondNotAllowed(MosimError):
     def __init__(self) -> None:
         super().__init__("modal subformulas are not allowed in trace-level checks")
-
-
-class TraceFormatError(MosimError):
-    """A malformed trace file: the message names the first fault found."""

@@ -30,7 +30,7 @@ from .errors import (
     NoSuccessfulRun,
 )
 from .kinematics import _DC, _EC, Vec3, WorldState, contact_relation
-from .lexicon import PREP_ROLES, Lexicon, PathKind, VerbClass
+from .lexicon import PREP_ROLES, Lexicon, PathKind, Shape, VerbClass
 from .parser import EventFrame
 from .record import record, replace
 from .rng import SplitMix64
@@ -629,14 +629,54 @@ def execute(
         budget = s0.cfg.max_frames
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    outcome = _search(
-        program, s0, budget,
-        rng=rng, want_all=False, node_cap=DEFAULT_NODE_CAP * 10,
-    )
+    node_cap = DEFAULT_NODE_CAP * 10
+    if _flight_out_of_reach(program, s0, budget, node_cap):
+        # the deepest failure of the search, which would fail every run
+        passes, final_test = program.first.bound, program.second
+        raise NoSuccessfulRun(f"after {passes} tick(s): {_describe_failure(final_test, 'test failed')}")
+    outcome = _search(program, s0, budget, rng=rng, want_all=False, node_cap=node_cap)
     if outcome.traces:
         return outcome.traces[0]
     ticks, node, reason = outcome.failure
     raise NoSuccessfulRun(f"after {max(ticks, 0)} tick(s): {_describe_failure(node, reason)}")
+
+
+def _flight_out_of_reach(program: Program, s0: WorldState, budget: int, node_cap: int) -> bool:
+    """Whether ``program`` is a ``fly`` goal loop whose theme can never reach its goal.
+
+    A ``fly`` tick keeps the theme's height bit for bit: it sets y to the
+    start's, and a clamp scales the move, whose y part is 0.0.  No other body
+    moves, and the gap between two convex bodies is at least their gap along y.
+    So when that gap is wider than ``contact_eps`` at ``s0``, every run of the
+    loop fails its final test, the deepest after its last pass.  The check
+    holds only where the search would fail that way: within the tick budget
+    and node cap, with a tick that would not refuse the theme, and by a margin
+    far above the rounding of the gap kernels at these magnitudes.
+    """
+    if type(program) is not Seq or type(program.first) is not Star or type(program.second) is not Test:
+        return False
+    # the loop _goal_loop compiles, compared without building a Star
+    goal, passes = program.second.formula, program.first.bound
+    if type(goal) is not At or program.first.body != Seq(Test(Not(goal)), Tick("fly", goal.a)):
+        return False
+    if passes > budget or 2 * passes >= node_cap:
+        return False
+    theme, ground = s0.body(goal.a), s0.body(goal.b)
+    if not theme.mobile or theme.shape not in (Shape.SPHERE, Shape.BOX):
+        return False
+    try:
+        kinematics._unit_horizontal(theme.heading)
+    except ValueError:
+        return False
+    y, half = theme.position[1], kinematics.rest_height(theme.shape, theme.dimensions)
+    if ground.shape is Shape.PLANE:  # the floor fills every height up to 0
+        ground_y, ground_half, gap = 0.0, 0.0, y - half
+    else:
+        ground_y = ground.position[1]
+        ground_half = kinematics.rest_height(ground.shape, ground.dimensions)
+        gap = abs(y - ground_y) - half - ground_half
+    margin = 1e-9 * (abs(y) + half + abs(ground_y) + ground_half)
+    return gap - s0.cfg.contact_eps > margin
 
 
 @_without_collector

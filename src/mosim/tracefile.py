@@ -17,7 +17,10 @@ from pathlib import Path
 
 from .config import SceneConfig, config_from_dict
 from .programs import Trace, _without_collector
-from .errors import ConfigFormatError, TraceFormatError
+from .errors import (
+    BOOLEAN, INTEGER, NUMBER, NUMBERS, OBJECT, REQUIRED, STRING, ConfigFormatError, TraceFormatError,
+    walk_fields,
+)
 from .kinematics import PLUS_X, Body, Contacts, Rel, WorldState, _with_contacts
 from .lexicon import DIM_KEYS, FLOOR_ID, MAX_SIZE, MIN_SIZE, TICK_ACTIONS, Shape
 from .record import record
@@ -200,55 +203,57 @@ def _json_numbers(values, where: str) -> tuple[float, ...]:
     return xs
 
 
-def _vec(value, where: str) -> tuple[float, ...]:
-    if not isinstance(value, list) or len(value) != 3:
-        raise TraceFormatError(f"{where} must be a 3-element list")
-    return _json_numbers(value, where)
+# The header, its bindings and each of its bodies, as walk_fields checks them.
+_HEADER_FIELDS = {
+    "format_version": (STRING, REQUIRED),
+    "sentence": (STRING, REQUIRED),
+    "seed": (INTEGER, None),
+    "dt": (NUMBER, None),
+    "frames": (INTEGER, REQUIRED),
+    "cfg": (OBJECT, REQUIRED),
+    "bindings": (OBJECT, REQUIRED),
+    "goal": (STRING, None),
+    "direction": (NUMBERS, REQUIRED),
+    "bodies": (OBJECT, REQUIRED),
+    "coords": (STRING, None),
+}
+_BINDINGS_FIELDS = {"theme": (STRING, REQUIRED), "ground": (STRING, None)}
+_BODY_FIELDS = {
+    "shape": (STRING, REQUIRED), "dimensions": (NUMBERS, REQUIRED), "mobile": (BOOLEAN, REQUIRED),
+}
 
 
-def _parse_header(obj: dict) -> tuple[SceneConfig, dict]:
-    """The config snapshot and the body catalog of a checked header."""
-    version = _need(obj, "format_version", "header")
-    if version != FORMAT_VERSION:
+def _parse_header(obj) -> dict:
+    """The fields of a checked header, with ``cfg`` the config snapshot, ``bodies``
+    the catalog of (shape, dimensions, mobile) by id in file order, and
+    ``bindings`` walked.  The walk checks each field's kind; the rules that
+    relate fields to each other are checked here.
+    """
+    # a version other than this one is named before any field it may add
+    if isinstance(obj, dict) and obj.get("format_version", FORMAT_VERSION) != FORMAT_VERSION:
         raise TraceFormatError(
-            f"unsupported trace format version {version!r} (expected {FORMAT_VERSION!r})"
+            f"unsupported trace format version {obj['format_version']!r} (expected {FORMAT_VERSION!r})"
         )
+    h = walk_fields(obj, _HEADER_FIELDS, None, TraceFormatError)
     try:
-        cfg = config_from_dict(_need(obj, "cfg", "header"))
+        cfg = h["cfg"] = config_from_dict(h["cfg"])
     except ConfigFormatError as exc:
         raise TraceFormatError(f"bad cfg snapshot: {exc}") from exc
-    for key in ("sentence", "frames", "bindings", "bodies", "direction"):
-        _need(obj, key, "header")
-    if type(obj["frames"]) is not int:
-        raise TraceFormatError(f"header frames must be an integer, got {json.dumps(obj['frames']):.40}")
-    if type(obj["sentence"]) is not str:
-        raise TraceFormatError(f"header sentence must be a string, got {json.dumps(obj['sentence']):.40}")
-    # seed and dt repeat the cfg snapshot's; a copy that disagrees is a damaged header
-    if "seed" in obj and (type(obj["seed"]) is not int or obj["seed"] != cfg.seed):
-        raise TraceFormatError(
-            f"header seed must be the cfg snapshot's integer {cfg.seed}, got {json.dumps(obj['seed']):.40}"
-        )
-    if "dt" in obj and (type(obj["dt"]) not in (int, float) or obj["dt"] != cfg.dt):
-        raise TraceFormatError(
-            f"header dt must equal the cfg snapshot's {json.dumps(cfg.dt)}, got {json.dumps(obj['dt']):.40}"
-        )
-    return cfg, _catalog(obj["bodies"])
-
-
-def _catalog(bodies) -> dict[str, tuple[Shape, tuple[float, ...], bool]]:
-    """Shape, dimensions and mobility of each body the header names, in file order."""
-    if not isinstance(bodies, dict):
-        raise TraceFormatError("header bodies must be an object")
+    # seed and dt repeat the cfg snapshot's; a copy that disagrees (null included) is a damaged header
+    for name in ("seed", "dt"):
+        if name in obj and h[name] != getattr(cfg, name):
+            raise TraceFormatError(
+                f"header {name} must equal the cfg snapshot's {json.dumps(getattr(cfg, name))},"
+                f" got {json.dumps(obj[name]):.40}"
+            )
     catalog = {}
-    for bid, entry in bodies.items():
+    for bid, entry in h["bodies"].items():
+        body = walk_fields(entry, _BODY_FIELDS, f"bodies.{bid}", TraceFormatError)
         try:
-            shape = Shape(_need(entry, "shape", f"body {bid}"))
+            shape = Shape(body["shape"])
         except ValueError:
             raise TraceFormatError(f"unknown shape for body {bid!r}") from None
-        dims = _need(entry, "dimensions", f"body {bid}")
-        if not isinstance(dims, list):
-            raise TraceFormatError(f"dimensions of {bid!r} must be a list")
-        dims = _json_numbers(dims, f"dimensions of {bid!r}")
+        dims, mobile = body["dimensions"], body["mobile"]
         if len(dims) != len(DIM_KEYS[shape]):
             raise TraceFormatError(f"{shape.value} {bid!r} takes {len(DIM_KEYS[shape])} dimension(s)")
         if not all(MIN_SIZE <= d <= MAX_SIZE for d in dims):
@@ -259,17 +264,32 @@ def _catalog(bodies) -> dict[str, tuple[Shape, tuple[float, ...], bool]]:
             raise TraceFormatError(
                 f"body {bid!r}: the floor is the only plane, and its id is {FLOOR_ID!r}"
             )
-        mobile = _need(entry, "mobile", f"body {bid}")
-        if not isinstance(mobile, bool):
-            raise TraceFormatError(
-                f"mobile of {bid!r} must be true or false, got {json.dumps(mobile):.40}"
-            )
         if mobile and shape is Shape.PLANE:
             raise TraceFormatError(f"body {bid!r}: a plane is immobile")
         catalog[bid] = (shape, dims, mobile)
     if FLOOR_ID not in catalog:
         raise TraceFormatError(f"header bodies have no {FLOOR_ID!r} plane")
-    return catalog
+    h["bodies"] = catalog
+    bindings = h["bindings"] = walk_fields(h["bindings"], _BINDINGS_FIELDS, "bindings", TraceFormatError)
+    theme_id = bindings["theme"]
+    if theme_id not in catalog:
+        raise TraceFormatError(
+            f"bindings.theme must be the id of a header body, got {json.dumps(theme_id):.40}"
+        )
+    if not catalog[theme_id][2]:  # the floor among them: a plane is immobile
+        raise TraceFormatError(f"the theme {theme_id!r} is immobile")
+    for name, value in (("bindings.ground", bindings["ground"]), ("goal", h["goal"])):
+        if value is not None and value not in catalog:
+            raise TraceFormatError(
+                f"{name} must be null or the id of a header body, got {json.dumps(value):.40}"
+            )
+    # the headings tick accepts (see kinematics._unit_horizontal), of length 1
+    d = h["direction"]
+    if len(d) != 3 or abs(d[1]) > 1e-9 or abs(hypot(d[0], d[2]) - 1.0) > 1e-9:
+        raise TraceFormatError(
+            f"direction must be a horizontal unit vector, got {json.dumps(obj['direction']):.60}"
+        )
+    return h
 
 
 # One state record as both readers produce it: (index, time, poses, action), where
@@ -281,41 +301,17 @@ Record = tuple[object, float, list[tuple[float, float, float, float]], object]
 _pose_bits = struct.Struct("4d").pack
 
 
-def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) -> TraceDocument:
-    """World states from ``record(i, row)`` of each row; the pairs of moved bodies are remeasured."""
-    if len(rows) != header["frames"]:
-        raise TraceFormatError(
-            f"record count {len(rows)} does not match header frames {header['frames']}"
-        )
+def _rebuild(header: dict, h: dict, rows: list, record) -> TraceDocument:
+    """World states from ``record(i, row)`` of each row, under the checked header ``h``
+    of the file's ``header``; the pairs of moved bodies are remeasured."""
+    if len(rows) != h["frames"]:
+        raise TraceFormatError(f"record count {len(rows)} does not match header frames {h['frames']}")
     if not rows:
         raise TraceFormatError("trace has no state records")
-    bindings = header["bindings"]
-    theme_id = _need(bindings, "theme", "bindings")
-    if not isinstance(theme_id, str):
-        raise TraceFormatError("bindings.theme must be a string")
-    if theme_id == FLOOR_ID:
-        raise TraceFormatError("the theme cannot be the floor")
-    if theme_id not in catalog:
-        raise TraceFormatError(
-            f"bindings.theme must be the id of a header body, got {json.dumps(theme_id):.40}"
-        )
-    if not catalog[theme_id][2]:
-        raise TraceFormatError(f"the theme {theme_id!r} is immobile")
-    ground_id, goal_id = bindings.get("ground"), header.get("goal")
-    for name, value in (("bindings.ground", ground_id), ("goal", goal_id)):
-        if value is not None and (type(value) is not str or value not in catalog):
-            raise TraceFormatError(
-                f"{name} must be null or the id of a header body, got {json.dumps(value):.40}"
-            )
-    direction = _vec(header["direction"], "direction")
-    # the headings tick accepts (see kinematics._unit_horizontal), of length 1
-    if abs(direction[1]) > 1e-9 or abs(hypot(direction[0], direction[2]) - 1.0) > 1e-9:
-        raise TraceFormatError(
-            f"direction must be a horizontal unit vector, got {json.dumps(header['direction']):.60}"
-        )
+    cfg, theme_id, direction = h["cfg"], h["bindings"]["theme"], h["direction"]
     slots = [
         (bid, shape, dims, mobile, direction if bid == theme_id else PLUS_X)
-        for bid, (shape, dims, mobile) in catalog.items()
+        for bid, (shape, dims, mobile) in h["bodies"].items()
     ]
 
     states = []
@@ -365,8 +361,8 @@ def _rebuild(header: dict, cfg: SceneConfig, catalog: dict, rows: list, record) 
     scene = Scene(
         initial=states[0],
         theme_id=theme_id,
-        ground_id=ground_id,
-        goal_id=goal_id,
+        ground_id=h["bindings"]["ground"],
+        goal_id=h["goal"],
         direction=direction,
     )
     return TraceDocument(header=header, trace=trace, scene=scene, cfg=cfg)
@@ -456,9 +452,9 @@ def _json_line(line: str, n: int, start: int = 0):
 def _read_jsonl(text: str) -> TraceDocument:
     objs = [_json_line(line, n) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
     header = objs[0]
-    cfg, catalog = _parse_header(header)
-    ids = list(catalog)
-    return _rebuild(header, cfg, catalog, objs[1:], lambda i, obj: _jsonl_record(i, obj, ids))
+    h = _parse_header(header)
+    ids = list(h["bodies"])
+    return _rebuild(header, h, objs[1:], lambda i, obj: _jsonl_record(i, obj, ids))
 
 
 def _read_csv(text: str) -> TraceDocument:
@@ -468,7 +464,7 @@ def _read_csv(text: str) -> TraceDocument:
         raise TraceFormatError("csv trace must start with a '# ' header line")
     # only blank lines come before the header, so its first copy is the header
     header = _json_line(lines[0], file_lines.index(lines[0]) + 1, 2)
-    cfg, catalog = _parse_header(header)
+    h = _parse_header(header)
     names = lines[1].split(",")
     where = {name: k for k, name in enumerate(names)}  # a repeated name means its last column
 
@@ -480,7 +476,8 @@ def _read_csv(text: str) -> TraceDocument:
 
     index_col, time_col, action_col = column("index"), column("time"), where.get("action")
     pose_cells = [
-        itemgetter(*(column(f"{bid}_{axis}") for axis in ("x", "y", "z", "rot"))) for bid in catalog
+        itemgetter(*(column(f"{bid}_{axis}") for axis in ("x", "y", "z", "rot")))
+        for bid in h["bodies"]
     ]
 
     # each body's cell text and pose in the previous row: text seen there is not parsed again
@@ -505,7 +502,7 @@ def _read_csv(text: str) -> TraceDocument:
         action = (cells[action_col] or None) if action_col is not None else None  # empty: none
         return index, time, poses, action
 
-    return _rebuild(header, cfg, catalog, lines[2:], record)
+    return _rebuild(header, h, lines[2:], record)
 
 
 @_without_collector

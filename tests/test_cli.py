@@ -551,6 +551,8 @@ def test_nouns_at_the_ends_of_the_size_range_verify_or_refuse(tmp_path, capsys, 
 # exit code in {0, 1, 2, 3}, an error is one stderr line, and exit 1 comes only with
 # a verification report.  A file is random bytes or a valid document with one or two
 # values replaced; frame, bound and node limits stay small so each example is quick.
+# A trace may instead have one key of its header, bindings or a body added, dropped or
+# retyped, and then it must exit 2.
 
 ODD_VALUES = st.sampled_from(
     [1, None, "x", [], {}, True, 1.5, 0, -1, 10**400, 1e308, -1e308, float("nan")]
@@ -634,6 +636,34 @@ def jsonl_with_a_new_number(draw, objs):
     return _jsonl_bytes(objs)
 
 
+# The keys a trace header, its bindings or a body may leave out, and values of each
+# JSON type but null, which reads as an absent key.
+OPTIONAL_KEYS = {"seed", "dt", "goal", "coords", "ground"}
+RETYPED = [1, 1.5, "x", True, [], {}]
+
+
+@st.composite
+def header_key_fault(draw, docs):
+    """A trace whose header, ``bindings`` or one body has a key added, a key it needs
+    dropped, or a value replaced by one of another JSON type: each is refused."""
+    objs = copy.deepcopy(docs["jsonl"])
+    csv_lines = docs["csv"].splitlines()
+    fmt = draw(st.sampled_from(["jsonl", "csv"]))
+    header = objs[0] if fmt == "jsonl" else json.loads(csv_lines[0][2:])
+    target = draw(st.sampled_from([header, header["bindings"], *header["bodies"].values()]))
+    edit = draw(st.sampled_from(["add", "drop", "retype"]))
+    if edit == "add":
+        target[draw(st.text(max_size=6).filter(lambda key: key not in target))] = draw(ODD_VALUES)
+    elif edit == "drop":
+        del target[draw(st.sampled_from(sorted(set(target) - OPTIONAL_KEYS)))]
+    else:
+        key = draw(st.sampled_from(sorted(target)))
+        target[key] = draw(st.sampled_from([v for v in RETYPED if type(v) is not type(target[key])]))
+    if fmt == "jsonl":
+        return _jsonl_bytes(objs)
+    return "\n".join(["# " + json.dumps(header), *csv_lines[1:], ""]).encode()
+
+
 @pytest.fixture(scope="module")
 def valid_documents(tmp_path_factory):
     """A short jsonl and csv trace of the roll to the wall, the builtin lexicon and a config."""
@@ -657,8 +687,9 @@ def valid_documents(tmp_path_factory):
 
 @st.composite
 def invocations(draw, docs, where):
-    """An argv for run() and the bytes of each file it names."""
+    """An argv for run(), the bytes of each file it names, and whether it must exit 2."""
     files = {}
+    refused = False
 
     def file(name, content):
         files[name] = draw(content)
@@ -681,8 +712,10 @@ def invocations(draw, docs, where):
             "--format": st.sampled_from(["jsonl", "csv", "xml"]), "--verify": st.none(),
         })
     elif command == "check":
-        trace = (jsonl_with_a_new_number(docs["jsonl"]) | mutated(docs["jsonl"]).map(_jsonl_bytes)
-                 | csv_with_a_new_cell(docs["csv"]) | st.binary(max_size=48))
+        refused = draw(st.booleans())
+        trace = header_key_fault(docs) if refused else (
+            jsonl_with_a_new_number(docs["jsonl"]) | mutated(docs["jsonl"]).map(_jsonl_bytes)
+            | csv_with_a_new_cell(docs["csv"]) | st.binary(max_size=48))
         argv += ["--trace", file("trace", trace), "--sentence",
                  draw(st.just("the ball rolled to the wall") | SENTENCES)]
     elif command == "enumerate":
@@ -692,7 +725,7 @@ def invocations(draw, docs, where):
     for flag in draw(st.lists(st.sampled_from(sorted(options)), unique=True, max_size=3)):
         value = draw(options[flag])
         argv += [flag] if value is None else [flag, value]
-    return argv, files
+    return argv, files, refused
 
 
 @seed(20161006)
@@ -701,7 +734,7 @@ def invocations(draw, docs, where):
 def test_no_input_ends_in_a_traceback(tmp_path_factory, valid_documents, data):
     where = tmp_path_factory.getbasetemp() / "no-traceback"
     where.mkdir(exist_ok=True)
-    argv, files = data.draw(invocations(valid_documents, where))
+    argv, files, refused = data.draw(invocations(valid_documents, where))
     for name, content in files.items():
         (where / name).write_bytes(content)
     out, err = io.StringIO(), io.StringIO()
@@ -712,6 +745,7 @@ def test_no_input_ends_in_a_traceback(tmp_path_factory, valid_documents, data):
             assert exc.code in (0, 2), argv
             return
     assert code in (0, 1, 2, 3), argv
+    assert code == 2 or not refused, (argv, files)
     if code == 1:
         assert '"overall": "fail"' in out.getvalue(), argv
     assert err.getvalue().count("\n") == (code >= 2), (argv, err.getvalue())

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from mosim import (
     And,
@@ -35,7 +35,7 @@ from mosim import (
     probe_scene,
     truth,
 )
-from mosim import programs
+from mosim import kinematics, programs
 from mosim.programs import Add, Scale, Sub, eval_term
 from mosim.errors import (
     DimensionMismatchError,
@@ -281,10 +281,10 @@ def test_execute_raises_with_deepest_failure(probe):
     assert "1 tick" in str(exc.value)
 
 
-def refusal(lex):
-    """``the bird flew to the block`` at ``max_frames=300``: a call that refuses."""
-    cfg = SceneConfig(seed=3, max_frames=300)
-    frame = parse_text("the bird flew to the block", lex)
+def refusal(lex, sentence="the bird flew to the block", max_frames=300):
+    """``sentence`` at ``max_frames``: a call that refuses."""
+    cfg = SceneConfig(seed=3, max_frames=max_frames)
+    frame = parse_text(sentence, lex)
     scene = build_scene(frame, lex, cfg)
     program = compile_event(frame, lex, cfg)
     return lambda: execute(program, scene.initial, stream_for(cfg.seed, "choice"), cfg.max_frames)
@@ -296,6 +296,99 @@ def test_execute_refusal_names_the_deepest_failing_node(lex):
     assert str(exc.value) == (
         "no successful run: after 300 tick(s): test failed: (test (at bird block))"
     )
+
+
+# -- a flight that can never reach its goal ----------------------------------------------
+
+
+def flight(lex, cfg):
+    """The program and first state of ``the bird flew to the block``."""
+    frame = parse_text("the bird flew to the block", lex)
+    return compile_event(frame, lex, cfg), build_scene(frame, lex, cfg).initial
+
+
+def searched(program, s0, seed, budget):
+    """What ``_search`` itself makes of one seeded run: the trace, or the refusal's text."""
+    outcome = programs._search(program, s0, budget, rng=SplitMix64(seed), want_all=False,
+                               node_cap=programs.DEFAULT_NODE_CAP * 10)
+    if outcome.traces:
+        return outcome.traces[0]
+    ticks, node, reason = outcome.failure
+    return str(NoSuccessfulRun(f"after {ticks} tick(s): {programs._describe_failure(node, reason)}"))
+
+
+def executed(program, s0, seed, budget):
+    try:
+        return execute(program, s0, SplitMix64(seed), budget)
+    except NoSuccessfulRun as exc:
+        return str(exc)
+
+
+def test_an_unreachable_flight_is_refused_without_a_tick_or_an_rng_bit(lex, monkeypatch):
+    cfg = SceneConfig(max_frames=10_000)
+    program, s0 = flight(lex, cfg)
+    ticks = []
+    tick = kinematics.tick
+    monkeypatch.setattr(kinematics, "tick", lambda *args: ticks.append(args) or tick(*args))
+    rng = stream_for(cfg.seed, "choice")
+    with pytest.raises(NoSuccessfulRun) as exc:
+        execute(program, s0, rng, cfg.max_frames)
+    assert str(exc.value) == (
+        "no successful run: after 10000 tick(s): test failed: (test (at bird block))"
+    )
+    assert ticks == []
+    assert rng.next_u64() == stream_for(cfg.seed, "choice").next_u64()
+
+
+@seed(20161006)
+@settings(max_examples=100, deadline=None)
+@given(
+    radius=st.floats(min_value=0.05, max_value=0.5),
+    height=st.floats(min_value=0.1, max_value=2.0),
+    # the bird's gap above the block's top, less contact_eps (1e-3): 0, or ±3e-13 to
+    # ±3e-3 by powers of ten
+    offset=st.just(0.0) | st.builds(lambda sign, exponent: sign * 3.0 * 10.0 ** exponent,
+                                    st.sampled_from([-1.0, 1.0]), st.integers(min_value=-13, max_value=-3)),
+    run_seed=st.integers(min_value=0, max_value=2**32),
+)
+@example(radius=0.15, height=1.0, offset=0.0, run_seed=0)
+def test_the_flight_refusal_equals_the_search(radius, height, offset, run_seed):
+    cfg = SceneConfig()
+    block = Body("block", Shape.BOX, (1.0, height, 0.4), True, (1.0, height / 2, 0.0))
+    bird = Body("bird", Shape.SPHERE, (radius,), True,
+                (0.4 - radius, height + cfg.contact_eps + offset + radius, 0.0))
+    floor = Body("floor", Shape.PLANE, (), False, (0.0, 0.0, 0.0))
+    s0 = refresh_contacts(WorldState(0.0, 0, {"floor": floor, "bird": bird, "block": block}, cfg))
+    program = programs._goal_loop("fly", "bird", At("bird", "block"), 60)
+    assert executed(program, s0, run_seed, 60) == searched(program, s0, run_seed, 60)
+
+
+def test_a_flight_loop_whose_bound_passes_the_budget_runs_the_full_search(lex):
+    program, s0 = flight(lex, SceneConfig(max_frames=300))
+    assert executed(program, s0, 3, 50) == searched(program, s0, 3, 50) == (
+        "no successful run: after 50 tick(s): tick budget exhausted at: (tick fly bird)"
+    )
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda loop: Choice(loop, Test(At("bird", "block"))),
+    lambda loop: Seq(Tick("roll", "bird"), loop),
+], ids=["a-choice-around-the-loop", "a-roll-step-first"])
+def test_a_program_that_only_resembles_the_flight_runs_the_full_search(lex, monkeypatch, wrap):
+    cfg = SceneConfig(max_frames=50)
+    program, s0 = flight(lex, cfg)
+    program = wrap(program)
+    seen = []
+    search = programs._search
+    monkeypatch.setattr(programs, "_search", lambda *args, **kwargs: seen.append(1) or search(*args, **kwargs))
+    rng, reference = SplitMix64(7), SplitMix64(7)
+    with pytest.raises(NoSuccessfulRun) as exc:
+        execute(program, s0, rng, cfg.max_frames)
+    assert seen == [1]
+    assert str(exc.value) == searched(program, s0, 7, cfg.max_frames)
+    search(program, s0, cfg.max_frames, rng=reference, want_all=False,
+           node_cap=programs.DEFAULT_NODE_CAP * 10)
+    assert rng.next_u64() == reference.next_u64()  # the same bits were drawn
 
 
 def test_execute_determinism(goal_scene, lex, cfg):
@@ -772,7 +865,8 @@ def test_runs_pause_the_collector_and_leave_it_as_they_found_it(probe, lex, monk
     calls = [
         (lambda: execute(Seq(roll(), slide()), probe.initial, SplitMix64(0), budget=10), None),
         (lambda: enumerate_traces(wide, probe.initial, budget=100), None),
-        (refusal(lex), NoSuccessfulRun),
+        # a refusal the search makes: the flight's is made before it
+        (refusal(lex, "the ball rolled to the wall", max_frames=5), NoSuccessfulRun),
         (lambda: enumerate_traces(wide, probe.initial, budget=100, node_cap=100), ExplosionGuard),
     ]
     for call, error in calls:
