@@ -58,8 +58,9 @@ def parse_json(text: str, error: type[DocumentFormatError]):
 
 
 # The kinds of value a document field takes, named as the walk's messages name them.
-NUMBER, INTEGER, STRING, BOOLEAN = "a number", "an integer", "a string", "a boolean"
-LIST, STRINGS, NUMBERS, OBJECT = "a list", "a list of strings", "a list of finite numbers", "an object"
+NUMBER, FINITE, INTEGER, STRING = "a number", "a finite number", "an integer", "a string"
+BOOLEAN, LIST, STRINGS, NUMBERS = "a boolean", "a list", "a list of strings", "a list of finite numbers"
+OBJECT, ANY = "an object", "any value"
 REQUIRED = object()  # the default of a field that must be present
 
 
@@ -72,6 +73,7 @@ def _is_finite_number(v) -> bool:
 
 _IS_KIND = {
     NUMBER: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    FINITE: _is_finite_number,
     INTEGER: lambda v: isinstance(v, int) and not isinstance(v, bool),
     STRING: lambda v: isinstance(v, str),
     BOOLEAN: lambda v: isinstance(v, bool),
@@ -79,6 +81,7 @@ _IS_KIND = {
     STRINGS: lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
     NUMBERS: lambda v: isinstance(v, list) and all(map(_is_finite_number, v)),
     OBJECT: lambda v: isinstance(v, dict),
+    ANY: lambda v: True,
 }
 
 
@@ -89,9 +92,10 @@ def walk_fields(obj, spec: dict, where: str | None, error: type[DocumentFormatEr
     default unless that is ``REQUIRED``, and null stands for an absent field whose
     default is None.  A number comes back as a float, infinite where it is too
     large for one (as JSON reads ``1e999``), and the record it fills checks its
-    range.  A list of numbers comes back as a tuple of floats; a string, a
-    boolean or a number that is not finite in it is a fault.  A fault raises
-    ``error`` at field ``where.name``, or ``name``.
+    range; a finite number is a number that is none of these.  A list of numbers
+    comes back as a tuple of floats; a string, a boolean or a number that is not
+    finite in it is a fault.  A fault raises ``error`` at field ``where.name``,
+    or ``name``.
     """
     if not isinstance(obj, dict):
         raise error(f"expected {OBJECT}", field=where)
@@ -111,7 +115,7 @@ def walk_fields(obj, spec: dict, where: str | None, error: type[DocumentFormatEr
             pass
         elif not _IS_KIND[kind](value):
             raise error(f"expected {kind}", field=prefix + key)
-        elif kind is NUMBER:
+        elif kind is NUMBER or kind is FINITE:
             try:
                 value = float(value)
             except OverflowError:

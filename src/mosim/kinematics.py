@@ -9,13 +9,12 @@ which keeps surface distances exact and the contact relations decidable.
 is the one writer of the relations: each state holds them in one map,
 ``WorldState.contacts``, keyed by the pair under both orders, and every other
 module reads that map.  A tick moves only its theme, so it decides only the
-theme's relations, in one pass over the bodies.  ``_with_contacts`` measures
-the pairs that hold a moved body, each once: ``refresh_contacts`` counts
-every body as moved, and the trace reader every body in its first state and
-then the bodies whose pose changed, which in an engine-written trace is the
-theme alone.  No body is rebuilt for a relation's sake.  The gap
-kernels are straight-line float arithmetic with no ``max``, ``min`` or ``sum``
-calls, added left to right, so they give the same bits on every Python version.
+theme's relations, in one pass over the bodies.  ``refresh_contacts``
+measures every pair once: a scene's first state and a trace file's first
+record go through it, and every later state, the engine's or a trace file's,
+is a tick's.  No body is rebuilt for a relation's sake.  The gap kernels
+are straight-line float arithmetic with no ``max``, ``min`` or ``sum`` calls,
+added left to right, so they give the same bits on every Python version.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from math import sqrt
-from typing import Iterable
 
 from .config import SceneConfig
 from .errors import ImmobileThemeError, UnboundObjectError, UnsupportedShapePair
@@ -138,15 +136,14 @@ class WorldState:
     Invariant: ``contacts`` holds the relation of each pair of bodies at the
     current positions, keyed by ``(a, b)`` under both orders, with no entry
     for a body with itself or for a pair of shapes that has no distance.
-    ``kinematics`` is its only writer: ``refresh_contacts``, ``tick`` and the
-    trace reader (through ``_with_contacts``) produce only such states, and
-    formula atoms, the scene's overlap check, the verifier and the trace
+    ``kinematics`` is its only writer: ``refresh_contacts`` and ``tick`` produce
+    only such states, and the trace reader builds its states with them alone.
+    Formula atoms, the scene's overlap check, the verifier and the trace
     writer read the map instead of recomputing relations.  ``tick`` measures
-    only the theme's pairs and the trace reader only the pairs of a moved
-    body, and both carry every other entry into the next state unchanged;
-    ``tick`` also reads the theme's ``DC`` entries instead of measuring its old
-    gaps.  So a stale entry would outlive its state.  A hand-built state may
-    leave the map empty or short, never stale; a tick of such a state
+    only the theme's pairs and carries every other entry into the next state
+    unchanged; it also reads the theme's ``DC`` entries instead of measuring
+    its old gaps.  So a stale entry would outlive its state.  A hand-built
+    state may leave the map empty or short, never stale; a tick of such a state
     refreshes every pair, and ``refresh_contacts`` measures every pair of any
     state.  No other path fills a missing entry.  States share the map until
     a relation changes, so it is never mutated once a state holds it.
@@ -276,55 +273,25 @@ def _relation(d: float, contact_eps: float) -> Rel:
 def refresh_contacts(state: WorldState) -> WorldState:
     """Recompute every computable pairwise contact relation from positions.
 
-    The map is copied only when a relation changes; otherwise the new state
-    shares ``state``'s map.
+    Each pair is measured once, the earlier body in ``bodies`` order first, and
+    a relation the map lacks is appended in that order.  Copy on write: the map
+    is copied once, at the first relation that changes, and when none changes
+    the new state shares ``state``'s map.
     """
-    contacts = _with_contacts(state.bodies, state.contacts, state.cfg.contact_eps, state.bodies)
-    return WorldState(state.time, state.tick_index, state.bodies, state.cfg, contacts)
-
-
-def _with_contacts(
-    bodies: dict[str, Body], contacts: Contacts, eps: float, moved: Iterable[str]
-) -> Contacts:
-    """``contacts`` with fresh relations for the pairs that hold a body in ``moved``.
-
-    For ``refresh_contacts`` and the trace reader; ``tick`` decides its
-    theme's pairs itself.  Each moved body is measured against every body not
-    yet measured against it, the earlier of the two in ``bodies`` order
-    first, so a pair of two moved bodies is measured once.  A pair of two
-    bodies that did not move keeps its relation, which holds only because
-    the map is never stale (see ``WorldState``).  Callers with a short map
-    pass every body as moved: ``refresh_contacts``, and the reader's first
-    state.
-
-    Copy on write: the map is copied once, at the first relation that
-    changes, and when none changes ``contacts`` itself is returned.
-    """
+    contacts, eps = state.contacts, state.cfg.contact_eps
     out = contacts
-    done = set()
-    for m_id in moved:
-        m = bodies[m_id]
-        seen = False
-        for o_id, o in bodies.items():
-            if o is m:
-                seen = True
-                continue
-            if o_id in done:
-                continue
+    items = list(state.bodies.items())
+    for k, (a_id, a) in enumerate(items):
+        for b_id, b in items[k + 1:]:
             try:
-                if seen:
-                    d = _gap(m, m.position, o, o.position)
-                else:
-                    d = _gap(o, o.position, m, m.position)
-                rel = _relation(d, eps)
+                rel = _relation(_gap(a, a.position, b, b.position), eps)
             except UnsupportedShapePair:
                 rel = None
-            if rel is not out.get((m_id, o_id)) or rel is not out.get((o_id, m_id)):
+            if rel is not out.get((a_id, b_id)) or rel is not out.get((b_id, a_id)):
                 if out is contacts:
                     out = contacts.copy()
-                _set_pair(out, m_id, o_id, rel)
-        done.add(m_id)
-    return out
+                _set_pair(out, a_id, b_id, rel)
+    return WorldState(state.time, state.tick_index, state.bodies, state.cfg, out)
 
 
 def _set_pair(contacts: Contacts, a: str, b: str, rel: Rel | None) -> None:

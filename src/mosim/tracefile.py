@@ -9,19 +9,19 @@ byte-stable across runs and round-trip exactly.  Format version "1".
 from __future__ import annotations
 
 import json
-import struct
 from functools import cache
 from math import hypot, isfinite, nan
 from operator import itemgetter
 from pathlib import Path
 
+from . import kinematics
 from .config import SceneConfig, config_from_dict
 from .programs import Trace, _without_collector
 from .errors import (
-    BOOLEAN, INTEGER, NUMBER, NUMBERS, OBJECT, REQUIRED, STRING, ConfigFormatError, TraceFormatError,
-    walk_fields,
+    ANY, BOOLEAN, FINITE, INTEGER, NUMBER, NUMBERS, OBJECT, REQUIRED, STRING, ConfigFormatError,
+    TraceFormatError, walk_fields,
 )
-from .kinematics import PLUS_X, Body, Contacts, Rel, WorldState, _with_contacts
+from .kinematics import PLUS_X, Body, Rel, WorldState, refresh_contacts
 from .lexicon import DIM_KEYS, FLOOR_ID, MAX_SIZE, MIN_SIZE, TICK_ACTIONS, Shape
 from .record import record
 from .scene import Scene
@@ -177,12 +177,6 @@ class TraceDocument:
         return self.header["sentence"]
 
 
-def _need(obj: dict, key: str, where: str):
-    if not isinstance(obj, dict) or key not in obj:
-        raise TraceFormatError(f"missing {key!r} in {where}")
-    return obj[key]
-
-
 def _numbers(values, where: str) -> tuple[float, ...]:
     """``values`` as floats; a non-number or a non-finite number is a format error."""
     try:
@@ -194,16 +188,8 @@ def _numbers(values, where: str) -> tuple[float, ...]:
     return xs
 
 
-def _json_numbers(values, where: str) -> tuple[float, ...]:
-    """``_numbers`` for JSON values, where a string or a boolean is not a number."""
-    xs = _numbers(values, where)
-    for value in values:
-        if isinstance(value, (str, bool)):
-            raise TraceFormatError(f"{where}: {json.dumps(value):.40} is not a number")
-    return xs
-
-
-# The header, its bindings and each of its bodies, as walk_fields checks them.
+# The header, its bindings and each of its bodies, and a jsonl state record and
+# each of its poses, as walk_fields checks them.
 _HEADER_FIELDS = {
     "format_version": (STRING, REQUIRED),
     "sentence": (STRING, REQUIRED),
@@ -221,6 +207,13 @@ _BINDINGS_FIELDS = {"theme": (STRING, REQUIRED), "ground": (STRING, None)}
 _BODY_FIELDS = {
     "shape": (STRING, REQUIRED), "dimensions": (NUMBERS, REQUIRED), "mobile": (BOOLEAN, REQUIRED),
 }
+# the reader checks action itself, and takes floor_contact and goal_contact from the tick
+_RECORD_FIELDS = {
+    "index": (INTEGER, REQUIRED), "time": (FINITE, REQUIRED), "bodies": (OBJECT, REQUIRED),
+    "action": (ANY, None), "floor_contact": (ANY, None), "goal_contact": (ANY, None),
+}
+_RECORD_KEYS = frozenset(_RECORD_FIELDS)
+_POSE_FIELDS = {"pos": (NUMBERS, REQUIRED), "rot": (FINITE, REQUIRED)}
 
 
 def _parse_header(obj) -> dict:
@@ -235,6 +228,10 @@ def _parse_header(obj) -> dict:
             f"unsupported trace format version {obj['format_version']!r} (expected {FORMAT_VERSION!r})"
         )
     h = walk_fields(obj, _HEADER_FIELDS, None, TraceFormatError)
+    if h["coords"] is not None and h["coords"] != COORD_CONVENTION:
+        raise TraceFormatError(
+            f"coords must be {json.dumps(COORD_CONVENTION)}, got {json.dumps(h['coords']):.60}"
+        )
     try:
         cfg = h["cfg"] = config_from_dict(h["cfg"])
     except ConfigFormatError as exc:
@@ -296,66 +293,63 @@ def _parse_header(obj) -> dict:
 # poses holds (x, y, z, rot) for each header body in header order.
 Record = tuple[object, float, list[tuple[float, float, float, float]], object]
 
-# A pose's bits: a body posed exactly as in the previous state is that state's
-# Body object.  Comparing bits, not floats, keeps 0.0 and -0.0 apart.
-_pose_bits = struct.Struct("4d").pack
-
 
 def _rebuild(header: dict, h: dict, rows: list, record) -> TraceDocument:
     """World states from ``record(i, row)`` of each row, under the checked header ``h``
-    of the file's ``header``; the pairs of moved bodies are remeasured."""
+    of the file's ``header``.
+
+    Record 0 is read as the first state, at rest.  Each later state is the tick
+    of the one before by its record's action, and the record must hold that
+    state's time and poses: compiled sentence programs hold only ticks and
+    tests, so a trace the engine writes is such a chain.
+    """
     if len(rows) != h["frames"]:
         raise TraceFormatError(f"record count {len(rows)} does not match header frames {h['frames']}")
     if not rows:
         raise TraceFormatError("trace has no state records")
     cfg, theme_id, direction = h["cfg"], h["bindings"]["theme"], h["direction"]
-    slots = [
-        (bid, shape, dims, mobile, direction if bid == theme_id else PLUS_X)
-        for bid, (shape, dims, mobile) in h["bodies"].items()
-    ]
-
-    states = []
+    index, time, poses, action = record(0, rows[0])
+    if index != 0:
+        raise TraceFormatError(f"record 0 has index {index}")
+    if action is not None:
+        raise TraceFormatError(
+            f"record 0 has an action {json.dumps(action):.40}; the first state has no incoming tick"
+        )
+    bodies = {}
+    for (bid, (shape, dims, mobile)), pose in zip(h["bodies"].items(), poses):
+        if max(pose) > MAX_COORDINATE or min(pose) < -MAX_COORDINATE:
+            raise TraceFormatError(
+                f"pos and rot in record 0 body {bid} must lie within"
+                f" [{-MAX_COORDINATE:g}, {MAX_COORDINATE:g}]"
+            )
+        heading = direction if bid == theme_id else PLUS_X
+        bodies[bid] = Body(bid, shape, dims, mobile, pose[:3], heading, pose[3])
+    state = refresh_contacts(WorldState(time, 0, bodies, cfg))
+    states = [state]
     labels = []
-    last_bits: list = [None] * len(slots)
-    last: dict[str, Body] = {}
-    contacts: Contacts = {}
-    for i, row in enumerate(rows):
-        index, time, poses, action = record(i, row)
+    for i in range(1, len(rows)):
+        index, time, poses, action = record(i, rows[i])
         if index != i:
             raise TraceFormatError(f"record {i} has index {index}")
-        bodies = {}
-        moved = []
-        for k, pose in enumerate(poses):
-            bid, shape, dims, mobile, heading = slots[k]
-            bits = _pose_bits(*pose)
-            if bits == last_bits[k]:
-                bodies[bid] = last[bid]
-            else:
-                if max(pose) > MAX_COORDINATE or min(pose) < -MAX_COORDINATE:
-                    raise TraceFormatError(
-                        f"pos and rot in record {i} body {bid} must lie within"
-                        f" [{-MAX_COORDINATE:g}, {MAX_COORDINATE:g}]"
-                    )
-                bodies[bid] = Body(bid, shape, dims, mobile, pose[:3], heading, pose[3])
-                moved.append(bid)
-                last_bits[k] = bits
-        # the first state measures every pair; later ones only the pairs of a moved body
-        contacts = _with_contacts(bodies, contacts, cfg.contact_eps, moved)
-        states.append(WorldState(time, i, bodies, cfg, contacts))
-        last = bodies
-        if i > 0:
-            if not action:
-                raise TraceFormatError(f"record {i} is missing its action label")
-            if type(action) is not str or action not in TICK_ACTIONS:
-                raise TraceFormatError(
-                    f"record {i} has an unknown action {json.dumps(action):.40}"
-                    f" (one of {', '.join(sorted(TICK_ACTIONS))})"
-                )
-            labels.append(action)
-        elif action is not None:
+        if not action:
+            raise TraceFormatError(f"record {i} is missing its action label")
+        if type(action) is not str or action not in TICK_ACTIONS:
             raise TraceFormatError(
-                f"record 0 has an action {json.dumps(action):.40}; the first state has no incoming tick"
+                f"record {i} has an unknown action {json.dumps(action):.40}"
+                f" (one of {', '.join(sorted(TICK_ACTIONS))})"
             )
+        state = kinematics.tick(state, action, theme_id)
+        # == and not bits: jsonl reads the -0 of a -0.0 as 0
+        for (x, y, z, rot), body in zip(poses, state.bodies.values()):
+            p = body.position
+            if x != p[0] or y != p[1] or z != p[2] or rot != body.rotation:
+                raise TraceFormatError(f"record {i} body {body.id} is not where a {action} tick puts it")
+        if time != state.time:
+            raise TraceFormatError(
+                f"record {i} has time {fmt_float(time)}, not its tick's {fmt_float(state.time)}"
+            )
+        states.append(state)
+        labels.append(action)
 
     trace = Trace(tuple(states), tuple(labels))
     scene = Scene(
@@ -377,29 +371,31 @@ def _jsonl_record(i: int, obj, ids) -> Record:
 
     Nearly every record is well formed, and reading it without a check per key
     takes about a third of the checked walk's time.  The walk, which names the
-    first fault, runs only when this fails; any record this accepts, it would
-    accept with the same values.
+    first fault, runs only when this fails; this accepts exactly the records
+    the walk accepts, with the same values.
     """
     try:
         entries = obj["bodies"]
-        poses = []
-        for bid in ids:
-            entry = entries[bid]
-            # three values of a JSON number type make a pos list: a string or
-            # an object unpacks to strings
-            x, y, z = entry["pos"]
-            rot = entry["rot"]
-            if not (type(x) in _NUMBER and type(y) in _NUMBER and type(z) in _NUMBER
-                    and type(rot) in _NUMBER):
-                break
-            pose = (float(x), float(y), float(z), float(rot))
-            if not (isfinite(pose[0]) and isfinite(pose[1]) and isfinite(pose[2]) and isfinite(pose[3])):
-                break
-            poses.append(pose)
-        else:
-            time = obj["time"]
-            if type(time) in _NUMBER and isfinite(time):
-                return obj["index"], float(time), poses, obj.get("action")
+        if obj.keys() <= _RECORD_KEYS and len(entries) == len(ids):
+            poses = []
+            for bid in ids:
+                entry = entries[bid]
+                # three values of a JSON number type make a pos list: a string or
+                # an object unpacks to strings
+                x, y, z = entry["pos"]
+                rot = entry["rot"]
+                if not (len(entry) == 2 and type(x) in _NUMBER and type(y) in _NUMBER
+                        and type(z) in _NUMBER and type(rot) in _NUMBER):
+                    break
+                pose = (float(x), float(y), float(z), float(rot))
+                if not (isfinite(pose[0]) and isfinite(pose[1]) and isfinite(pose[2])
+                        and isfinite(pose[3])):
+                    break
+                poses.append(pose)
+            else:
+                index, time = obj["index"], obj["time"]
+                if type(index) is int and type(time) in _NUMBER and isfinite(time):
+                    return index, float(time), poses, obj.get("action")
     except (TypeError, KeyError, ValueError, OverflowError):
         pass
     return _checked_jsonl_record(i, obj, ids)
@@ -407,18 +403,17 @@ def _jsonl_record(i: int, obj, ids) -> Record:
 
 def _checked_jsonl_record(i: int, obj, ids) -> Record:
     where = f"record {i}"
-    index = _need(obj, "index", where)
-    entries = _need(obj, "bodies", where)
+    r = walk_fields(obj, _RECORD_FIELDS, where, TraceFormatError)
+    entries = walk_fields(r["bodies"], dict.fromkeys(ids, (OBJECT, REQUIRED)), f"{where}.bodies",
+                          TraceFormatError)
     poses = []
-    for bid in ids:
-        entry = _need(entries, bid, where)
-        at = f"{where} body {bid}"
-        pos, rot = _need(entry, "pos", at), _need(entry, "rot", at)
-        if not isinstance(pos, list) or len(pos) != 3:
-            raise TraceFormatError(f"pos in {at} must be a 3-element list")
-        poses.append(_json_numbers((*pos, rot), f"pos and rot in {at}"))
-    time, = _json_numbers((_need(obj, "time", where),), f"time in {where}")
-    return index, time, poses, obj.get("action")
+    for bid, entry in entries.items():
+        at = f"{where}.bodies.{bid}"
+        body = walk_fields(entry, _POSE_FIELDS, at, TraceFormatError)
+        if len(body["pos"]) != 3:
+            raise TraceFormatError("expected a list of 3 finite numbers", field=f"{at}.pos")
+        poses.append((*body["pos"], body["rot"]))
+    return r["index"], r["time"], poses, r["action"]
 
 
 # The scanner json.loads runs: a line whose value it reads to the end of the line
@@ -467,6 +462,11 @@ def _read_csv(text: str) -> TraceDocument:
     h = _parse_header(header)
     names = lines[1].split(",")
     where = {name: k for k, name in enumerate(names)}  # a repeated name means its last column
+    known = {"index", "time", "action", "floor_contact", "goal_contact"}
+    known.update(f"{bid}_{axis}" for bid in h["bodies"] for axis in ("x", "y", "z", "rot"))
+    for name in names:
+        if name not in known:
+            raise TraceFormatError(f"csv trace has an unknown column {name!r:.40}")
 
     def column(name: str) -> int:
         try:

@@ -2,24 +2,22 @@ import gc
 import json
 import math
 import random
-import struct
 from operator import itemgetter
+from unittest import mock
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import event, given, seed, settings, strategies as st
 
 from mosim import SceneConfig, build_scene, compile_event, execute, parse_text, read_trace, write_trace
 from mosim import kinematics, tracefile
-from mosim.errors import DocumentFormatError, TraceFormatError, UnsupportedShapePair
-from mosim.kinematics import (
-    PLUS_X, Body, Rel, WorldState, contact_relation, refresh_contacts,
-)
-from mosim.lexicon import FLOOR_ID, TICK_ACTIONS, Shape, load_lexicon
+from mosim.errors import DocumentFormatError, MosimError, TraceFormatError, UnsupportedShapePair
+from mosim.kinematics import PLUS_X, Body, WorldState, contact_relation, refresh_contacts
+from mosim.lexicon import FLOOR_ID, PREPOSITIONS, TICK_ACTIONS, Shape, load_lexicon
 from mosim.programs import Trace
 from mosim.record import replace
 from mosim.rng import stream_for
 from mosim.scene import Scene
-from mosim.tracefile import _header_dict, _parse_header, fmt_float
+from mosim.tracefile import _checked_jsonl_record, _header_dict, _jsonl_record, _parse_header, fmt_float
 
 
 def make_run(lex, cfg, sentence="the ball rolled to the wall"):
@@ -298,18 +296,57 @@ def test_writer_matches_generic_json_walk_on_hand_built_traces(tmp_path_factory,
     assert path.read_bytes() == oracle_bytes(fmt, "a sentence, with «quotes»", trace, scene, cfg)
 
 
+FLOAT = NUMBER.map(float)  # written as an integer where it is one
+FLOAT_POINT = st.tuples(FLOAT, FLOAT, FLOAT)
+
+
+@st.composite
+def ticked_runs(draw):
+    """A theme sphere, the floor and 0-2 more bodies, placed anywhere, then 0-4 ticks.
+
+    The first state's coordinates, rotation and time are drawn; every later
+    state is ``tick``'s, so the file is one the reader replays.  The theme
+    heads along +x, -x or off axis.
+    """
+    cfg = SceneConfig(seed=0)
+    ids = draw(st.lists(NAME, min_size=1, max_size=3, unique=True))
+    theme_id, others = ids[0], ids[1:]
+    direction = draw(st.sampled_from([PLUS_X, (-1.0, 0.0, 0.0), (0.6, 0.0, -0.8)]))
+    bodies = {
+        FLOOR_ID: Body(FLOOR_ID, Shape.PLANE, (), False, (0.0, 0.0, 0.0)),
+        theme_id: Body(theme_id, Shape.SPHERE, (0.5,), True, draw(FLOAT_POINT), direction,
+                       draw(FLOAT)),
+    }
+    for bid in others:
+        shape = draw(st.sampled_from([Shape.SPHERE, Shape.BOX]))
+        dims = (0.3,) if shape is Shape.SPHERE else (1.0, 2.0, 0.25)
+        bodies[bid] = Body(bid, shape, dims, False, draw(FLOAT_POINT))
+    states = [refresh_contacts(WorldState(draw(FLOAT), 0, bodies, cfg))]
+    labels = tuple(draw(st.lists(st.sampled_from(sorted(TICK_ACTIONS)), max_size=4)))
+    for label in labels:
+        states.append(kinematics.tick(states[-1], label, theme_id))
+    ground_id = draw(st.sampled_from([None, FLOOR_ID, *others]))
+    scene = Scene(initial=states[0], theme_id=theme_id, ground_id=ground_id,
+                  goal_id=ground_id, direction=direction)
+    return Trace(tuple(states), labels), scene, cfg
+
+
 @seed(20161006)
 @settings(max_examples=100, deadline=None)
-@given(run=hand_built_runs(), fmt=st.sampled_from(["jsonl", "csv"]))
+@given(run=ticked_runs(), fmt=st.sampled_from(["jsonl", "csv"]))
 def test_read_back_flags_equal_a_full_refresh(tmp_path_factory, run, fmt):
-    # the reader measures only the pairs of bodies whose pose changed, whichever
-    # body that is; every other pair keeps its flag from the previous state
+    # the first state measures every pair and each later one is a tick's, which
+    # measures the theme's pairs and keeps every other pair's flag
     trace, scene, cfg = run
     path = tmp_path_factory.mktemp("r") / f"t.{fmt}"
     write_trace(path, fmt, "s", trace, scene, cfg)
-    for state, written in zip(read_trace(path).trace.states, trace.states):
+    got = read_trace(path).trace
+    assert got.labels == trace.labels
+    for state, written in zip(got.states, trace.states, strict=True):
         assert state == refresh_contacts(state)
         assert state.contacts == written.contacts
+        for bid, body in written.bodies.items():
+            assert (*state.body(bid).position, state.body(bid).rotation) == (*body.position, body.rotation)
 
 
 NON_ASCII_LEXICON = json.dumps({
@@ -369,33 +406,138 @@ def test_read_back_shares_static_bodies_and_equals_the_written_trace(tmp_path, l
         assert g.contacts == w.contacts
 
 
-# csv keeps the sign of zero; JSON reads the "-0" that %.17g writes as the integer 0
-@pytest.mark.parametrize("fmt,signs", [("csv", [1.0, -1.0, 1.0]), ("jsonl", [1.0, 1.0, 1.0])])
+def assert_same_bits(got: WorldState, want: WorldState):
+    for bid, body in want.bodies.items():
+        g = got.body(bid)
+        assert [c.hex() for c in (*g.position, g.rotation, *g.velocity)] == [
+            float(c).hex() for c in (*body.position, body.rotation, *body.velocity)
+        ], bid
+
+
+# csv keeps the sign of zero; JSON reads the "-0" that %.17g writes as the integer 0.
+# Only record 0 is read as written: every later state is the tick of the one before.
+@pytest.mark.parametrize("fmt,signs", [("csv", [-1.0, -1.0, -1.0]), ("jsonl", [1.0, 1.0, 1.0])])
 def test_read_back_compares_poses_bit_for_bit(tmp_path, lex, cfg, fmt, signs):
-    # a pose that differs from the previous state's only in the sign of a zero
-    # gives a new body, not the previous one
-    frame, scene, trace = make_run(lex, cfg)
-    states = list(trace.states[:3])
-    wall = states[0].body("wall")
-    states[1] = states[1].with_body(replace(wall, rotation=-0.0))
-    path = tmp_path / f"run.{fmt}"
+    # a bounce's vertical velocity is in no file: the tick gives it back
+    frame, scene, trace = make_run(lex, cfg, "the ball bounced")
+    path = tmp_path / f"bounce.{fmt}"
+    write_trace(path, fmt, "the ball bounced", trace, scene, cfg)
+    got = read_trace(path).trace.states
+    assert len(got) == len(trace.states) > 2
+    assert any(s.body("ball").velocity[1] != 0.0 for s in got)
+    for g, w in zip(got, trace.states):
+        assert_same_bits(g, w)
+    # a slide keeps the first state's rotation: -0.0 in csv, 0.0 in jsonl
+    frame, scene, trace = make_run(lex, cfg, "the ball slid to the wall")
+    states = [scene.initial.with_body(replace(scene.initial.body("ball"), rotation=-0.0))]
+    for label in trace.labels[:2]:
+        states.append(kinematics.tick(states[-1], label, "ball"))
+    path = tmp_path / f"slide.{fmt}"
     write_trace(path, fmt, "s", Trace(tuple(states), trace.labels[:2]), scene, cfg)
     got = read_trace(path).trace.states
-    assert [math.copysign(1.0, s.body("wall").rotation) for s in got] == signs
+    assert [math.copysign(1.0, s.body("ball").rotation) for s in got] == signs
+    if fmt == "csv":
+        for g, w in zip(got, states):
+            assert_same_bits(g, w)
 
 
-# -- the reader against the reader that parsed and remeasured every body --------------
+def read_or_refusal(read, path):
+    """``read(path)``, or the message of the ``TraceFormatError`` it raises."""
+    try:
+        return read(path)
+    except TraceFormatError as exc:
+        return str(exc)
+
+
+TAMPERS = ("theme x", "static pose", "time", "action")
+
+
+def tampered(trace, theme_id, what, k):
+    """``trace`` with state ``k`` (k >= 1), or the label into it, changed as ``what`` names."""
+    states, labels = list(trace.states), list(trace.labels)
+    state = states[k]
+    if what == "theme x":  # to the wall's face in the roll to the wall
+        theme = state.body(theme_id)
+        states[k] = state.with_body(replace(theme, position=(4.39, *theme.position[1:])))
+    elif what == "static pose":
+        static = next(b for b in state.bodies.values() if b.id != theme_id)
+        x, y, z = static.position
+        states[k] = state.with_body(replace(static, position=(x, y + 0.25, z)))
+    elif what == "time":
+        states[k] = WorldState(state.time + 0.25, k, state.bodies, state.cfg, state.contacts)
+    else:
+        labels[k - 1] = "slide" if labels[k - 1] == "roll" else "roll"
+    return Trace(tuple(states), tuple(labels))
+
+
+def parsable_sentences(lex):
+    """Every "the" sentence ``lex`` parses, in lexicon order."""
+    out = []
+    for theme in lex.nouns:
+        for verb in lex.verbs.values():
+            for form in verb.past_forms:
+                for text in [f"the {theme} {form}", *(f"the {theme} {form} {prep} the {ground}"
+                                                       for prep in PREPOSITIONS for ground in lex.nouns)]:
+                    try:
+                        parse_text(text, lex)
+                    except MosimError:
+                        continue
+                    out.append(text)
+    return out
+
+
+def test_every_parsable_sentence_reads_back_as_the_engine_ran_it(tmp_path, lex, cfg):
+    # poses, rotations, velocities and contact maps, in both formats; only jsonl's
+    # record 0 may read a -0.0 as 0.0, and no engine trace here holds one
+    read = 0
+    for n, sentence in enumerate(parsable_sentences(lex)):
+        try:
+            frame, scene, trace = make_run(lex, cfg, sentence)
+        except MosimError:
+            continue
+        for fmt in ("jsonl", "csv"):
+            path = tmp_path / f"{n}.{fmt}"
+            write_trace(path, fmt, sentence, trace, scene, cfg)
+            doc = read_trace(path)
+            assert doc.trace.labels == trace.labels, sentence
+            assert len(doc.trace.states) == len(trace.states), sentence
+            for got, want in zip(doc.trace.states, trace.states):
+                assert got.time == want.time and got.contacts == want.contacts, sentence
+                assert_same_bits(got, want)
+            path.unlink()
+            read += 1
+    assert read > 400
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("k", [1, 2, -1], ids=["record-1", "record-2", "last-record"])
+@pytest.mark.parametrize("what", TAMPERS)
+def test_a_record_that_is_not_its_ticks_state_is_refused(tmp_path, lex, fmt, k, what):
+    cfg = SceneConfig(seed=42)
+    frame, scene, trace = make_run(lex, cfg)
+    k = k % len(trace.states)
+    path = tmp_path / f"t.{fmt}"
+    write_trace(path, fmt, "the ball rolled to the wall", tampered(trace, "ball", what, k), scene, cfg)
+    time = trace.states[k].time
+    message = {
+        "theme x": f"record {k} body ball is not where a roll tick puts it",
+        "static pose": f"record {k} body floor is not where a roll tick puts it",
+        "time": f"record {k} has time {fmt_float(time + 0.25)}, not its tick's {fmt_float(time)}",
+        "action": f"record {k} body ball is not where a slide tick puts it",
+    }[what]
+    with pytest.raises(TraceFormatError) as got:
+        read_trace(path)
+    assert str(got.value) == message
+
+
+# -- the reader against a reference replay ---------------------------------------------
 #
-# ``reference_read`` is the reader as it was before a state cost only its moved
-# bodies: every record parsed through ``_need``/``_numbers``, every csv cell
-# converted on every row, and the contact map rebuilt from every pair.  The header checks,
-# ``_parse_header``, are shared.
-
-
-def _ref_need(obj, key, where):
-    if not isinstance(obj, dict) or key not in obj:
-        raise TraceFormatError(f"missing {key!r} in {where}")
-    return obj[key]
+# ``reference_read`` parses every jsonl record with the checked field walk and every
+# csv cell on every row, measures each pair of record 0 by ``contact_relation``, and
+# replays each later record with ``kinematics.tick``, comparing the record's time and
+# poses to the tick's.  The header checks, ``_parse_header``, and the record walk,
+# ``_checked_jsonl_record``, are shared; the reader's fast path, its csv cell cache
+# and its state building are what it is compared on.
 
 
 def _ref_numbers(values, where):
@@ -408,30 +550,16 @@ def _ref_numbers(values, where):
     return xs
 
 
-def _ref_json_numbers(values, where):
-    # a JSON string or boolean is not a number, even where float() takes it
-    xs = _ref_numbers(values, where)
-    for value in values:
-        if type(value) in (str, bool):
-            raise TraceFormatError(f"{where}: {json.dumps(value):.40} is not a number")
-    return xs
-
-
-def _ref_with_contacts(bodies, contacts, eps, moved):
+def _ref_contacts(bodies, eps):
     items = list(bodies.items())
     out = {}
     for i, (a_id, a) in enumerate(items):
-        a_moved = a_id in moved
         for b_id, b in items[i + 1:]:
-            rel = None if a_moved or b_id in moved else contacts.get((a_id, b_id))
-            if rel is None:
-                try:
-                    rel = contact_relation(a, b, eps)
-                except UnsupportedShapePair:
-                    continue
-            out[a_id, b_id] = rel
-            out[b_id, a_id] = rel
-    return contacts if out == contacts else out
+            try:
+                out[a_id, b_id] = out[b_id, a_id] = contact_relation(a, b, eps)
+            except UnsupportedShapePair:
+                pass
+    return out
 
 
 def _ref_rebuild(header, rows, record):
@@ -443,46 +571,45 @@ def _ref_rebuild(header, rows, record):
         raise TraceFormatError("trace has no state records")
     cfg, catalog, direction = header["cfg"], header["bodies"], header["direction"]
     theme_id = header["bindings"]["theme"]
-    headings = {bid: direction if bid == theme_id else PLUS_X for bid in catalog}
     states, labels = [], []
-    last_bits = [None] * len(catalog)
-    last, contacts = {}, {}
     for i, row in enumerate(rows):
         index, time, poses, action = record(i, row)
         if index != i:
             raise TraceFormatError(f"record {i} has index {index}")
-        bits = [struct.pack("4d", *pose) for pose in poses]
-        bodies, moved = {}, set()
-        for (bid, (shape, dims, mobile)), pose, b, old in zip(catalog.items(), poses, bits, last_bits):
-            if b == old:
-                bodies[bid] = last[bid]
-            else:
-                bodies[bid] = Body(bid, shape, dims, mobile, pose[:3], headings[bid], pose[3])
-                moved.add(bid)
-        contacts = _ref_with_contacts(bodies, contacts, cfg.contact_eps, moved)
-        last, last_bits = bodies, bits
-        states.append(WorldState(time, i, bodies, cfg, contacts))
-        if i > 0:
-            if not action:
-                raise TraceFormatError(f"record {i} is missing its action label")
-            labels.append(action)
+        if i == 0:
+            if action is not None:
+                raise TraceFormatError(
+                    f"record 0 has an action {json.dumps(action):.40}; the first state has no incoming tick"
+                )
+            bodies = {}
+            for (bid, (shape, dims, mobile)), pose in zip(catalog.items(), poses):
+                if not all(-1e30 <= c <= 1e30 for c in pose):
+                    raise TraceFormatError(
+                        f"pos and rot in record 0 body {bid} must lie within [-1e+30, 1e+30]"
+                    )
+                heading = direction if bid == theme_id else PLUS_X
+                bodies[bid] = Body(bid, shape, dims, mobile, pose[:3], heading, pose[3])
+            states.append(WorldState(time, 0, bodies, cfg, _ref_contacts(bodies, cfg.contact_eps)))
+            continue
+        if not action:
+            raise TraceFormatError(f"record {i} is missing its action label")
+        if action not in TICK_ACTIONS or type(action) is not str:
+            raise TraceFormatError(
+                f"record {i} has an unknown action {json.dumps(action):.40}"
+                " (one of bounce, fly, move, roll, slide)"
+            )
+        state = kinematics.tick(states[-1], action, theme_id)
+        for bid, pose in zip(catalog, poses):
+            body = state.bodies[bid]
+            if list(pose) != [*body.position, body.rotation]:
+                raise TraceFormatError(f"record {i} body {bid} is not where a {action} tick puts it")
+        if time != state.time:
+            raise TraceFormatError(
+                f"record {i} has time {fmt_float(time)}, not its tick's {fmt_float(state.time)}"
+            )
+        states.append(state)
+        labels.append(action)
     return Trace(tuple(states), tuple(labels))
-
-
-def _ref_jsonl_record(i, obj, ids):
-    where = f"record {i}"
-    index = _ref_need(obj, "index", where)
-    entries = _ref_need(obj, "bodies", where)
-    poses = []
-    for bid in ids:
-        entry = _ref_need(entries, bid, where)
-        at = f"{where} body {bid}"
-        pos, rot = _ref_need(entry, "pos", at), _ref_need(entry, "rot", at)
-        if not isinstance(pos, list) or len(pos) != 3:
-            raise TraceFormatError(f"pos in {at} must be a 3-element list")
-        poses.append(_ref_json_numbers((*pos, rot), f"pos and rot in {at}"))
-    time, = _ref_json_numbers((_ref_need(obj, "time", where),), f"time in {where}")
-    return index, time, poses, obj.get("action")
 
 
 def reference_read(path) -> Trace:
@@ -499,7 +626,7 @@ def reference_read(path) -> Trace:
                     ) from exc
         header = _parse_header(objs[0])
         ids = list(header["bodies"])
-        return _ref_rebuild(header, objs[1:], lambda i, obj: _ref_jsonl_record(i, obj, ids))
+        return _ref_rebuild(header, objs[1:], lambda i, obj: _checked_jsonl_record(i, obj, ids))
     lines = [line for line in text.splitlines() if line.strip()]
     if len(lines) < 2 or not lines[0].startswith("# "):
         raise TraceFormatError("csv trace must start with a '# ' header line")
@@ -513,6 +640,12 @@ def reference_read(path) -> Trace:
     header = _parse_header(header)
     names = lines[1].split(",")
     where = {name: k for k, name in enumerate(names)}
+    axes = ("x", "y", "z", "rot")
+    known = ["index", "time", *(f"{bid}_{a}" for bid in header["bodies"] for a in axes),
+             "action", "floor_contact", "goal_contact"]
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise TraceFormatError(f"csv trace has an unknown column {unknown[0]!r:.40}")
 
     def column(name):
         try:
@@ -536,7 +669,7 @@ def reference_read(path) -> Trace:
             raise TraceFormatError(f"bad csv row {i}: index {cells[index_col]!r:.40}") from None
         poses = [_ref_numbers(get(cells), f"csv row {i}") for get in pose_cells]
         time, = _ref_numbers((cells[time_col],), f"csv row {i} time")
-        action = cells[action_col] if action_col is not None else None
+        action = (cells[action_col] or None) if action_col is not None else None
         return index, time, poses, action
 
     return _ref_rebuild(header, lines[2:], record)
@@ -590,16 +723,28 @@ def respelled_csv(text: str, pick, n_bodies: int) -> str:
 
 @seed(20161006)
 @settings(max_examples=150, deadline=None)
-@given(run=hand_built_runs(), fmt=st.sampled_from(["jsonl", "csv", "csv respelled"]),
-       data=st.data())
-def test_reader_equals_the_reference_reader_on_hand_built_traces(tmp_path_factory, run, fmt, data):
+@given(run=ticked_runs(), fmt=st.sampled_from(["jsonl", "csv", "csv respelled"]),
+       tamper=st.sampled_from([None, *TAMPERS]), data=st.data())
+def test_reader_equals_the_reference_reader_on_hand_built_traces(tmp_path_factory, run, fmt, tamper,
+                                                                 data):
+    # a tick chain reads as the reference replays it; a chain with one record
+    # changed is refused by both with the same message, or read by both alike
     trace, scene, cfg = run
+    if tamper is not None and trace.labels:
+        k = data.draw(st.integers(min_value=1, max_value=len(trace.labels)))
+        trace = tampered(trace, scene.theme_id, tamper, k)
     path = tmp_path_factory.mktemp("ref") / f"t.{fmt.split()[0]}"
     write_trace(path, fmt.split()[0], "s", trace, scene, cfg)
     if fmt == "csv respelled":
         pick = lambda options: data.draw(st.sampled_from(options))
         path.write_text(respelled_csv(path.read_text(), pick, len(trace.states[0].bodies)))
-    assert_same_read(read_trace(path).trace, reference_read(path))
+    want = read_or_refusal(reference_read, path)
+    got = read_or_refusal(lambda p: read_trace(p).trace, path)
+    event("refused" if isinstance(want, str) else "read")
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_read(got, want)
 
 
 @seed(20161006)
@@ -678,14 +823,28 @@ def edit_row(edit):
     return damage
 
 
-def written_trace(path, lex, damage=None):
+def replayed(trace, scene, **changes):
+    """``trace`` and ``scene`` with the theme's first state changed by ``changes``
+    and the trace's labels ticked again from there: a tick chain still."""
+    first = scene.initial
+    states = [refresh_contacts(first.with_body(replace(first.body(scene.theme_id), **changes)))]
+    for label in trace.labels:
+        states.append(kinematics.tick(states[-1], label, scene.theme_id))
+    direction = changes.get("heading", scene.direction)
+    return Trace(tuple(states), trace.labels), replace(scene, initial=states[0], direction=direction)
+
+
+def written_trace(path, lex, damage=None, **changes):
     """The seed-42 roll to the wall, written to ``path`` in the format its suffix names.
 
+    ``changes``, if given, change the ball's first state, as ``replayed`` does.
     ``damage(lines, fmt)``, if given, edits the file's lines in place.
     """
     fmt = path.suffix[1:]
     cfg = SceneConfig(seed=42)
     frame, scene, trace = make_run(lex, cfg)
+    if changes:
+        trace, scene = replayed(trace, scene, **changes)
     write_trace(path, fmt, "the ball rolled to the wall", trace, scene, cfg)
     if damage is not None:
         lines = path.read_text().splitlines()
@@ -713,6 +872,7 @@ HEADER_FAULTS = {
     "extra-header-key": edit_header(lambda h: h.update(zzz=1)),
     "extra-body-key": edit_header(lambda h: h["bodies"]["ball"].update(colour="red")),
     "extra-bindings-key": edit_header(lambda h: h["bindings"].update(zzz=1)),
+    "coords-another": edit_header(lambda h: h.update(coords="z-up left-handed")),
 }
 JSONL_FAULTS = {
     "time-null": edit_record(lambda r: r.update(time=None)),
@@ -740,6 +900,11 @@ JSONL_FAULTS = {
     "wrong-index": edit_record(lambda r: r.update(index=7)),
     "no-action": edit_record(lambda r: r.pop("action")),
     "record-a-list": record_a_list,
+    "extra-record-key": edit_record(lambda r: r.update(zzz=1)),
+    "extra-body-id": edit_record(lambda r: r["bodies"].update(ghost={"pos": [0, 0, 0], "rot": 0})),
+    "extra-pose-key": edit_record(lambda r: r["bodies"]["ball"].update(colour="red")),
+    "index-a-float": edit_record(lambda r: r.update(index=2.0)),
+    "index-a-string": edit_record(lambda r: r.update(index="2")),
 }
 CSV_FAULTS = {
     "wrong-cell-count": edit_row(lambda c: c.append("")),
@@ -751,6 +916,7 @@ CSV_FAULTS = {
     "floor-not-a-number": edit_row(lambda c: c.__setitem__(2, "")),
     "no-action": edit_row(lambda c: c.__setitem__(-3, "")),
     "header-not-json": lambda lines, fmt: lines.__setitem__(0, lines[0].replace(":", "", 1)),
+    "extra-column": lambda lines, fmt: lines.__setitem__(slice(1, None), [l + ",x" for l in lines[1:]]),
 }
 FAULTS = [
     *((fmt, name, damage) for name, damage in HEADER_FAULTS.items() for fmt in ("jsonl", "csv")),
@@ -785,13 +951,53 @@ def test_an_unknown_header_key_is_refused_as_the_lexicon_and_config_refuse_one(
     assert str(got.value) == f"unknown field (field {field})"
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_header_coords_must_be_the_convention(tmp_path, lex, fmt):
+    path = written_trace(tmp_path / f"t.{fmt}", lex, HEADER_FAULTS["coords-another"])
+    with pytest.raises(TraceFormatError) as got:
+        read_trace(path)
+    assert str(got.value) == (
+        'coords must be "y-up right-handed, goal along +x", got "z-up left-handed"'
+    )
+    bare = read_trace(written_trace(tmp_path / f"bare.{fmt}", lex, edit_header(lambda h: h.pop("coords"))))
+    assert bare.trace == read_trace(written_trace(tmp_path / f"plain.{fmt}", lex)).trace
+
+
+RECORD_MESSAGES = [
+    ("jsonl", "extra-record-key", "unknown field (field record 2.zzz)"),
+    ("jsonl", "extra-body-id", "unknown field (field record 2.bodies.ghost)"),
+    ("jsonl", "extra-pose-key", "unknown field (field record 2.bodies.ball.colour)"),
+    ("jsonl", "index-a-float", "expected an integer (field record 2.index)"),
+    ("jsonl", "index-a-string", "expected an integer (field record 2.index)"),
+    ("jsonl", "record-a-list", "expected an object (field record 2)"),
+    ("jsonl", "no-time", "missing field (field record 2.time)"),
+    ("jsonl", "no-body", "missing field (field record 2.bodies.wall)"),
+    ("jsonl", "body-a-list", "expected an object (field record 2.bodies.wall)"),
+    ("jsonl", "pos-two-elements", "expected a list of 3 finite numbers (field record 2.bodies.ball.pos)"),
+    ("jsonl", "pos-an-object-of-3-digit-keys",
+     "expected a list of finite numbers (field record 2.bodies.ball.pos)"),
+    ("jsonl", "time-infinite", "expected a finite number (field record 2.time)"),
+    ("csv", "extra-column", "csv trace has an unknown column 'x'"),
+]
+
+
+@pytest.mark.parametrize("fmt,name,message", RECORD_MESSAGES,
+                         ids=[f"{fmt}-{name}" for fmt, name, _ in RECORD_MESSAGES])
+def test_a_record_is_walked_as_the_header_is(tmp_path, lex, fmt, name, message):
+    # a key the record format does not name is refused, as the header refuses one
+    damage = (JSONL_FAULTS if fmt == "jsonl" else CSV_FAULTS)[name]
+    with pytest.raises(TraceFormatError) as got:
+        read_trace(written_trace(tmp_path / f"t.{fmt}", lex, damage))
+    assert str(got.value) == message
+
+
 @pytest.mark.parametrize("fmt,damage,message", [
     ("jsonl", JSONL_FAULTS["rot-a-numeric-string"],
-     'pos and rot in record 2 body ball: "1.5" is not a number'),
+     "expected a finite number (field record 2.bodies.ball.rot)"),
     ("jsonl", JSONL_FAULTS["pos-holding-true"],
-     "pos and rot in record 2 body wall: true is not a number"),
+     "expected a list of finite numbers (field record 2.bodies.wall.pos)"),
     ("jsonl", JSONL_FAULTS["time-a-padded-string"],
-     'time in record 2: " 0.03 " is not a number'),
+     "expected a finite number (field record 2.time)"),
     *((fmt, edit_header(lambda h: h["bodies"]["ball"].update(dimensions=["0.5"])),
        "expected a list of finite numbers (field bodies.ball.dimensions)") for fmt in ("jsonl", "csv")),
     *((fmt, edit_header(lambda h: h.update(direction=[1, False, 0])),
@@ -804,6 +1010,73 @@ def test_a_json_string_or_boolean_is_not_a_number(tmp_path, lex, fmt, damage, me
     with pytest.raises(TraceFormatError) as got:
         read_trace(path)
     assert str(got.value) == message
+
+
+JSON_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-3, max_value=3), st.just(10**400),
+    st.floats(min_value=-10.0, max_value=10.0), st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.sampled_from(["", "1", "roll", "pos"]),
+)
+JSON_VALUE = st.recursive(
+    JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(["pos", "rot", "x"]), inner),
+    max_leaves=6,
+)
+RECORD_IDS = ["floor", "ball", "wall"]
+PLACES = {  # where a mutation lands, and the keys it may set or drop there
+    "record": ["index", "time", "bodies", "action", "floor_contact", "goal_contact", "zzz"],
+    "bodies": [*RECORD_IDS, "ghost"],
+    "body": ["pos", "rot", "colour"],
+    "pos": [0, 1, 2],
+}
+
+
+@st.composite
+def mutated_records(draw):
+    """A record as the writer writes it, then up to three keys set to any JSON value or dropped."""
+    number = st.floats(min_value=-1e6, max_value=1e6) | st.integers(min_value=-10**6, max_value=10**6)
+    record = {"index": 2, "time": draw(number),
+              "bodies": {bid: {"pos": draw(st.lists(number, min_size=3, max_size=3)), "rot": draw(number)}
+                         for bid in RECORD_IDS},
+              "action": "roll", "floor_contact": "EC"}
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        place = draw(st.sampled_from(sorted(PLACES)))
+        bid = draw(st.sampled_from(RECORD_IDS))
+        target = {"record": record, "bodies": record.get("bodies")}.get(place)
+        if place in ("body", "pos"):
+            target = record.get("bodies", {}).get(bid) if isinstance(record.get("bodies"), dict) else None
+            if place == "pos":
+                target = target.get("pos") if isinstance(target, dict) else None
+        key = draw(st.sampled_from(PLACES[place]))
+        if isinstance(target, dict) or (isinstance(target, list) and key < len(target)):
+            if draw(st.booleans()):
+                target[key] = draw(JSON_VALUE)
+            elif isinstance(target, dict):
+                target.pop(key, None)
+            else:
+                del target[key]
+    return record
+
+
+@seed(20161006)
+@settings(max_examples=400, deadline=None)
+@given(record=mutated_records())
+def test_the_fast_record_path_accepts_exactly_what_the_field_walk_accepts(record):
+    try:
+        want = _checked_jsonl_record(2, record, RECORD_IDS)
+    except TraceFormatError as exc:
+        event("refused")
+        with pytest.raises(TraceFormatError) as got:
+            _jsonl_record(2, record, RECORD_IDS)
+        assert str(got.value) == str(exc)
+        return
+    # a record the walk takes, the fast path takes without falling back to the walk
+    event("read")
+    with mock.patch.object(tracefile, "_checked_jsonl_record", side_effect=AssertionError):
+        got = _jsonl_record(2, record, RECORD_IDS)
+    assert got == want
+    assert [[c.hex() for c in pose] for pose in got[2]] == [[c.hex() for c in pose] for pose in want[2]]
+    assert type(got[1]) is type(want[1]) is float and type(got[0]) is type(want[0]) is int
 
 
 NOT_A_BODY = "must be null or the id of a header body, got"
@@ -846,8 +1119,11 @@ def test_header_bindings_and_direction_are_checked(tmp_path, lex, fmt, damage, m
 ], ids=["ground-null", "goal-null", "ground-the-floor", "direction-off-axis",
         "direction-within-1e-9"])
 def test_header_bindings_and_direction_within_the_rules_are_read(tmp_path, lex, fmt, edit):
-    header = {}
-    path = written_trace(tmp_path / f"t.{fmt}", lex, edit_header(lambda h: (edit(h), header.update(h))))
+    # the ball is run along the edited heading, so the file stays a tick chain
+    header, heading = {}, {"direction": [1.0, 0.0, 0.0], "bindings": {}}
+    edit(heading)
+    path = written_trace(tmp_path / f"t.{fmt}", lex, edit_header(lambda h: (edit(h), header.update(h))),
+                         heading=tuple(heading["direction"]))
     doc = read_trace(path)
     assert (doc.scene.ground_id, doc.scene.goal_id) == (header["bindings"]["ground"], header["goal"])
     assert doc.scene.direction == tuple(header["direction"])
@@ -898,22 +1174,27 @@ def test_a_mobile_plane_or_an_immobile_theme_is_refused(tmp_path, lex, fmt, bid,
     (0, 1e308), (0, math.nextafter(-1e30, -math.inf)), (3, -1e308), (0, 1e30), (3, -1e30),
 ], ids=["x-1e308", "x-just-past", "rot-minus-1e308", "x-at-the-limit", "rot-at-the-limit"])
 def test_a_pose_value_past_the_coordinate_limit_is_refused(tmp_path, lex, fmt, axis, value):
-    def damage(lines, fmt):
-        if fmt == "csv":
-            edit_row(lambda c: c.__setitem__(6 + axis, repr(value)))(lines, fmt)
-        elif axis == 3:
-            edit_record(lambda r: r["bodies"]["ball"].update(rot=value))(lines, fmt)
-        else:
-            edit_record(lambda r: r["bodies"]["ball"]["pos"].__setitem__(axis, value))(lines, fmt)
-
-    path = written_trace(tmp_path / f"t.{fmt}", lex, damage)
-    if abs(value) <= tracefile.MAX_COORDINATE:
-        ball = read_trace(path).trace.states[2].body("ball")
+    # record 0 is read as written; every later pose is a tick's, which the limit bounds
+    path = tmp_path / f"t.{fmt}"
+    if abs(value) <= tracefile.MAX_COORDINATE:  # a run from there reads
+        pose = [0.0, 0.5, 0.0, 0.0]
+        pose[axis] = value
+        ball = read_trace(written_trace(path, lex, position=tuple(pose[:3]), rotation=pose[3]))
+        ball = ball.trace.states[0].body("ball")
         assert (*ball.position, ball.rotation)[axis] == value
         return
+
+    def damage(cells_or_record):
+        if fmt == "csv":
+            cells_or_record[6 + axis] = repr(value)
+        elif axis == 3:
+            cells_or_record["bodies"]["ball"]["rot"] = value
+        else:
+            cells_or_record["bodies"]["ball"]["pos"][axis] = value
+
     with pytest.raises(TraceFormatError) as got:
-        read_trace(path)
-    assert str(got.value) == "pos and rot in record 2 body ball must lie within [-1e+30, 1e+30]"
+        read_trace(written_trace(path, lex, edit_first_state(damage)))
+    assert str(got.value) == "pos and rot in record 0 body ball must lie within [-1e+30, 1e+30]"
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
@@ -1083,8 +1364,8 @@ def test_reading_a_state_measures_the_themes_pairs_and_builds_one_body(
     frame, scene, trace = make_run(lex, cfg)
     path = tmp_path / f"t.{fmt}"
     write_trace(path, fmt, "the ball rolled to the wall", trace, scene, cfg)
-    gaps, built, uncopied = [], [], []
-    gap, init, with_contacts = kinematics._gap, Body.__init__, tracefile._with_contacts
+    gaps, built, ticks = [], [], []
+    gap, init, tick = kinematics._gap, Body.__init__, kinematics.tick
 
     def counted_gap(*args):
         gaps.append(None)
@@ -1094,17 +1375,17 @@ def test_reading_a_state_measures_the_themes_pairs_and_builds_one_body(
         built.append(None)
         init(self, *args, **kwargs)
 
-    def counted_with_contacts(bodies, contacts, *args):
-        out = with_contacts(bodies, contacts, *args)
-        if out is contacts:
-            uncopied.append(None)
-        return out
+    def counted_tick(*args):
+        ticks.append(None)
+        return tick(*args)
 
     monkeypatch.setattr(kinematics, "_gap", counted_gap)
     monkeypatch.setattr(Body, "__init__", counted_init)
-    monkeypatch.setattr(tracefile, "_with_contacts", counted_with_contacts)
+    monkeypatch.setattr(kinematics, "tick", counted_tick)
     states = read_trace(path).trace.states
     assert len(states) > 2900 and list(states[0].bodies) == ["floor", "ball", "wall"]
+    # one tick per state after the first: the reader has no other path to a state
+    assert len(ticks) == len(states) - 1
     # the ball-floor and ball-wall pairs per state, one call each (a plane-first pair
     # too); the first state measures wall-floor too
     assert len(gaps) <= 2 * len(states) + 10
@@ -1112,76 +1393,5 @@ def test_reading_a_state_measures_the_themes_pairs_and_builds_one_body(
     # is built for a contact's sake
     assert len(built) == len(states) + 2
     # a state with no relation change shares the previous state's map: nothing is copied
-    assert len(uncopied) >= len(states) - 10
-
-
-# -- the flag pass: which pairs a state with moved bodies measures ------------------
-
-
-def _flag_pass_state(*extra):
-    """Floor, ball, then ``extra``, with contacts refreshed: the map complete."""
-    bodies = [Body(FLOOR_ID, Shape.PLANE, (), False, (0.0, 0.0, 0.0)),
-              Body("ball", Shape.SPHERE, (0.5,), True, (0.0, 0.5, 0.0)), *extra]
-    return refresh_contacts(WorldState(0.0, 0, {b.id: b for b in bodies}, SceneConfig(seed=0)))
-
-
-def _moved(state, poses):
-    """``state.bodies`` with each body in ``poses`` rebuilt at its new position."""
-    return {key: replace(b, position=poses[key]) if key in poses else b
-            for key, b in state.bodies.items()}
-
-
-def _counted_gaps(monkeypatch):
-    pairs, gap = [], kinematics._gap
-
-    def counted(a, pa, b, pb):
-        pairs.append((a.id, b.id))
-        return gap(a, pa, b, pb)
-
-    monkeypatch.setattr(kinematics, "_gap", counted)
-    return pairs
-
-
-def test_a_moved_theme_measures_only_its_two_pairs(monkeypatch):
-    wall = Body("wall", Shape.BOX, (4.0, 2.0, 0.2), False, (5.0, 1.0, 0.0))
-    state = _flag_pass_state(wall)
-    bodies = _moved(state, {"ball": (4.4, 0.5, 0.0)})
-    pairs = _counted_gaps(monkeypatch)
-    out = kinematics._with_contacts(bodies, state.contacts, state.cfg.contact_eps, ["ball"])
-    assert pairs == [("floor", "ball"), ("ball", "wall")]
-    assert out == {**state.contacts, ("ball", "wall"): Rel.EC, ("wall", "ball"): Rel.EC}
-    assert state.contacts["ball", "wall"] is Rel.DC  # the map was copied, not written
-
-
-@pytest.mark.parametrize("moved", [["ball", "ball_2"], ["ball_2", "ball"]])
-def test_a_pair_of_two_moved_bodies_is_measured_once_earlier_body_first(monkeypatch, moved):
-    state = _flag_pass_state(Body("ball_2", Shape.SPHERE, (0.5,), True, (3.0, 0.5, 0.0)))
-    bodies = _moved(state, {"ball": (1.0, 0.5, 0.0), "ball_2": (2.0, 0.5, 0.0)})
-    pairs = _counted_gaps(monkeypatch)
-    out = kinematics._with_contacts(bodies, state.contacts, state.cfg.contact_eps, moved)
-    assert sorted(pairs) == [("ball", "ball_2"), ("floor", "ball"), ("floor", "ball_2")]
-    assert out["ball", "ball_2"] is out["ball_2", "ball"] is Rel.EC
-
-
-FLAG_PASS_X = st.one_of(st.floats(min_value=-1.0, max_value=6.0),
-                        st.sampled_from((0.0, -0.0, 1.0, 4.4, 4.9)))
-
-
-@seed(20161006)
-@settings(max_examples=150, deadline=None)
-@given(
-    moved=st.sampled_from([("ball",), ("ball_2",), ("ball", "wall"), ("wall", "ball_2"),
-                           ("floor", "ball", "ball_2", "wall")]),
-    xs=st.tuples(FLAG_PASS_X, FLAG_PASS_X, FLAG_PASS_X),
-    ys=st.tuples(*[st.sampled_from((0.5, 0.3, 1.0, 2.6))] * 3),
-)
-def test_the_flag_pass_matches_the_all_pairs_reference(moved, xs, ys):
-    state = _flag_pass_state(Body("ball_2", Shape.SPHERE, (0.5,), True, (3.0, 0.5, 0.0)),
-                             Body("wall", Shape.BOX, (4.0, 2.0, 0.2), True, (5.0, 1.0, 0.0)))
-    poses = {key: (x, y, 0.0) for key, x, y in zip(("ball", "ball_2", "wall"), xs, ys)}
-    bodies = _moved(state, {key: poses.get(key, (0.0, 0.0, 0.0)) for key in moved})
-    eps = state.cfg.contact_eps
-    got = kinematics._with_contacts(bodies, state.contacts, eps, moved)
-    want = _ref_with_contacts(bodies, state.contacts, eps, moved)
-    assert got == want
-    assert (got is state.contacts) == (want is state.contacts)
+    shared = sum(after.contacts is before.contacts for before, after in zip(states, states[1:]))
+    assert shared >= len(states) - 10
