@@ -26,7 +26,6 @@ from .errors import (
 )
 from .lexicon import Lexicon, builtin_lexicon, load_lexicon
 from .parser import parse_text
-from .progtext import parse_program
 from .rng import stream_for
 from .scene import build_scene, probe_scene
 from .tracefile import FORMATS, read_trace, write_trace
@@ -122,6 +121,8 @@ def cmd_enumerate(args) -> int:
     if args.cap < 1:
         _err(f"ValueError: --cap must be at least 1, got {args.cap}")
         return EXIT_INPUT
+    from .progtext import parse_program  # only enumerate reads program text
+
     program = parse_program(_read_text(args.program, ProgramTextError))
     lex = _load_lexicon(args.lexicon)
     cfg = _load_config(args)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from functools import cache
-from math import hypot, isfinite, nan
+from math import copysign, hypot, isfinite, nan
 from operator import itemgetter
 from pathlib import Path
 
@@ -21,7 +21,7 @@ from .errors import (
     ANY, BOOLEAN, FINITE, INTEGER, NUMBER, NUMBERS, OBJECT, REQUIRED, STRING, ConfigFormatError,
     TraceFormatError, walk_fields,
 )
-from .kinematics import PLUS_X, Body, Rel, WorldState, refresh_contacts
+from .kinematics import _DC, _EC, PLUS_X, Body, Rel, WorldState, refresh_contacts
 from .lexicon import DIM_KEYS, FLOOR_ID, MAX_SIZE, MIN_SIZE, TICK_ACTIONS, Shape
 from .record import record
 from .scene import Scene
@@ -85,24 +85,43 @@ def _jnum(value) -> str:
     return fmt_float(value) if type(value) is float else _json_value(value)
 
 
-def _state_lines(fmt: str, trace: Trace, scene: Scene):
-    """One line per state in ``fmt``: the loop both formats share.
+def _csv_columns(ids) -> list[str]:
+    columns = ["index", "time"]
+    for bid in ids:
+        columns += [f"{bid}_x", f"{bid}_y", f"{bid}_z", f"{bid}_rot"]
+    return columns + ["action", "floor_contact", "goal_contact"]
 
-    A body shared with the previous state (walls, the floor) is formatted once,
-    and each JSON key, string and contact relation once per file.  A body is
-    formatted by one f-string whose ``.17g`` of a float is ``fmt_float``; jsonl
-    writes a body holding a non-float as the header writes it.
+
+def _line_format(fmt: str, ids, theme_id: str, ground_id: str | None):
+    """``line(i, state, label)``: the text of state ``i``, reached by ``label``, in ``fmt``.
+
+    ``ids`` are the csv columns' bodies; jsonl writes each state's bodies in its
+    own order.  The writer writes every state with it, and the readers compare
+    records with it.  A body shared with the previous state (walls, the floor)
+    is formatted once, and each JSON key, action and relation once per file.  A
+    body is formatted by one f-string whose ``.17g`` of a float is ``fmt_float``;
+    jsonl writes a body holding a non-float as the header writes it.
     """
     jsonl = fmt == "jsonl"
-    theme_id, ground_id = scene.theme_id, scene.ground_id
-    has_goal = ground_id is not None and ground_id != FLOOR_ID
-    column_ids = list(trace.states[0].bodies)
-    keys, strings = cache(json.dumps), cache(_json_value)
-    rel_text = {rel: strings(rel.value) if jsonl else rel.value for rel in Rel}
+    keys = cache(json.dumps)
+    # The text after the bodies, built once per file: the action's, then the
+    # floor's and the goal's relation, each picked by identity as EC, DC or PO
+    # (hashing a Rel runs Enum.__hash__ in Python).
+    rels = [rel.value for rel in (_EC, _DC, Rel.PO)]
+    if jsonl:
+        actions = {None: "", **{a: f',"action":{json.dumps(a)}' for a in TICK_ACTIONS}}
+        floor = [f',"floor_contact":"{rel}"' for rel in rels]
+        goal = [f',"goal_contact":"{rel}"' for rel in rels]
+    else:
+        actions = {None: ",", **{a: f",{a}" for a in TICK_ACTIONS}}
+        floor = goal = [f",{rel}" for rel in rels]
+    if ground_id is None or ground_id == FLOOR_ID:
+        goal = None
     done: dict[str, tuple[Body, str]] = {}
-    for i, state in enumerate(trace.states):
+
+    def line(i: int, state: WorldState, label: str | None) -> str:
         parts = []
-        for body in state.bodies.values() if jsonl else map(state.bodies.__getitem__, column_ids):
+        for body in state.bodies.values() if jsonl else map(state.bodies.__getitem__, ids):
             hit = done.get(body.id)
             if hit is None or hit[0] is not body:
                 pos, rot = body.position, body.rotation
@@ -116,22 +135,19 @@ def _state_lines(fmt: str, trace: Trace, scene: Scene):
                     text = f'{keys(body.id)}:{{"pos":[{",".join(map(_jnum, pos))}],"rot":{_jnum(rot)}}}'
                 hit = done[body.id] = (body, text)
             parts.append(hit[1])
-        label = trace.labels[i - 1] if i > 0 else None
-        floor = rel_text[state.contacts[theme_id, FLOOR_ID]]
-        goal = rel_text[state.contacts[theme_id, ground_id]] if has_goal else None
+        rel = state.contacts[theme_id, FLOOR_ID]
+        tail = actions[label] + floor[0 if rel is _EC else 1 if rel is _DC else 2]
+        if goal is not None:
+            rel = state.contacts[theme_id, ground_id]
+            tail += goal[0 if rel is _EC else 1 if rel is _DC else 2]
+        elif not jsonl:
+            tail += ","
+        time = state.time
         if jsonl:
-            line = f'{{"index":{i},"time":{_jnum(state.time)},"bodies":{{{",".join(parts)}}}'
-            if label is not None:
-                line += f',"action":{strings(label)}'
-            line += f',"floor_contact":{floor}'
-            if goal is not None:
-                line += f',"goal_contact":{goal}'
-            yield line + "}"
-        else:
-            yield ",".join((
-                str(i), fmt_float(state.time), *parts,
-                "" if label is None else label, floor, "" if goal is None else goal,
-            ))
+            return f'{{"index":{i},"time":{_jnum(time)},"bodies":{{{",".join(parts)}}}{tail}}}'
+        return f"{i},{float(time):.17g},{','.join(parts)}{tail}"
+
+    return line
 
 
 def write_trace(
@@ -150,15 +166,11 @@ def write_trace(
                 f"label {label!r:.40} is not a tick action (one of {', '.join(sorted(TICK_ACTIONS))})"
             )
     header = _json_value(_header_dict(sentence, trace, scene, cfg))
-    if fmt == "jsonl":
-        lines = [header]
-    else:
-        columns = ["index", "time"]
-        for bid in trace.states[0].bodies:
-            columns += [f"{bid}_x", f"{bid}_y", f"{bid}_z", f"{bid}_rot"]
-        columns += ["action", "floor_contact", "goal_contact"]
-        lines = ["# " + header, ",".join(columns)]
-    lines += _state_lines(fmt, trace, scene)
+    ids = list(trace.states[0].bodies)
+    lines = [header] if fmt == "jsonl" else ["# " + header, ",".join(_csv_columns(ids))]
+    line = _line_format(fmt, ids, scene.theme_id, scene.ground_id)
+    labels = (None, *trace.labels)
+    lines += [line(i, state, labels[i]) for i, state in enumerate(trace.states)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -212,7 +224,6 @@ _RECORD_FIELDS = {
     "index": (INTEGER, REQUIRED), "time": (FINITE, REQUIRED), "bodies": (OBJECT, REQUIRED),
     "action": (ANY, None), "floor_contact": (ANY, None), "goal_contact": (ANY, None),
 }
-_RECORD_KEYS = frozenset(_RECORD_FIELDS)
 _POSE_FIELDS = {"pos": (NUMBERS, REQUIRED), "rot": (FINITE, REQUIRED)}
 
 
@@ -286,6 +297,8 @@ def _parse_header(obj) -> dict:
         raise TraceFormatError(
             f"direction must be a horizontal unit vector, got {json.dumps(obj['direction']):.60}"
         )
+    if d == PLUS_X and copysign(1.0, d[1]) == copysign(1.0, d[2]) == 1.0:
+        h["direction"] = PLUS_X  # a tick takes this heading as it is, without dividing it
     return h
 
 
@@ -294,20 +307,24 @@ def _parse_header(obj) -> dict:
 Record = tuple[object, float, list[tuple[float, float, float, float]], object]
 
 
-def _rebuild(header: dict, h: dict, rows: list, record) -> TraceDocument:
-    """World states from ``record(i, row)`` of each row, under the checked header ``h``
-    of the file's ``header``.
+def _rebuild(header: dict, h: dict, rows: list[str], record, fmt: str | None) -> TraceDocument:
+    """World states from the file lines ``rows``, one per state, under the checked
+    header ``h`` of the file's ``header``; ``record(i, row)`` parses a row.
 
     Record 0 is read as the first state, at rest.  Each later state is the tick
     of the one before by its record's action, and the record must hold that
     state's time and poses: compiled sentence programs hold only ticks and
-    tests, so a trace the engine writes is such a chain.
+    tests, so a trace the engine writes is such a chain.  From record 2 on, a
+    row equal to the writer's ``fmt`` text of the tick by the previous action is
+    that tick's state without being parsed: parsing it would give the same
+    state.  ``fmt`` None compares no row.
     """
     if len(rows) != h["frames"]:
         raise TraceFormatError(f"record count {len(rows)} does not match header frames {h['frames']}")
     if not rows:
         raise TraceFormatError("trace has no state records")
     cfg, theme_id, direction = h["cfg"], h["bindings"]["theme"], h["direction"]
+    ground_id = h["bindings"]["ground"]
     index, time, poses, action = record(0, rows[0])
     if index != 0:
         raise TraceFormatError(f"record 0 has index {index}")
@@ -324,10 +341,23 @@ def _rebuild(header: dict, h: dict, rows: list, record) -> TraceDocument:
             )
         heading = direction if bid == theme_id else PLUS_X
         bodies[bid] = Body(bid, shape, dims, mobile, pose[:3], heading, pose[3])
+    if time != 0.0:
+        raise TraceFormatError(f"record 0 has time {fmt_float(time)}, not its tick's 0")
     state = refresh_contacts(WorldState(time, 0, bodies, cfg))
     states = [state]
     labels = []
+    line = None
+    if fmt is not None:  # a header may bind the theme as its own ground, a pair no state relates
+        line = _line_format(fmt, list(h["bodies"]), theme_id, None if ground_id == theme_id else ground_id)
+    guess = ticked = None  # the previous record's action, and the tick by it
     for i in range(1, len(rows)):
+        if guess is not None:
+            ticked = kinematics.tick(state, guess, theme_id)
+            if rows[i] == line(i, ticked, guess):
+                state = ticked
+                states.append(state)
+                labels.append(guess)
+                continue
         index, time, poses, action = record(i, rows[i])
         if index != i:
             raise TraceFormatError(f"record {i} has index {index}")
@@ -338,7 +368,9 @@ def _rebuild(header: dict, h: dict, rows: list, record) -> TraceDocument:
                 f"record {i} has an unknown action {json.dumps(action):.40}"
                 f" (one of {', '.join(sorted(TICK_ACTIONS))})"
             )
-        state = kinematics.tick(state, action, theme_id)
+        if action != guess:
+            ticked = kinematics.tick(state, action, theme_id)
+        state = ticked
         # == and not bits: jsonl reads the -0 of a -0.0 as 0
         for (x, y, z, rot), body in zip(poses, state.bodies.values()):
             p = body.position
@@ -350,55 +382,18 @@ def _rebuild(header: dict, h: dict, rows: list, record) -> TraceDocument:
             )
         states.append(state)
         labels.append(action)
+        if line is not None:
+            guess = action
 
     trace = Trace(tuple(states), tuple(labels))
     scene = Scene(
         initial=states[0],
         theme_id=theme_id,
-        ground_id=h["bindings"]["ground"],
+        ground_id=ground_id,
         goal_id=h["goal"],
         direction=direction,
     )
     return TraceDocument(header=header, trace=trace, scene=scene, cfg=cfg)
-
-
-# The types json.loads gives a number (bool is an int subclass, and not one of them).
-_NUMBER = frozenset((float, int))
-
-
-def _jsonl_record(i: int, obj, ids) -> Record:
-    """One state record; a record that is not well formed is left to ``_checked_jsonl_record``.
-
-    Nearly every record is well formed, and reading it without a check per key
-    takes about a third of the checked walk's time.  The walk, which names the
-    first fault, runs only when this fails; this accepts exactly the records
-    the walk accepts, with the same values.
-    """
-    try:
-        entries = obj["bodies"]
-        if obj.keys() <= _RECORD_KEYS and len(entries) == len(ids):
-            poses = []
-            for bid in ids:
-                entry = entries[bid]
-                # three values of a JSON number type make a pos list: a string or
-                # an object unpacks to strings
-                x, y, z = entry["pos"]
-                rot = entry["rot"]
-                if not (len(entry) == 2 and type(x) in _NUMBER and type(y) in _NUMBER
-                        and type(z) in _NUMBER and type(rot) in _NUMBER):
-                    break
-                pose = (float(x), float(y), float(z), float(rot))
-                if not (isfinite(pose[0]) and isfinite(pose[1]) and isfinite(pose[2])
-                        and isfinite(pose[3])):
-                    break
-                poses.append(pose)
-            else:
-                index, time = obj["index"], obj["time"]
-                if type(index) is int and type(time) in _NUMBER and isfinite(time):
-                    return index, float(time), poses, obj.get("action")
-    except (TypeError, KeyError, ValueError, OverflowError):
-        pass
-    return _checked_jsonl_record(i, obj, ids)
 
 
 def _checked_jsonl_record(i: int, obj, ids) -> Record:
@@ -445,11 +440,19 @@ def _json_line(line: str, n: int, start: int = 0):
 
 
 def _read_jsonl(text: str) -> TraceDocument:
-    objs = [_json_line(line, n) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
-    header = objs[0]
-    h = _parse_header(header)
-    ids = list(h["bodies"])
-    return _rebuild(header, h, objs[1:], lambda i, obj: _jsonl_record(i, obj, ids))
+    numbered = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    try:
+        header = _json_line(numbered[0][1], numbered[0][0])
+        h = _parse_header(header)
+        ids = list(h["bodies"])
+        return _rebuild(header, h, [line for _, line in numbered[1:]],
+                        lambda i, line: _checked_jsonl_record(i, _json_line(line, numbered[i + 1][0]), ids),
+                        "jsonl")
+    except TraceFormatError:
+        # a line that is not JSON is named before any fault of the header or a record
+        for n, line in numbered:
+            _json_line(line, n)
+        raise
 
 
 def _read_csv(text: str) -> TraceDocument:
@@ -480,10 +483,6 @@ def _read_csv(text: str) -> TraceDocument:
         for bid in h["bodies"]
     ]
 
-    # each body's cell text and pose in the previous row: text seen there is not parsed again
-    last_texts: list = [None] * len(pose_cells)
-    last_poses: list = [None] * len(pose_cells)
-
     def record(i: int, line: str) -> Record:
         cells = line.split(",")
         if len(cells) != len(names):
@@ -492,17 +491,14 @@ def _read_csv(text: str) -> TraceDocument:
             index = int(cells[index_col])
         except ValueError:
             raise TraceFormatError(f"bad csv row {i}: index {cells[index_col]!r:.40}") from None
-        poses = []
-        for k, get in enumerate(pose_cells):
-            texts = get(cells)
-            if texts != last_texts[k]:
-                last_texts[k], last_poses[k] = texts, _numbers(texts, f"csv row {i}")
-            poses.append(last_poses[k])
+        poses = [_numbers(get(cells), f"csv row {i}") for get in pose_cells]
         time, = _numbers((cells[time_col],), f"csv row {i} time")
         action = (cells[action_col] or None) if action_col is not None else None  # empty: none
         return index, time, poses, action
 
-    return _rebuild(header, h, lines[2:], record)
+    # a row is the writer's text only under the writer's columns
+    fmt = "csv" if names == _csv_columns(h["bodies"]) else None
+    return _rebuild(header, h, lines[2:], record, fmt)
 
 
 @_without_collector

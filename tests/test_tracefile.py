@@ -17,7 +17,7 @@ from mosim.programs import Trace
 from mosim.record import replace
 from mosim.rng import stream_for
 from mosim.scene import Scene
-from mosim.tracefile import _checked_jsonl_record, _header_dict, _jsonl_record, _parse_header, fmt_float
+from mosim.tracefile import _checked_jsonl_record, _header_dict, _parse_header, fmt_float
 
 
 def make_run(lex, cfg, sentence="the ball rolled to the wall"):
@@ -138,6 +138,24 @@ def test_bad_json_reports_its_line_in_the_file(tmp_path, lex, cfg):
     lines[5] = lines[5][: lines[5].index('"time"') + 2]  # line 6 now ends inside a string
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TraceFormatError, match=r"Unterminated string.*\(line 6, column"):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("fault", [
+    lambda lines: lines.__setitem__(0, lines[0].replace('"ground":"wall"', '"ground":"ghost"')),
+    lambda lines: lines.__setitem__(1, lines[1].replace('"index":0', '"index":7')),
+    lambda lines: lines.__setitem__(4, lines[4].replace('"index":3', '"index":7')),
+], ids=["header", "record-0", "record-3"])
+def test_a_line_that_is_not_json_is_named_before_any_other_fault(tmp_path, lex, cfg, fault):
+    # every line is JSON before the header and the records are checked
+    frame, scene, trace = make_run(lex, cfg)
+    path = tmp_path / "run.jsonl"
+    write_trace(path, "jsonl", "s", trace, scene, cfg)
+    lines = path.read_text().splitlines()
+    fault(lines)
+    lines[9] = lines[9][: lines[9].index('"time"') + 2]  # line 10 now ends inside a string
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError, match=r"Unterminated string.*\(line 10, column"):
         read_trace(path)
 
 
@@ -304,8 +322,8 @@ FLOAT_POINT = st.tuples(FLOAT, FLOAT, FLOAT)
 def ticked_runs(draw):
     """A theme sphere, the floor and 0-2 more bodies, placed anywhere, then 0-4 ticks.
 
-    The first state's coordinates, rotation and time are drawn; every later
-    state is ``tick``'s, so the file is one the reader replays.  The theme
+    The first state's coordinates and rotation are drawn, at time 0; every
+    later state is ``tick``'s, so the file is one the reader replays.  The theme
     heads along +x, -x or off axis.
     """
     cfg = SceneConfig(seed=0)
@@ -321,7 +339,7 @@ def ticked_runs(draw):
         shape = draw(st.sampled_from([Shape.SPHERE, Shape.BOX]))
         dims = (0.3,) if shape is Shape.SPHERE else (1.0, 2.0, 0.25)
         bodies[bid] = Body(bid, shape, dims, False, draw(FLOAT_POINT))
-    states = [refresh_contacts(WorldState(draw(FLOAT), 0, bodies, cfg))]
+    states = [refresh_contacts(WorldState(0.0, 0, bodies, cfg))]
     labels = tuple(draw(st.lists(st.sampled_from(sorted(TICK_ACTIONS)), max_size=4)))
     for label in labels:
         states.append(kinematics.tick(states[-1], label, theme_id))
@@ -536,8 +554,8 @@ def test_a_record_that_is_not_its_ticks_state_is_refused(tmp_path, lex, fmt, k, 
 # csv cell on every row, measures each pair of record 0 by ``contact_relation``, and
 # replays each later record with ``kinematics.tick``, comparing the record's time and
 # poses to the tick's.  The header checks, ``_parse_header``, and the record walk,
-# ``_checked_jsonl_record``, are shared; the reader's fast path, its csv cell cache
-# and its state building are what it is compared on.
+# ``_checked_jsonl_record``, are shared; the reader's records taken as the writer's
+# text and its state building are what it is compared on.
 
 
 def _ref_numbers(values, where):
@@ -589,6 +607,8 @@ def _ref_rebuild(header, rows, record):
                     )
                 heading = direction if bid == theme_id else PLUS_X
                 bodies[bid] = Body(bid, shape, dims, mobile, pose[:3], heading, pose[3])
+            if time != 0.0:
+                raise TraceFormatError(f"record 0 has time {fmt_float(time)}, not its tick's 0")
             states.append(WorldState(time, 0, bodies, cfg, _ref_contacts(bodies, cfg.contact_eps)))
             continue
         if not action:
@@ -1022,32 +1042,26 @@ JSON_VALUE = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(["pos", "rot", "x"]), inner),
     max_leaves=6,
 )
-RECORD_IDS = ["floor", "ball", "wall"]
-PLACES = {  # where a mutation lands, and the keys it may set or drop there
-    "record": ["index", "time", "bodies", "action", "floor_contact", "goal_contact", "zzz"],
-    "bodies": [*RECORD_IDS, "ghost"],
-    "body": ["pos", "rot", "colour"],
-    "pos": [0, 1, 2],
-}
 
 
-@st.composite
-def mutated_records(draw):
-    """A record as the writer writes it, then up to three keys set to any JSON value or dropped."""
-    number = st.floats(min_value=-1e6, max_value=1e6) | st.integers(min_value=-10**6, max_value=10**6)
-    record = {"index": 2, "time": draw(number),
-              "bodies": {bid: {"pos": draw(st.lists(number, min_size=3, max_size=3)), "rot": draw(number)}
-                         for bid in RECORD_IDS},
-              "action": "roll", "floor_contact": "EC"}
-    for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        place = draw(st.sampled_from(sorted(PLACES)))
-        bid = draw(st.sampled_from(RECORD_IDS))
+def mutated(draw, record: dict, ids) -> str:
+    """``record``, a jsonl record of bodies ``ids``, with 1-3 keys set to any JSON value
+    or dropped, as a line."""
+    places = {  # where a mutation lands, and the keys it may set or drop there
+        "record": ["index", "time", "bodies", "action", "floor_contact", "goal_contact", "zzz"],
+        "bodies": [*ids, "ghost"],
+        "body": ["pos", "rot", "colour"],
+        "pos": [0, 1, 2],
+    }
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        place = draw(st.sampled_from(sorted(places)))
+        bid = draw(st.sampled_from(ids))
         target = {"record": record, "bodies": record.get("bodies")}.get(place)
         if place in ("body", "pos"):
             target = record.get("bodies", {}).get(bid) if isinstance(record.get("bodies"), dict) else None
             if place == "pos":
                 target = target.get("pos") if isinstance(target, dict) else None
-        key = draw(st.sampled_from(PLACES[place]))
+        key = draw(st.sampled_from(places[place]))
         if isinstance(target, dict) or (isinstance(target, list) and key < len(target)):
             if draw(st.booleans()):
                 target[key] = draw(JSON_VALUE)
@@ -1055,28 +1069,71 @@ def mutated_records(draw):
                 target.pop(key, None)
             else:
                 del target[key]
-    return record
+    return json.dumps(record)
+
+
+def read_by_parsing_every_record(path):
+    """``read_trace`` with no record taken as the writer's text: every row is parsed."""
+    with mock.patch.object(tracefile, "_line_format", lambda *args: lambda i, state, label: None):
+        return read_trace(path)
+
+
+CHANGES = (None, *TAMPERS, "respelled", "mutated", "broken")
 
 
 @seed(20161006)
-@settings(max_examples=400, deadline=None)
-@given(record=mutated_records())
-def test_the_fast_record_path_accepts_exactly_what_the_field_walk_accepts(record):
-    try:
-        want = _checked_jsonl_record(2, record, RECORD_IDS)
-    except TraceFormatError as exc:
-        event("refused")
-        with pytest.raises(TraceFormatError) as got:
-            _jsonl_record(2, record, RECORD_IDS)
-        assert str(got.value) == str(exc)
-        return
-    # a record the walk takes, the fast path takes without falling back to the walk
-    event("read")
-    with mock.patch.object(tracefile, "_checked_jsonl_record", side_effect=AssertionError):
-        got = _jsonl_record(2, record, RECORD_IDS)
-    assert got == want
-    assert [[c.hex() for c in pose] for pose in got[2]] == [[c.hex() for c in pose] for pose in want[2]]
-    assert type(got[1]) is type(want[1]) is float and type(got[0]) is type(want[0]) is int
+@settings(max_examples=150, deadline=None)
+@given(
+    sentence=st.sampled_from(["the ball rolled to the wall", "the ball bounced", "the bird flew",
+                              "the ball left", "the ball slid to the wall", "the ball rolled"]),
+    run_seed=st.integers(min_value=0, max_value=2**31),
+    fmt=st.sampled_from(["jsonl", "csv"]),
+    change=st.sampled_from(CHANGES),
+    data=st.data(),
+)
+def test_a_record_read_as_the_writers_text_reads_as_it_parses(
+    tmp_path_factory, lex, sentence, run_seed, fmt, change, data
+):
+    # an engine trace, or one with one record after the first changed, reads to the
+    # same document, or is refused with the same message, when every record is parsed
+    cfg = SceneConfig(seed=run_seed, ground_distance=1.5)
+    frame, scene, trace = make_run(lex, cfg, sentence)
+    k = data.draw(st.integers(min_value=1, max_value=len(trace.labels)))
+    if change in TAMPERS:
+        trace = tampered(trace, scene.theme_id, change, k)
+    path = tmp_path_factory.mktemp("text") / f"t.{fmt}"
+    write_trace(path, fmt, sentence, trace, scene, cfg)
+    lines = path.read_text().splitlines()
+    row = k + 1 if fmt == "jsonl" else k + 2
+    ids = list(trace.states[0].bodies)
+    if change == "respelled" and fmt == "jsonl":
+        lines[row] = data.draw(st.sampled_from([
+            lines[row].replace(":", ": "), lines[row].replace(",", ", "), " " + lines[row],
+            json.dumps(dict(reversed(json.loads(lines[row]).items())), separators=(",", ":")),
+        ]))
+    elif change == "respelled":
+        cells = lines[row].split(",")
+        for c in range(2, 2 + 4 * len(ids)):
+            cells[c] = _respell(cells[c], lambda options: data.draw(st.sampled_from(options)))
+        lines[row] = ",".join(cells)
+    elif change == "mutated" and fmt == "jsonl":
+        lines[row] = mutated(data.draw, json.loads(lines[row]), ids)
+    elif change == "mutated":
+        cells = lines[row].split(",")
+        cells[data.draw(st.integers(min_value=0, max_value=len(cells) - 1))] = data.draw(
+            st.sampled_from(["", "x", "1", "0.0", "-0", "nan", "1e999", "roll", "slide", "EC", "PO"]))
+        lines[row] = ",".join(cells)
+    elif change == "broken":
+        lines[row] = lines[row].replace(",", "", 1)
+    path.write_text("\n".join(lines) + "\n")
+    want = read_or_refusal(read_by_parsing_every_record, path)
+    got = read_or_refusal(read_trace, path)
+    event("refused" if isinstance(want, str) else "read")
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_read(got.trace, want.trace)
+        assert (got.header, got.scene, got.cfg) == (want.header, want.scene, want.cfg)
 
 
 NOT_A_BODY = "must be null or the id of a header body, got"
@@ -1114,9 +1171,10 @@ def test_header_bindings_and_direction_are_checked(tmp_path, lex, fmt, damage, m
     lambda h: h["bindings"].update(ground=None),
     lambda h: h.update(goal=None),
     lambda h: h["bindings"].update(ground="floor"),
+    lambda h: h["bindings"].update(ground="ball"),
     lambda h: h.update(direction=[0.6, 0, -0.8]),
     lambda h: h.update(direction=[1 + 5e-10, 1e-9, 0]),
-], ids=["ground-null", "goal-null", "ground-the-floor", "direction-off-axis",
+], ids=["ground-null", "goal-null", "ground-the-floor", "ground-the-theme", "direction-off-axis",
         "direction-within-1e-9"])
 def test_header_bindings_and_direction_within_the_rules_are_read(tmp_path, lex, fmt, edit):
     # the ball is run along the edited heading, so the file stays a tick chain
@@ -1310,6 +1368,30 @@ def test_record_0_carries_no_action(tmp_path, lex, fmt, edit, shown):
     )
 
 
+@pytest.mark.parametrize("fmt,edit", [
+    ("jsonl", lambda r: r.update(time=5)),
+    ("csv", lambda c: c.__setitem__(1, "5")),
+])
+def test_record_0_holds_its_ticks_time(tmp_path, lex, fmt, edit):
+    # the first state is tick 0, at 0 x dt, as every later record holds its tick's time
+    path = written_trace(tmp_path / f"t.{fmt}", lex, edit_first_state(edit))
+    with pytest.raises(TraceFormatError) as got:
+        read_trace(path)
+    assert str(got.value) == "record 0 has time 5, not its tick's 0"
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_a_plus_x_heading_is_read_as_the_engines_heading(tmp_path, lex, fmt):
+    # a tick takes PLUS_X as it is; a -0.0 component is another heading's bits
+    doc = read_trace(written_trace(tmp_path / f"t.{fmt}", lex))
+    assert doc.scene.direction is PLUS_X
+    assert all(state.body("ball").heading is PLUS_X for state in doc.trace.states)
+    path = written_trace(tmp_path / f"z.{fmt}", lex,
+                         edit_header(lambda h: h.update(direction=[1.0, 0.0, -0.0])))
+    direction = read_trace(path).scene.direction
+    assert direction == PLUS_X and direction is not PLUS_X and math.copysign(1.0, direction[2]) == -1.0
+
+
 def test_record_0_may_write_its_missing_action_as_null(tmp_path, lex):
     plain = read_trace(written_trace(tmp_path / "plain.jsonl", lex))
     null = read_trace(written_trace(tmp_path / "null.jsonl", lex,
@@ -1335,7 +1417,8 @@ def test_reading_pauses_the_collector_and_leaves_it_as_it_found_it(
     with pytest.raises(TraceFormatError, match="invalid JSON"):
         read_trace(bad)
     assert gc.isenabled() is collector
-    assert seen == [False]
+    # the broken record's line is parsed after the header is checked
+    assert seen == [False, False]
 
     def interrupted(header):
         raise KeyboardInterrupt
@@ -1382,10 +1465,26 @@ def test_reading_a_state_measures_the_themes_pairs_and_builds_one_body(
     monkeypatch.setattr(kinematics, "_gap", counted_gap)
     monkeypatch.setattr(Body, "__init__", counted_init)
     monkeypatch.setattr(kinematics, "tick", counted_tick)
+    parsed, json_line, numbers = [], tracefile._json_line, tracefile._numbers
+
+    def counted_json_line(line, n, start=0):
+        parsed.append(n)
+        return json_line(line, n, start)
+
+    def counted_numbers(values, where):
+        parsed.append(where)
+        return numbers(values, where)
+
+    monkeypatch.setattr(tracefile, "_json_line", counted_json_line)
+    monkeypatch.setattr(tracefile, "_numbers", counted_numbers)
     states = read_trace(path).trace.states
     assert len(states) > 2900 and list(states[0].bodies) == ["floor", "ball", "wall"]
     # one tick per state after the first: the reader has no other path to a state
     assert len(ticks) == len(states) - 1
+    # the header and records 0 and 1 are parsed; every later record is the writer's
+    # text for the tick by the action before it
+    rows = [f"csv row {i}{part}" for i in (0, 1) for part in ("", "", "", " time")]
+    assert parsed == ([1, 2, 3] if fmt == "jsonl" else [1, *rows])
     # the ball-floor and ball-wall pairs per state, one call each (a plane-first pair
     # too); the first state measures wall-floor too
     assert len(gaps) <= 2 * len(states) + 10
