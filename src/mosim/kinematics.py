@@ -1,20 +1,21 @@
 """Fixed-timestep rigid-body updates and the contact predicates over them.
 
-Pure kinematics: horizontal motion at constant speed, gravity only for
-the bounce action.  Every tick is a pure function from world state to
-world state; determinism and checkability win over physical fidelity.
-Shapes are spheres, axis-aligned boxes and the horizontal floor plane,
-which keeps surface distances exact and the contact relations decidable.
-``_relation`` is the one place a gap becomes a relation, and this module
-is the one writer of the relations: each state holds them in one map,
-``WorldState.contacts``, keyed by the pair under both orders, and every other
-module reads that map.  A tick moves only its theme, so it decides only the
-theme's relations, in one pass over the bodies.  ``refresh_contacts``
-measures every pair once: a scene's first state and a trace file's first
-record go through it, and every later state, the engine's or a trace file's,
-is a tick's.  No body is rebuilt for a relation's sake.  The gap kernels
-are straight-line float arithmetic with no ``max``, ``min`` or ``sum`` calls,
-added left to right, so they give the same bits on every Python version.
+Pure kinematics: horizontal motion at constant speed, gravity only for the
+bounce action.  Every tick is a pure function from world state to world state;
+determinism and checkability win over physical fidelity.  Shapes are spheres,
+axis-aligned boxes and the horizontal floor plane, which keeps surface
+distances exact and the contact relations decidable.  ``_relation`` turns a gap
+into a relation, and this module is the one writer of the relations: each state
+holds them in one map, ``WorldState.contacts``, keyed by the pair under both
+orders, and every other module reads that map.  A tick moves only its theme, so
+it decides only the theme's relations, in one pass over the bodies; it runs
+once per state, so it writes ``_relation``'s test out, takes the floor gap as
+``pos[1] - rest`` and fills its ``Body`` and ``WorldState`` through their slot
+setters.  ``refresh_contacts`` measures every pair once: a scene's first state
+and a trace file's first record go through it, and every later state is a
+tick's.  No body is rebuilt for a relation's sake.  The gap kernels are
+straight-line float arithmetic with no ``max``, ``min`` or ``sum`` calls, added
+left to right, so they give the same bits on every Python version.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import sqrt
 
 from .config import SceneConfig
 from .errors import ImmobileThemeError, UnboundObjectError, UnsupportedShapePair
-from .lexicon import TICK_ACTIONS, Shape
+from .lexicon import Shape
 from .record import record
 
 Vec3 = tuple[float, float, float]
@@ -81,33 +82,9 @@ class Body:
     dimensions: tuple[float, ...]
     mobile: bool
     position: Vec3
-    heading: Vec3
-    rotation: float        # accumulated angle about the rolling axis, rad
-    velocity: Vec3         # y component doubles as the ballistic state
-
-    # written out rather than Record.__init__'s loop: tick builds one per
-    # step, and with Record.__init__ for Body and WorldState long runs
-    # measured ~5% fewer ticks per second
-    def __init__(
-        self,
-        id: str,
-        shape: Shape,
-        dimensions: tuple[float, ...],
-        mobile: bool,
-        position: Vec3,
-        heading: Vec3 = PLUS_X,
-        rotation: float = 0.0,
-        velocity: Vec3 = ZERO3,
-    ) -> None:
-        s_id, s_shape, s_dims, s_mobile, s_pos, s_head, s_rot, s_vel = self._setters
-        s_id(self, id)
-        s_shape(self, shape)
-        s_dims(self, dimensions)
-        s_mobile(self, mobile)
-        s_pos(self, position)
-        s_head(self, heading)
-        s_rot(self, rotation)
-        s_vel(self, velocity)
+    heading: Vec3 = PLUS_X
+    rotation: float = 0.0  # accumulated angle about the rolling axis, rad
+    velocity: Vec3 = ZERO3  # y component doubles as the ballistic state
 
     @property
     def radius(self) -> float:
@@ -122,11 +99,9 @@ class Body:
     @property
     def rolling_radius(self) -> float:
         # boxes get an effective radius so roll stays total; spheres are exact
-        if self.shape is _SPHERE:
-            return self.radius
-        if self.shape is _BOX:
-            return self.dimensions[1] / 2.0
-        raise UnsupportedShapePair(self.shape.value, "rolling")
+        if self.shape is _PLANE:
+            raise UnsupportedShapePair(self.shape.value, "rolling")
+        return rest_height(self.shape, self.dimensions)
 
 
 @record
@@ -153,19 +128,12 @@ class WorldState:
     tick_index: int
     bodies: dict[str, Body]
     cfg: SceneConfig
-    contacts: Contacts
+    contacts: Contacts = None
 
-    # written out for the same reason as Body's
-    def __init__(
-        self, time: float, tick_index: int, bodies: dict[str, Body], cfg: SceneConfig,
-        contacts: Contacts | None = None,
-    ) -> None:
-        s_time, s_index, s_bodies, s_cfg, s_contacts = self._setters
-        s_time(self, time)
-        s_index(self, tick_index)
-        s_bodies(self, bodies)
-        s_cfg(self, cfg)
-        s_contacts(self, {} if contacts is None else contacts)
+    def __post_init__(self) -> None:
+        # a state built without a map gets a fresh one, never a shared default
+        if self.contacts is None:
+            self._setters[4](self, {})
 
     def body(self, object_id: str) -> Body:
         try:
@@ -178,6 +146,11 @@ class WorldState:
         so a caller that moves a body refreshes them."""
         return WorldState(self.time, self.tick_index, {**self.bodies, body.id: body}, self.cfg,
                           self.contacts)
+
+
+# tick fills in its states through the slot setters, without a class call
+_new, _BODY_SET, _STATE_SET = object.__new__, Body._setters, WorldState._setters
+_KINDS = {"roll": "roll", "slide": "slide", "move": "slide", "fly": "fly", "bounce": "bounce"}
 
 
 def rest_height(shape: Shape, dimensions: tuple[float, ...]) -> float:
@@ -361,11 +334,14 @@ def tick(
     if cfg is not None and cfg is not world.cfg and cfg != world.cfg:
         raise ValueError("tick runs under the world's config; another config was given")
     cfg = world.cfg
-    theme = world.body(theme_id)
+    theme = world.bodies.get(theme_id) or world.body(theme_id)  # a miss raises
     if not theme.mobile:
         raise ImmobileThemeError(theme_id)
-    direction = _unit_horizontal(theme.heading if direction is None else direction)
-    if action not in TICK_ACTIONS:
+    direction = theme.heading if direction is None else direction
+    if direction is not PLUS_X:
+        direction = _unit_horizontal(direction)
+    kind = _KINDS.get(action)
+    if kind is None:
         raise ValueError(f"unknown tick action {action!r}")
 
     dt = cfg.dt
@@ -374,15 +350,14 @@ def tick(
     x = p0[0] + direction[0] * step
     z = p0[2] + direction[2] * step
     vy = theme.velocity[1]
-    rest = rest_height(theme.shape, theme.dimensions)
+    shape, dims = theme.shape, theme.dimensions
+    # rest_height(shape, dims), which is also a sphere's or box's rolling radius
+    rest = dims[0] if shape is _SPHERE else dims[1] / 2.0 if shape is _BOX else 0.0
 
-    if action in ("roll", "slide", "move"):
-        y = rest  # contact clamp prevents drift
-        vy = 0.0
-    elif action == "fly":
+    if kind == "fly":
         y = p0[1]
         vy = 0.0
-    else:  # bounce
+    elif kind == "bounce":
         # exact constant-gravity flight, sampled at dt; a floor crossing
         # parks the body at contact for the rest of the step and stores
         # the restitution-scaled rebound speed (apex decay stays e^2-exact)
@@ -395,13 +370,15 @@ def tick(
             vy = cfg.restitution * impact_speed
         else:
             vy = vy - g * dt
+    else:  # roll, slide, move
+        y = rest  # contact clamp prevents drift
+        vy = 0.0
 
     # Clamp against every solid body but the floor, in bodies order.  ``gaps``
     # keeps each obstacle's gap, theme first, measured at ``pos``; moving the
     # theme back empties it.
     eps = cfg.contact_eps
     contacts = world.contacts
-    shape = theme.shape
     pos = (x, y, z)
     gaps = {}
     seen = False
@@ -429,46 +406,64 @@ def tick(
         else:
             gaps[key] = d_new
 
-    moved_h = math.hypot(pos[0] - p0[0], pos[2] - p0[2])
     rotation = theme.rotation
-    if action == "roll":
-        rotation += moved_h / theme.rolling_radius
+    if kind == "roll":
+        if shape is _PLANE:
+            raise UnsupportedShapePair(shape.value, "rolling")
+        rotation += math.hypot(pos[0] - p0[0], pos[2] - p0[2]) / rest
 
     # a bounce reports the ballistic state, not the positional difference, so
     # the restitution flip survives the floor clamp
     inv_dt = 1.0 / dt
-    velocity = ((pos[0] - p0[0]) * inv_dt,
-                vy if action == "bounce" else (pos[1] - p0[1]) * inv_dt,
+    velocity = ((pos[0] - p0[0]) * inv_dt, vy if kind == "bounce" else (pos[1] - p0[1]) * inv_dt,
                 (pos[2] - p0[2]) * inv_dt)
 
     # Only the theme moved, so only its pairs can change.  Each is measured in
     # bodies order, or read from ``gaps`` when the theme-first gap is that
-    # measurement.  Copy on write: the new state shares the map unless one of
-    # the theme's relations changed.
+    # measurement; a sphere's or box's gap to a plane is ``_gap``'s
+    # ``pos[1] - rest`` in either order.  Copy on write: the new state shares
+    # the map unless one of the theme's relations changed.
     out = contacts
     seen = False
     for key, other in world.bodies.items():
         if other is theme:
             seen = True
             continue
-        d = gaps.get(key) if seen or other.shape is not shape else None
-        try:
-            if d is None:
+        d = (pos[1] - rest if other.shape is _PLANE and shape is not _PLANE
+             else gaps.get(key) if seen or other.shape is not shape else None)
+        if d is None:
+            try:
                 d = (_gap(theme, pos, other, other.position) if seen
                      else _gap(other, other.position, theme, pos))
-        except UnsupportedShapePair:
-            rel = None
-        else:
-            rel = _relation(d, eps)
+            except UnsupportedShapePair:
+                pass
+        rel = None if d is None else _DC if d > eps else _PO if d < -eps else _EC
         if rel is not out.get((theme_id, key)):
             if out is contacts:
                 out = contacts.copy()
             _set_pair(out, theme_id, key, rel)
+
+    # Body(...) and WorldState(...) would each add a call and an __init__ frame
+    body = _new(Body)
+    set_id, set_shape, set_dims, set_mobile, set_pos, set_heading, set_rot, set_vel = _BODY_SET
+    set_id(body, theme.id)
+    set_shape(body, shape)
+    set_dims(body, dims)
+    set_mobile(body, theme.mobile)
+    set_pos(body, pos)
+    set_heading(body, direction)
+    set_rot(body, rotation)
+    set_vel(body, velocity)
     bodies = world.bodies.copy()
-    bodies[theme_id] = Body(theme.id, shape, theme.dimensions, theme.mobile, pos, direction,
-                            rotation, velocity)
+    bodies[theme_id] = body
     tick_index = world.tick_index + 1
-    state = WorldState(tick_index * dt, tick_index, bodies, cfg, out)
+    state = _new(WorldState)
+    set_time, set_index, set_bodies, set_cfg, set_contacts = _STATE_SET
+    set_time(state, tick_index * dt)
+    set_index(state, tick_index)
+    set_bodies(state, bodies)
+    set_cfg(state, cfg)
+    set_contacts(state, out)
     # a short map (a hand-built state's) is refreshed whole
     n = len(bodies)
     return state if len(out) >= n * (n - 1) else refresh_contacts(state)

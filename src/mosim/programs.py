@@ -276,7 +276,7 @@ class Trace:
     states: tuple[WorldState, ...]
     labels: tuple[str, ...]
 
-    # written out as Body's is: enumeration builds one per run
+    # written out rather than Record.__init__: enumeration builds one per run
     def __init__(self, states: tuple[WorldState, ...], labels: tuple[str, ...]) -> None:
         if len(states) != len(labels) + 1:
             raise ValueError("a trace has exactly one more state than labels")

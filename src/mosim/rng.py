@@ -50,7 +50,11 @@ class SplitMix64:
         return _mix64(self._state)
 
     def next_bit(self) -> int:
-        return self.next_u64() & 1
+        # next_u64() & 1 in one body: a goal loop draws a bit per pass
+        z = self._state = (self._state + _GAMMA) & _MASK
+        z = (z ^ (z >> 30)) * _MIX1 & _MASK
+        z = (z ^ (z >> 27)) * _MIX2 & _MASK
+        return (z ^ (z >> 31)) & 1
 
     def uniform(self) -> float:
         """Float in [0, 1) with 53 random bits."""

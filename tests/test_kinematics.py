@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from mosim import Rel, SceneConfig, contact_relation, kinematics, surface_distance, tick
-from mosim.errors import ImmobileThemeError, UnsupportedShapePair
+from mosim.errors import ImmobileThemeError, UnboundObjectError, UnsupportedShapePair
 from mosim.kinematics import (
     PLUS_X,
     Body,
@@ -159,6 +159,31 @@ def test_tick_accepts_exactly_the_lexicon_actions():
         tick(w, action, "ball", (1, 0, 0))
     with pytest.raises(ValueError, match="^unknown tick action 'hop'$"):
         tick(w, "hop", "ball", (1, 0, 0))
+
+
+def test_tick_names_the_first_of_several_faults():
+    # every fault at once, then one fewer each time: a foreign config, an unbound
+    # theme, an immobile theme, a heading that is not horizontal (given, or the
+    # theme's own), a zero heading, an unknown action
+    w = world(FLOOR, ball_at((0, 0.5, 0)), WALL)
+    up = replace(w.body("ball"), heading=(0.0, 1.0, 0.0))
+    tilted = w.with_body(up)
+    cases = [
+        (ValueError, "^tick runs under the world's config; another config was given$",
+         (w, "hop", "ghost", (0, 1, 0), SceneConfig(seed=1))),
+        (UnboundObjectError, "^object 'ghost' is not bound in this world state$",
+         (w, "hop", "ghost", (0, 1, 0), w.cfg)),
+        (ImmobileThemeError, "^theme 'wall' is immobile and cannot move$",
+         (w, "hop", "wall", (0, 1, 0))),
+        (ValueError, "^motion direction must be horizontal$", (w, "hop", "ball", (0, 1, 0))),
+        (ValueError, "^motion direction must be horizontal$", (tilted, "hop", "ball")),
+        (ValueError, "^motion direction must be nonzero$", (w, "hop", "ball", (0, 0, 0))),
+        (ValueError, "^unknown tick action 'hop'$", (w, "hop", "ball", (1, 0, 0))),
+        (ValueError, "^unknown tick action 'hop'$", (w, "hop", "ball")),
+    ]
+    for error, message, args in cases:
+        with pytest.raises(error, match=message):
+            tick(*args)
 
 
 def test_tick_time_advances_by_exactly_dt():
@@ -604,7 +629,11 @@ def obstacle_scenes(draw):
     """
     theme = draw(bodies("theme", shapes=(Shape.SPHERE, Shape.BOX)))
     x0, _, z0 = theme.position
-    theme = replace(theme, position=(x0, rest_height(theme.shape, theme.dimensions), z0))
+    # at rest height, or above it (fly and bounce then leave the floor gap above 0)
+    # or a little below it, with a vertical speed for bounce
+    lift = draw(st.just(0.0) | st.floats(min_value=-0.05, max_value=3.0))
+    theme = replace(theme, position=(x0, rest_height(theme.shape, theme.dimensions) + lift, z0),
+                    velocity=(0.0, draw(st.just(0.0) | st.floats(-5.0, 5.0)), 0.0))
     obstacles = []
     for k in range(draw(st.integers(min_value=1, max_value=2))):
         shapes = (theme.shape,) if k == 0 else (Shape.SPHERE, Shape.BOX)
@@ -614,6 +643,15 @@ def obstacle_scenes(draw):
                  z0 + draw(NEAR))
         obstacles.append(replace(body, position=ahead, mobile=draw(st.booleans())))
     order = draw(st.permutations([FLOOR, theme, *obstacles]))
+    return {b.id: b for b in order}
+
+
+def lifted_ball(height, floor_first, vy=0.0):
+    """A 0.5 m ball theme ``height`` above its rest height, the floor before or after it."""
+    theme = Body("theme", Shape.SPHERE, (0.5,), True, (0.0, 0.5 + height, 0.0),
+                 velocity=(0.0, vy, 0.0))
+    wall = replace(WALL, position=(2.0, 1.0, 0.0))
+    order = (FLOOR, theme, wall) if floor_first else (theme, wall, FLOOR)
     return {b.id: b for b in order}
 
 
@@ -629,6 +667,18 @@ def obstacle_scenes(draw):
         min_size=1, max_size=8,
     ),
 )
+# a bounce in flight, a bounce landing (3 mm above the floor, falling at 2 m/s), a flight
+# at altitude, and a 5 cm drop that lands and rebounds; the floor before and after the theme
+@example(scene=lifted_ball(2.0, True), hand_built=False, speed=30.0, steps=[("bounce", None)] * 4)
+@example(scene=lifted_ball(2.0, False), hand_built=True, speed=30.0, steps=[("bounce", None)] * 4)
+@example(scene=lifted_ball(0.003, True, -2.0), hand_built=False, speed=1.0,
+         steps=[("bounce", None)] * 3)
+@example(scene=lifted_ball(0.003, False, -2.0), hand_built=False, speed=1.0,
+         steps=[("bounce", 0.3)] * 3)
+@example(scene=lifted_ball(1.5, True), hand_built=False, speed=30.0, steps=[("fly", None)] * 4)
+@example(scene=lifted_ball(1.5, False), hand_built=True, speed=120.0,
+         steps=[("fly", -0.2), ("fly", None), ("roll", None)])
+@example(scene=lifted_ball(0.05, False), hand_built=False, speed=1.0, steps=[("bounce", None)] * 8)
 def test_tick_matches_the_full_refresh_kernel_bit_for_bit(scene, hand_built, speed, steps):
     cfg = SceneConfig(seed=0, speed=speed)
     w = WorldState(0.0, 0, scene, cfg)
@@ -666,24 +716,22 @@ def test_rolling_to_the_wall_measures_the_wall_once_per_tick(monkeypatch):
     assert len(calls) <= trace.tick_count + 10
 
 
-def test_executing_the_roll_to_the_wall_builds_one_body_per_tick(monkeypatch):
+def test_executing_the_roll_to_the_wall_builds_one_body_per_tick():
     from mosim import build_scene, builtin_lexicon, compile_event, execute, parse_text
     from mosim.rng import stream_for
 
     lex, cfg = builtin_lexicon(), SceneConfig(seed=0, ground_distance=50)
     frame = parse_text("the ball rolled to the wall", lex)
     scene, program = build_scene(frame, lex, cfg), compile_event(frame, lex, cfg)
-    built, init = [], Body.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(None)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Body, "__init__", counted)
     trace = execute(program, scene.initial, stream_for(0, "choice"), cfg.max_frames)
     assert trace.tick_count > 2500
-    # the moved theme; the wall is not rebuilt when the ball's contact with it changes
-    assert len(built) == trace.tick_count
+    # the moved theme, one per state; the floor and the wall are the first state's
+    # in every state, not rebuilt when the ball's contact with the wall changes
+    s0 = trace.states[0]
+    assert all(s.body("floor") is s0.body("floor") and s.body("wall") is s0.body("wall")
+               for s in trace.states)
+    distinct = {id(body) for s in trace.states for body in s.bodies.values()}
+    assert len(distinct) == len(trace.states) + 2
 
 
 def test_flag_maps_are_copied_only_when_a_flag_changes():
@@ -703,6 +751,14 @@ def test_flag_maps_are_copied_only_when_a_flag_changes():
     assert w.contacts["ball", "wall"] is w.contacts["wall", "ball"] is Rel.DC
     assert list(hit.contacts) == list(w.contacts)
     assert hit.body("floor") is w.body("floor") and hit.body("wall") is w.body("wall")
+
+
+def test_records_built_without_their_optional_fields():
+    # a state built without a contact map gets its own, never a shared default
+    a, b = (WorldState(0.0, 0, {}, SceneConfig(seed=0)) for _ in range(2))
+    assert a.contacts == {} and a.contacts is not b.contacts
+    # a body's default heading is PLUS_X itself, which tick takes without dividing
+    assert ball_at((0.0, 0.5, 0.0)).heading is PLUS_X
 
 
 def test_a_partial_map_is_completed_in_bodies_order():

@@ -1447,23 +1447,18 @@ def test_reading_a_state_measures_the_themes_pairs_and_builds_one_body(
     frame, scene, trace = make_run(lex, cfg)
     path = tmp_path / f"t.{fmt}"
     write_trace(path, fmt, "the ball rolled to the wall", trace, scene, cfg)
-    gaps, built, ticks = [], [], []
-    gap, init, tick = kinematics._gap, Body.__init__, kinematics.tick
+    gaps, ticks = [], []
+    gap, tick = kinematics._gap, kinematics.tick
 
     def counted_gap(*args):
         gaps.append(None)
         return gap(*args)
-
-    def counted_init(self, *args, **kwargs):
-        built.append(None)
-        init(self, *args, **kwargs)
 
     def counted_tick(*args):
         ticks.append(None)
         return tick(*args)
 
     monkeypatch.setattr(kinematics, "_gap", counted_gap)
-    monkeypatch.setattr(Body, "__init__", counted_init)
     monkeypatch.setattr(kinematics, "tick", counted_tick)
     parsed, json_line, numbers = [], tracefile._json_line, tracefile._numbers
 
@@ -1485,12 +1480,14 @@ def test_reading_a_state_measures_the_themes_pairs_and_builds_one_body(
     # text for the tick by the action before it
     rows = [f"csv row {i}{part}" for i in (0, 1) for part in ("", "", "", " time")]
     assert parsed == ([1, 2, 3] if fmt == "jsonl" else [1, *rows])
-    # the ball-floor and ball-wall pairs per state, one call each (a plane-first pair
-    # too); the first state measures wall-floor too
-    assert len(gaps) <= 2 * len(states) + 10
-    # the moved ball per state and the first state's floor and wall once each: no body
-    # is built for a contact's sake
-    assert len(built) == len(states) + 2
+    # the ball-wall pair per state, one call; the ball-floor gap is the ball's height
+    # over its rest height, with no call; the first state measures every pair
+    assert len(gaps) <= len(states) + 10
+    # the moved ball per state and the first state's floor and wall, shared by every
+    # state: no body is built for a contact's sake
+    assert all(s.bodies["floor"] is states[0].bodies["floor"]
+               and s.bodies["wall"] is states[0].bodies["wall"] for s in states)
+    assert len({id(body) for s in states for body in s.bodies.values()}) == len(states) + 2
     # a state with no relation change shares the previous state's map: nothing is copied
     shared = sum(after.contacts is before.contacts for before, after in zip(states, states[1:]))
     assert shared >= len(states) - 10
