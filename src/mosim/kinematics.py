@@ -11,11 +11,12 @@ orders, and every other module reads that map.  A tick moves only its theme, so
 it decides only the theme's relations, in one pass over the bodies; it runs
 once per state, so it writes ``_relation``'s test out, takes the floor gap as
 ``pos[1] - rest`` and fills its ``Body`` and ``WorldState`` through their slot
-setters.  ``refresh_contacts`` measures every pair once: a scene's first state
-and a trace file's first record go through it, and every later state is a
-tick's.  No body is rebuilt for a relation's sake.  The gap kernels are
-straight-line float arithmetic with no ``max``, ``min`` or ``sum`` calls, added
-left to right, so they give the same bits on every Python version.
+setters.  Every state holds its whole map: a ``WorldState`` built without one
+measures every pair once, as a scene's first state, a trace file's first
+record and a program's ``loc`` assignment are built, and every later state is
+a tick's.  No body is rebuilt for a relation's sake.  The gap kernels are
+straight-line float arithmetic with no ``max``, ``min`` or ``sum`` calls,
+added left to right, so they give the same bits on every Python version.
 """
 
 from __future__ import annotations
@@ -87,16 +88,6 @@ class Body:
     velocity: Vec3 = ZERO3  # y component doubles as the ballistic state
 
     @property
-    def radius(self) -> float:
-        return self.dimensions[0]
-
-    @property
-    def half_extents(self) -> Vec3:
-        # box dimensions are width x height x depth; goal-facing axis is depth
-        w, h, d = self.dimensions
-        return (d / 2.0, h / 2.0, w / 2.0)
-
-    @property
     def rolling_radius(self) -> float:
         # boxes get an effective radius so roll stays total; spheres are exact
         if self.shape is _PLANE:
@@ -111,17 +102,15 @@ class WorldState:
     Invariant: ``contacts`` holds the relation of each pair of bodies at the
     current positions, keyed by ``(a, b)`` under both orders, with no entry
     for a body with itself or for a pair of shapes that has no distance.
-    ``kinematics`` is its only writer: ``refresh_contacts`` and ``tick`` produce
-    only such states, and the trace reader builds its states with them alone.
-    Formula atoms, the scene's overlap check, the verifier and the trace
-    writer read the map instead of recomputing relations.  ``tick`` measures
-    only the theme's pairs and carries every other entry into the next state
-    unchanged; it also reads the theme's ``DC`` entries instead of measuring
-    its old gaps.  So a stale entry would outlive its state.  A hand-built
-    state may leave the map empty or short, never stale; a tick of such a state
-    refreshes every pair, and ``refresh_contacts`` measures every pair of any
-    state.  No other path fills a missing entry.  States share the map until
-    a relation changes, so it is never mutated once a state holds it.
+    A state built without a map measures each pair once, the earlier body in
+    ``bodies`` order first; a map passed in is held as given, so the caller
+    vouches for it.  ``tick`` measures only the theme's pairs and carries every
+    other entry into the next state unchanged; it also reads the theme's
+    ``DC`` entries instead of measuring its old gaps.  So a stale entry would
+    outlive its state.  Formula atoms, the scene's overlap check, the verifier
+    and the trace writer read the map instead of recomputing relations.
+    States share the map until a relation changes, so it is never mutated
+    once a state holds it.
     """
 
     time: float
@@ -131,21 +120,23 @@ class WorldState:
     contacts: Contacts = None
 
     def __post_init__(self) -> None:
-        # a state built without a map gets a fresh one, never a shared default
         if self.contacts is None:
-            self._setters[4](self, {})
+            contacts, eps = {}, self.cfg.contact_eps
+            items = list(self.bodies.items())
+            for k, (a_id, a) in enumerate(items):
+                for b_id, b in items[k + 1:]:
+                    try:
+                        rel = _relation(_gap(a, a.position, b, b.position), eps)
+                    except UnsupportedShapePair:
+                        continue
+                    contacts[a_id, b_id] = contacts[b_id, a_id] = rel
+            self._setters[4](self, contacts)
 
     def body(self, object_id: str) -> Body:
         try:
             return self.bodies[object_id]
         except KeyError:
             raise UnboundObjectError(object_id) from None
-
-    def with_body(self, body: Body) -> "WorldState":
-        """This state with ``body`` put in; the contacts ride along unchanged,
-        so a caller that moves a body refreshes them."""
-        return WorldState(self.time, self.tick_index, {**self.bodies, body.id: body}, self.cfg,
-                          self.contacts)
 
 
 # tick fills in its states through the slot setters, without a class call
@@ -204,7 +195,8 @@ def _point_box_distance(p: Vec3, box: Body, c: Vec3) -> float:
     The bits of ``sqrt(sum(max(di, 0.0) ** 2)) + min(max(d0, d1, d2), 0.0)``
     with its sum taken left to right, computed without the builtin calls.
     """
-    w, h, d = box.dimensions  # half extents are (d, h, w) / 2, as in Body.half_extents
+    # a box is width x height x depth, its depth along x: half extents (d, h, w) / 2
+    w, h, d = box.dimensions
     d0 = abs(p[0] - c[0]) - d / 2.0
     d1 = abs(p[1] - c[1]) - h / 2.0
     d2 = abs(p[2] - c[2]) - w / 2.0
@@ -243,28 +235,16 @@ def _relation(d: float, contact_eps: float) -> Rel:
     return _EC
 
 
-def refresh_contacts(state: WorldState) -> WorldState:
-    """Recompute every computable pairwise contact relation from positions.
-
-    Each pair is measured once, the earlier body in ``bodies`` order first, and
-    a relation the map lacks is appended in that order.  Copy on write: the map
-    is copied once, at the first relation that changes, and when none changes
-    the new state shares ``state``'s map.
-    """
-    contacts, eps = state.contacts, state.cfg.contact_eps
-    out = contacts
-    items = list(state.bodies.items())
-    for k, (a_id, a) in enumerate(items):
-        for b_id, b in items[k + 1:]:
-            try:
-                rel = _relation(_gap(a, a.position, b, b.position), eps)
-            except UnsupportedShapePair:
-                rel = None
-            if rel is not out.get((a_id, b_id)) or rel is not out.get((b_id, a_id)):
-                if out is contacts:
-                    out = contacts.copy()
-                _set_pair(out, a_id, b_id, rel)
-    return WorldState(state.time, state.tick_index, state.bodies, state.cfg, out)
+def first_overlap(state: WorldState) -> tuple[str, str] | None:
+    """The first pair of bodies whose relation is ``PO``, in ``bodies`` order, earlier body first."""
+    contacts = state.contacts
+    if _PO in contacts.values():
+        ids = list(state.bodies)
+        for k, a in enumerate(ids):
+            for b in ids[k + 1:]:
+                if contacts.get((a, b)) is _PO:
+                    return a, b
+    return None
 
 
 def _set_pair(contacts: Contacts, a: str, b: str, rel: Rel | None) -> None:
@@ -464,6 +444,4 @@ def tick(
     set_bodies(state, bodies)
     set_cfg(state, cfg)
     set_contacts(state, out)
-    # a short map (a hand-built state's) is refreshed whole
-    n = len(bodies)
-    return state if len(out) >= n * (n - 1) else refresh_contacts(state)
+    return state

@@ -312,17 +312,20 @@ def _state_key(state: WorldState) -> tuple:
 
 
 def _set_attr(state: WorldState, attr: Attr, value: Value) -> WorldState:
-    body = state.body(attr.obj)
+    body, contacts = state.body(attr.obj), state.contacts
     if attr.name == "rot":
         if _is_vec(value):
             raise DimensionMismatchError("rotation takes a scalar")
-        return state.with_body(replace(body, rotation=float(value)))
-    if not _is_vec(value) or len(value) != 3:
+        body = replace(body, rotation=float(value))
+    elif not _is_vec(value) or len(value) != 3:
         raise DimensionMismatchError(f"{attr.name} takes a 3-vector")
-    if attr.name == "loc":
-        moved = state.with_body(replace(body, position=value))
-        return kinematics.refresh_contacts(moved)
-    return state.with_body(replace(body, velocity=value))
+    elif attr.name == "loc":
+        # a moved body's relations change: the successor measures its map anew
+        body, contacts = replace(body, position=value), None
+    else:
+        body = replace(body, velocity=value)
+    return WorldState(state.time, state.tick_index, {**state.bodies, body.id: body}, state.cfg,
+                      contacts)
 
 
 def _values_equal(a: Value, b: Value, tol: float) -> bool:
@@ -342,8 +345,8 @@ def _eval3(f: Formula, state: WorldState, budget: int, node_cap: int):
     # dispatch on the exact node type, the goal tests' contact atoms first
     t = type(f)
     if t is At or t is EC or t is DC:
-        # the state's own relation answers; only a pair without one (a hand-built
-        # state, an unsupported shape pair, a body with itself) is computed
+        # the state's own relation answers; only a pair without one (an unsupported
+        # shape pair, a body with itself, an unbound id) is computed, or refused
         rel = state.contacts.get((f.a, f.b))
         if rel is None:
             rel = contact_relation(state.body(f.a), state.body(f.b), state.cfg.contact_eps)

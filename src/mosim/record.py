@@ -5,8 +5,10 @@ defaults, into a subclass of ``Record`` whose ``__slots__`` are those fields
 in order.  A record compares field-wise and only with a record of the same
 class, hashes its field values (so a record holding a dict refuses to hash),
 prints as ``Name(field=value, ...)`` and refuses assignment.  A class may
-define ``__post_init__`` to validate or complete its fields; ``Record.__init__``
-calls it (``kinematics.tick`` fills its records through ``_setters`` instead).
+define ``__post_init__`` to validate or complete its fields (``WorldState``
+measures its contact map there when it is given none); ``Record.__init__``
+calls it, and ``kinematics.tick``, which fills its records through
+``_setters``, does not.
 
 The fields are read from the class body's ``__annotations__``, so every
 module that defines records keeps ``from __future__ import annotations``

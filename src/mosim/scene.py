@@ -22,7 +22,7 @@ from .kinematics import (
     Rel,
     Vec3,
     WorldState,
-    refresh_contacts,
+    first_overlap,
     rest_height,
     _gap,
 )
@@ -138,9 +138,7 @@ def probe_scene(cfg: SceneConfig, lex: Lexicon, lemma: str = "ball") -> Scene:
         raise ImmobileThemeError(lemma)
     rest = rest_height(noun.shape, noun.dimensions)
     theme = replace(_make_body(lemma, noun, (0.0, rest, 0.0)), heading=PLUS_X)
-    state = refresh_contacts(
-        WorldState(time=0.0, tick_index=0, bodies={FLOOR_ID: _floor(), lemma: theme}, cfg=cfg)
-    )
+    state = WorldState(time=0.0, tick_index=0, bodies={FLOOR_ID: _floor(), lemma: theme}, cfg=cfg)
     return Scene(initial=state, theme_id=lemma, ground_id=None, goal_id=None, direction=PLUS_X)
 
 
@@ -178,13 +176,10 @@ def build_scene(frame: EventFrame, lex: Lexicon, cfg: SceneConfig) -> Scene:
     if ground is not None:
         bodies[ground.id] = ground
 
-    state = refresh_contacts(WorldState(time=0.0, tick_index=0, bodies=bodies, cfg=cfg))
-
-    ids = list(state.bodies)
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            if state.contacts.get((a, b)) is Rel.PO:
-                raise SceneBuildError(f"bodies {a!r} and {b!r} interpenetrate at t=0")
+    state = WorldState(time=0.0, tick_index=0, bodies=bodies, cfg=cfg)
+    overlap = first_overlap(state)
+    if overlap is not None:
+        raise SceneBuildError(f"bodies {overlap[0]!r} and {overlap[1]!r} interpenetrate at t=0")
     if (frame.verb.profile.floor_contact is FloorContact.ALWAYS_DC
             and state.contacts[theme.id, FLOOR_ID] is not Rel.DC):
         # a default_altitude at or just above the rest height

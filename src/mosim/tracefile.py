@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from functools import cache
 from math import copysign, hypot, isfinite, nan
-from operator import itemgetter
 from pathlib import Path
 
 from . import kinematics
@@ -21,7 +20,7 @@ from .errors import (
     ANY, BOOLEAN, FINITE, INTEGER, NUMBER, NUMBERS, OBJECT, REQUIRED, STRING, ConfigFormatError,
     TraceFormatError, walk_fields,
 )
-from .kinematics import _DC, _EC, PLUS_X, Body, Rel, WorldState, refresh_contacts
+from .kinematics import _DC, _EC, PLUS_X, Body, Rel, WorldState
 from .lexicon import DIM_KEYS, FLOOR_ID, MAX_SIZE, MIN_SIZE, TICK_ACTIONS, Shape
 from .record import record
 from .scene import Scene
@@ -307,7 +306,7 @@ def _parse_header(obj) -> dict:
 Record = tuple[object, float, list[tuple[float, float, float, float]], object]
 
 
-def _rebuild(header: dict, h: dict, rows: list[str], record, fmt: str | None) -> TraceDocument:
+def _rebuild(header: dict, h: dict, rows: list[str], record, fmt: str) -> TraceDocument:
     """World states from the file lines ``rows``, one per state, under the checked
     header ``h`` of the file's ``header``; ``record(i, row)`` parses a row.
 
@@ -317,7 +316,7 @@ def _rebuild(header: dict, h: dict, rows: list[str], record, fmt: str | None) ->
     tests, so a trace the engine writes is such a chain.  From record 2 on, a
     row equal to the writer's ``fmt`` text of the tick by the previous action is
     that tick's state without being parsed: parsing it would give the same
-    state.  ``fmt`` None compares no row.
+    state.
     """
     if len(rows) != h["frames"]:
         raise TraceFormatError(f"record count {len(rows)} does not match header frames {h['frames']}")
@@ -343,12 +342,11 @@ def _rebuild(header: dict, h: dict, rows: list[str], record, fmt: str | None) ->
         bodies[bid] = Body(bid, shape, dims, mobile, pose[:3], heading, pose[3])
     if time != 0.0:
         raise TraceFormatError(f"record 0 has time {fmt_float(time)}, not its tick's 0")
-    state = refresh_contacts(WorldState(time, 0, bodies, cfg))
+    state = WorldState(time, 0, bodies, cfg)
     states = [state]
     labels = []
-    line = None
-    if fmt is not None:  # a header may bind the theme as its own ground, a pair no state relates
-        line = _line_format(fmt, list(h["bodies"]), theme_id, None if ground_id == theme_id else ground_id)
+    # a header may bind the theme as its own ground, a pair no state relates
+    line = _line_format(fmt, list(h["bodies"]), theme_id, None if ground_id == theme_id else ground_id)
     guess = ticked = None  # the previous record's action, and the tick by it
     for i in range(1, len(rows)):
         if guess is not None:
@@ -382,8 +380,7 @@ def _rebuild(header: dict, h: dict, rows: list[str], record, fmt: str | None) ->
             )
         states.append(state)
         labels.append(action)
-        if line is not None:
-            guess = action
+        guess = action
 
     trace = Trace(tuple(states), tuple(labels))
     scene = Scene(
@@ -463,42 +460,26 @@ def _read_csv(text: str) -> TraceDocument:
     # only blank lines come before the header, so its first copy is the header
     header = _json_line(lines[0], file_lines.index(lines[0]) + 1, 2)
     h = _parse_header(header)
-    names = lines[1].split(",")
-    where = {name: k for k, name in enumerate(names)}  # a repeated name means its last column
-    known = {"index", "time", "action", "floor_contact", "goal_contact"}
-    known.update(f"{bid}_{axis}" for bid in h["bodies"] for axis in ("x", "y", "z", "rot"))
-    for name in names:
-        if name not in known:
-            raise TraceFormatError(f"csv trace has an unknown column {name!r:.40}")
-
-    def column(name: str) -> int:
-        try:
-            return where[name]
-        except KeyError:
-            raise TraceFormatError(f"csv trace has no {name!r} column") from None
-
-    index_col, time_col, action_col = column("index"), column("time"), where.get("action")
-    pose_cells = [
-        itemgetter(*(column(f"{bid}_{axis}") for axis in ("x", "y", "z", "rot")))
-        for bid in h["bodies"]
-    ]
+    names = _csv_columns(h["bodies"])
+    expected = ",".join(names)
+    if lines[1] != expected:
+        raise TraceFormatError(f"csv trace must have the column line {expected!r}")
+    # the columns: index, time, (x, y, z, rot) per header body, action, two relations
+    action_col = len(names) - 3
 
     def record(i: int, line: str) -> Record:
         cells = line.split(",")
         if len(cells) != len(names):
             raise TraceFormatError(f"row has {len(cells)} cells, expected {len(names)}")
         try:
-            index = int(cells[index_col])
+            index = int(cells[0])
         except ValueError:
-            raise TraceFormatError(f"bad csv row {i}: index {cells[index_col]!r:.40}") from None
-        poses = [_numbers(get(cells), f"csv row {i}") for get in pose_cells]
-        time, = _numbers((cells[time_col],), f"csv row {i} time")
-        action = (cells[action_col] or None) if action_col is not None else None  # empty: none
-        return index, time, poses, action
+            raise TraceFormatError(f"bad csv row {i}: index {cells[0]!r:.40}") from None
+        poses = [_numbers(tuple(cells[k:k + 4]), f"csv row {i}") for k in range(2, action_col, 4)]
+        time, = _numbers((cells[1],), f"csv row {i} time")
+        return index, time, poses, cells[action_col] or None  # an empty cell: no action
 
-    # a row is the writer's text only under the writer's columns
-    fmt = "csv" if names == _csv_columns(h["bodies"]) else None
-    return _rebuild(header, h, lines[2:], record, fmt)
+    return _rebuild(header, h, lines[2:], record, "csv")
 
 
 @_without_collector

@@ -15,7 +15,7 @@ from math import hypot
 from .config import SceneConfig
 from .programs import At, Formula, Not, Trace, contains_diamond, eval_formula
 from .errors import DiamondNotAllowed, TraceSceneMismatch, UnboundObjectError
-from .kinematics import Body, Rel, WorldState
+from .kinematics import Body, Rel, first_overlap
 from .lexicon import FLOOR_ID, PREP_ROLES, FloorContact, PathKind, RotationCoupling
 from .parser import EventFrame
 from .record import asdict, record
@@ -24,8 +24,6 @@ from .scene import Scene, ground_object_id
 ROTATION_COUPLING_TOL = 1e-4   # rad, loose against float accumulation
 ROTATION_NONE_TOL = 1e-9       # rad, tight against any real per-frame rotation
 TIMING_TOL = 1e-9              # s
-
-_PO = Rel.PO
 
 CHECK_NAMES = (
     "contact_profile",
@@ -126,7 +124,8 @@ def _scan(
     states = trace.states
     runs: list[tuple[Rel, int]] = []
     first = states[0]
-    po, step = _first_po(first, 0), None
+    pair, step = first_overlap(first), None
+    po = None if pair is None else (0, *pair)
     p, t = first.body(theme_id).position, first.time
     run, n = None, 0
     total = 0.0
@@ -144,7 +143,9 @@ def _scan(
         total += hypot(q[0] - p[0], q[2] - p[2])
         p = q
         if po is None:
-            po = _first_po(state, i)
+            pair = first_overlap(state)
+            if pair is not None:
+                po = (i, *pair)
         delta = state.time - t
         if step is None and abs(delta - dt) > TIMING_TOL:
             step = (i, delta)
@@ -152,17 +153,6 @@ def _scan(
     if n:
         runs.append((run, n))
     return runs, total, po, step
-
-
-def _first_po(state: WorldState, i: int) -> tuple[int, str, str] | None:
-    contacts = state.contacts
-    if _PO in contacts.values():
-        ids = list(state.bodies)
-        for k, a in enumerate(ids):
-            for b in ids[k + 1:]:
-                if contacts.get((a, b)) is _PO:
-                    return i, a, b
-    return None
 
 
 def _check_contact(runs: list[tuple[Rel, int]], contact: FloorContact) -> CheckResult:

@@ -14,7 +14,6 @@ from mosim.kinematics import (
     _point_box_distance,
     _unit_horizontal,
     hnorm,
-    refresh_contacts,
     rest_height,
     vadd,
     vnorm,
@@ -37,15 +36,18 @@ def ball_at(pos, r=0.5, **kw):
 
 
 def world(*bodies, cfg=None):
-    cfg = cfg or SceneConfig(seed=0)
-    return refresh_contacts(
-        WorldState(0.0, 0, {b.id: b for b in bodies}, cfg)
-    )
+    return WorldState(0.0, 0, {b.id: b for b in bodies}, cfg or SceneConfig(seed=0))
+
+
+def half_extents(box: Body):
+    # a box is width x height x depth, its depth along x
+    w, h, d = box.dimensions
+    return (d / 2, h / 2, w / 2)
 
 
 def box_surface_points(box: Body, per_axis: int = 60):
     """Brute-force sample of points on all six faces of an axis-aligned box."""
-    hx, hy, hz = box.half_extents
+    hx, hy, hz = half_extents(box)
     cx, cy, cz = box.position
     points = []
     def rng(c, h):
@@ -70,7 +72,7 @@ def oracle_sphere_box(center, r, box):
 
 class _OracleBox:
     position = WALL.position
-    half_extents = WALL.half_extents
+    half_extents = half_extents(WALL)
     surface_points = WALL_SURFACE
 
 
@@ -167,7 +169,7 @@ def test_tick_names_the_first_of_several_faults():
     # theme's own), a zero heading, an unknown action
     w = world(FLOOR, ball_at((0, 0.5, 0)), WALL)
     up = replace(w.body("ball"), heading=(0.0, 1.0, 0.0))
-    tilted = w.with_body(up)
+    tilted = WorldState(w.time, w.tick_index, {**w.bodies, "ball": up}, w.cfg, w.contacts)
     cases = [
         (ValueError, "^tick runs under the world's config; another config was given$",
          (w, "hop", "ghost", (0, 1, 0), SceneConfig(seed=1))),
@@ -355,7 +357,7 @@ def test_surface_distance_is_symmetric(a, b):
 
 def point_box_distance_oracle(p, box):
     """The generator-expression formula the unrolled kernel replaced."""
-    h = box.half_extents
+    h = half_extents(box)
     d = [abs(p[i] - box.position[i]) - h[i] for i in range(3)]
     # added left to right: sum() of floats is compensated from Python 3.12 on
     sq = [max(di, 0.0) ** 2 for di in d]
@@ -393,7 +395,7 @@ def offsets(draw, reach):
 
 def box_box_distance_oracle(a, pa, b, pb):
     """The list-and-generator formula the unrolled kernel replaced, added left to right."""
-    ha, hb = a.half_extents, b.half_extents
+    ha, hb = half_extents(a), half_extents(b)
     gaps = [abs(pa[i] - pb[i]) - ha[i] - hb[i] for i in range(3)]
     if all(g <= 0 for g in gaps):
         return max(gaps)
@@ -406,7 +408,7 @@ def box_pairs(draw):
     """Two boxes and where the second stands: at an offset from the first."""
     a, b = draw(bodies("a", shapes=(Shape.BOX,))), draw(bodies("b", shapes=(Shape.BOX,)))
     # faces touch at an offset of the two half extents summed along an axis
-    reach = tuple(x + y for x, y in zip(a.half_extents, b.half_extents))
+    reach = tuple(x + y for x, y in zip(half_extents(a), half_extents(b)))
     return a, b, tuple(c + o for c, o in zip(a.position, draw(offsets(reach))))
 
 
@@ -429,9 +431,10 @@ def test_unrolled_box_box_distance_matches_oracle_bit_for_bit(pair):
 @given(a=bodies("a", shapes=(Shape.SPHERE,)), b=bodies("b", shapes=(Shape.SPHERE,)),
        data=st.data())
 def test_unrolled_sphere_sphere_gap_matches_the_vector_form_bit_for_bit(a, b, data):
-    pb = tuple(c + o for c, o in zip(a.position, data.draw(offsets((a.radius + b.radius,) * 3))))
+    (ra,), (rb,) = a.dimensions, b.dimensions
+    pb = tuple(c + o for c, o in zip(a.position, data.draw(offsets((ra + rb,) * 3))))
     got = _gap(a, a.position, b, pb)
-    assert got.hex() == (vnorm(vsub(a.position, pb)) - a.radius - b.radius).hex()
+    assert got.hex() == (vnorm(vsub(a.position, pb)) - ra - rb).hex()
 
 
 def clamp_fraction_oracle(theme, start, proposed, obstacle):
@@ -470,17 +473,14 @@ ACTIONS = ("roll", "slide", "move", "fly", "bounce")
 @given(
     theme=bodies("theme", shapes=(Shape.SPHERE, Shape.BOX)),
     angle=st.floats(min_value=0.0, max_value=2 * math.pi, allow_nan=False),
-    hand_built=st.booleans(),
 )
-def test_tick_result_is_already_refreshed(theme, angle, hand_built):
+def test_tick_result_is_already_refreshed(theme, angle):
     cfg = SceneConfig(seed=0, speed=30.0)  # 0.5 m steps: clamps and contact changes happen
     w = WorldState(0.0, 0, {b.id: b for b in (FLOOR, theme, WALL)}, cfg)
-    if not hand_built:  # hand-built states keep their empty contact maps
-        w = refresh_contacts(w)
     direction = (math.cos(angle), 0.0, math.sin(angle))
     for action in ACTIONS:
         out = tick(w, action, "theme", direction)
-        assert refresh_contacts(out) == out
+        assert WorldState(out.time, out.tick_index, out.bodies, out.cfg) == out
 
 
 # -- the tick against the full-refresh kernel it replaced ---------------------------
@@ -659,7 +659,6 @@ def lifted_ball(height, floor_first, vy=0.0):
 @settings(max_examples=150, deadline=None)
 @given(
     scene=obstacle_scenes(),
-    hand_built=st.booleans(),
     speed=st.sampled_from([1.0, 30.0, 120.0]),    # 1.7 cm, 0.5 m and 2 m per tick
     steps=st.lists(
         # an angle of None ticks along the theme's own heading
@@ -669,22 +668,16 @@ def lifted_ball(height, floor_first, vy=0.0):
 )
 # a bounce in flight, a bounce landing (3 mm above the floor, falling at 2 m/s), a flight
 # at altitude, and a 5 cm drop that lands and rebounds; the floor before and after the theme
-@example(scene=lifted_ball(2.0, True), hand_built=False, speed=30.0, steps=[("bounce", None)] * 4)
-@example(scene=lifted_ball(2.0, False), hand_built=True, speed=30.0, steps=[("bounce", None)] * 4)
-@example(scene=lifted_ball(0.003, True, -2.0), hand_built=False, speed=1.0,
-         steps=[("bounce", None)] * 3)
-@example(scene=lifted_ball(0.003, False, -2.0), hand_built=False, speed=1.0,
-         steps=[("bounce", 0.3)] * 3)
-@example(scene=lifted_ball(1.5, True), hand_built=False, speed=30.0, steps=[("fly", None)] * 4)
-@example(scene=lifted_ball(1.5, False), hand_built=True, speed=120.0,
+@example(scene=lifted_ball(2.0, True), speed=30.0, steps=[("bounce", None)] * 4)
+@example(scene=lifted_ball(2.0, False), speed=30.0, steps=[("bounce", None)] * 4)
+@example(scene=lifted_ball(0.003, True, -2.0), speed=1.0, steps=[("bounce", None)] * 3)
+@example(scene=lifted_ball(0.003, False, -2.0), speed=1.0, steps=[("bounce", 0.3)] * 3)
+@example(scene=lifted_ball(1.5, True), speed=30.0, steps=[("fly", None)] * 4)
+@example(scene=lifted_ball(1.5, False), speed=120.0,
          steps=[("fly", -0.2), ("fly", None), ("roll", None)])
-@example(scene=lifted_ball(0.05, False), hand_built=False, speed=1.0, steps=[("bounce", None)] * 8)
-def test_tick_matches_the_full_refresh_kernel_bit_for_bit(scene, hand_built, speed, steps):
-    cfg = SceneConfig(seed=0, speed=speed)
-    w = WorldState(0.0, 0, scene, cfg)
-    if not hand_built:  # hand-built states keep their empty contact maps
-        w = refresh_contacts(w)
-    got = want = w
+@example(scene=lifted_ball(0.05, False), speed=1.0, steps=[("bounce", None)] * 8)
+def test_tick_matches_the_full_refresh_kernel_bit_for_bit(scene, speed, steps):
+    got = want = WorldState(0.0, 0, scene, SceneConfig(seed=0, speed=speed))
     for action, angle in steps:
         if angle is None:
             got = tick(got, action, "theme")
@@ -736,8 +729,6 @@ def test_executing_the_roll_to_the_wall_builds_one_body_per_tick():
 
 def test_flag_maps_are_copied_only_when_a_flag_changes():
     w = world(FLOOR, ball_at((0.0, 0.5, 0.0)), WALL)
-    again = refresh_contacts(w)  # nothing changed: the same dicts
-    assert again.bodies is w.bodies and again.contacts is w.contacts
     # far from the wall: the state shares the map, and the others their Body objects
     near = tick(w, "roll", "ball", (1.0, 0.0, 0.0))
     assert near.contacts is w.contacts
@@ -753,37 +744,23 @@ def test_flag_maps_are_copied_only_when_a_flag_changes():
     assert hit.body("floor") is w.body("floor") and hit.body("wall") is w.body("wall")
 
 
+def test_first_overlap_is_the_first_po_pair_in_bodies_order():
+    assert kinematics.first_overlap(world(FLOOR, ball_at((0.0, 0.5, 0.0)), WALL)) is None
+    inside = ball_at((5.0, 0.5, 0.0))  # in the wall, resting on the floor
+    assert kinematics.first_overlap(world(WALL, FLOOR, inside)) == ("wall", "ball")
+    assert kinematics.first_overlap(world(inside, FLOOR, WALL)) == ("ball", "wall")
+    # sunk into the floor as well: the floor's pair comes first, the floor named first
+    sunk = ball_at((5.0, 0.25, 0.0))
+    assert kinematics.first_overlap(world(FLOOR, WALL, sunk)) == ("floor", "ball")
+    assert kinematics.first_overlap(world(WALL, sunk, FLOOR)) == ("wall", "ball")
+
+
 def test_records_built_without_their_optional_fields():
     # a state built without a contact map gets its own, never a shared default
     a, b = (WorldState(0.0, 0, {}, SceneConfig(seed=0)) for _ in range(2))
     assert a.contacts == {} and a.contacts is not b.contacts
     # a body's default heading is PLUS_X itself, which tick takes without dividing
     assert ball_at((0.0, 0.5, 0.0)).heading is PLUS_X
-
-
-def test_a_partial_map_is_completed_in_bodies_order():
-    # a hand-built state that holds the ball-wall relation but no floor relation
-    given = {("ball", "wall"): Rel.DC, ("wall", "ball"): Rel.DC}
-    got = refresh_contacts(WorldState(0.0, 0, {"floor": FLOOR, "ball": ball_at((0.0, 0.5, 0.0)),
-                                               "wall": WALL}, SceneConfig(seed=0), given))
-    assert given == {("ball", "wall"): Rel.DC, ("wall", "ball"): Rel.DC}  # copied, not mutated
-    # the missing pairs are appended in bodies order, each under both orders at once
-    assert list(got.contacts.items()) == [
-        *given.items(),
-        (("floor", "ball"), Rel.EC), (("ball", "floor"), Rel.EC),
-        (("floor", "wall"), Rel.EC), (("wall", "floor"), Rel.EC),
-    ]
-
-
-@pytest.mark.parametrize("missing", [("floor", "wall"), ("wall", "floor"), ("ball", "wall")])
-def test_a_tick_of_a_partial_state_flags_every_pair(missing):
-    # a hand-built state that lacks one key: of a pair the theme is not in, or one it is
-    full = refresh_contacts(world(FLOOR, ball_at((4.39, 0.5, 0.0)), WALL))
-    partial = WorldState(full.time, full.tick_index, full.bodies, full.cfg,
-                         {k: r for k, r in full.contacts.items() if k != missing})
-    got = tick(partial, "roll", "ball", (1.0, 0.0, 0.0))
-    assert_same_state_bits(got, reference_tick(partial, "roll", "ball", (1.0, 0.0, 0.0)))
-    assert got == refresh_contacts(got)
 
 
 def _sphere(body_id, r, x, y=None):
@@ -810,7 +787,7 @@ EDGE_CASES = {
 @pytest.mark.parametrize("case", EDGE_CASES)
 def test_tick_matches_the_full_refresh_kernel_at_the_edges(case):
     cfg = SceneConfig(seed=0, speed=60.0)   # 1 m per tick
-    w = refresh_contacts(WorldState(0.0, 0, {b.id: b for b in EDGE_CASES[case]}, cfg))
+    w = WorldState(0.0, 0, {b.id: b for b in EDGE_CASES[case]}, cfg)
     got, want = (f(w, "slide", "theme", (1.0, 0.0, 0.0)) for f in (tick, reference_tick))
     assert_same_state_bits(got, want)
 
@@ -820,7 +797,7 @@ def test_tick_refuses_a_config_other_than_the_worlds():
     # under another config would mix two configs in one state
     scene = [_sphere("theme", 0.5, 0.0),
              Body("box", Shape.BOX, (1.0, 1.0, 0.2), False, (0.6015, 0.5, 0.0)), FLOOR]
-    w = refresh_contacts(WorldState(0.0, 0, {b.id: b for b in scene}, SceneConfig(seed=0)))
+    w = WorldState(0.0, 0, {b.id: b for b in scene}, SceneConfig(seed=0))
     for other in (SceneConfig(seed=0, contact_eps=2e-3), SceneConfig(seed=1)):
         with pytest.raises(ValueError, match="the world's config"):
             tick(w, "slide", "theme", PLUS_X, other)

@@ -44,7 +44,7 @@ from mosim.errors import (
     NoSuccessfulRun,
     UnboundObjectError,
 )
-from mosim.kinematics import Body, Rel, WorldState, refresh_contacts, surface_distance, tick as kin_tick
+from mosim.kinematics import Body, Rel, WorldState, contact_relation, surface_distance, tick as kin_tick
 from mosim.lexicon import Shape
 from mosim.parser import EventFrame, PathComponent
 from mosim.progtext import format_program, parse_program
@@ -99,7 +99,7 @@ def box(body_id, dims, x=0.0):
 
 
 def hand_built(*bodies):
-    """A state with the bodies as given: an empty contact map, default config."""
+    """A state of the bodies in the order given, its map measured, default config."""
     return WorldState(0.0, 0, {b.id: b for b in bodies}, SceneConfig(seed=0))
 
 
@@ -114,14 +114,16 @@ def assert_atoms_follow_the_flag(state, a, b):
     assert atoms(state, b, a) == expected
 
 
+# the two operand orders round this sphere gap to opposite sides of contact_eps
+SPLIT_PAIR = (sphere("a", 1.5784072486178067), sphere("b", 0.6414598158539085, 2.2208670644717152))
+
+
 def test_contact_atoms_agree_in_both_orders_at_the_eps_boundary():
-    # the two operand orders round this sphere gap to opposite sides of
-    # contact_eps, so a distance recomputed per formula made At(a, b) false
-    # and At(b, a) true
-    a, b = sphere("a", 1.5784072486178067), sphere("b", 0.6414598158539085, 2.2208670644717152)
+    # a distance recomputed per formula made At(a, b) false and At(b, a) true
+    a, b = SPLIT_PAIR
     eps = SceneConfig().contact_eps
     assert surface_distance(a, b) > eps >= surface_distance(b, a)
-    assert_atoms_follow_the_flag(refresh_contacts(hand_built(a, b)), "a", "b")
+    assert_atoms_follow_the_flag(hand_built(a, b), "a", "b")
 
 
 def _near_eps_pairs(rng, n):
@@ -148,7 +150,7 @@ def test_contact_atoms_agree_in_both_orders_over_near_eps_pairs():
     for a, b in _near_eps_pairs(random.Random(20161006), 2000):
         split += (surface_distance(a, b) <= eps) != (surface_distance(b, a) <= eps)
         for bodies in ((a, b), (b, a)):  # flags computed in either scene order
-            assert_atoms_follow_the_flag(refresh_contacts(hand_built(*bodies)), "a", "b")
+            assert_atoms_follow_the_flag(hand_built(*bodies), "a", "b")
     assert split > 0  # the sweep reaches pairs whose two orders disagree
 
 
@@ -157,25 +159,26 @@ FLOOR_BODY = Body(id="floor", shape=Shape.PLANE, dimensions=(), mobile=False,
 
 
 @pytest.mark.parametrize("x", [-3.0, 0.0, 0.5, 1.0 - 5e-4, 1.0, 1.0 + 5e-4, 1.0 + 2e-3, 6.0])
-def test_pairs_without_flags_give_what_refreshed_flags_give(x):
+def test_a_state_built_without_a_map_measures_every_pair(x):
     # x 1.0 puts the ball's surface on the block's face; smaller x overlaps them
-    state = hand_built(FLOOR_BODY, box("block", (1.0, 1.0, 1.0)), sphere("ball", 0.5, x))
-    refreshed = refresh_contacts(state)
-    assert not state.contacts
-    for a in state.bodies:
-        for b in state.bodies:
-            if a == b == "floor":
-                continue  # plane with plane is unsupported in either state
-            assert atoms(state, a, b) == atoms(refreshed, a, b)
+    eps = SceneConfig().contact_eps
+    scene = (FLOOR_BODY, box("block", (1.0, 1.0, 1.0)), sphere("ball", 0.5, x))
+    assert contact_relation(*SPLIT_PAIR, eps) is not contact_relation(*SPLIT_PAIR[::-1], eps)
+    for bodies in (scene, scene[::-1], SPLIT_PAIR, SPLIT_PAIR[::-1]):
+        want = {}
+        for k, a in enumerate(bodies):
+            for b in bodies[k + 1:]:
+                if a.shape is not Shape.PLANE or b.shape is not Shape.PLANE:  # plane with plane has no gap
+                    want[a.id, b.id] = want[b.id, a.id] = contact_relation(a, b, eps)
+        assert hand_built(*bodies).contacts == want
 
 
 @pytest.mark.parametrize("atom", [At, EC, DC])
 def test_unbound_object_in_either_argument_raises(atom):
     state = hand_built(FLOOR_BODY, sphere("ball", 0.5))
-    for s in (state, refresh_contacts(state)):
-        for args in (("ball", "ghost"), ("ghost", "ball"), ("ghost", "ghost")):
-            with pytest.raises(UnboundObjectError):
-                eval_formula(atom(*args), s)
+    for args in (("ball", "ghost"), ("ghost", "ball"), ("ghost", "ghost")):
+        with pytest.raises(UnboundObjectError):
+            eval_formula(atom(*args), state)
 
 
 def test_eq_on_vectors_uses_euclidean_distance(probe):
@@ -358,7 +361,7 @@ def test_the_flight_refusal_equals_the_search(radius, height, offset, run_seed):
     bird = Body("bird", Shape.SPHERE, (radius,), True,
                 (0.4 - radius, height + cfg.contact_eps + offset + radius, 0.0))
     floor = Body("floor", Shape.PLANE, (), False, (0.0, 0.0, 0.0))
-    s0 = refresh_contacts(WorldState(0.0, 0, {"floor": floor, "bird": bird, "block": block}, cfg))
+    s0 = WorldState(0.0, 0, {"floor": floor, "bird": bird, "block": block}, cfg)
     program = programs._goal_loop("fly", "bird", At("bird", "block"), 60)
     assert executed(program, s0, run_seed, 60) == searched(program, s0, run_seed, 60)
 

@@ -35,7 +35,7 @@ def test_running_example_placement(lex, cfg):
     wall = sc.initial.body("wall")
     assert ball.position == (0.0, 0.5, 0.0)
     # near face of the goal sits at ground_distance - halfdepth
-    assert wall.position[0] - wall.half_extents[0] == pytest.approx(4.9)
+    assert wall.position[0] - wall.dimensions[2] / 2 == pytest.approx(4.9)
     assert sc.direction == (1.0, 0.0, 0.0)
     # surface gap equals ground_distance - radius - halfdepth
     gap = surface_distance(ball, wall)

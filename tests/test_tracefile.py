@@ -2,7 +2,6 @@ import gc
 import json
 import math
 import random
-from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import event, given, seed, settings, strategies as st
 from mosim import SceneConfig, build_scene, compile_event, execute, parse_text, read_trace, write_trace
 from mosim import kinematics, tracefile
 from mosim.errors import DocumentFormatError, MosimError, TraceFormatError, UnsupportedShapePair
-from mosim.kinematics import PLUS_X, Body, WorldState, contact_relation, refresh_contacts
+from mosim.kinematics import PLUS_X, Body, WorldState, contact_relation
 from mosim.lexicon import FLOOR_ID, PREPOSITIONS, TICK_ACTIONS, Shape, load_lexicon
 from mosim.programs import Trace
 from mosim.record import replace
@@ -26,6 +25,11 @@ def make_run(lex, cfg, sentence="the ball rolled to the wall"):
     program = compile_event(frame, lex, cfg)
     trace = execute(program, scene.initial, stream_for(cfg.seed, "choice"), cfg.max_frames)
     return frame, scene, trace
+
+
+def with_body(state, body):
+    """``state`` with ``body`` put in, its contact map measured anew."""
+    return WorldState(state.time, state.tick_index, {**state.bodies, body.id: body}, state.cfg)
 
 
 def test_floats_use_17_significant_digits_and_round_trip():
@@ -281,15 +285,15 @@ def hand_built_runs(draw, actions=("roll", "slide")):
         shape = draw(st.sampled_from([Shape.SPHERE, Shape.BOX]))
         dims = (0.3,) if shape is Shape.SPHERE else (1.0, 2, 0.25)
         bodies[bid] = Body(bid, shape, dims, False, draw(POINT))
-    states = [refresh_contacts(WorldState(draw(NUMBER), 0, bodies, cfg))]
+    states = [WorldState(draw(NUMBER), 0, bodies, cfg)]
     labels = []
     for k in range(draw(st.integers(min_value=0, max_value=4))):
-        world = states[-1]
-        mover = draw(st.sampled_from([None, *world.bodies]))
+        bodies = states[-1].bodies
+        mover = draw(st.sampled_from([None, *bodies]))
         if mover is not None:
-            moved = replace(world.bodies[mover], position=draw(POINT), rotation=draw(NUMBER))
-            world = world.with_body(moved)
-        states.append(refresh_contacts(WorldState(draw(NUMBER), k + 1, world.bodies, cfg)))
+            moved = replace(bodies[mover], position=draw(POINT), rotation=draw(NUMBER))
+            bodies = {**bodies, mover: moved}
+        states.append(WorldState(draw(NUMBER), k + 1, bodies, cfg))
         labels.append(draw(st.sampled_from(actions)))
     ground_id = draw(st.sampled_from([None, FLOOR_ID, *others]))
     scene = Scene(initial=states[0], theme_id=theme_id, ground_id=ground_id,
@@ -339,7 +343,7 @@ def ticked_runs(draw):
         shape = draw(st.sampled_from([Shape.SPHERE, Shape.BOX]))
         dims = (0.3,) if shape is Shape.SPHERE else (1.0, 2.0, 0.25)
         bodies[bid] = Body(bid, shape, dims, False, draw(FLOAT_POINT))
-    states = [refresh_contacts(WorldState(0.0, 0, bodies, cfg))]
+    states = [WorldState(0.0, 0, bodies, cfg)]
     labels = tuple(draw(st.lists(st.sampled_from(sorted(TICK_ACTIONS)), max_size=4)))
     for label in labels:
         states.append(kinematics.tick(states[-1], label, theme_id))
@@ -361,7 +365,7 @@ def test_read_back_flags_equal_a_full_refresh(tmp_path_factory, run, fmt):
     got = read_trace(path).trace
     assert got.labels == trace.labels
     for state, written in zip(got.states, trace.states, strict=True):
-        assert state == refresh_contacts(state)
+        assert state == WorldState(state.time, state.tick_index, state.bodies, state.cfg)
         assert state.contacts == written.contacts
         for bid, body in written.bodies.items():
             assert (*state.body(bid).position, state.body(bid).rotation) == (*body.position, body.rotation)
@@ -447,7 +451,7 @@ def test_read_back_compares_poses_bit_for_bit(tmp_path, lex, cfg, fmt, signs):
         assert_same_bits(g, w)
     # a slide keeps the first state's rotation: -0.0 in csv, 0.0 in jsonl
     frame, scene, trace = make_run(lex, cfg, "the ball slid to the wall")
-    states = [scene.initial.with_body(replace(scene.initial.body("ball"), rotation=-0.0))]
+    states = [with_body(scene.initial, replace(scene.initial.body("ball"), rotation=-0.0))]
     for label in trace.labels[:2]:
         states.append(kinematics.tick(states[-1], label, "ball"))
     path = tmp_path / f"slide.{fmt}"
@@ -476,11 +480,11 @@ def tampered(trace, theme_id, what, k):
     state = states[k]
     if what == "theme x":  # to the wall's face in the roll to the wall
         theme = state.body(theme_id)
-        states[k] = state.with_body(replace(theme, position=(4.39, *theme.position[1:])))
+        states[k] = with_body(state, replace(theme, position=(4.39, *theme.position[1:])))
     elif what == "static pose":
         static = next(b for b in state.bodies.values() if b.id != theme_id)
         x, y, z = static.position
-        states[k] = state.with_body(replace(static, position=(x, y + 0.25, z)))
+        states[k] = with_body(state, replace(static, position=(x, y + 0.25, z)))
     elif what == "time":
         states[k] = WorldState(state.time + 0.25, k, state.bodies, state.cfg, state.contacts)
     else:
@@ -658,39 +662,24 @@ def reference_read(path) -> Trace:
             f"invalid JSON in trace file: {exc.msg} (line {n}, column {exc.colno + 2})"
         ) from exc
     header = _parse_header(header)
-    names = lines[1].split(",")
-    where = {name: k for k, name in enumerate(names)}
     axes = ("x", "y", "z", "rot")
-    known = ["index", "time", *(f"{bid}_{a}" for bid in header["bodies"] for a in axes),
+    names = ["index", "time", *(f"{bid}_{a}" for bid in header["bodies"] for a in axes),
              "action", "floor_contact", "goal_contact"]
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        raise TraceFormatError(f"csv trace has an unknown column {unknown[0]!r:.40}")
-
-    def column(name):
-        try:
-            return where[name]
-        except KeyError:
-            raise TraceFormatError(f"csv trace has no {name!r} column") from None
-
-    index_col, time_col, action_col = column("index"), column("time"), where.get("action")
-    pose_cells = [
-        itemgetter(*(column(f"{bid}_{axis}") for axis in ("x", "y", "z", "rot")))
-        for bid in header["bodies"]
-    ]
+    if lines[1] != ",".join(names):
+        raise TraceFormatError(f"csv trace must have the column line {','.join(names)!r}")
 
     def record(i, line):
         cells = line.split(",")
         if len(cells) != len(names):
             raise TraceFormatError(f"row has {len(cells)} cells, expected {len(names)}")
         try:
-            index = int(cells[index_col])
+            index = int(cells[0])
         except ValueError:
-            raise TraceFormatError(f"bad csv row {i}: index {cells[index_col]!r:.40}") from None
-        poses = [_ref_numbers(get(cells), f"csv row {i}") for get in pose_cells]
-        time, = _ref_numbers((cells[time_col],), f"csv row {i} time")
-        action = (cells[action_col] or None) if action_col is not None else None
-        return index, time, poses, action
+            raise TraceFormatError(f"bad csv row {i}: index {cells[0]!r:.40}") from None
+        poses = [_ref_numbers(tuple(cells[2 + 4 * k:6 + 4 * k]), f"csv row {i}")
+                 for k in range(len(header["bodies"]))]
+        time, = _ref_numbers((cells[1],), f"csv row {i} time")
+        return index, time, poses, cells[-3] or None
 
     return _ref_rebuild(header, lines[2:], record)
 
@@ -843,11 +832,19 @@ def edit_row(edit):
     return damage
 
 
+def edit_columns(edit):
+    def damage(lines, fmt):
+        names = lines[1].split(",")
+        edit(names)
+        lines[1] = ",".join(names)
+    return damage
+
+
 def replayed(trace, scene, **changes):
     """``trace`` and ``scene`` with the theme's first state changed by ``changes``
     and the trace's labels ticked again from there: a tick chain still."""
     first = scene.initial
-    states = [refresh_contacts(first.with_body(replace(first.body(scene.theme_id), **changes)))]
+    states = [with_body(first, replace(first.body(scene.theme_id), **changes))]
     for label in trace.labels:
         states.append(kinematics.tick(states[-1], label, scene.theme_id))
     direction = changes.get("heading", scene.direction)
@@ -937,12 +934,31 @@ CSV_FAULTS = {
     "no-action": edit_row(lambda c: c.__setitem__(-3, "")),
     "header-not-json": lambda lines, fmt: lines.__setitem__(0, lines[0].replace(":", "", 1)),
     "extra-column": lambda lines, fmt: lines.__setitem__(slice(1, None), [l + ",x" for l in lines[1:]]),
+    # the column line alone changed: names the reader once mapped to their cells
+    "body-columns-swapped": edit_columns(lambda n: n.__setitem__(slice(6, 14), n[10:14] + n[6:10])),
+    "axes-swapped": edit_columns(lambda n: n.__setitem__(slice(6, 8), n[7:5:-1])),
+    "no-action-column": edit_columns(lambda n: n.remove("action")),
+    "no-goal-column": edit_columns(lambda n: n.remove("goal_contact")),
+    "index-renamed": edit_columns(lambda n: n.__setitem__(0, "idx")),
 }
+# the one refusal of every column line but the writer's, for the roll to the wall
+COLUMN_LINE_MESSAGE = (
+    "csv trace must have the column line 'index,time,floor_x,floor_y,floor_z,floor_rot,"
+    "ball_x,ball_y,ball_z,ball_rot,wall_x,wall_y,wall_z,wall_rot,action,floor_contact,goal_contact'"
+)
 FAULTS = [
     *((fmt, name, damage) for name, damage in HEADER_FAULTS.items() for fmt in ("jsonl", "csv")),
     *(("jsonl", name, damage) for name, damage in JSONL_FAULTS.items()),
     *(("csv", name, damage) for name, damage in CSV_FAULTS.items()),
 ]
+
+
+@pytest.mark.parametrize("name", ["body-columns-swapped", "axes-swapped", "no-action-column",
+                                  "no-goal-column", "index-renamed"])
+def test_a_column_line_other_than_the_writers_is_refused(tmp_path, lex, name):
+    with pytest.raises(TraceFormatError) as got:
+        read_trace(written_trace(tmp_path / "t.csv", lex, CSV_FAULTS[name]))
+    assert str(got.value) == COLUMN_LINE_MESSAGE
 
 
 @pytest.mark.parametrize("fmt,damage", [(fmt, damage) for fmt, _, damage in FAULTS],
@@ -997,7 +1013,7 @@ RECORD_MESSAGES = [
     ("jsonl", "pos-an-object-of-3-digit-keys",
      "expected a list of finite numbers (field record 2.bodies.ball.pos)"),
     ("jsonl", "time-infinite", "expected a finite number (field record 2.time)"),
-    ("csv", "extra-column", "csv trace has an unknown column 'x'"),
+    ("csv", "extra-column", COLUMN_LINE_MESSAGE),
 ]
 
 
