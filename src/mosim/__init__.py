@@ -57,11 +57,9 @@ from .rng import SplitMix64, stream_for
 from .scene import Scene, bare_duration, build_scene, free_direction, probe_scene
 from .tracefile import TraceDocument, read_trace, write_trace
 from .verify import (
-    CheckOutcome,
     CheckResult,
     TraceMetrics,
     VerificationReport,
-    check_formula_on_trace,
     trace_metrics,
     verify_trace,
 )

@@ -174,6 +174,10 @@ class DimensionMismatchError(MosimError):
     """Term arithmetic mixed scalars and vectors inconsistently."""
 
 
+class NonFiniteValueError(MosimError):
+    """An assignment would put an infinite or NaN number into a state."""
+
+
 class NoSuccessfulRun(MosimError):
     def __init__(self, detail: str):
         self.detail = detail
@@ -219,8 +223,3 @@ class SceneBuildError(MosimError):
 
 class TraceSceneMismatch(MosimError):
     """A trace that does not fit the scene it is verified against."""
-
-
-class DiamondNotAllowed(MosimError):
-    def __init__(self) -> None:
-        super().__init__("modal subformulas are not allowed in trace-level checks")

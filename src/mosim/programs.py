@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import gc
 from functools import wraps
+from math import isfinite
 from typing import Union
 
 from . import kinematics
@@ -27,6 +28,7 @@ from .errors import (
     DimensionMismatchError,
     ExplosionGuard,
     IncompatiblePathError,
+    NonFiniteValueError,
     NoSuccessfulRun,
 )
 from .kinematics import _DC, _EC, Vec3, WorldState, contact_relation
@@ -192,16 +194,6 @@ def truth() -> Formula:
     return Eq(Const(0.0), Const(0.0), 1.0)
 
 
-def contains_diamond(f: Formula) -> bool:
-    if isinstance(f, Diamond):
-        return True
-    if isinstance(f, Not):
-        return contains_diamond(f.sub)
-    if isinstance(f, (And, Or)):
-        return contains_diamond(f.left) or contains_diamond(f.right)
-    return False
-
-
 @record
 class EvalResult:
     value: bool
@@ -316,9 +308,12 @@ def _set_attr(state: WorldState, attr: Attr, value: Value) -> WorldState:
     if attr.name == "rot":
         if _is_vec(value):
             raise DimensionMismatchError("rotation takes a scalar")
-        body = replace(body, rotation=float(value))
     elif not _is_vec(value) or len(value) != 3:
         raise DimensionMismatchError(f"{attr.name} takes a 3-vector")
+    if not all(map(isfinite, value if _is_vec(value) else (value,))):
+        raise NonFiniteValueError(f"({attr.name} {attr.obj}) would be assigned {value!r}")
+    if attr.name == "rot":
+        body = replace(body, rotation=float(value))
     elif attr.name == "loc":
         # a moved body's relations change: the successor measures its map anew
         body, contacts = replace(body, position=value), None

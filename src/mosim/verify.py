@@ -5,7 +5,8 @@ on every post-tick state, rotation couples to path length the way the
 manner demands, the path's pre and post tests hold at the trace ends,
 and the trace itself is mechanically sound (no interpenetration, uniform
 timestep).  Each report lists the same six checks so reports from
-different verbs stay comparable.
+different verbs stay comparable.  The checks read each contact relation
+they need from the states' own map, ``WorldState.contacts``.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 from math import hypot
 
 from .config import SceneConfig
-from .programs import At, Formula, Not, Trace, contains_diamond, eval_formula
-from .errors import DiamondNotAllowed, TraceSceneMismatch, UnboundObjectError
+from .programs import Trace
+from .errors import TraceSceneMismatch
 from .kinematics import Body, Rel, first_overlap
 from .lexicon import FLOOR_ID, PREP_ROLES, FloorContact, PathKind, RotationCoupling
 from .parser import EventFrame
@@ -33,16 +34,6 @@ CHECK_NAMES = (
     "no_penetration",
     "uniform_timing",
 )
-
-MODES = ("initially", "finally", "throughout")
-
-
-@record
-class CheckOutcome:
-    passed: bool
-    offending_index: int | None = None
-    detail: str = ""
-
 
 @record
 class CheckResult:
@@ -86,28 +77,6 @@ class VerificationReport:
             "checks": [c.to_dict() for c in self.checks],
             "metrics": self.metrics.to_dict(),
         }
-
-
-def check_formula_on_trace(trace: Trace, f: Formula, mode: str) -> CheckOutcome:
-    """Evaluate a modal-free formula at the first, last, or every state."""
-    if contains_diamond(f):
-        raise DiamondNotAllowed()
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if mode == "initially":
-        indices = [0]
-    elif mode == "finally":
-        indices = [len(trace.states) - 1]
-    else:
-        indices = range(len(trace.states))
-    for i in indices:
-        try:
-            result = eval_formula(f, trace.states[i], budget=1)
-        except UnboundObjectError as exc:
-            return CheckOutcome(False, i, f"unbound object: {exc.object_id}")
-        if not result.value:
-            return CheckOutcome(False, i, f"formula false at state {i}")
-    return CheckOutcome(True)
 
 
 def _scan(
@@ -243,24 +212,27 @@ def _path_checks(
         )
     # the sentence's own ground drives the tests; an unbound ground
     # surfaces as a failing check, not an error
-    goal = At(scene.theme_id, ground_object_id(frame))
+    theme_id, ground_id = scene.theme_id, ground_object_id(frame)
+
+    def check(name: str, i: int, at: bool, held: str) -> CheckResult:
+        # the theme is at the ground when their relation is not DC
+        state = trace.states[i]
+        if ground_id not in state.bodies:
+            return CheckResult(name, False, i, f"unbound object: {ground_id}")
+        if (state.contacts[theme_id, ground_id] is not Rel.DC) is at:
+            return CheckResult(name, True, None, held)
+        return CheckResult(name, False, i, f"formula false at state {i}")
+
+    last = len(trace.states) - 1
     if role is PathKind.ARRIVE:
         if trace.tick_count == 0:
             pre = CheckResult("path_pre", True, None, "zero-motion trace: theme began at the goal")
         else:
-            got = check_formula_on_trace(trace, Not(goal), "initially")
-            pre = CheckResult("path_pre", got.passed, got.offending_index,
-                              got.detail or "theme apart from goal at start")
-        got = check_formula_on_trace(trace, goal, "finally")
-        post = CheckResult("path_post", got.passed, got.offending_index,
-                           got.detail or "theme at goal at end")
+            pre = check("path_pre", 0, False, "theme apart from goal at start")
+        post = check("path_post", last, True, "theme at goal at end")
     else:  # source path: from
-        got = check_formula_on_trace(trace, goal, "initially")
-        pre = CheckResult("path_pre", got.passed, got.offending_index,
-                          got.detail or "theme in contact with source at start")
-        got = check_formula_on_trace(trace, Not(goal), "finally")
-        post = CheckResult("path_post", got.passed, got.offending_index,
-                           got.detail or "theme away from source at end")
+        pre = check("path_pre", 0, True, "theme in contact with source at start")
+        post = check("path_post", last, False, "theme away from source at end")
     return pre, post
 
 

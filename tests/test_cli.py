@@ -267,6 +267,21 @@ def test_enumerate_bad_program_text_exits_2_with_one_line(tmp_path, capsys, text
     assert err.startswith("ProgramTextError: ") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text,message", [
+    ("(seq (assign (loc ball) (scale 1e308 (vec 10 0.5 0))) (choice (tick roll) (tick roll)))",
+     "(loc ball) would be assigned (inf, 5e+307, 0.0)"),
+    ("(assign (rot ball) (scale 1e308 10))", "(rot ball) would be assigned inf"),
+    ("(dassign (vel ball) (sub (scale 1e308 (vec 1 0 0)) (scale 1e308 (vec -1 0 0))))",
+     "(vel ball) would be assigned (inf, 0.0, 0.0)"),
+], ids=["loc-inf", "rot-inf", "dassign-vel-inf"])
+def test_enumerate_refuses_a_non_finite_assignment_with_one_line(tmp_path, capsys, text, message):
+    prog = tmp_path / "p.txt"
+    prog.write_text(text)
+    assert run(["enumerate", "--program", str(prog)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"NonFiniteValueError: {message}\n" and captured.out == ""
+
+
 def _mosim(*args, **kwargs):
     env = {**os.environ, "PYTHONPATH": SRC}
     return subprocess.Popen([sys.executable, *args], env=env, text=True, **kwargs)

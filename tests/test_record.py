@@ -11,7 +11,6 @@ import pytest
 from mosim import (
     SceneConfig,
     build_scene,
-    check_formula_on_trace,
     compile_event,
     execute,
     parse_text,
@@ -89,7 +88,7 @@ def samples(lex, tmp_path_factory):
         cfg, built.initial.body("ball"), built.initial, lex.lookup_noun("ball"),
         frame.verb, frame.verb.profile, frame.path, frame,
         built, read_trace(path),
-        check_formula_on_trace(trace, at, "finally"), report.checks[0], report.metrics, report,
+        report.checks[0], report.metrics, report,
     ]
     return {type(item): item for item in items}
 
@@ -102,7 +101,7 @@ def _dataclass_twin(rec):
 
 
 def test_samples_cover_every_record_class(samples):
-    assert len(RECORD_CLASSES) == 39
+    assert len(RECORD_CLASSES) == 38
     assert set(samples) == set(RECORD_CLASSES)
 
 

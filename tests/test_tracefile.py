@@ -318,6 +318,18 @@ def test_writer_matches_generic_json_walk_on_hand_built_traces(tmp_path_factory,
     assert path.read_bytes() == oracle_bytes(fmt, "a sentence, with «quotes»", trace, scene, cfg)
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("field, value", [("speed", 2.0), ("seed", 5), ("contact_eps", 0.01)])
+def test_writer_refuses_a_config_the_trace_did_not_run_under(tmp_path, lex, cfg, fmt, field, value):
+    _, scene, trace = make_run(lex, cfg)
+    path = tmp_path / f"t.{fmt}"
+    other = cfg.replace(**{field: value})
+    message = rf"^cfg is not the config the trace ran under \(it differs in {field}\)$"
+    with pytest.raises(ValueError, match=message):
+        write_trace(path, fmt, "the ball rolled to the wall", trace, scene, other)
+    assert not path.exists()
+
+
 FLOAT = NUMBER.map(float)  # written as an integer where it is one
 FLOAT_POINT = st.tuples(FLOAT, FLOAT, FLOAT)
 

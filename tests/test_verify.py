@@ -1,24 +1,16 @@
 import pytest
 
 from mosim import (
-    At,
-    DC,
-    Diamond,
-    EC,
-    Not,
+    CheckResult,
     SceneConfig,
-    Star,
-    Tick,
     build_scene,
-    check_formula_on_trace,
     compile_event,
     execute,
     parse_text,
     trace_metrics,
-    truth,
     verify_trace,
 )
-from mosim.errors import DiamondNotAllowed, TraceSceneMismatch
+from mosim.errors import TraceSceneMismatch
 from mosim.kinematics import Rel
 from mosim.parser import EventFrame
 from mosim.programs import Trace
@@ -128,28 +120,22 @@ def test_discrimination_matrix(lex, cfg):
             assert report.overall == (not expected_failures), (v, w)
 
 
-def test_check_formula_modes(lex, cfg):
-    frame, scene, trace = run_sentence("the ball rolled to the wall", lex, cfg)
-    assert check_formula_on_trace(trace, EC("ball", "floor"), "throughout").passed
-    assert check_formula_on_trace(trace, Not(At("ball", "wall")), "initially").passed
-    assert check_formula_on_trace(trace, At("ball", "wall"), "finally").passed
-    failed = check_formula_on_trace(trace, At("ball", "wall"), "initially")
-    assert not failed.passed
-    assert failed.offending_index == 0
+def test_path_checks_name_the_state_where_the_relation_is_wrong(lex, cfg):
+    _, scene, trace = run_sentence("the ball rolled to the wall", lex, cfg)
+    report = verify_trace(trace, parse_text("the ball rolled from the wall", lex), scene, cfg)
+    assert report.check("path_pre") == CheckResult("path_pre", False, 0, "formula false at state 0")
+    last = len(trace.states) - 1
+    assert report.check("path_post") == CheckResult(
+        "path_post", False, last, f"formula false at state {last}"
+    )
 
 
-def test_check_formula_surfaces_unbound_as_failure(lex, cfg):
-    frame, scene, trace = run_sentence("the ball rolled", lex, cfg)
-    got = check_formula_on_trace(trace, At("ball", "wall"), "finally")
-    assert not got.passed
-    assert "unbound" in got.detail
-
-
-def test_check_formula_rejects_diamond(lex, cfg):
-    frame, scene, trace = run_sentence("the ball rolled", lex, cfg)
-    modal = Diamond(Star(Tick("roll", "ball"), 2), truth())
-    with pytest.raises(DiamondNotAllowed):
-        check_formula_on_trace(trace, modal, "finally")
+def test_an_unbound_ground_fails_both_path_checks(lex, cfg):
+    _, scene, trace = run_sentence("the ball rolled", lex, cfg)
+    report = verify_trace(trace, parse_text("the ball rolled to the block", lex), scene, cfg)
+    last = len(trace.states) - 1
+    assert report.check("path_pre") == CheckResult("path_pre", False, 0, "unbound object: block")
+    assert report.check("path_post") == CheckResult("path_post", False, last, "unbound object: block")
 
 
 def test_trace_scene_mismatch(lex, cfg):
@@ -186,9 +172,14 @@ def test_metrics_report_roll_geometry(lex, cfg):
     assert m.contact_intervals == 1
 
 
-def test_dc_throughout_on_fly_trace(lex, cfg):
+def test_fly_trace_is_clear_of_the_floor_on_every_tick(lex, cfg):
     frame, scene, trace = run_sentence("the bird flew", lex, cfg)
-    assert check_formula_on_trace(trace, DC("bird", "floor"), "throughout").passed
+    n = trace.tick_count
+    assert n > 0
+    assert all(s.contacts["bird", "floor"] is Rel.DC for s in trace.states[1:])
+    assert verify_trace(trace, frame, scene, cfg).check("contact_profile") == CheckResult(
+        "contact_profile", True, None, f"floor DC on all {n} tick states"
+    )
 
 
 @pytest.mark.parametrize("sentence", CORPUS + ["the ball bounced to the floor"])
