@@ -17,6 +17,12 @@ record and a program's ``loc`` assignment are built, and every later state is
 a tick's.  No body is rebuilt for a relation's sake.  The gap kernels are
 straight-line float arithmetic with no ``max``, ``min`` or ``sum`` calls,
 added left to right, so they give the same bits on every Python version.
+A tick runs no kernel against an obstacle that its ``DC`` relation and its
+x-interval show to be out of reach over the whole step: two convex bodies are
+at least as far apart as their projections on any axis, and every kernel
+returns at least the x separation to within a few ulps, far inside the
+margin the gate keeps.  So the relation it records, ``DC``, and the clamp it
+skips are the kernel's own, and no bit of any state changes.
 """
 
 from __future__ import annotations
@@ -307,6 +313,12 @@ def tick(
     bounce on floor crossing.  Any action stops at the surface of a goal
     body instead of entering it.
 
+    An obstacle whose relation to the theme is ``DC`` gets no gap kernel when
+    their x-intervals lie more than ``contact_eps`` apart, plus a relative
+    margin of 1e-9, with the theme's interval taken over the whole step from
+    its old position to the new one: the separation is a lower bound on
+    their gap, so it decides the same ``DC`` and the same absence of a clamp.
+
     ``direction`` defaults to the theme's own heading.  The tick runs under
     ``world.cfg``, whose ``contact_eps`` decided the relations it reads; ``cfg``
     is accepted only as that config, and any other raises ``ValueError``.
@@ -355,8 +367,9 @@ def tick(
         vy = 0.0
 
     # Clamp against every solid body but the floor, in bodies order.  ``gaps``
-    # keeps each obstacle's gap, theme first, measured at ``pos``; moving the
-    # theme back empties it.
+    # keeps each obstacle's gap, theme first, measured at ``pos``, or the x
+    # separation that stands in for a gap beyond eps; moving the theme back
+    # empties it.
     eps = cfg.contact_eps
     contacts = world.contacts
     pos = (x, y, z)
@@ -366,14 +379,30 @@ def tick(
         if other is theme:
             seen = True
             continue
-        if other.shape is _PLANE:
+        oshape = other.shape
+        if oshape is _PLANE:
             continue
-        d_new = _gap(theme, pos, other, other.position)
-        # a DC relation means d_old > eps, so the branch below cannot be taken;
-        # it was measured in bodies order, which a like shape before the theme
-        # reverses (see _gap)
-        if not ((seen or other.shape is not shape) and contacts.get((theme_id, key)) is _DC):
-            d_old = _gap(theme, p0, other, other.position)
+        at = other.position
+        # a DC relation means d_old > eps, so the contact branch below cannot be
+        # taken; it was measured in bodies order, which a like shape before the
+        # theme reverses (see _gap)
+        dc = (seen or oshape is not shape) and contacts.get((theme_id, key)) is _DC
+        if dc and shape is not _PLANE:
+            # the x-interval gate: the theme's x-interval over the whole step,
+            # from p0 to pos, against the obstacle's; their separation is a
+            # lower bound on the gap, kept as the gap when it decides DC
+            hx = dims[0] if shape is _SPHERE else dims[2] / 2.0
+            ohx = other.dimensions[0] if oshape is _SPHERE else other.dimensions[2] / 2.0
+            lo, hi, ox = p0[0], pos[0], at[0]
+            if hi < lo:
+                lo, hi = hi, lo
+            sep = ox - ohx - hi - hx if ox > hi else lo - hx - ox - ohx
+            if sep - eps > 1e-9 * (abs(lo) + abs(hi) + abs(ox) + hx + ohx):
+                gaps[key] = sep
+                continue
+        d_new = _gap(theme, pos, other, at)
+        if not dc:
+            d_old = _gap(theme, p0, other, at)
             if d_old <= eps and d_new < d_old:
                 # already in contact and not separating: no further motion
                 pos = (p0[0], pos[1], p0[2])

@@ -164,12 +164,15 @@ def write_trace(
             raise ValueError(
                 f"label {label!r:.40} is not a tick action (one of {', '.join(sorted(TICK_ACTIONS))})"
             )
+    ids = list(trace.states[0].bodies)
+    scene_ids = list(scene.initial.bodies)
+    if set(scene_ids) != set(ids):  # the header binds the scene's ids to the trace's bodies
+        raise ValueError(f"scene bodies {scene_ids} are not the trace's bodies {ids}")
     ran = trace.states[0].cfg
     if cfg != ran:  # the reader ticks each state under the header's config
         differ = ", ".join(k for k, v in cfg.to_dict().items() if v != getattr(ran, k))
         raise ValueError(f"cfg is not the config the trace ran under (it differs in {differ})")
     header = _json_value(_header_dict(sentence, trace, scene, cfg))
-    ids = list(trace.states[0].bodies)
     lines = [header] if fmt == "jsonl" else ["# " + header, ",".join(_csv_columns(ids))]
     line = _line_format(fmt, ids, scene.theme_id, scene.ground_id)
     labels = (None, *trace.labels)

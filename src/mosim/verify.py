@@ -88,11 +88,15 @@ def _scan(
     as (relation, length); the theme's horizontal path length, summed state by
     state; the first ``PO`` relation as (state, body id, other id), at the first
     pair in bodies order with the earlier body named first; and the first step
-    off ``dt`` as (step, its length).
+    off ``dt`` as (step, its length).  The ``PO`` scan reads only a map that
+    is not the previous state's: a tick that changes no relation passes its
+    predecessor's map on, and a map a state holds is never mutated (see
+    ``WorldState``), so the same map holds no new ``PO`` pair.
     """
     states = trace.states
     runs: list[tuple[Rel, int]] = []
     first = states[0]
+    contacts = first.contacts
     pair, step = first_overlap(first), None
     po = None if pair is None else (0, *pair)
     p, t = first.body(theme_id).position, first.time
@@ -111,7 +115,8 @@ def _scan(
         q = theme.position
         total += hypot(q[0] - p[0], q[2] - p[2])
         p = q
-        if po is None:
+        if po is None and state.contacts is not contacts:
+            contacts = state.contacts
             pair = first_overlap(state)
             if pair is not None:
                 po = (i, *pair)

@@ -655,6 +655,14 @@ def lifted_ball(height, floor_first, vy=0.0):
     return {b.id: b for b in order}
 
 
+def thin_box_ahead(box_first):
+    """A 0.25 m ball theme at x = 0 and a box 2 cm deep at x = 1, clear of each other."""
+    theme = Body("theme", Shape.SPHERE, (0.25,), True, (0.0, 0.25, 0.0))
+    box = Body("ob0", Shape.BOX, (1.0, 1.0, 0.02), False, (1.0, 0.5, 0.0))
+    order = (FLOOR, box, theme) if box_first else (FLOOR, theme, box)
+    return {b.id: b for b in order}
+
+
 @seed(20161006)
 @settings(max_examples=150, deadline=None)
 @given(
@@ -676,6 +684,10 @@ def lifted_ball(height, floor_first, vy=0.0):
 @example(scene=lifted_ball(1.5, False), speed=120.0,
          steps=[("fly", -0.2), ("fly", None), ("roll", None)])
 @example(scene=lifted_ball(0.05, False), speed=1.0, steps=[("bounce", None)] * 8)
+# a 2 m step that starts and ends on opposite sides of a 2 cm box, the box before
+# and after the theme
+@example(scene=thin_box_ahead(True), speed=120.0, steps=[("slide", None)] * 2)
+@example(scene=thin_box_ahead(False), speed=120.0, steps=[("slide", None)])
 def test_tick_matches_the_full_refresh_kernel_bit_for_bit(scene, speed, steps):
     got = want = WorldState(0.0, 0, scene, SceneConfig(seed=0, speed=speed))
     for action, angle in steps:
@@ -689,7 +701,7 @@ def test_tick_matches_the_full_refresh_kernel_bit_for_bit(scene, speed, steps):
         assert_same_state_bits(got, want)
 
 
-def test_rolling_to_the_wall_measures_the_wall_once_per_tick(monkeypatch):
+def test_rolling_to_the_wall_measures_the_wall_only_on_the_tick_that_reaches_it(monkeypatch):
     from mosim import build_scene, builtin_lexicon, compile_event, execute, parse_text
     from mosim.rng import stream_for
 
@@ -704,9 +716,11 @@ def test_rolling_to_the_wall_measures_the_wall_once_per_tick(monkeypatch):
 
     monkeypatch.setattr(kinematics, "_point_box_distance", counted)
     trace = execute(program, scene.initial, stream_for(0, "choice"), cfg.max_frames)
-    assert trace.tick_count > 2500
-    # one d_new per tick; the old gap comes from the DC flag and the new flag from d_new
-    assert len(calls) <= trace.tick_count + 10
+    assert trace.tick_count == 2964
+    # every tick but the last is clear of the wall along x by more than the x-interval
+    # gate's margin, so its DC relation comes from the gate; the last tick's d_new
+    # gives its EC relation, and its old gap comes from the DC relation
+    assert len(calls) == 1
 
 
 def test_executing_the_roll_to_the_wall_builds_one_body_per_tick():
@@ -767,6 +781,10 @@ def _sphere(body_id, r, x, y=None):
     return Body(body_id, Shape.SPHERE, (r,), body_id == "theme", (x, r if y is None else y, 0.0))
 
 
+def _box(body_id, x, z=0.0):
+    return Body(body_id, Shape.BOX, (1.0, 1.0, 0.2), False, (x, 0.5, z))
+
+
 # Scenes where a shortcut the tick takes would go wrong if it were taken
 # under the wrong condition; each is compared with the full-refresh kernel.
 EDGE_CASES = {
@@ -781,6 +799,33 @@ EDGE_CASES = {
         _sphere("theme", 0.5, 0.0), _sphere("ob", 0.2, 1.7005, 0.5),
         Body("box", Shape.BOX, (1.0, 1.0, 0.2), False, (1.1, 0.5, 0.0)), FLOOR,
     ],
+    # The x-interval gate.  From x = 0 the 0.5 m ball slides to x = 1, so the
+    # 0.2 m deep box's face at ox - 0.1 is ox - 1.6 clear of the step along x,
+    # and the gate's margin is 1e-9 * (1 + ox + 0.5 + 0.1), about 3.2e-9 m past eps
+    "an x separation just beyond the gate's margin": [
+        _sphere("theme", 0.5, 0.0), _box("box", 1.601 + 4.8e-9), FLOOR,
+    ],
+    "an x separation just within the gate's margin": [
+        _sphere("theme", 0.5, 0.0), _box("box", 1.601 + 1.6e-9), FLOOR,
+    ],
+    # the margin grows with |x|: at 1e6 m it is about 3 mm, so a box 1.4 m clear is
+    # passed by; at 1e9 m, the reach config.RANGES allows, it is about 3 m, so a
+    # box 1.4 m clear is measured and one 8.4 m clear is not
+    "far along x, at 1e6 m": [
+        _sphere("theme", 0.5, 1e6), _box("box", 1e6 + 3.0), FLOOR,
+    ],
+    "far along x, at 1e9 m": [
+        _sphere("theme", 0.5, 1e9), _box("near", 1e9 + 3.0), _box("far", 1e9 + 10.0), FLOOR,
+    ],
+    # across the step's x-interval but 2 m clear of it in z
+    "an obstacle across the step in x, off to the side in z": [
+        _sphere("theme", 0.5, 0.0), _box("box", 1.0, z=3.0), FLOOR,
+    ],
+    # a sphere before the sphere theme: its DC relation was measured obstacle
+    # first, so neither the old gap nor the gate may be skipped
+    "a like shape before the theme, far along x": [
+        _sphere("ob", 0.1, 5.0), _sphere("theme", 0.5, 0.0), FLOOR,
+    ],
 }
 
 
@@ -790,6 +835,34 @@ def test_tick_matches_the_full_refresh_kernel_at_the_edges(case):
     w = WorldState(0.0, 0, {b.id: b for b in EDGE_CASES[case]}, cfg)
     got, want = (f(w, "slide", "theme", (1.0, 0.0, 0.0)) for f in (tick, reference_tick))
     assert_same_state_bits(got, want)
+
+
+@pytest.mark.parametrize("scene, speed, measured", [
+    (EDGE_CASES["an x separation just beyond the gate's margin"], 60.0, []),
+    (EDGE_CASES["an x separation just within the gate's margin"], 60.0, ["box"]),
+    (EDGE_CASES["far along x, at 1e6 m"], 60.0, []),
+    (EDGE_CASES["far along x, at 1e9 m"], 60.0, ["near"]),
+    (EDGE_CASES["an obstacle across the step in x, off to the side in z"], 60.0, ["box"]),
+    # d_new, d_old, and the new relation measured in bodies order, obstacle first
+    (EDGE_CASES["a like shape before the theme, far along x"], 60.0, ["ob", "ob", "ob"]),
+    # clear of the box at both ends of the 2 m step, but not over the whole of it
+    (list(thin_box_ahead(True).values()), 120.0, ["ob0"]),
+    (list(thin_box_ahead(False).values()), 120.0, ["ob0"]),
+], ids=["beyond the margin", "within the margin", "1e6 m", "1e9 m", "off in z",
+        "like shape first", "thin box first", "thin box after"])
+def test_the_x_gate_passes_by_only_an_obstacle_clear_of_the_whole_step(monkeypatch, scene, speed,
+                                                                       measured):
+    w = WorldState(0.0, 0, {b.id: b for b in scene}, SceneConfig(seed=0, speed=speed))
+    assert all(rel is Rel.DC for (a, b), rel in w.contacts.items() if a == "theme" and b != "floor")
+    calls = []
+
+    def counted(a, pa, b, pb):
+        calls.append(b.id if a.id == "theme" else a.id)
+        return _gap(a, pa, b, pb)
+
+    monkeypatch.setattr(kinematics, "_gap", counted)
+    tick(w, "slide", "theme", PLUS_X)
+    assert calls == measured
 
 
 def test_tick_refuses_a_config_other_than_the_worlds():

@@ -330,6 +330,23 @@ def test_writer_refuses_a_config_the_trace_did_not_run_under(tmp_path, lex, cfg,
     assert not path.exists()
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("ran, scene_of, message", [
+    ("the ball rolled", "the ball rolled to the wall",
+     r"^scene bodies \['floor', 'ball', 'wall'\] are not the trace's bodies \['floor', 'ball'\]$"),
+    ("the ball rolled to the wall", "the ball rolled",
+     r"^scene bodies \['floor', 'ball'\] are not the trace's bodies \['floor', 'ball', 'wall'\]$"),
+])
+def test_writer_refuses_a_scene_whose_bodies_are_not_the_traces(tmp_path, lex, cfg, fmt, ran,
+                                                                 scene_of, message):
+    _, _, trace = make_run(lex, cfg, ran)
+    _, scene, _ = make_run(lex, cfg, scene_of)
+    path = tmp_path / f"t.{fmt}"
+    with pytest.raises(ValueError, match=message):
+        write_trace(path, fmt, ran, trace, scene, cfg)
+    assert not path.exists()
+
+
 FLOAT = NUMBER.map(float)  # written as an integer where it is one
 FLOAT_POINT = st.tuples(FLOAT, FLOAT, FLOAT)
 

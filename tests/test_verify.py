@@ -8,10 +8,11 @@ from mosim import (
     execute,
     parse_text,
     trace_metrics,
+    verify,
     verify_trace,
 )
 from mosim.errors import TraceSceneMismatch
-from mosim.kinematics import Rel
+from mosim.kinematics import Rel, first_overlap
 from mosim.parser import EventFrame
 from mosim.programs import Trace
 from mosim.progtext import format_program
@@ -236,6 +237,57 @@ def test_no_penetration_reports_the_first_po_flag(lex, cfg, faults, index, detai
         trace = _with_flag(trace, i, body_id, other, Rel.PO)
     got = verify_trace(trace, frame, scene, cfg).check("no_penetration")
     assert (got.passed, got.offending_index, got.detail) == (False, index, detail)
+
+
+def _sharing(trace, i, j, contacts):
+    """``trace`` with states ``i`` to ``j`` holding the one map ``contacts``."""
+    states = list(trace.states)
+    states[i:j + 1] = [replace(state, contacts=contacts) for state in states[i:j + 1]]
+    return Trace(tuple(states), trace.labels)
+
+
+def _scanning_every_state(trace):
+    for i, state in enumerate(trace.states):
+        pair = first_overlap(state)
+        if pair is not None:
+            return i, f"{pair[0]} penetrates {pair[1]} at state {i}"
+    return None, "no interpenetration"
+
+
+def test_no_penetration_scans_a_shared_map_once_and_a_fresh_map_again(lex, cfg):
+    frame, scene, trace = run_sentence("the ball rolled to the wall", lex, cfg)
+    clear = dict(trace.states[0].contacts)
+    po = {**clear, ("floor", "wall"): Rel.PO, ("wall", "floor"): Rel.PO}
+    # states 2 and 3 share a fresh map with no PO pair; state 6 brings in another
+    # with one, and state 7 goes back to the map state 5 holds
+    cases = {
+        "fresh map after a shared one": (_sharing(_sharing(trace, 2, 3, clear), 6, 6, po), 6),
+        # the PO pair held by two states, the first of them named
+        "PO map shared": (_sharing(_sharing(trace, 2, 3, clear), 4, 5, po), 4),
+        "PO map at state 0 shared by state 1": (_sharing(trace, 0, 1, po), 0),
+    }
+    for name, (faulty, index) in cases.items():
+        got = verify_trace(faulty, frame, scene, cfg).check("no_penetration")
+        want_index, want_detail = _scanning_every_state(faulty)
+        assert want_index == index, name
+        assert (got.passed, got.offending_index, got.detail) == (False, want_index, want_detail), name
+    assert got.detail == "floor penetrates wall at state 0"
+
+
+def test_verifying_a_long_roll_scans_each_distinct_contact_map_once(lex, monkeypatch):
+    cfg = SceneConfig(seed=0, ground_distance=50)
+    frame, scene, trace = run_sentence("the ball rolled to the wall", lex, cfg)
+    calls = []
+
+    def counted(state):
+        calls.append(state.contacts)
+        return first_overlap(state)
+
+    monkeypatch.setattr(verify, "first_overlap", counted)
+    assert verify_trace(trace, frame, scene, cfg).overall
+    # the map the ball starts with and the one in which it touches the wall
+    assert trace.tick_count == 2964 and len({id(s.contacts) for s in trace.states}) == 2
+    assert len(calls) == 2 and calls[0] is not calls[1]
 
 
 def test_uniform_timing_reports_the_first_bad_step(lex, cfg):
