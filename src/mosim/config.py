@@ -74,9 +74,9 @@ class SceneConfig:
 
 def config_from_dict(data: dict, base: SceneConfig | None = None) -> SceneConfig:
     """Build a config from a JSON-shaped dict, starting from ``base``."""
+    defaults = SceneConfig._defaults if base is None else base.to_dict()
     spec = {
-        name: (NUMBER if name in _FLOAT_FIELDS else INTEGER, value)
-        for name, value in (base or SceneConfig()).to_dict().items()
+        name: (NUMBER if name in _FLOAT_FIELDS else INTEGER, value) for name, value in defaults.items()
     }
     fields = walk_fields(data, spec, None, ConfigFormatError)
     try:

@@ -700,9 +700,10 @@ def enumerate_traces(
 def _chain(action: str, theme: str, n: int) -> Program:
     if n <= 0:
         return Test(truth())
-    program: Program = Tick(action, theme)
+    # one Tick node shared by the whole chain: nodes compare by value
+    tick = program = Tick(action, theme)
     for _ in range(n - 1):
-        program = Seq(Tick(action, theme), program)
+        program = Seq(tick, program)
     return program
 
 

@@ -9,8 +9,8 @@ byte-stable across runs and round-trip exactly.  Format version "1".
 from __future__ import annotations
 
 import json
-from functools import cache
 from math import copysign, hypot, isfinite, nan
+from operator import is_, itemgetter
 from pathlib import Path
 
 from . import kinematics
@@ -91,60 +91,81 @@ def _csv_columns(ids) -> list[str]:
     return columns + ["action", "floor_contact", "goal_contact"]
 
 
+def _body_text(body: Body, jsonl: bool) -> str:
+    """The text of one body's pose: a jsonl body's key and object, or a csv body's four cells."""
+    pos, rot = body.position, body.rotation
+    if jsonl:
+        return f'{json.dumps(body.id)}:{{"pos":[{",".join(map(_jnum, pos))}],"rot":{_jnum(rot)}}}'
+    x, y, z = pos
+    return f"{float(x):.17g},{float(y):.17g},{float(z):.17g},{float(rot):.17g}"
+
+
 def _line_format(fmt: str, ids, theme_id: str, ground_id: str | None):
     """``line(i, state, label)``: the text of state ``i``, reached by ``label``, in ``fmt``.
 
     ``ids`` are the csv columns' bodies; jsonl writes each state's bodies in its
-    own order.  The writer writes every state with it, and the readers compare
-    records with it.  A body shared with the previous state (walls, the floor)
-    is formatted once, and each JSON key, action and relation once per file.  A
-    body is formatted by one f-string whose ``.17g`` of a float is ``fmt_float``;
-    jsonl writes a body holding a non-float as the header writes it.
+    own order.  The writer writes every state with it, and the jsonl reader
+    compares records with it.  The text of the bodies before and after the
+    theme is kept while they are the same objects in the same order (walls and
+    the floor of an executed trace: a tick moves only the theme), and the rest
+    of the line is one ``%`` format, whose ``%.17g`` of a number is
+    ``fmt_float`` of it.  jsonl writes a theme or a time that is not a float as
+    the header writes it.
     """
     jsonl = fmt == "jsonl"
-    keys = cache(json.dumps)
-    # The text after the bodies, built once per file: the action's, then the
-    # floor's and the goal's relation, each picked by identity as EC, DC or PO
-    # (hashing a Rel runs Enum.__hash__ in Python).
+    # The text after the bodies: the action's, then the floor's and the goal's
+    # relation, each picked by identity as EC, DC or PO (hashing a Rel runs
+    # Enum.__hash__ in Python).
     rels = [rel.value for rel in (_EC, _DC, Rel.PO)]
     if jsonl:
         actions = {None: "", **{a: f',"action":{json.dumps(a)}' for a in TICK_ACTIONS}}
         floor = [f',"floor_contact":"{rel}"' for rel in rels]
         goal = [f',"goal_contact":"{rel}"' for rel in rels]
+        no_goal = ""
+        floats = '{"index":%d,"time":%.17g,"bodies":{%s%.17g,%.17g,%.17g],"rot":%.17g}%s}%s%s%s}'
+        others = '{"index":%d,"time":%s,"bodies":{%s%s],"rot":%s}%s}%s%s%s}'
     else:
         actions = {None: ",", **{a: f",{a}" for a in TICK_ACTIONS}}
         floor = goal = [f",{rel}" for rel in rels]
-    if ground_id is None or ground_id == FLOOR_ID:
-        goal = None
-    done: dict[str, tuple[Body, str]] = {}
+        no_goal = ","
+        floats = "%d,%.17g,%s%.17g,%.17g,%.17g,%.17g%s%s%s%s"
+        pick = itemgetter(*ids)
+    floor_pair = theme_id, FLOOR_ID
+    goal_pair = None if ground_id is None or ground_id == FLOOR_ID else (theme_id, ground_id)
+    # the bodies of the last line in written order, and the text before and after the theme's
+    held: list = [None]
+    spot, before, after = 0, "", ""
 
     def line(i: int, state: WorldState, label: str | None) -> str:
-        parts = []
-        for body in state.bodies.values() if jsonl else map(state.bodies.__getitem__, ids):
-            hit = done.get(body.id)
-            if hit is None or hit[0] is not body:
-                pos, rot = body.position, body.rotation
-                if not jsonl:
-                    x, y, z = pos
-                    text = f"{float(x):.17g},{float(y):.17g},{float(z):.17g},{float(rot):.17g}"
-                elif len(pos) == 3 and type(pos[0]) is type(pos[1]) is type(pos[2]) is type(rot) is float:
-                    x, y, z = pos
-                    text = f'{keys(body.id)}:{{"pos":[{x:.17g},{y:.17g},{z:.17g}],"rot":{rot:.17g}}}'
-                else:
-                    text = f'{keys(body.id)}:{{"pos":[{",".join(map(_jnum, pos))}],"rot":{_jnum(rot)}}}'
-                hit = done[body.id] = (body, text)
-            parts.append(hit[1])
-        rel = state.contacts[theme_id, FLOOR_ID]
-        tail = actions[label] + floor[0 if rel is _EC else 1 if rel is _DC else 2]
-        if goal is not None:
-            rel = state.contacts[theme_id, ground_id]
-            tail += goal[0 if rel is _EC else 1 if rel is _DC else 2]
-        elif not jsonl:
-            tail += ","
-        time = state.time
-        if jsonl:
-            return f'{{"index":{i},"time":{_jnum(time)},"bodies":{{{",".join(parts)}}}{tail}}}'
-        return f"{i},{float(time):.17g},{','.join(parts)}{tail}"
+        nonlocal spot, before, after
+        bodies = state.bodies
+        theme = bodies[theme_id]
+        order = tuple(bodies.values()) if jsonl else pick(bodies)
+        held[spot] = theme
+        if len(order) != len(held) or not all(map(is_, order, held)):
+            held[:] = order
+            spot = list(bodies).index(theme_id) if jsonl else ids.index(theme_id)
+            texts = [_body_text(body, jsonl) for body in order]
+            before = "".join(text + "," for text in texts[:spot])
+            if jsonl:
+                before += f'{json.dumps(theme.id)}:{{"pos":['
+            after = "".join("," + text for text in texts[spot + 1:])
+        contacts = state.contacts
+        rel = contacts[floor_pair]
+        on_floor = floor[0 if rel is _EC else 1 if rel is _DC else 2]
+        if goal_pair is None:
+            at_goal = no_goal
+        else:
+            rel = contacts[goal_pair]
+            at_goal = goal[0 if rel is _EC else 1 if rel is _DC else 2]
+        pos, rot, time = theme.position, theme.rotation, state.time
+        if jsonl and not (
+            len(pos) == 3 and type(pos[0]) is type(pos[1]) is type(pos[2]) is type(rot) is type(time) is float
+        ):
+            return others % (i, _jnum(time), before, ",".join(map(_jnum, pos)), _jnum(rot), after,
+                             actions[label], on_floor, at_goal)
+        x, y, z = pos
+        return floats % (i, time, before, x, y, z, rot, after, actions[label], on_floor, at_goal)
 
     return line
 
@@ -168,6 +189,8 @@ def write_trace(
     scene_ids = list(scene.initial.bodies)
     if set(scene_ids) != set(ids):  # the header binds the scene's ids to the trace's bodies
         raise ValueError(f"scene bodies {scene_ids} are not the trace's bodies {ids}")
+    if scene.initial is not trace.states[0] and scene.initial != trace.states[0]:
+        raise ValueError("scene initial state is not the trace's first state")
     ran = trace.states[0].cfg
     if cfg != ran:  # the reader ticks each state under the header's config
         differ = ", ".join(k for k, v in cfg.to_dict().items() if v != getattr(ran, k))
@@ -313,6 +336,53 @@ def _parse_header(obj) -> dict:
 Record = tuple[object, float, list[tuple[float, float, float, float]], object]
 
 
+def _fast_path(fmt: str, rows: list[str], ids: list[str], theme_id: str, ground_id: str | None):
+    """``taken(i, ticked, action)``: whether row ``i`` of ``rows``, a record after
+    record 1, is ``ticked``, the tick by ``action`` of the state of row ``i - 1``,
+    read without parsing it.  It says so only of a row that parsing would read
+    to that state; any other row is parsed.
+
+    A jsonl row must be the writer's text of the tick.  A csv row must have the
+    writer's cell count, the index ``str(i)``, the action ``action`` (the
+    previous record's), each static body's cells as the row before writes them,
+    and a time and theme cells whose ``float`` equals the ticked value: a tick
+    moves only the theme, and keeps every value finite.
+    """
+    if fmt == "jsonl":
+        line = _line_format(fmt, ids, theme_id, ground_id)
+        return lambda i, ticked, action: rows[i] == line(i, ticked, action)
+    cells_per_row = 5 + 4 * len(ids)
+    theme_col = 2 + 4 * ids.index(theme_id)
+    action_col = cells_per_row - 3
+    pick = itemgetter(0, 1, *range(theme_col, theme_col + 4), action_col)
+    # the floor is static and never the theme, so this picks at least four cells
+    statics = itemgetter(*range(2, theme_col), *range(theme_col + 4, action_col))
+    held_row, held_cells = 0, ()  # the last row whose static cells passed, and those cells
+
+    def taken(i: int, ticked: WorldState, action: str) -> bool:
+        nonlocal held_row, held_cells
+        cells = rows[i].split(",")
+        if len(cells) != cells_per_row:
+            return False
+        index, time, x, y, z, rot, act = pick(cells)
+        if index != str(i) or act != action:
+            return False
+        if held_row != i - 1:  # row i - 1 was parsed, so it has every cell
+            held_cells = statics(rows[i - 1].split(","))
+        if statics(cells) != held_cells:
+            return False
+        held_row = i
+        theme = ticked.bodies[theme_id]
+        px, py, pz = theme.position
+        try:
+            return (float(time) == ticked.time and float(x) == px and float(y) == py
+                    and float(z) == pz and float(rot) == theme.rotation)
+        except ValueError:
+            return False
+
+    return taken
+
+
 def _rebuild(header: dict, h: dict, rows: list[str], record, fmt: str) -> TraceDocument:
     """World states from the file lines ``rows``, one per state, under the checked
     header ``h`` of the file's ``header``; ``record(i, row)`` parses a row.
@@ -321,9 +391,8 @@ def _rebuild(header: dict, h: dict, rows: list[str], record, fmt: str) -> TraceD
     of the one before by its record's action, and the record must hold that
     state's time and poses: compiled sentence programs hold only ticks and
     tests, so a trace the engine writes is such a chain.  From record 2 on, a
-    row equal to the writer's ``fmt`` text of the tick by the previous action is
-    that tick's state without being parsed: parsing it would give the same
-    state.
+    row that ``_fast_path`` takes as the tick by the previous action is that
+    tick's state without being parsed: parsing it would give the same state.
     """
     if len(rows) != h["frames"]:
         raise TraceFormatError(f"record count {len(rows)} does not match header frames {h['frames']}")
@@ -353,12 +422,13 @@ def _rebuild(header: dict, h: dict, rows: list[str], record, fmt: str) -> TraceD
     states = [state]
     labels = []
     # a header may bind the theme as its own ground, a pair no state relates
-    line = _line_format(fmt, list(h["bodies"]), theme_id, None if ground_id == theme_id else ground_id)
+    ground = None if ground_id == theme_id else ground_id
+    taken = _fast_path(fmt, rows, list(h["bodies"]), theme_id, ground)
     guess = ticked = None  # the previous record's action, and the tick by it
     for i in range(1, len(rows)):
         if guess is not None:
             ticked = kinematics.tick(state, guess, theme_id)
-            if rows[i] == line(i, ticked, guess):
+            if taken(i, ticked, guess):
                 state = ticked
                 states.append(state)
                 labels.append(guess)

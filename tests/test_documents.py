@@ -285,3 +285,14 @@ def test_frame_counts_load_up_to_their_limit(name):
     with pytest.raises(ConfigFormatError, match="^frame counts must not exceed 1,000,000$"):
         config(json.dumps({name: MAX_FRAMES + 1}))
 
+
+
+@pytest.mark.parametrize("base", [None, SceneConfig(seed=3, speed=2.0)], ids=["defaults", "base"])
+def test_a_config_document_builds_one_config(monkeypatch, base):
+    # the field spec comes from the defaults or the base, not from a config built to read them
+    built = []
+    check = SceneConfig.__post_init__
+    monkeypatch.setattr(SceneConfig, "__post_init__", lambda self: (built.append(self), check(self)))
+    cfg = load_config('{"dt": 0.02}', base)
+    assert built == [cfg]
+    assert cfg == (base or SceneConfig()).replace(dt=0.02)

@@ -529,6 +529,32 @@ def test_compile_bare_expands_to_seeded_chain(lex):
     assert count + 1 == 120
 
 
+def nested_chain(action, theme, n):
+    """The chain as a fresh ``Tick`` per step builds it."""
+    program = Tick(action, theme)
+    for _ in range(n - 1):
+        program = Seq(Tick(action, theme), program)
+    return program
+
+
+@pytest.mark.parametrize("sentence, action, n", [
+    ("the ball slid", "slide", 120), ("the ball rolled", "roll", 1), ("the ball left", "move", 120),
+    ("the ball rolled from the wall", "roll", 120),
+])
+def test_a_compiled_chain_shares_one_tick_node_and_equals_the_nested_form(lex, sentence, action, n):
+    cfg = SceneConfig(seed=0, min_bare_frames=n, max_bare_frames=n)
+    program = compile_event(parse_text(sentence, lex), lex, cfg)
+    chain = program.second.first if sentence.endswith("from the wall") else program
+    ticks, node = [], chain
+    while isinstance(node, Seq):
+        ticks.append(node.first)
+        node = node.second
+    ticks.append(node)
+    assert len(ticks) == n and len({id(tick) for tick in ticks}) == 1
+    assert chain == nested_chain(action, "ball", n)
+    assert format_program(chain) == format_program(nested_chain(action, "ball", n))
+
+
 def test_compile_from_brackets_with_tests(lex, cfg):
     frame = parse_text("the ball rolled from the wall", lex)
     program = compile_event(frame, lex, cfg)

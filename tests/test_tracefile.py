@@ -2,6 +2,8 @@ import gc
 import json
 import math
 import random
+import re
+from decimal import Decimal
 from unittest import mock
 
 import pytest
@@ -318,6 +320,39 @@ def test_writer_matches_generic_json_walk_on_hand_built_traces(tmp_path_factory,
     assert path.read_bytes() == oracle_bytes(fmt, "a sentence, with «quotes»", trace, scene, cfg)
 
 
+def _wall_at(state, z):
+    wall = state.body("wall")
+    x, y, _ = wall.position
+    return with_body(state, replace(wall, position=(x, y, z)))
+
+
+def _reordered(state):
+    bodies = dict(reversed(state.bodies.items()))
+    return WorldState(state.time, state.tick_index, bodies, state.cfg)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("change", [
+    # the wall moves for one state, then is back where it was, as another object
+    lambda states: {2: _wall_at(states[2], 0.25), 3: _wall_at(states[3], 0.0)},
+    # a wall equal to the one before, but not the same object, at z -0 where it was at 0
+    lambda states: {2: _wall_at(states[2], -0.0), 3: _wall_at(states[3], -0.0)},
+    # the bodies in another order for two states (jsonl writes each state's order)
+    lambda states: {2: _reordered(states[2]), 3: _reordered(states[3])},
+], ids=["wall moved", "wall at -0", "order changed"])
+def test_writer_rebuilds_the_text_it_holds_when_a_body_other_than_the_theme_changes(tmp_path, lex,
+                                                                                   cfg, fmt, change):
+    _, scene, trace = make_run(lex, cfg)
+    states = list(trace.states)
+    assert states[0].body("wall").position[2] == 0.0
+    for k, state in change(states).items():
+        states[k] = state
+    trace = Trace(tuple(states), trace.labels)
+    path = tmp_path / f"t.{fmt}"
+    write_trace(path, fmt, "the ball rolled to the wall", trace, scene, cfg)
+    assert path.read_bytes() == oracle_bytes(fmt, "the ball rolled to the wall", trace, scene, cfg)
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 @pytest.mark.parametrize("field, value", [("speed", 2.0), ("seed", 5), ("contact_eps", 0.01)])
 def test_writer_refuses_a_config_the_trace_did_not_run_under(tmp_path, lex, cfg, fmt, field, value):
@@ -345,6 +380,34 @@ def test_writer_refuses_a_scene_whose_bodies_are_not_the_traces(tmp_path, lex, c
     with pytest.raises(ValueError, match=message):
         write_trace(path, fmt, ran, trace, scene, cfg)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("ran, scene_of", [
+    ("the ball rolled to the wall", "the ball rolled from the wall"),
+    ("the ball rolled from the wall", "the ball rolled to the wall"),
+    ("the ball rolled", "the ball bounced"),
+])
+def test_writer_refuses_a_scene_whose_initial_state_is_not_the_traces_first(tmp_path, lex, cfg, fmt,
+                                                                           ran, scene_of):
+    # the same body ids, placed elsewhere: the header would bind the other scene's goal
+    _, _, trace = make_run(lex, cfg, ran)
+    _, scene, _ = make_run(lex, cfg, scene_of)
+    path = tmp_path / f"t.{fmt}"
+    with pytest.raises(ValueError, match=r"^scene initial state is not the trace's first state$"):
+        write_trace(path, fmt, ran, trace, scene, cfg)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_writer_takes_a_scene_whose_initial_state_equals_the_traces_first(tmp_path, lex, cfg, fmt):
+    _, scene, trace = make_run(lex, cfg)
+    first = trace.states[0]
+    copy = WorldState(first.time, first.tick_index, dict(first.bodies), first.cfg)
+    assert copy is not first and copy == first
+    path = tmp_path / f"t.{fmt}"
+    write_trace(path, fmt, "the ball rolled to the wall", trace, replace(scene, initial=copy), cfg)
+    assert path.read_bytes() == oracle_bytes(fmt, "the ball rolled to the wall", trace, scene, cfg)
 
 
 FLOAT = NUMBER.map(float)  # written as an integer where it is one
@@ -1118,12 +1181,38 @@ def mutated(draw, record: dict, ids) -> str:
 
 
 def read_by_parsing_every_record(path):
-    """``read_trace`` with no record taken as the writer's text: every row is parsed."""
-    with mock.patch.object(tracefile, "_line_format", lambda *args: lambda i, state, label: None):
+    """``read_trace`` with no record taken without parsing it: every row is parsed."""
+    with mock.patch.object(tracefile, "_fast_path", lambda *args: lambda i, ticked, action: False):
         return read_trace(path)
 
 
-CHANGES = (None, *TAMPERS, "respelled", "mutated", "broken")
+CHANGES = (None, *TAMPERS, "respelled", "mutated", "broken", "theme respelled", "theme ulp",
+           "static respelled")
+
+
+def spellings(cell: str) -> list[str]:
+    """Other spellings of the number ``cell`` that read to the same float: in exponent
+    form, padded, and with a trailing zero after a decimal point."""
+    out = [format(Decimal(cell), "e"), " " + cell]
+    if "." in cell and "e" not in cell:
+        out.append(cell + "0")
+    return out
+
+
+def with_pose_texts(line: str, fmt: str, ids, bid: str, edit) -> str:
+    """``line``, a record of bodies ``ids``, with the texts of body ``bid``'s x, y, z and
+    rot replaced by ``edit`` of them."""
+    if fmt == "csv":
+        cells = line.split(",")
+        at = 2 + 4 * ids.index(bid)
+        cells[at:at + 4] = edit(cells[at:at + 4])
+        return ",".join(cells)
+
+    def replaced(m):
+        x, y, z, rot = edit([*m[1].split(","), m[2]])
+        return f'{json.dumps(bid)}:{{"pos":[{x},{y},{z}],"rot":{rot}}}'
+
+    return re.sub(re.escape(json.dumps(bid)) + r':\{"pos":\[([^\]]*)\],"rot":([^}]*)\}', replaced, line)
 
 
 @seed(20161006)
@@ -1170,6 +1259,22 @@ def test_a_record_read_as_the_writers_text_reads_as_it_parses(
         lines[row] = ",".join(cells)
     elif change == "broken":
         lines[row] = lines[row].replace(",", "", 1)
+    elif change in ("theme respelled", "theme ulp", "static respelled"):
+        # one cell of one body: the theme's read as the tick's float, or one ulp off it;
+        # a static body's spelt otherwise on this row only, so the next row's differs too
+        statics = [b for b in ids if b != scene.theme_id]
+        bid = data.draw(st.sampled_from(statics)) if change == "static respelled" else scene.theme_id
+        c = 0 if change == "theme ulp" else data.draw(st.integers(min_value=0, max_value=3))
+
+        def edit(texts):
+            if change == "theme ulp":
+                toward = data.draw(st.sampled_from([-math.inf, math.inf]))
+                texts[c] = fmt_float(math.nextafter(float(texts[c]), toward))
+            else:
+                texts[c] = data.draw(st.sampled_from(spellings(texts[c])))
+            return texts
+
+        lines[row] = with_pose_texts(lines[row], fmt, ids, bid, edit)
     path.write_text("\n".join(lines) + "\n")
     want = read_or_refusal(read_by_parsing_every_record, path)
     got = read_or_refusal(read_trace, path)
@@ -1521,8 +1626,8 @@ def test_reading_a_state_measures_the_themes_pairs_and_builds_one_body(
     assert len(states) > 2900 and list(states[0].bodies) == ["floor", "ball", "wall"]
     # one tick per state after the first: the reader has no other path to a state
     assert len(ticks) == len(states) - 1
-    # the header and records 0 and 1 are parsed; every later record is the writer's
-    # text for the tick by the action before it
+    # the header and records 0 and 1 are parsed; every later record is taken as the
+    # tick by the action before it: the writer's text (jsonl), or its numbers (csv)
     rows = [f"csv row {i}{part}" for i in (0, 1) for part in ("", "", "", " time")]
     assert parsed == ([1, 2, 3] if fmt == "jsonl" else [1, *rows])
     # the ball-wall pair per state, one call; the ball-floor gap is the ball's height
