@@ -127,7 +127,12 @@ def cmd_enumerate(args) -> int:
     lex = _load_lexicon(args.lexicon)
     cfg = _load_config(args)
     scene = probe_scene(cfg, lex, args.theme)
-    traces = enumerate_traces(program, scene.initial, args.bound, node_cap=args.cap)
+    try:
+        traces = enumerate_traces(program, scene.initial, args.bound, node_cap=args.cap)
+    except RecursionError:
+        # a formula the parser took can still be too deep to evaluate: a long
+        # (and ...) folds into a chain, and each diamond costs several frames
+        raise ProgramTextError("program text is nested too deeply") from None
     print(f"traces: {len(traces)}")
     for i, trace in enumerate(traces, start=1):
         labels = " ".join(trace.labels) if trace.labels else "(empty)"

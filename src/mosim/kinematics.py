@@ -23,6 +23,9 @@ at least as far apart as their projections on any axis, and every kernel
 returns at least the x separation to within a few ulps, far inside the
 margin the gate keeps.  So the relation it records, ``DC``, and the clamp it
 skips are the kernel's own, and no bit of any state changes.
+
+A theme, the one body a tick moves, is a mobile sphere or box: a ``Body``
+refuses a mobile plane, so a tick has no plane-theme case.
 """
 
 from __future__ import annotations
@@ -71,10 +74,6 @@ class Rel(Enum):
     PO = "PO"   # penetrating overlap: surface distance < -eps (a fault)
 
 
-# a state's relations, keyed by body pair under both orders (see WorldState)
-Contacts = dict[tuple[str, str], Rel]
-
-
 # The members the per-tick code compares against, as plain module names:
 # on CPython 3.11 reading ``Shape.SPHERE`` takes ~150 ns, a global ~30 ns,
 # and every tick and every measured pair reads several.
@@ -93,12 +92,10 @@ class Body:
     rotation: float = 0.0  # accumulated angle about the rolling axis, rad
     velocity: Vec3 = ZERO3  # y component doubles as the ballistic state
 
-    @property
-    def rolling_radius(self) -> float:
-        # boxes get an effective radius so roll stays total; spheres are exact
-        if self.shape is _PLANE:
-            raise UnsupportedShapePair(self.shape.value, "rolling")
-        return rest_height(self.shape, self.dimensions)
+    def __post_init__(self) -> None:
+        # so a theme, the one body a tick moves, is a sphere or a box
+        if self.mobile and self.shape is _PLANE:
+            raise ValueError("a plane is immobile")
 
 
 @record
@@ -123,7 +120,7 @@ class WorldState:
     tick_index: int
     bodies: dict[str, Body]
     cfg: SceneConfig
-    contacts: Contacts = None
+    contacts: dict[tuple[str, str], Rel] = None
 
     def __post_init__(self) -> None:
         if self.contacts is None:
@@ -253,15 +250,6 @@ def first_overlap(state: WorldState) -> tuple[str, str] | None:
     return None
 
 
-def _set_pair(contacts: Contacts, a: str, b: str, rel: Rel | None) -> None:
-    """Write ``rel`` for the pair under both orders; None drops the pair."""
-    if rel is None:
-        contacts.pop((a, b), None)
-        contacts.pop((b, a), None)
-    else:
-        contacts[a, b] = contacts[b, a] = rel
-
-
 def _unit_horizontal(direction: Vec3) -> Vec3:
     """``direction`` divided by its horizontal length, with y set to +0.0.
 
@@ -278,23 +266,28 @@ def _unit_horizontal(direction: Vec3) -> Vec3:
     return (direction[0] / n, 0.0, direction[2] / n)
 
 
+def bisect_clear(gap, clear: float, blocked: float) -> float:
+    """Halve [clear, blocked] 80 times, keeping as ``clear`` the end where ``gap`` is ``>= 0``."""
+    for _ in range(80):
+        mid = (clear + blocked) / 2.0
+        if gap(mid) >= 0.0:
+            clear = mid
+        else:
+            blocked = mid
+    return clear
+
+
 def _clamp_fraction(theme: Body, start: Vec3, proposed: Vec3, obstacle: Body) -> float:
     """Largest fraction of the move keeping the theme outside the obstacle.
 
     Bisects along the segment; the crossing is unique within one step at
     desk scale, so this converges to the contact point.
     """
-    lo, hi = 0.0, 1.0
     x, y, z = start
     dx, dy, dz = proposed[0] - x, proposed[1] - y, proposed[2] - z
     at = obstacle.position
-    for _ in range(80):
-        mid = (lo + hi) / 2.0
-        if _gap(theme, (x + dx * mid, y + dy * mid, z + dz * mid), obstacle, at) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return bisect_clear(lambda f: _gap(theme, (x + dx * f, y + dy * f, z + dz * f), obstacle, at),
+                        0.0, 1.0)
 
 
 def tick(
@@ -343,8 +336,8 @@ def tick(
     z = p0[2] + direction[2] * step
     vy = theme.velocity[1]
     shape, dims = theme.shape, theme.dimensions
-    # rest_height(shape, dims), which is also a sphere's or box's rolling radius
-    rest = dims[0] if shape is _SPHERE else dims[1] / 2.0 if shape is _BOX else 0.0
+    # rest_height(shape, dims), which is also the theme's rolling radius
+    rest = dims[0] if shape is _SPHERE else dims[1] / 2.0
 
     if kind == "fly":
         y = p0[1]
@@ -387,7 +380,7 @@ def tick(
         # taken; it was measured in bodies order, which a like shape before the
         # theme reverses (see _gap)
         dc = (seen or oshape is not shape) and contacts.get((theme_id, key)) is _DC
-        if dc and shape is not _PLANE:
+        if dc:
             # the x-interval gate: the theme's x-interval over the whole step,
             # from p0 to pos, against the obstacle's; their separation is a
             # lower bound on the gap, kept as the gap when it decides DC
@@ -417,8 +410,6 @@ def tick(
 
     rotation = theme.rotation
     if kind == "roll":
-        if shape is _PLANE:
-            raise UnsupportedShapePair(shape.value, "rolling")
         rotation += math.hypot(pos[0] - p0[0], pos[2] - p0[2]) / rest
 
     # a bounce reports the ballistic state, not the positional difference, so
@@ -429,28 +420,25 @@ def tick(
 
     # Only the theme moved, so only its pairs can change.  Each is measured in
     # bodies order, or read from ``gaps`` when the theme-first gap is that
-    # measurement; a sphere's or box's gap to a plane is ``_gap``'s
-    # ``pos[1] - rest`` in either order.  Copy on write: the new state shares
-    # the map unless one of the theme's relations changed.
+    # measurement; the theme's gap to a plane is ``_gap``'s ``pos[1] - rest``
+    # in either order.  Copy on write: the new state shares the map unless one
+    # of the theme's relations changed.
     out = contacts
     seen = False
     for key, other in world.bodies.items():
         if other is theme:
             seen = True
             continue
-        d = (pos[1] - rest if other.shape is _PLANE and shape is not _PLANE
+        d = (pos[1] - rest if other.shape is _PLANE
              else gaps.get(key) if seen or other.shape is not shape else None)
         if d is None:
-            try:
-                d = (_gap(theme, pos, other, other.position) if seen
-                     else _gap(other, other.position, theme, pos))
-            except UnsupportedShapePair:
-                pass
-        rel = None if d is None else _DC if d > eps else _PO if d < -eps else _EC
+            d = (_gap(theme, pos, other, other.position) if seen
+                 else _gap(other, other.position, theme, pos))
+        rel = _DC if d > eps else _PO if d < -eps else _EC
         if rel is not out.get((theme_id, key)):
             if out is contacts:
                 out = contacts.copy()
-            _set_pair(out, theme_id, key, rel)
+            out[theme_id, key] = out[key, theme_id] = rel
 
     # Body(...) and WorldState(...) would each add a call and an __init__ frame
     body = _new(Body)

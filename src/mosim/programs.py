@@ -660,7 +660,7 @@ def _flight_out_of_reach(program: Program, s0: WorldState, budget: int, node_cap
     if passes > budget or 2 * passes >= node_cap:
         return False
     theme, ground = s0.body(goal.a), s0.body(goal.b)
-    if not theme.mobile or theme.shape not in (Shape.SPHERE, Shape.BOX):
+    if not theme.mobile:
         return False
     try:
         kinematics._unit_horizontal(theme.heading)

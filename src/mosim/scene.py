@@ -22,6 +22,7 @@ from .kinematics import (
     Rel,
     Vec3,
     WorldState,
+    bisect_clear,
     first_overlap,
     rest_height,
     _gap,
@@ -47,7 +48,6 @@ class Scene:
     theme_id: str
     ground_id: str | None
     goal_id: str | None
-    direction: Vec3
 
 
 def bare_duration(cfg: SceneConfig) -> int:
@@ -113,22 +113,15 @@ def _place_source_ground(theme: Body, ground_noun: NounEntry, ground_id: str) ->
     def gap(offset: float) -> float:
         return _gap(theme, p, ground, (-offset, rest, 0.0))
 
-    lo = 0.0
     # the sizes added left to right: sum() of floats is compensated from Python 3.12 on
-    hi = reduce(add, theme.dimensions, 0.0) + reduce(add, ground_noun.dimensions, 0.0) + 1.0
-    if gap(hi) < 0.0:
+    far = reduce(add, theme.dimensions, 0.0) + reduce(add, ground_noun.dimensions, 0.0) + 1.0
+    if gap(far) < 0.0:
         raise SceneBuildError(f"cannot place {ground_id!r} in contact with the theme")
-    if gap(lo) > 0.0:
+    if gap(0.0) > 0.0:
         raise SceneBuildError(
             f"{ground_id!r} cannot touch the theme at its starting height"
         )
-    for _ in range(80):
-        mid = (lo + hi) / 2.0
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return _make_body(ground_id, ground_noun, (-hi, rest, 0.0))
+    return _make_body(ground_id, ground_noun, (-bisect_clear(gap, far, 0.0), rest, 0.0))
 
 
 def probe_scene(cfg: SceneConfig, lex: Lexicon, lemma: str = "ball") -> Scene:
@@ -139,7 +132,7 @@ def probe_scene(cfg: SceneConfig, lex: Lexicon, lemma: str = "ball") -> Scene:
     rest = rest_height(noun.shape, noun.dimensions)
     theme = replace(_make_body(lemma, noun, (0.0, rest, 0.0)), heading=PLUS_X)
     state = WorldState(time=0.0, tick_index=0, bodies={FLOOR_ID: _floor(), lemma: theme}, cfg=cfg)
-    return Scene(initial=state, theme_id=lemma, ground_id=None, goal_id=None, direction=PLUS_X)
+    return Scene(initial=state, theme_id=lemma, ground_id=None, goal_id=None)
 
 
 def build_scene(frame: EventFrame, lex: Lexicon, cfg: SceneConfig) -> Scene:
@@ -190,5 +183,4 @@ def build_scene(frame: EventFrame, lex: Lexicon, cfg: SceneConfig) -> Scene:
         theme_id=theme.id,
         ground_id=ground_id,
         goal_id=goal_id,
-        direction=direction,
     )

@@ -73,7 +73,7 @@ def _header_dict(sentence: str, trace: Trace, scene: Scene, cfg: SceneConfig) ->
         "cfg": cfg.to_dict(),
         "bindings": {"theme": scene.theme_id, "ground": scene.ground_id},
         "goal": scene.goal_id,
-        "direction": list(scene.direction),
+        "direction": list(trace.states[0].bodies[scene.theme_id].heading),
         "bodies": bodies,
         "coords": COORD_CONVENTION,
     }
@@ -465,7 +465,6 @@ def _rebuild(header: dict, h: dict, rows: list[str], record, fmt: str) -> TraceD
         theme_id=theme_id,
         ground_id=ground_id,
         goal_id=h["goal"],
-        direction=direction,
     )
     return TraceDocument(header=header, trace=trace, scene=scene, cfg=cfg)
 

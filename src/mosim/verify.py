@@ -16,7 +16,7 @@ from math import hypot
 from .config import SceneConfig
 from .programs import Trace
 from .errors import TraceSceneMismatch
-from .kinematics import Body, Rel, first_overlap
+from .kinematics import Body, Rel, first_overlap, rest_height
 from .lexicon import FLOOR_ID, PREP_ROLES, FloorContact, PathKind, RotationCoupling
 from .parser import EventFrame
 from .record import asdict, record
@@ -190,7 +190,7 @@ def _check_rotation(metrics: TraceMetrics, theme: Body, coupling: RotationCoupli
         if abs(net) <= ROTATION_NONE_TOL:
             return CheckResult(name, True, None, "no net rotation")
         return CheckResult(name, False, None, f"net rotation {net:.6g} rad, profile requires none")
-    expected = metrics.path_length / theme.rolling_radius
+    expected = metrics.path_length / rest_height(theme.shape, theme.dimensions)
     if abs(net - expected) <= ROTATION_COUPLING_TOL:
         return CheckResult(name, True, None, "rotation matches arc length")
     return CheckResult(

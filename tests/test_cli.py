@@ -267,6 +267,20 @@ def test_enumerate_bad_program_text_exits_2_with_one_line(tmp_path, capsys, text
     assert err.startswith("ProgramTextError: ") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", [
+    # flat text, but (and ...) folds leftward into a 1,999-deep chain
+    "(test (and" + " true" * 2000 + "))",
+    # within the parser's limit, but evaluation takes several frames per diamond
+    "(test " + "(diamond (tick roll) " * 400 + "true" + ")" * 400 + ")",
+], ids=["and-of-2000", "diamond-400-deep"])
+def test_enumerate_refuses_a_formula_too_deep_to_evaluate_with_one_line(tmp_path, capsys, text):
+    prog = tmp_path / "p.txt"
+    prog.write_text(text)
+    assert run(["enumerate", "--program", str(prog), "--bound", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "ProgramTextError: program text is nested too deeply\n" and captured.out == ""
+
+
 @pytest.mark.parametrize("text,message", [
     ("(seq (assign (loc ball) (scale 1e308 (vec 10 0.5 0))) (choice (tick roll) (tick roll)))",
      "(loc ball) would be assigned (inf, 5e+307, 0.0)"),

@@ -124,6 +124,13 @@ def test_plane_plane_unsupported():
         surface_distance(FLOOR, other)
 
 
+def test_a_body_refuses_to_be_a_mobile_plane():
+    with pytest.raises(ValueError, match="^a plane is immobile$"):
+        Body("sheet", Shape.PLANE, (), True, (0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="^a plane is immobile$"):
+        replace(FLOOR, mobile=True)
+
+
 def test_contact_relation_thresholds():
     eps = 1e-3
     assert contact_relation(ball_at((0, 0.5, 0)), FLOOR, eps) is Rel.EC
@@ -553,7 +560,7 @@ def reference_tick(world, action, theme_id, direction):
     moved_h = math.hypot(final[0] - theme.position[0], final[2] - theme.position[2])
     rotation = theme.rotation
     if action == "roll":
-        rotation += moved_h / theme.rolling_radius
+        rotation += moved_h / rest_height(theme.shape, theme.dimensions)
     velocity = vscale(vsub(final, theme.position), 1.0 / dt)
     if action == "bounce":
         velocity = (velocity[0], vy, velocity[2])

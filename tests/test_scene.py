@@ -36,7 +36,7 @@ def test_running_example_placement(lex, cfg):
     assert ball.position == (0.0, 0.5, 0.0)
     # near face of the goal sits at ground_distance - halfdepth
     assert wall.position[0] - wall.dimensions[2] / 2 == pytest.approx(4.9)
-    assert sc.direction == (1.0, 0.0, 0.0)
+    assert ball.heading == (1.0, 0.0, 0.0)
     # surface gap equals ground_distance - radius - halfdepth
     gap = surface_distance(ball, wall)
     assert gap == pytest.approx(cfg.ground_distance - 0.5 - 0.1)
@@ -92,7 +92,7 @@ def test_from_scene_starts_in_contact(lex, cfg):
     wall = sc.initial.body("wall")
     assert contact_relation(ball, wall, cfg.contact_eps) is Rel.EC
     # motion leads away from the source: +x while the wall sits on -x
-    assert sc.direction == (1.0, 0.0, 0.0)
+    assert ball.heading == (1.0, 0.0, 0.0)
     assert wall.position[0] < ball.position[0]
 
 
@@ -107,7 +107,7 @@ def test_every_corpus_scene_satisfies_invariants(lex, cfg):
         sc = scene_for(sentence, lex, cfg)
         assert sc.initial.body(sc.theme_id).mobile
         assert "floor" in sc.initial.bodies
-        assert abs(vnorm(sc.direction) - 1.0) <= 1e-12
+        assert abs(vnorm(sc.initial.body(sc.theme_id).heading) - 1.0) <= 1e-12
         ids = list(sc.initial.bodies)
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
@@ -124,7 +124,7 @@ def test_placement_determinism(lex):
         a = scene_for(sentence, lex, cfg)
         b = scene_for(sentence, lex, cfg)
         assert a.initial == b.initial
-        assert a.direction == b.direction
+        assert a.initial.body("ball").heading == b.initial.body("ball").heading
 
 
 @settings(max_examples=20, deadline=None)
@@ -134,10 +134,10 @@ def test_bare_direction_is_horizontal_unit(seed):
 
     lex = builtin_lexicon()
     sc = build_scene(parse_text("the ball rolled", lex), lex, SceneConfig(seed=seed))
-    assert sc.direction[1] == 0.0
-    assert abs(vnorm(sc.direction) - 1.0) <= 1e-12
-    assert sc.direction == free_direction(SceneConfig(seed=seed))
-    assert sc.initial.body("ball").heading == sc.direction
+    heading = sc.initial.body("ball").heading
+    assert heading[1] == 0.0
+    assert abs(vnorm(heading) - 1.0) <= 1e-12
+    assert heading == free_direction(SceneConfig(seed=seed))
 
 
 # (seed, duration, angle) as the single draw of both values gave them before

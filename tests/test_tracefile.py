@@ -299,7 +299,7 @@ def hand_built_runs(draw, actions=("roll", "slide")):
         labels.append(draw(st.sampled_from(actions)))
     ground_id = draw(st.sampled_from([None, FLOOR_ID, *others]))
     scene = Scene(initial=states[0], theme_id=theme_id, ground_id=ground_id,
-                  goal_id=ground_id, direction=(1.0, 0.0, 0.0))
+                  goal_id=ground_id)
     return Trace(tuple(states), tuple(labels)), scene, cfg
 
 
@@ -441,7 +441,7 @@ def ticked_runs(draw):
         states.append(kinematics.tick(states[-1], label, theme_id))
     ground_id = draw(st.sampled_from([None, FLOOR_ID, *others]))
     scene = Scene(initial=states[0], theme_id=theme_id, ground_id=ground_id,
-                  goal_id=ground_id, direction=direction)
+                  goal_id=ground_id)
     return Trace(tuple(states), labels), scene, cfg
 
 
@@ -939,8 +939,7 @@ def replayed(trace, scene, **changes):
     states = [with_body(first, replace(first.body(scene.theme_id), **changes))]
     for label in trace.labels:
         states.append(kinematics.tick(states[-1], label, scene.theme_id))
-    direction = changes.get("heading", scene.direction)
-    return Trace(tuple(states), trace.labels), replace(scene, initial=states[0], direction=direction)
+    return Trace(tuple(states), trace.labels), replace(scene, initial=states[0])
 
 
 def written_trace(path, lex, damage=None, **changes):
@@ -1334,7 +1333,7 @@ def test_header_bindings_and_direction_within_the_rules_are_read(tmp_path, lex, 
                          heading=tuple(heading["direction"]))
     doc = read_trace(path)
     assert (doc.scene.ground_id, doc.scene.goal_id) == (header["bindings"]["ground"], header["goal"])
-    assert doc.scene.direction == tuple(header["direction"])
+    assert doc.scene.initial.body("ball").heading == tuple(header["direction"])
 
 
 @pytest.mark.parametrize("fmt,damage,shown", [
@@ -1534,11 +1533,11 @@ def test_record_0_holds_its_ticks_time(tmp_path, lex, fmt, edit):
 def test_a_plus_x_heading_is_read_as_the_engines_heading(tmp_path, lex, fmt):
     # a tick takes PLUS_X as it is; a -0.0 component is another heading's bits
     doc = read_trace(written_trace(tmp_path / f"t.{fmt}", lex))
-    assert doc.scene.direction is PLUS_X
+    assert doc.scene.initial.body("ball").heading is PLUS_X
     assert all(state.body("ball").heading is PLUS_X for state in doc.trace.states)
     path = written_trace(tmp_path / f"z.{fmt}", lex,
                          edit_header(lambda h: h.update(direction=[1.0, 0.0, -0.0])))
-    direction = read_trace(path).scene.direction
+    direction = read_trace(path).scene.initial.body("ball").heading
     assert direction == PLUS_X and direction is not PLUS_X and math.copysign(1.0, direction[2]) == -1.0
 
 
