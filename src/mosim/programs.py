@@ -507,68 +507,65 @@ def _search(
     The stack holds pending runs as (continuation, state, ticks), where a
     continuation is a linked list of program nodes, None | (node, rest).  An
     iteration with n passes left continues as the cell (_LOOP, (body, n,
-    rest)), so a pass builds no Star record.  Each popped run is one node
-    against ``node_cap``; it runs its deterministic prefix up to success,
-    failure or a two-way branch (a choice, or a bounded iteration).  A
-    branch pushes its second alternative and runs the first in place,
-    counted as one more node, as if it had been pushed and popped.  With an
-    rng, one bit drawn at the branch may swap them, and the first successful
-    run ends the search.  Without one, the order is left-biased and (with
-    want_all) every successful run is collected once: a run is numbered by
-    its labels when it succeeds, and its states are keyed only where two
-    runs with the same labels meet (see _HistoryIds).  Nodes are told apart
-    by their exact type, the most frequent first.
+    rest)), so a pass builds no Star record; a pass of a ``Seq`` body starts
+    as its two halves.  Each popped run is one node against ``node_cap``; it
+    runs its deterministic prefix up to success, failure or a two-way branch
+    (a choice, or a bounded iteration).  A branch pushes its second
+    alternative and runs the first in place, counted as one more node, as if
+    it had been pushed and popped.  With an rng, one bit drawn at the branch
+    may swap them, and the first successful run ends the search.  Without
+    one, the order is left-biased and (with want_all) every successful run
+    is collected once: a run is numbered by its labels when it succeeds, and
+    its states are keyed only where two runs with the same labels meet (see
+    _HistoryIds).  Nodes are told apart by their exact type, the branches
+    first, and a test of ``At`` or its negation reads the state's contact map.
+
+    The head-test rule: when the first alternative starts with a test, the
+    second is held back until that test is evaluated.  If it holds, the
+    second is pushed and the first runs on after the test.  If it fails, the
+    failure is kept as any other, and the second runs in place with no push
+    or pop: one more node, counted and checked against ``node_cap`` where
+    its pop would have been.  So node counts, the failure kept and the
+    ``ExplosionGuard`` text are those of pushing it at once.
 
     The current run is two lists indexed by depth: ``path``, the states it
     has left, and ``labels``, the actions of the ticks that left them.  A
     tick appends to both, an assignment changes only the current state, and
-    a pop truncates both to the popped run's ``ticks``; a successful run is
-    ``Trace((*path, cur), tuple(labels))``.  This holds because the search
-    is depth first: the stack's ``ticks`` never fall from bottom to top, so
-    every pending run left exactly the first ``ticks`` states of the lists.
-    Under enumeration ``nums`` holds the numbers of the run's first
-    positions and is truncated with them.  That loses no number a later run
-    could reuse: a truncated one numbered a position of the abandoned run,
-    and _HistoryIds keeps every number it gives, so a later run with the
-    same labels and state keys up to there is given the same number again.
+    a pop truncates both to the popped run's ``ticks`` when the current run
+    is deeper; a successful run is ``Trace((*path, cur), tuple(labels))``.
+    This holds because the search is depth first: the stack's ``ticks`` never
+    fall from bottom to top, so every pending run left exactly the first
+    ``ticks`` states of the lists.  Under enumeration ``nums`` holds the
+    numbers of the run's first positions and is truncated with them.  That
+    loses no number a later run could reuse: a truncated one numbered a
+    position of the abandoned run, and _HistoryIds keeps every number it
+    gives, so a later run with the same labels and state keys up to there is
+    given the same number again.
     """
     traces: list[Trace] = []
     history_ids = _HistoryIds() if want_all else None
     pruned = False
     failure: tuple = (-1, None, "no run attempted")
     stack: list[tuple] = [((program, None), s0, 0)]
+    push, pop = stack.append, stack.pop
+    next_bit = rng.next_bit if rng is not None else None
+    tick = kinematics.tick
+    set_states, set_labels = Trace._setters
     path, labels, nums = [], [], []  # the current run by depth, as above
-    nodes = 0
+    nodes = ticks = 0
+    held = None  # the pending run of a branch's second alternative while its first's head test runs
     while stack:
-        cont, cur, ticks = stack.pop()
-        del path[ticks:], labels[ticks:], nums[ticks:]
+        cont, cur, popped = pop()
+        if popped < ticks:
+            del path[popped:], labels[popped:], nums[popped:]
+        ticks = popped
         nodes += 1
         if nodes > node_cap:
             raise ExplosionGuard(nodes, node_cap)
-        failed = None
         while cont is not None:
             node, rest = cont
             t = type(node)
-            if t is Tick:
-                if ticks >= budget:
-                    pruned = True
-                    failed = (ticks, node, "tick budget exhausted at")
-                    break
-                path.append(cur)
-                labels.append(node.action)
-                cur = kinematics.tick(cur, node.action, node.theme)
-                ticks += 1
-                cont = rest
-            elif t is Test:
-                tv = _eval3(node.formula, cur, budget - ticks, node_cap)
-                if tv is not _T:
-                    pruned = pruned or tv is _U
-                    failed = (ticks, node, "test failed")
-                    break
-                cont = rest
-            elif t is Seq:
-                cont = (node.first, (node.second, rest))
-            elif t is Star or node is _LOOP or t is Choice:
+            if node is _LOOP or t is Star or t is Choice:
                 if t is Choice:
                     first, second = (node.left, rest), (node.right, rest)
                 else:  # an iteration with ``bound`` passes left: zero more first
@@ -579,15 +576,60 @@ def _search(
                     if bound <= 0:
                         cont = rest
                         continue
-                    first, second = rest, (body, (_LOOP, (body, bound - 1, rest)))
-                if rng is not None and rng.next_bit():
+                    loop = (_LOOP, (body, bound - 1, rest))
+                    first = rest
+                    second = (body.first, (body.second, loop)) if type(body) is Seq else (body, loop)
+                if next_bit is not None and next_bit():
                     first, second = second, first
-                stack.append((second, cur, ticks))
                 # the first alternative runs in place, one node as if popped
                 nodes += 1
                 if nodes > node_cap:
                     raise ExplosionGuard(nodes, node_cap)
+                if first is not None and type(first[0]) is Test:
+                    held = (second, cur, ticks)
+                else:
+                    push((second, cur, ticks))
                 cont = first
+            elif t is Test:
+                f = node.formula
+                tf = type(f)
+                if tf is At and (rel := cur.contacts.get((f.a, f.b))) is not None:
+                    tv = rel is not _DC
+                elif tf is Not and type(f.sub) is At and (
+                    rel := cur.contacts.get((f.sub.a, f.sub.b))
+                ) is not None:
+                    tv = rel is _DC
+                else:
+                    tv = _eval3(f, cur, budget - ticks, node_cap)
+                if tv is not _T:
+                    pruned = pruned or tv is _U
+                    failed = (ticks, node, "test failed")
+                    if held is None:
+                        break
+                    # a failed head test: the held alternative runs in place, one node as if popped
+                    if ticks >= failure[0]:
+                        failure = failed
+                    nodes += 1
+                    if nodes > node_cap:
+                        raise ExplosionGuard(nodes, node_cap)
+                    cont, held = held[0], None
+                    continue
+                if held is not None:
+                    push(held)
+                    held = None
+                cont = rest
+            elif t is Tick:
+                if ticks >= budget:
+                    pruned = True
+                    failed = (ticks, node, "tick budget exhausted at")
+                    break
+                path.append(cur)
+                labels.append(node.action)
+                cur = tick(cur, node.action, node.theme)
+                ticks += 1
+                cont = rest
+            elif t is Seq:
+                cont = (node.first, (node.second, rest))
             elif t is Assign or t is DirectedAssign:
                 value = eval_term(node.term, cur)
                 if t is DirectedAssign:
@@ -600,13 +642,16 @@ def _search(
             else:
                 raise TypeError(f"not a program: {node!r}")
         else:  # the run succeeded
-            if history_ids is None:
-                traces.append(Trace((*path, cur), tuple(labels)))
-                break
-            if history_ids.add(path, labels, nums, cur):
-                traces.append(Trace((*path, cur), tuple(labels)))
+            if history_ids is None or history_ids.add(path, labels, nums, cur):
+                # filled through the slot setters, as tick fills its states
+                trace = Trace.__new__(Trace)
+                set_states(trace, (*path, cur))
+                set_labels(trace, tuple(labels))
+                traces.append(trace)
+                if history_ids is None:
+                    break
             continue
-        if failed is not None and failed[0] >= failure[0]:
+        if failed[0] >= failure[0]:  # a run ends in failure only by a break
             failure = failed
     return _Outcome(traces, pruned, failure)
 

@@ -189,6 +189,13 @@ def write_trace(
     scene_ids = list(scene.initial.bodies)
     if set(scene_ids) != set(ids):  # the header binds the scene's ids to the trace's bodies
         raise ValueError(f"scene bodies {scene_ids} are not the trace's bodies {ids}")
+    if scene.theme_id not in ids:
+        raise ValueError(f"scene theme {scene.theme_id!r} is not one of the trace's bodies {ids}")
+    for name, bid in (("ground", scene.ground_id), ("goal", scene.goal_id)):
+        if bid is not None and bid not in ids:
+            raise ValueError(f"scene {name} {bid!r} is not one of the trace's bodies {ids}")
+    if not trace.states[0].bodies[scene.theme_id].mobile:  # the reader refuses such a theme
+        raise ValueError(f"the theme {scene.theme_id!r} is immobile")
     if scene.initial is not trace.states[0] and scene.initial != trace.states[0]:
         raise ValueError("scene initial state is not the trace's first state")
     ran = trace.states[0].cfg

@@ -269,6 +269,8 @@ def verify_trace(
         )
     if scene.theme_id not in trace_ids:
         raise TraceSceneMismatch(f"theme {scene.theme_id!r} missing from trace")
+    if not trace.states[0].bodies[scene.theme_id].mobile:  # as the engine and the reader refuse one
+        raise TraceSceneMismatch(f"theme {scene.theme_id!r} is immobile")
     if frame.theme != scene.theme_id:
         raise TraceSceneMismatch(
             f"sentence theme {frame.theme!r} is not the scene theme {scene.theme_id!r}"

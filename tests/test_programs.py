@@ -843,6 +843,168 @@ def test_a_goal_loop_builds_no_star_and_pops_at_most_two_nodes_per_tick(lex, mon
     assert info.value.nodes == 4455
 
 
+# -- the search against a plain loop ------------------------------------------------------
+
+_PENDING = object()  # reference_search's continuation cell of a pending iteration
+
+
+def reference_search(program, s0, budget, *, rng, want_all, node_cap):
+    """``programs._search`` as a plain loop, kept to check the search against.
+
+    Every run is pushed and popped, a pop always truncates the current run to
+    the popped one's depth, every test goes through ``_eval3`` and a bit is
+    drawn with ``next_u64() & 1``.  Node counts, the failure kept, pruning
+    and the traces are the search's, by the rules of its docstring.
+    """
+    traces = []
+    history_ids = programs._HistoryIds() if want_all else None
+    pruned = False
+    failure = (-1, None, "no run attempted")
+    stack = [((program, None), s0, 0)]
+    path, labels, nums = [], [], []
+    nodes = 0
+    while stack:
+        cont, cur, ticks = stack.pop()
+        del path[ticks:], labels[ticks:], nums[ticks:]
+        nodes += 1
+        if nodes > node_cap:
+            raise ExplosionGuard(nodes, node_cap)
+        failed = None
+        while cont is not None:
+            node, rest = cont
+            t = type(node)
+            if t is Tick:
+                if ticks >= budget:
+                    pruned = True
+                    failed = (ticks, node, "tick budget exhausted at")
+                    break
+                path.append(cur)
+                labels.append(node.action)
+                cur = kinematics.tick(cur, node.action, node.theme)
+                ticks += 1
+                cont = rest
+            elif t is Test:
+                tv = programs._eval3(node.formula, cur, budget - ticks, node_cap)
+                if tv is not True:
+                    pruned = pruned or tv is None
+                    failed = (ticks, node, "test failed")
+                    break
+                cont = rest
+            elif t is Seq:
+                cont = (node.first, (node.second, rest))
+            elif t is Star or node is _PENDING or t is Choice:
+                if t is Choice:
+                    first, second = (node.left, rest), (node.right, rest)
+                else:
+                    if t is Star:
+                        body, bound = node.body, node.bound
+                    else:
+                        body, bound, rest = rest
+                    if bound <= 0:
+                        cont = rest
+                        continue
+                    first, second = rest, (body, (_PENDING, (body, bound - 1, rest)))
+                if rng is not None and rng.next_u64() & 1:
+                    first, second = second, first
+                stack.append((second, cur, ticks))
+                nodes += 1
+                if nodes > node_cap:
+                    raise ExplosionGuard(nodes, node_cap)
+                cont = first
+            elif t is Assign or t is DirectedAssign:
+                value = eval_term(node.term, cur)
+                if t is DirectedAssign:
+                    old = eval_term(AttrTerm(node.attr), cur)
+                    if programs._values_equal(old, value, programs.ASSIGN_TOL):
+                        failed = (ticks, node, "directed assignment left the value unchanged")
+                        break
+                cur = programs._set_attr(cur, node.attr, value)
+                cont = rest
+            else:
+                raise TypeError(f"not a program: {node!r}")
+        else:
+            if history_ids is None:
+                traces.append(programs.Trace((*path, cur), tuple(labels)))
+                break
+            if history_ids.add(path, labels, nums, cur):
+                traces.append(programs.Trace((*path, cur), tuple(labels)))
+            continue
+        if failed is not None and failed[0] >= failure[0]:
+            failure = failed
+    return programs._Outcome(traces, pruned, failure)
+
+
+_GOALS = ["(at ball floor)", "(leq (rot ball) -1)", "(leq 1 (rot ball))", "(dc ball floor)"]
+_FORMULAS = st.sampled_from([
+    "true", "(at ball floor)", "(not (at ball floor))", "(ec ball floor)", "(dc ball floor)",
+    "(not (ec ball floor))", "(leq (rot ball) 0.5)", "(not (leq (rot ball) -0.5))",
+    # no relation is stored for a body with itself: _eval3 computes it
+    "(at ball ball)", "(not (at ball ball))", "(diamond (tick roll) (at ball floor))",
+])
+_LEAVES = st.one_of(
+    st.sampled_from(["(tick roll)", "(tick slide)", "(tick move)", "(tick fly)"]),
+    _FORMULAS.map("(test {})".format),
+    st.sampled_from([
+        "(assign (rot ball) 2)", "(assign (loc ball) (vec 0 3 0))",
+        "(assign (loc ball) (vec 1 0.5 0))", "(dassign (rot ball) 0)", "(dassign (rot ball) 1)",
+    ]),
+)
+
+
+def _compound(sub):
+    bounds = st.integers(min_value=0, max_value=4)
+    return st.one_of(
+        st.tuples(sub, sub).map(lambda p: "(seq {} {})".format(*p)),
+        st.tuples(sub, sub).map(lambda p: "(choice {} {})".format(*p)),
+        st.tuples(sub, bounds).map(lambda p: "(star {} {})".format(*p)),
+        # the goal loop, with a goal of either kind and either tick
+        st.tuples(st.sampled_from(_GOALS), st.sampled_from(["roll", "move"]),
+                  st.integers(min_value=0, max_value=6)).map(
+            lambda g: f"(seq (star (seq (test (not {g[0]})) (tick {g[1]})) {g[2]}) (test {g[0]}))"
+        ),
+    )
+
+
+_PROGRAM_TEXTS = st.recursive(_LEAVES, _compound, max_leaves=10)
+
+
+def _searched(search, program, s0, budget, seed, want_all, node_cap):
+    rng = None if seed is None else SplitMix64(seed)
+    try:
+        outcome = search(program, s0, budget, rng=rng, want_all=want_all, node_cap=node_cap)
+    except Exception as exc:  # the same error, with the same text, from both
+        result = (type(exc), str(exc))
+    else:
+        result = ([(t.labels, t.key()) for t in outcome.traces], outcome.budget_pruned,
+                  outcome.failure)
+    draws = None if rng is None else [rng.next_bit() if i % 3 else rng.next_u64() for i in range(100)]
+    return result, draws
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(text=_PROGRAM_TEXTS, budget=st.integers(min_value=0, max_value=12),
+       node_cap=st.integers(min_value=1, max_value=120),
+       seed=st.one_of(st.none(), st.integers(min_value=0, max_value=2**64 - 1)),
+       want_all=st.booleans())
+# a goal loop whose exit fails on the last pass: the failure kept at a tie
+@example(text="(seq (star (seq (test (not (at ball floor))) (tick roll)) 3) (test (dc ball floor)))",
+         budget=5, node_cap=120, seed=7, want_all=False)
+# two failed head tests at one depth: the later one is kept
+@example(text="(choice (test (dc ball floor)) (choice (test (not (at ball floor))) (tick roll)))",
+         budget=5, node_cap=120, seed=None, want_all=False)
+# a loop at the end of the program: its exit is the end, and the pass first fails its head test
+@example(text="(star (seq (test (not (ec ball floor))) (tick move)) 3)", budget=17, node_cap=120,
+         seed=0, want_all=False)
+def test_the_search_equals_the_plain_loop(text, budget, node_cap, seed, want_all):
+    from mosim import builtin_lexicon
+
+    s0 = probe_scene(SceneConfig(seed=0), builtin_lexicon()).initial
+    program = parse_program(text)
+    want_all = want_all and seed is None
+    args = (program, s0, budget, seed, want_all, node_cap)
+    assert _searched(programs._search, *args) == _searched(reference_search, *args)
+
+
 class _Foreign:
     def __repr__(self):
         return "<foreign>"

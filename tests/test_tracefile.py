@@ -383,6 +383,33 @@ def test_writer_refuses_a_scene_whose_bodies_are_not_the_traces(tmp_path, lex, c
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("field, message", [
+    ("theme_id", r"^scene theme 'ghost' is not one of the trace's bodies \['floor', 'ball', 'wall'\]$"),
+    ("ground_id", r"^scene ground 'ghost' is not one of the trace's bodies \['floor', 'ball', 'wall'\]$"),
+    ("goal_id", r"^scene goal 'ghost' is not one of the trace's bodies \['floor', 'ball', 'wall'\]$"),
+])
+def test_writer_refuses_a_scene_binding_a_body_the_trace_lacks(tmp_path, lex, cfg, fmt, field,
+                                                               message):
+    _, scene, trace = make_run(lex, cfg)
+    path = tmp_path / f"t.{fmt}"
+    with pytest.raises(ValueError, match=message):
+        write_trace(path, fmt, "the ball rolled to the wall", trace,
+                    replace(scene, **{field: "ghost"}), cfg)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("theme", ["floor", "wall"])
+def test_writer_refuses_an_immobile_theme(tmp_path, lex, cfg, fmt, theme):
+    # the reader refuses such a header: the writer does not write one
+    _, scene, trace = make_run(lex, cfg)
+    path = tmp_path / f"t.{fmt}"
+    with pytest.raises(ValueError, match=rf"^the theme '{theme}' is immobile$"):
+        write_trace(path, fmt, "the ball rolled to the wall", trace, replace(scene, theme_id=theme), cfg)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 @pytest.mark.parametrize("ran, scene_of", [
     ("the ball rolled to the wall", "the ball rolled from the wall"),
     ("the ball rolled from the wall", "the ball rolled to the wall"),

@@ -153,6 +153,15 @@ def test_theme_mismatch_is_an_error_not_a_fail(lex, cfg):
         verify_trace(trace, frame_bird, scene, cfg)
 
 
+@pytest.mark.parametrize("states", [1, 5])
+def test_an_immobile_theme_is_a_mismatch_not_a_traceback(lex, cfg, states):
+    # a hand-built scene whose theme is the floor: the engine and the reader refuse one
+    _, scene, trace = run_sentence("the ball rolled", lex, cfg)
+    trace = Trace(trace.states[:states], trace.labels[:states - 1])
+    with pytest.raises(TraceSceneMismatch, match=r"^theme 'floor' is immobile$"):
+        verify_trace(trace, parse_text("the floor rolled", lex), replace(scene, theme_id="floor"), cfg)
+
+
 def test_goal_sentence_against_bare_trace_fails_path_checks(lex, cfg):
     # the sentence claims a goal the scene never had: unbound ground
     # surfaces as failing path checks, not a silent skip
