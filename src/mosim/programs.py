@@ -673,19 +673,19 @@ def execute(
     if budget < 1:
         raise ValueError("budget must be at least 1")
     node_cap = DEFAULT_NODE_CAP * 10
-    if _flight_out_of_reach(program, s0, budget, node_cap):
-        # the deepest failure of the search, which would fail every run
-        passes, final_test = program.first.bound, program.second
-        raise NoSuccessfulRun(f"after {passes} tick(s): {_describe_failure(final_test, 'test failed')}")
-    outcome = _search(program, s0, budget, rng=rng, want_all=False, node_cap=node_cap)
-    if outcome.traces:
-        return outcome.traces[0]
-    ticks, node, reason = outcome.failure
+    failure = _flight_out_of_reach(program, s0, budget, node_cap)
+    if failure is None:
+        outcome = _search(program, s0, budget, rng=rng, want_all=False, node_cap=node_cap)
+        if outcome.traces:
+            return outcome.traces[0]
+        failure = outcome.failure
+    ticks, node, reason = failure
     raise NoSuccessfulRun(f"after {max(ticks, 0)} tick(s): {_describe_failure(node, reason)}")
 
 
-def _flight_out_of_reach(program: Program, s0: WorldState, budget: int, node_cap: int) -> bool:
-    """Whether ``program`` is a ``fly`` goal loop whose theme can never reach its goal.
+def _flight_out_of_reach(program: Program, s0: WorldState, budget: int, node_cap: int):
+    """The search's failure of ``program`` when it is a ``fly`` goal loop whose
+    theme can never reach its goal, without running the search; else None.
 
     A ``fly`` tick keeps the theme's height bit for bit: it sets y to the
     start's, and a clamp scales the move, whose y part is 0.0.  No other body
@@ -697,20 +697,20 @@ def _flight_out_of_reach(program: Program, s0: WorldState, budget: int, node_cap
     far above the rounding of the gap kernels at these magnitudes.
     """
     if type(program) is not Seq or type(program.first) is not Star or type(program.second) is not Test:
-        return False
+        return None
     # the loop _goal_loop compiles, compared without building a Star
     goal, passes = program.second.formula, program.first.bound
     if type(goal) is not At or program.first.body != Seq(Test(Not(goal)), Tick("fly", goal.a)):
-        return False
+        return None
     if passes > budget or 2 * passes >= node_cap:
-        return False
+        return None
     theme, ground = s0.body(goal.a), s0.body(goal.b)
     if not theme.mobile:
-        return False
+        return None
     try:
         kinematics._unit_horizontal(theme.heading)
     except ValueError:
-        return False
+        return None
     y, half = theme.position[1], kinematics.rest_height(theme.shape, theme.dimensions)
     if ground.shape is Shape.PLANE:  # the floor fills every height up to 0
         ground_y, ground_half, gap = 0.0, 0.0, y - half
@@ -719,7 +719,9 @@ def _flight_out_of_reach(program: Program, s0: WorldState, budget: int, node_cap
         ground_half = kinematics.rest_height(ground.shape, ground.dimensions)
         gap = abs(y - ground_y) - half - ground_half
     margin = 1e-9 * (abs(y) + half + abs(ground_y) + ground_half)
-    return gap - s0.cfg.contact_eps > margin
+    if gap - s0.cfg.contact_eps > margin:  # the deepest failure, after the last pass
+        return passes, program.second, "test failed"
+    return None
 
 
 @_without_collector

@@ -44,10 +44,24 @@ FALLBACK_FLIGHT_GAP = 1.0
 
 @record
 class Scene:
+    """A run's initial state and the ids its sentence binds there.
+
+    The theme is a mobile body of ``initial``; the ground and the goal are each
+    None or a body of it.  The ground may be the theme, as a trace header may bind.
+    """
+
     initial: WorldState
     theme_id: str
     ground_id: str | None
     goal_id: str | None
+
+    def __post_init__(self) -> None:
+        bodies = self.initial.bodies
+        for name, bid in (("theme", self.theme_id), ("ground", self.ground_id), ("goal", self.goal_id)):
+            if bid not in bodies and (name == "theme" or bid is not None):
+                raise ValueError(f"scene {name} {bid!r} is not one of the scene's bodies {list(bodies)}")
+        if not bodies[self.theme_id].mobile:
+            raise ValueError(f"the theme {self.theme_id!r} is immobile")
 
 
 def bare_duration(cfg: SceneConfig) -> int:
@@ -178,9 +192,4 @@ def build_scene(frame: EventFrame, lex: Lexicon, cfg: SceneConfig) -> Scene:
         # a default_altitude at or just above the rest height
         raise SceneBuildError(f"{theme.id!r} would fly in contact with the floor")
 
-    return Scene(
-        initial=state,
-        theme_id=theme.id,
-        ground_id=ground_id,
-        goal_id=goal_id,
-    )
+    return Scene(initial=state, theme_id=theme.id, ground_id=ground_id, goal_id=goal_id)

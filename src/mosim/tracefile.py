@@ -131,7 +131,8 @@ def _line_format(fmt: str, ids, theme_id: str, ground_id: str | None):
         floats = "%d,%.17g,%s%.17g,%.17g,%.17g,%.17g%s%s%s%s"
         pick = itemgetter(*ids)
     floor_pair = theme_id, FLOOR_ID
-    goal_pair = None if ground_id is None or ground_id == FLOOR_ID else (theme_id, ground_id)
+    # the floor's column is the floor relation, and a theme bound as its own ground has none
+    goal_pair = None if ground_id in (None, FLOOR_ID, theme_id) else (theme_id, ground_id)
     # the bodies of the last line in written order, and the text before and after the theme's
     held: list = [None]
     spot, before, after = 0, "", ""
@@ -185,23 +186,14 @@ def write_trace(
             raise ValueError(
                 f"label {label!r:.40} is not a tick action (one of {', '.join(sorted(TICK_ACTIONS))})"
             )
-    ids = list(trace.states[0].bodies)
-    scene_ids = list(scene.initial.bodies)
-    if set(scene_ids) != set(ids):  # the header binds the scene's ids to the trace's bodies
-        raise ValueError(f"scene bodies {scene_ids} are not the trace's bodies {ids}")
-    if scene.theme_id not in ids:
-        raise ValueError(f"scene theme {scene.theme_id!r} is not one of the trace's bodies {ids}")
-    for name, bid in (("ground", scene.ground_id), ("goal", scene.goal_id)):
-        if bid is not None and bid not in ids:
-            raise ValueError(f"scene {name} {bid!r} is not one of the trace's bodies {ids}")
-    if not trace.states[0].bodies[scene.theme_id].mobile:  # the reader refuses such a theme
-        raise ValueError(f"the theme {scene.theme_id!r} is immobile")
+    # a Scene binds only its own bodies, so here only the trace's
     if scene.initial is not trace.states[0] and scene.initial != trace.states[0]:
         raise ValueError("scene initial state is not the trace's first state")
     ran = trace.states[0].cfg
     if cfg != ran:  # the reader ticks each state under the header's config
         differ = ", ".join(k for k, v in cfg.to_dict().items() if v != getattr(ran, k))
         raise ValueError(f"cfg is not the config the trace ran under (it differs in {differ})")
+    ids = list(trace.states[0].bodies)
     header = _json_value(_header_dict(sentence, trace, scene, cfg))
     lines = [header] if fmt == "jsonl" else ["# " + header, ",".join(_csv_columns(ids))]
     line = _line_format(fmt, ids, scene.theme_id, scene.ground_id)
@@ -428,9 +420,7 @@ def _rebuild(header: dict, h: dict, rows: list[str], record, fmt: str) -> TraceD
     state = WorldState(time, 0, bodies, cfg)
     states = [state]
     labels = []
-    # a header may bind the theme as its own ground, a pair no state relates
-    ground = None if ground_id == theme_id else ground_id
-    taken = _fast_path(fmt, rows, list(h["bodies"]), theme_id, ground)
+    taken = _fast_path(fmt, rows, list(h["bodies"]), theme_id, ground_id)
     guess = ticked = None  # the previous record's action, and the tick by it
     for i in range(1, len(rows)):
         if guess is not None:
@@ -467,12 +457,7 @@ def _rebuild(header: dict, h: dict, rows: list[str], record, fmt: str) -> TraceD
         guess = action
 
     trace = Trace(tuple(states), tuple(labels))
-    scene = Scene(
-        initial=states[0],
-        theme_id=theme_id,
-        ground_id=ground_id,
-        goal_id=h["goal"],
-    )
+    scene = Scene(initial=states[0], theme_id=theme_id, ground_id=ground_id, goal_id=h["goal"])
     return TraceDocument(header=header, trace=trace, scene=scene, cfg=cfg)
 
 

@@ -267,8 +267,6 @@ def verify_trace(
         raise TraceSceneMismatch(
             f"trace bodies {sorted(trace_ids)} do not match scene bodies {sorted(scene_ids)}"
         )
-    if scene.theme_id not in trace_ids:
-        raise TraceSceneMismatch(f"theme {scene.theme_id!r} missing from trace")
     if not trace.states[0].bodies[scene.theme_id].mobile:  # as the engine and the reader refuse one
         raise TraceSceneMismatch(f"theme {scene.theme_id!r} is immobile")
     if frame.theme != scene.theme_id:

@@ -20,6 +20,7 @@ from mosim import (
 from mosim.errors import ImmobileThemeError, SceneBuildError
 from mosim.kinematics import contact_relation, rest_height, vnorm
 from mosim.lexicon import NounEntry, Shape
+from mosim.record import replace
 from mosim.scene import BOUNCE_START_GAP, _make_body, _place_source_ground
 
 from conftest import CORPUS
@@ -94,6 +95,34 @@ def test_from_scene_starts_in_contact(lex, cfg):
     # motion leads away from the source: +x while the wall sits on -x
     assert ball.heading == (1.0, 0.0, 0.0)
     assert wall.position[0] < ball.position[0]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("theme_id", "ghost", r"^scene theme 'ghost' is not one of the scene's bodies \['floor', 'ball', 'wall'\]$"),
+    ("ground_id", "ghost", r"^scene ground 'ghost' is not one of the scene's bodies \['floor', 'ball', 'wall'\]$"),
+    ("goal_id", "ghost", r"^scene goal 'ghost' is not one of the scene's bodies \['floor', 'ball', 'wall'\]$"),
+    ("theme_id", None, r"^scene theme None is not one of the scene's bodies \['floor', 'ball', 'wall'\]$"),
+    ("theme_id", "floor", r"^the theme 'floor' is immobile$"),
+    ("theme_id", "wall", r"^the theme 'wall' is immobile$"),
+])
+def test_scene_refuses_a_binding_that_is_not_its_own_mobile_theme_or_body(lex, cfg, field, value,
+                                                                           message):
+    scene = scene_for("the ball rolled to the wall", lex, cfg)
+    with pytest.raises(ValueError, match=message):
+        replace(scene, **{field: value})
+
+
+@pytest.mark.parametrize("changes", [
+    {"ground_id": None, "goal_id": None},
+    {"ground_id": "floor", "goal_id": "floor"},
+    {"ground_id": "wall", "goal_id": None},
+    {"ground_id": "ball"},  # a header may bind the theme as its own ground
+], ids=["unbound", "floor", "source", "theme as ground"])
+def test_scene_takes_none_any_body_and_the_theme_as_ground(lex, cfg, changes):
+    scene = scene_for("the ball rolled to the wall", lex, cfg)
+    changed = replace(scene, **changes)
+    assert (changed.theme_id, changed.ground_id, changed.goal_id) == (
+        "ball", changes["ground_id"], changes.get("goal_id", "wall"))
 
 
 def test_to_scene_starts_disconnected(lex, cfg):

@@ -12,7 +12,7 @@ from mosim import (
     verify_trace,
 )
 from mosim.errors import TraceSceneMismatch
-from mosim.kinematics import Rel, first_overlap
+from mosim.kinematics import Rel, WorldState, first_overlap
 from mosim.parser import EventFrame
 from mosim.programs import Trace
 from mosim.progtext import format_program
@@ -155,11 +155,23 @@ def test_theme_mismatch_is_an_error_not_a_fail(lex, cfg):
 
 @pytest.mark.parametrize("states", [1, 5])
 def test_an_immobile_theme_is_a_mismatch_not_a_traceback(lex, cfg, states):
-    # a hand-built scene whose theme is the floor: the engine and the reader refuse one
+    # a valid scene paired with a hand-built trace whose theme body is immobile:
+    # the engine and the reader refuse such a trace
     _, scene, trace = run_sentence("the ball rolled", lex, cfg)
-    trace = Trace(trace.states[:states], trace.labels[:states - 1])
-    with pytest.raises(TraceSceneMismatch, match=r"^theme 'floor' is immobile$"):
-        verify_trace(trace, parse_text("the floor rolled", lex), replace(scene, theme_id="floor"), cfg)
+    stuck = [
+        WorldState(s.time, s.tick_index, {**s.bodies, "ball": replace(s.body("ball"), mobile=False)}, s.cfg)
+        for s in trace.states[:states]
+    ]
+    trace = Trace(tuple(stuck), trace.labels[:states - 1])
+    with pytest.raises(TraceSceneMismatch, match=r"^theme 'ball' is immobile$"):
+        verify_trace(trace, parse_text("the ball rolled", lex), scene, cfg)
+
+
+def test_a_scene_with_an_immobile_theme_is_refused_before_verify(lex, cfg):
+    # the floor as theme: the Scene refuses it, so verify_trace never sees one
+    _, scene, _ = run_sentence("the ball rolled", lex, cfg)
+    with pytest.raises(ValueError, match=r"^the theme 'floor' is immobile$"):
+        replace(scene, theme_id="floor")
 
 
 def test_goal_sentence_against_bare_trace_fails_path_checks(lex, cfg):
