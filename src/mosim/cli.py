@@ -113,8 +113,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    # the search would take a negative bound as "no runs" and a cap below 1
-    # as a search that gave out, so both are bad input here
+    # enumerate_traces refuses both too; checked here first to name the flags
     if args.bound < 0:
         _err(f"ValueError: --bound must be nonnegative, got {args.bound}")
         return EXIT_INPUT

@@ -294,9 +294,10 @@ class Trace:
 
 def _state_key(state: WorldState) -> tuple:
     """What tells two states of a trace apart: tick index and every body's motion."""
+    # a tuple of a list is built faster than of a generator: runs that meet key a state per run
     return (
         state.tick_index,
-        tuple((b.id, b.position, b.rotation, b.velocity) for b in state.bodies.values()),
+        tuple([(b.id, b.position, b.rotation, b.velocity) for b in state.bodies.values()]),
     )
 
 
@@ -440,7 +441,12 @@ def _without_collector(fn):
 
 
 class _HistoryIds:
-    """Numbers the successful runs of one search: equal numbers mean equal runs.
+    """Numbers the successful runs of one search that meet under the same labels.
+
+    Equal numbers mean equal runs.  A run whose labels no earlier run has is
+    new without a number, so _search numbers runs only when a second run with
+    the same labels succeeds: the first one then, once and from position 0,
+    and each later one as it succeeds.
 
     Position i of a run is numbered by (number of position i - 1, or 0 at the
     start; label i), and the first state seen under that pair takes the number
@@ -515,10 +521,11 @@ def _search(
     it had been pushed and popped.  With an rng, one bit drawn at the branch
     may swap them, and the first successful run ends the search.  Without
     one, the order is left-biased and (with want_all) every successful run
-    is collected once: a run is numbered by its labels when it succeeds, and
-    its states are keyed only where two runs with the same labels meet (see
-    _HistoryIds).  Nodes are told apart by their exact type, the branches
-    first, and a test of ``At`` or its negation reads the state's contact map.
+    is collected once.  A run is new when no earlier run has its labels, told
+    by one dict lookup; runs are numbered, and their states keyed, only where
+    two runs with the same labels meet (see _HistoryIds).  Nodes are told
+    apart by their exact type, the branches first, and a test of ``At`` or
+    its negation reads the state's contact map.
 
     The head-test rule: when the first alternative starts with a test, the
     second is held back until that test is evaluated.  If it holds, the
@@ -536,13 +543,15 @@ def _search(
     This holds because the search is depth first: the stack's ``ticks`` never
     fall from bottom to top, so every pending run left exactly the first
     ``ticks`` states of the lists.  Under enumeration ``nums`` holds the
-    numbers of the run's first positions and is truncated with them.  That
-    loses no number a later run could reuse: a truncated one numbered a
-    position of the abandoned run, and _HistoryIds keeps every number it
-    gives, so a later run with the same labels and state keys up to there is
-    given the same number again.
+    numbers of the run's first positions, as many as are numbered, and is
+    truncated with them.  That loses no number a later run could reuse: a
+    truncated one numbered a position of the abandoned run, and _HistoryIds
+    keeps every number it gives, so a later run with the same labels and
+    state keys up to there is given the same number again.
     """
     traces: list[Trace] = []
+    # labels -> the states of the first run with them, or () once that run is numbered
+    first_runs: dict[tuple, tuple] | None = {} if want_all else None
     history_ids = _HistoryIds() if want_all else None
     pruned = False
     failure: tuple = (-1, None, "no run attempted")
@@ -642,14 +651,25 @@ def _search(
             else:
                 raise TypeError(f"not a program: {node!r}")
         else:  # the run succeeded
-            if history_ids is None or history_ids.add(path, labels, nums, cur):
-                # filled through the slot setters, as tick fills its states
-                trace = Trace.__new__(Trace)
-                set_states(trace, (*path, cur))
-                set_labels(trace, tuple(labels))
-                traces.append(trace)
-                if history_ids is None:
-                    break
+            lab = tuple(labels)
+            if first_runs is None:
+                states = (*path, cur)
+            elif (earlier := first_runs.get(lab)) is None:  # no earlier run has these labels
+                first_runs[lab] = states = (*path, cur)
+            else:  # another run has these labels: number the first once, then this one
+                if earlier:
+                    history_ids.add(earlier[:-1], lab, [], earlier[-1])
+                    first_runs[lab] = ()
+                if not history_ids.add(path, labels, nums, cur):
+                    continue
+                states = (*path, cur)
+            # filled through the slot setters, as tick fills its states
+            trace = Trace.__new__(Trace)
+            set_states(trace, states)
+            set_labels(trace, lab)
+            traces.append(trace)
+            if first_runs is None:
+                break
             continue
         if failed[0] >= failure[0]:  # a run ends in failure only by a break
             failure = failed
@@ -734,6 +754,12 @@ def enumerate_traces(
     """All successful traces, shortest first, ties left-biased, no duplicates."""
     if budget is None:
         budget = s0.cfg.max_frames
+    # the search would still run the program's tickless runs on a negative
+    # budget, and would report a cap below 1 as a search that gave out
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    if node_cap < 1:
+        raise ValueError("node_cap must be at least 1")
     outcome = _search(
         program, s0, budget,
         rng=None, want_all=True, node_cap=node_cap,

@@ -492,6 +492,18 @@ def test_enumerate_explosion_guard(probe):
         enumerate_traces(wide, probe.initial, budget=30, node_cap=5_000)
 
 
+def test_enumerate_refuses_a_negative_budget_and_a_cap_below_one(probe):
+    program = Star(roll(), 2)
+    with pytest.raises(ValueError, match=r"^budget must be nonnegative$"):
+        enumerate_traces(program, probe.initial, -1)
+    with pytest.raises(ValueError, match=r"^node_cap must be at least 1$"):
+        enumerate_traces(program, probe.initial, 10, node_cap=0)
+    # the least of each is a search: a budget of 0 keeps the run with no tick,
+    # and one node runs a program with no branch
+    assert [t.labels for t in enumerate_traces(program, probe.initial, 0)] == [()]
+    assert len(enumerate_traces(Seq(roll(), slide()), probe.initial, 10, node_cap=1)) == 1
+
+
 def test_execute_member_of_enumeration(probe):
     program = Seq(Choice(roll(), slide()), Star(Choice(slide(), Test(truth())), 3))
     keys = {t.key() for t in enumerate_traces(program, probe.initial, budget=10)}
@@ -803,6 +815,33 @@ def test_an_enumeration_where_no_run_succeeds_numbers_no_cell(probe, monkeypatch
     assert len(made) == 1 and made[0]._numbers == {}
 
 
+@pytest.mark.parametrize("text, count, one_final", [
+    # both runs end in the same state object
+    ("(choice (test true) (test true))", 1, True),
+    # an assignment that leaves the rotation as it was, and one that changes it
+    ("(choice (assign (rot ball) 0) (test true))", 1, False),
+    ("(choice (assign (rot ball) 2) (test true))", 2, False),
+])
+def test_runs_that_meet_under_the_same_labels_are_told_apart_by_their_states(probe, text, count,
+                                                                             one_final):
+    program = parse_program(text)
+    runs = list(_reference_runs(program, probe.initial, 10))
+    assert len(runs) == 2 and runs[0][1] == runs[1][1] == ()
+    assert (runs[0][0][-1] is runs[1][0][-1]) == one_final
+    traces = enumerate_traces(program, probe.initial, 10)
+    assert len(traces) == count
+    assert [t.key() for t in traces] == [t.key() for t in reference_enumeration(program, probe.initial, 10)]
+
+
+def test_a_star_of_distinct_labels_numbers_no_run(probe, monkeypatch):
+    # every run is the first with its labels, so none is numbered
+    numbered = []
+    monkeypatch.setattr(programs._HistoryIds, "add", lambda *args: numbered.append(args))
+    traces = enumerate_traces(Star(Choice(roll(), slide()), 10), probe.initial, budget=100)
+    assert len(traces) == 2**11 - 1
+    assert numbered == []
+
+
 def test_enumeration_node_count_is_pinned(probe):
     # 511 successful runs under 510 two-way branches: 1 + 2 * 510 = 1021 nodes
     wide = Star(Choice(roll(), slide()), 8)
@@ -854,18 +893,19 @@ def reference_search(program, s0, budget, *, rng, want_all, node_cap):
     Every run is pushed and popped, a pop always truncates the current run to
     the popped one's depth, every test goes through ``_eval3`` and a bit is
     drawn with ``next_u64() & 1``.  Node counts, the failure kept, pruning
-    and the traces are the search's, by the rules of its docstring.
+    and the traces are the search's, by the rules of its docstring; with
+    want_all a run is kept when no earlier run has its ``Trace.key()``.
     """
     traces = []
-    history_ids = programs._HistoryIds() if want_all else None
+    seen = set() if want_all else None  # the keys of the runs kept
     pruned = False
     failure = (-1, None, "no run attempted")
     stack = [((program, None), s0, 0)]
-    path, labels, nums = [], [], []
+    path, labels = [], []
     nodes = 0
     while stack:
         cont, cur, ticks = stack.pop()
-        del path[ticks:], labels[ticks:], nums[ticks:]
+        del path[ticks:], labels[ticks:]
         nodes += 1
         if nodes > node_cap:
             raise ExplosionGuard(nodes, node_cap)
@@ -923,11 +963,13 @@ def reference_search(program, s0, budget, *, rng, want_all, node_cap):
             else:
                 raise TypeError(f"not a program: {node!r}")
         else:
-            if history_ids is None:
-                traces.append(programs.Trace((*path, cur), tuple(labels)))
+            trace = programs.Trace((*path, cur), tuple(labels))
+            if seen is None:
+                traces.append(trace)
                 break
-            if history_ids.add(path, labels, nums, cur):
-                traces.append(programs.Trace((*path, cur), tuple(labels)))
+            if trace.key() not in seen:
+                seen.add(trace.key())
+                traces.append(trace)
             continue
         if failed is not None and failed[0] >= failure[0]:
             failure = failed
