@@ -221,5 +221,5 @@ class SceneBuildError(MosimError):
 
 # -- verification and trace files ---------------------------------------------
 
-class TraceSceneMismatch(MosimError):
-    """A trace that does not fit the scene it is verified against."""
+class TraceSceneMismatch(MosimError, ValueError):
+    """A trace that is not the run of the scene and config it is paired with."""

@@ -268,13 +268,9 @@ class Trace:
     states: tuple[WorldState, ...]
     labels: tuple[str, ...]
 
-    # written out rather than Record.__init__: enumeration builds one per run
-    def __init__(self, states: tuple[WorldState, ...], labels: tuple[str, ...]) -> None:
-        if len(states) != len(labels) + 1:
+    def __post_init__(self) -> None:
+        if len(self.states) != len(self.labels) + 1:
             raise ValueError("a trace has exactly one more state than labels")
-        s_states, s_labels = self._setters
-        s_states(self, states)
-        s_labels(self, labels)
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -311,15 +307,21 @@ def _set_attr(state: WorldState, attr: Attr, value: Value) -> WorldState:
             raise DimensionMismatchError("rotation takes a scalar")
     elif not _is_vec(value) or len(value) != 3:
         raise DimensionMismatchError(f"{attr.name} takes a 3-vector")
-    if not all(map(isfinite, value if _is_vec(value) else (value,))):
-        raise NonFiniteValueError(f"({attr.name} {attr.obj}) would be assigned {value!r}")
+    xs = value if _is_vec(value) else (value,)
+    try:
+        finite = all(map(isfinite, xs))
+    except OverflowError:
+        finite, value = False, "an integer too large for a float"
+    if not finite:
+        raise NonFiniteValueError(f"({attr.name} {attr.obj}) would be assigned {value}")
+    xs = tuple(map(float, xs))  # a state holds floats only, as the trace files write them
     if attr.name == "rot":
-        body = replace(body, rotation=float(value))
+        body = replace(body, rotation=xs[0])
     elif attr.name == "loc":
         # a moved body's relations change: the successor measures its map anew
-        body, contacts = replace(body, position=value), None
+        body, contacts = replace(body, position=xs), None
     else:
-        body = replace(body, velocity=value)
+        body = replace(body, velocity=xs)
     return WorldState(state.time, state.tick_index, {**state.bodies, body.id: body}, state.cfg,
                       contacts)
 

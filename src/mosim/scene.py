@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from functools import reduce
 from operator import add
+from typing import TYPE_CHECKING
 
 from .config import SceneConfig
-from .errors import ImmobileThemeError, SceneBuildError
+from .errors import ImmobileThemeError, SceneBuildError, TraceSceneMismatch
 from .kinematics import (
     PLUS_X,
     Body,
@@ -33,6 +34,9 @@ from .lexicon import (
 from .parser import EventFrame
 from .record import record, replace
 from .rng import stream_for
+
+if TYPE_CHECKING:  # programs imports this module
+    from .programs import Trace
 
 # Initial floor gap for alternating-contact motion: low enough that at
 # least two contact episodes fit in the shortest bare duration.
@@ -62,6 +66,17 @@ class Scene:
                 raise ValueError(f"scene {name} {bid!r} is not one of the scene's bodies {list(bodies)}")
         if not bodies[self.theme_id].mobile:
             raise ValueError(f"the theme {self.theme_id!r} is immobile")
+
+    def check_run(self, trace: Trace, cfg: SceneConfig) -> None:
+        """Refuse a ``trace`` that is not this scene's run under ``cfg``: its first state
+        must be ``initial``, whose bindings are checked above, and ``cfg`` its config."""
+        first = trace.states[0]
+        if self.initial is not first and self.initial != first:
+            raise TraceSceneMismatch("scene initial state is not the trace's first state")
+        ran = first.cfg
+        if cfg is not ran and cfg != ran:
+            differ = ", ".join(k for k, v in cfg.to_dict().items() if v != getattr(ran, k))
+            raise TraceSceneMismatch(f"cfg is not the config the trace ran under (it differs in {differ})")
 
 
 def bare_duration(cfg: SceneConfig) -> int:

@@ -186,13 +186,8 @@ def write_trace(
             raise ValueError(
                 f"label {label!r:.40} is not a tick action (one of {', '.join(sorted(TICK_ACTIONS))})"
             )
-    # a Scene binds only its own bodies, so here only the trace's
-    if scene.initial is not trace.states[0] and scene.initial != trace.states[0]:
-        raise ValueError("scene initial state is not the trace's first state")
-    ran = trace.states[0].cfg
-    if cfg != ran:  # the reader ticks each state under the header's config
-        differ = ", ".join(k for k, v in cfg.to_dict().items() if v != getattr(ran, k))
-        raise ValueError(f"cfg is not the config the trace ran under (it differs in {differ})")
+    # the header's bindings are the scene's, and the reader ticks each state under its cfg
+    scene.check_run(trace, cfg)
     ids = list(trace.states[0].bodies)
     header = _json_value(_header_dict(sentence, trace, scene, cfg))
     lines = [header] if fmt == "jsonl" else ["# " + header, ",".join(_csv_columns(ids))]
@@ -210,7 +205,10 @@ class TraceDocument:
     header: dict
     trace: Trace
     scene: Scene
-    cfg: SceneConfig
+
+    @property
+    def cfg(self) -> SceneConfig:
+        return self.trace.states[0].cfg
 
     @property
     def sentence(self) -> str:
@@ -458,7 +456,7 @@ def _rebuild(header: dict, h: dict, rows: list[str], record, fmt: str) -> TraceD
 
     trace = Trace(tuple(states), tuple(labels))
     scene = Scene(initial=states[0], theme_id=theme_id, ground_id=ground_id, goal_id=h["goal"])
-    return TraceDocument(header=header, trace=trace, scene=scene, cfg=cfg)
+    return TraceDocument(header=header, trace=trace, scene=scene)
 
 
 def _checked_jsonl_record(i: int, obj, ids) -> Record:
@@ -476,23 +474,12 @@ def _checked_jsonl_record(i: int, obj, ids) -> Record:
     return r["index"], r["time"], poses, r["action"]
 
 
-# The scanner json.loads runs: a line whose value it reads to the end of the line
-# is what json.loads would make of it, without the whitespace checks around it.
-_scan_json = json.JSONDecoder().scan_once
-
-
 def _json_line(line: str, n: int, start: int = 0):
     """The JSON value in ``line`` from ``start`` on; ``n`` is the line's number in the file.
 
     A fault names the line, and a column counted from the start of the line.
     """
     try:
-        obj, end = _scan_json(line, start)
-    except (StopIteration, ValueError, RecursionError):
-        end = -1
-    if end == len(line):
-        return obj
-    try:  # padding around the value is read here, and a fault is named
         return json.loads(line[start:])
     except json.JSONDecodeError as exc:
         raise TraceFormatError(

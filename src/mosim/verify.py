@@ -260,15 +260,8 @@ def _check_uniform_timing(step: tuple[int, float] | None, dt: float) -> CheckRes
 def verify_trace(
     trace: Trace, frame: EventFrame, scene: Scene, cfg: SceneConfig
 ) -> VerificationReport:
-    """Check one trace against the constraints compiled from its sentence."""
-    trace_ids = set(trace.states[0].bodies)
-    scene_ids = set(scene.initial.bodies)
-    if trace_ids != scene_ids:
-        raise TraceSceneMismatch(
-            f"trace bodies {sorted(trace_ids)} do not match scene bodies {sorted(scene_ids)}"
-        )
-    if not trace.states[0].bodies[scene.theme_id].mobile:  # as the engine and the reader refuse one
-        raise TraceSceneMismatch(f"theme {scene.theme_id!r} is immobile")
+    """Check the run of ``scene`` under ``cfg`` against the constraints compiled from ``frame``."""
+    scene.check_run(trace, cfg)
     if frame.theme != scene.theme_id:
         raise TraceSceneMismatch(
             f"sentence theme {frame.theme!r} is not the scene theme {scene.theme_id!r}"

@@ -33,7 +33,9 @@ from mosim import (
     execute,
     parse_text,
     probe_scene,
+    read_trace,
     truth,
+    write_trace,
 )
 from mosim import kinematics, programs
 from mosim.programs import Add, Scale, Sub, eval_term
@@ -41,6 +43,7 @@ from mosim.errors import (
     DimensionMismatchError,
     ExplosionGuard,
     IncompatiblePathError,
+    NonFiniteValueError,
     NoSuccessfulRun,
     UnboundObjectError,
 )
@@ -48,6 +51,7 @@ from mosim.kinematics import Body, Rel, WorldState, contact_relation, surface_di
 from mosim.lexicon import Shape
 from mosim.parser import EventFrame, PathComponent
 from mosim.progtext import format_program, parse_program
+from mosim.record import replace
 from mosim.rng import SplitMix64, stream_for
 
 
@@ -429,6 +433,27 @@ def test_assign_is_timeless_and_applies(probe):
     assert trace.final.body("ball").rotation == 2.5
     assert trace.final.time == 0.0
     assert trace.labels == ()
+
+
+def test_an_assigned_bool_is_stored_as_a_float_and_the_trace_file_round_trips(probe, tmp_path):
+    # the library takes any Const; a state holds floats only, so jsonl writes 1, not true
+    program = Seq(Assign(Attr("ball", "loc"), Const((True, 0.5, 0))), roll())
+    trace = execute(program, probe.initial, SplitMix64(0), budget=1)
+    first = trace.states[0].body("ball").position
+    assert first == (1.0, 0.5, 0.0) and all(type(x) is float for x in first)
+    path = tmp_path / "t.jsonl"
+    write_trace(path, "jsonl", "the ball rolled", trace, replace(probe, initial=trace.states[0]),
+                trace.states[0].cfg)
+    assert '"ball":{"pos":[1,0.5,0],' in path.read_text().splitlines()[1]
+    assert read_trace(path).trace == trace
+
+
+@pytest.mark.parametrize("attr, value", [("loc", (10**400, 0.5, 0.0)), ("rot", 10**400)], ids=["loc", "rot"])
+def test_an_integer_too_large_for_a_float_is_a_non_finite_value(probe, attr, value):
+    program = Assign(Attr("ball", attr), Const(value))
+    with pytest.raises(NonFiniteValueError,
+                       match=rf"^\({attr} ball\) would be assigned an integer too large for a float$"):
+        execute(program, probe.initial, SplitMix64(0), budget=1)
 
 
 def test_label_count_equals_tick_count(probe):

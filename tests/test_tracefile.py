@@ -11,9 +11,13 @@ from unittest import mock
 import pytest
 from hypothesis import event, given, seed, settings, strategies as st
 
-from mosim import SceneConfig, build_scene, compile_event, execute, parse_text, read_trace, write_trace
+from mosim import (
+    SceneConfig, build_scene, compile_event, execute, parse_text, read_trace, verify_trace, write_trace,
+)
 from mosim import kinematics, tracefile
-from mosim.errors import DocumentFormatError, MosimError, TraceFormatError, UnsupportedShapePair
+from mosim.errors import (
+    DocumentFormatError, MosimError, TraceFormatError, TraceSceneMismatch, UnsupportedShapePair,
+)
 from mosim.kinematics import PLUS_X, Body, WorldState, contact_relation
 from mosim.lexicon import FLOOR_ID, PREPOSITIONS, TICK_ACTIONS, Shape, load_lexicon
 from mosim.programs import Trace
@@ -428,6 +432,30 @@ def test_writer_refuses_a_scene_whose_initial_state_is_not_the_traces_first(tmp_
     with pytest.raises(ValueError, match=r"^scene initial state is not the trace's first state$"):
         write_trace(path, fmt, ran, trace, scene, cfg)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("ran, scene_of, field, value", [
+    ("the ball rolled to the wall", "the ball rolled to the wall", "speed", 2.0),
+    ("the ball rolled to the wall", "the ball rolled to the wall", "seed", 5),
+    ("the ball rolled to the wall", "the ball rolled to the wall", "contact_eps", 0.01),
+    ("the ball rolled", "the ball rolled to the wall", None, None),
+    ("the ball rolled to the wall", "the ball rolled", None, None),
+    ("the ball rolled to the wall", "the ball rolled from the wall", None, None),
+    ("the ball rolled from the wall", "the ball rolled to the wall", None, None),
+    ("the ball rolled", "the ball bounced", None, None),
+])
+def test_writer_and_verifier_refuse_a_mismatched_pair_alike(tmp_path, lex, cfg, ran, scene_of, field,
+                                                            value):
+    # one pairing rule, Scene.check_run, for both
+    frame, _, trace = make_run(lex, cfg, ran)
+    _, scene, _ = make_run(lex, cfg, scene_of)
+    other = cfg if field is None else cfg.replace(**{field: value})
+    with pytest.raises(ValueError) as written:
+        write_trace(tmp_path / "t.jsonl", "jsonl", ran, trace, scene, other)
+    with pytest.raises(ValueError) as verified:
+        verify_trace(trace, frame, scene, other)
+    assert type(written.value) is type(verified.value) is TraceSceneMismatch
+    assert str(written.value) == str(verified.value)
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])

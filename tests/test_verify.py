@@ -11,7 +11,7 @@ from mosim import (
     verify,
     verify_trace,
 )
-from mosim.errors import TraceSceneMismatch
+from mosim.errors import MosimError, TraceSceneMismatch
 from mosim.kinematics import Rel, WorldState, first_overlap
 from mosim.parser import EventFrame
 from mosim.programs import Trace
@@ -146,6 +146,24 @@ def test_trace_scene_mismatch(lex, cfg):
         verify_trace(trace_wall, frame_bare, scene_bare, cfg)
 
 
+def test_a_config_the_trace_did_not_run_under_is_a_mismatch_not_a_timing_failure(lex, cfg):
+    frame, scene, trace = run_sentence("the ball rolled to the wall", lex, cfg)
+    with pytest.raises(TraceSceneMismatch, match=r"\(it differs in dt\)$"):
+        verify_trace(trace, frame, scene, cfg.replace(dt=0.02))
+
+
+def test_a_trace_is_refused_against_the_scene_of_another_ground_distance(lex, cfg):
+    frame, _, trace = run_sentence("the ball rolled to the wall", lex, cfg)
+    _, farther, _ = run_sentence("the ball rolled to the wall", lex, cfg.replace(ground_distance=6))
+    assert set(farther.initial.bodies) == set(trace.states[0].bodies)
+    with pytest.raises(TraceSceneMismatch, match=r"^scene initial state is not the trace's first state$"):
+        verify_trace(trace, frame, farther, cfg)
+
+
+def test_a_mismatch_is_a_value_error_and_a_mosim_error():
+    assert issubclass(TraceSceneMismatch, ValueError) and issubclass(TraceSceneMismatch, MosimError)
+
+
 def test_theme_mismatch_is_an_error_not_a_fail(lex, cfg):
     frame_bird = parse_text("the bird flew", lex)
     _, scene, trace = run_sentence("the ball rolled", lex, cfg)
@@ -156,14 +174,14 @@ def test_theme_mismatch_is_an_error_not_a_fail(lex, cfg):
 @pytest.mark.parametrize("states", [1, 5])
 def test_an_immobile_theme_is_a_mismatch_not_a_traceback(lex, cfg, states):
     # a valid scene paired with a hand-built trace whose theme body is immobile:
-    # the engine and the reader refuse such a trace
+    # the trace is not the scene's run, as its first state is not the scene's
     _, scene, trace = run_sentence("the ball rolled", lex, cfg)
     stuck = [
         WorldState(s.time, s.tick_index, {**s.bodies, "ball": replace(s.body("ball"), mobile=False)}, s.cfg)
         for s in trace.states[:states]
     ]
     trace = Trace(tuple(stuck), trace.labels[:states - 1])
-    with pytest.raises(TraceSceneMismatch, match=r"^theme 'ball' is immobile$"):
+    with pytest.raises(TraceSceneMismatch, match=r"^scene initial state is not the trace's first state$"):
         verify_trace(trace, parse_text("the ball rolled", lex), scene, cfg)
 
 
@@ -256,7 +274,8 @@ def test_no_penetration_reports_the_first_po_flag(lex, cfg, faults, index, detai
     assert list(trace.states[0].bodies) == ["floor", "ball", "wall"]
     for i, body_id, other in faults:
         trace = _with_flag(trace, i, body_id, other, Rel.PO)
-    got = verify_trace(trace, frame, scene, cfg).check("no_penetration")
+    # a flag in state 0 makes another first state: the scene of that trace is verified
+    got = verify_trace(trace, frame, replace(scene, initial=trace.states[0]), cfg).check("no_penetration")
     assert (got.passed, got.offending_index, got.detail) == (False, index, detail)
 
 
@@ -288,7 +307,7 @@ def test_no_penetration_scans_a_shared_map_once_and_a_fresh_map_again(lex, cfg):
         "PO map at state 0 shared by state 1": (_sharing(trace, 0, 1, po), 0),
     }
     for name, (faulty, index) in cases.items():
-        got = verify_trace(faulty, frame, scene, cfg).check("no_penetration")
+        got = verify_trace(faulty, frame, replace(scene, initial=faulty.states[0]), cfg).check("no_penetration")
         want_index, want_detail = _scanning_every_state(faulty)
         assert want_index == index, name
         assert (got.passed, got.offending_index, got.detail) == (False, want_index, want_detail), name
