@@ -44,6 +44,11 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # a boolean is an int to Python, but the trace reader, as a config document, refuses it
+        for name, value in zip(self._fields, self._values()):
+            if isinstance(value, bool):
+                kind = "a number" if name in _FLOAT_FIELDS else "an integer"
+                raise ValueError(f"{name} must be {kind}, not a boolean")
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

@@ -175,7 +175,8 @@ class DimensionMismatchError(MosimError):
 
 
 class NonFiniteValueError(MosimError):
-    """An assignment would put an infinite or NaN number into a state."""
+    """A program literal, or a value an assignment would put into a state, is not
+    finite: infinite, NaN or an integer too large for a float."""
 
 
 class NoSuccessfulRun(MosimError):

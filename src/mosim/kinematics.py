@@ -93,6 +93,8 @@ class Body:
     velocity: Vec3 = ZERO3  # y component doubles as the ballistic state
 
     def __post_init__(self) -> None:
+        if type(self.mobile) is not bool:  # the trace header writes it as JSON's true or false
+            raise ValueError(f"mobile must be a boolean, got {self.mobile!r:.40}")
         # so a theme, the one body a tick moves, is a sphere or a box
         if self.mobile and self.shape is _PLANE:
             raise ValueError("a plane is immobile")

@@ -61,9 +61,32 @@ class Attr:
             raise ValueError(f"unknown attribute {self.name!r}")
 
 
+def _finite(x, what: str) -> float:
+    """The program literal ``x`` as a float.  A non-number, a number that is not
+    finite and an integer too large for a float are refused, as program text
+    refuses them."""
+    if not isinstance(x, (int, float)):
+        raise TypeError(f"{what} must be a number, got {x!r:.40}")
+    try:
+        value = float(x)
+    except OverflowError:
+        raise NonFiniteValueError(f"{what} must be finite, got an integer too large for a float") from None
+    if not isfinite(value):
+        raise NonFiniteValueError(f"{what} must be finite, got {value}")
+    return value
+
+
 @record
 class Const:
     value: Value
+
+    def __post_init__(self) -> None:
+        value = self.value
+        if _is_vec(value):
+            value = tuple([_finite(x, "vector component") for x in value])
+        else:
+            value = _finite(value, "constant")
+        self._setters[0](self, value)
 
 
 @record
@@ -87,6 +110,9 @@ class Sub:
 class Scale:
     factor: float
     term: "Term"
+
+    def __post_init__(self) -> None:
+        self._setters[0](self, _finite(self.factor, "scale factor"))
 
 
 Term = Union[Const, AttrTerm, Add, Sub, Scale]
@@ -153,8 +179,10 @@ class Eq:
     tol: float
 
     def __post_init__(self) -> None:
-        if self.tol <= 0:
+        tol = _finite(self.tol, "tolerance")
+        if tol <= 0:
             raise ValueError("tolerance must be strictly positive")
+        self._setters[2](self, tol)
 
 
 @record
@@ -515,27 +543,19 @@ def _search(
     The stack holds pending runs as (continuation, state, ticks), where a
     continuation is a linked list of program nodes, None | (node, rest).  An
     iteration with n passes left continues as the cell (_LOOP, (body, n,
-    rest)), so a pass builds no Star record; a pass of a ``Seq`` body starts
-    as its two halves.  Each popped run is one node against ``node_cap``; it
-    runs its deterministic prefix up to success, failure or a two-way branch
-    (a choice, or a bounded iteration).  A branch pushes its second
-    alternative and runs the first in place, counted as one more node, as if
-    it had been pushed and popped.  With an rng, one bit drawn at the branch
-    may swap them, and the first successful run ends the search.  Without
-    one, the order is left-biased and (with want_all) every successful run
-    is collected once.  A run is new when no earlier run has its labels, told
-    by one dict lookup; runs are numbered, and their states keyed, only where
-    two runs with the same labels meet (see _HistoryIds).  Nodes are told
-    apart by their exact type, the branches first, and a test of ``At`` or
-    its negation reads the state's contact map.
-
-    The head-test rule: when the first alternative starts with a test, the
-    second is held back until that test is evaluated.  If it holds, the
-    second is pushed and the first runs on after the test.  If it fails, the
-    failure is kept as any other, and the second runs in place with no push
-    or pop: one more node, counted and checked against ``node_cap`` where
-    its pop would have been.  So node counts, the failure kept and the
-    ``ExplosionGuard`` text are those of pushing it at once.
+    rest)), so a pass builds no Star record.  Each popped run is one node
+    against ``node_cap``; it runs its deterministic prefix up to success,
+    failure or a two-way branch (a choice, or a bounded iteration).  A
+    branch always pushes its second alternative and runs the first in place,
+    counted as one more node, as if it had been pushed and popped.  With an
+    rng, one bit drawn at the branch may swap them, and the first successful
+    run ends the search.  Without one, the order is left-biased and (with
+    want_all) every successful run is collected once.  A run is new when no
+    earlier run has its labels, told by one dict lookup; runs are numbered,
+    and their states keyed, only where two runs with the same labels meet
+    (see _HistoryIds).  Nodes are told apart by their exact type, the
+    branches first, and a test of ``At`` or its negation reads the state's
+    contact map.
 
     The current run is two lists indexed by depth: ``path``, the states it
     has left, and ``labels``, the actions of the ticks that left them.  A
@@ -564,7 +584,6 @@ def _search(
     set_states, set_labels = Trace._setters
     path, labels, nums = [], [], []  # the current run by depth, as above
     nodes = ticks = 0
-    held = None  # the pending run of a branch's second alternative while its first's head test runs
     while stack:
         cont, cur, popped = pop()
         if popped < ticks:
@@ -588,18 +607,14 @@ def _search(
                         cont = rest
                         continue
                     loop = (_LOOP, (body, bound - 1, rest))
-                    first = rest
-                    second = (body.first, (body.second, loop)) if type(body) is Seq else (body, loop)
+                    first, second = rest, (body, loop)
                 if next_bit is not None and next_bit():
                     first, second = second, first
                 # the first alternative runs in place, one node as if popped
                 nodes += 1
                 if nodes > node_cap:
                     raise ExplosionGuard(nodes, node_cap)
-                if first is not None and type(first[0]) is Test:
-                    held = (second, cur, ticks)
-                else:
-                    push((second, cur, ticks))
+                push((second, cur, ticks))
                 cont = first
             elif t is Test:
                 f = node.formula
@@ -615,19 +630,7 @@ def _search(
                 if tv is not _T:
                     pruned = pruned or tv is _U
                     failed = (ticks, node, "test failed")
-                    if held is None:
-                        break
-                    # a failed head test: the held alternative runs in place, one node as if popped
-                    if ticks >= failure[0]:
-                        failure = failed
-                    nodes += 1
-                    if nodes > node_cap:
-                        raise ExplosionGuard(nodes, node_cap)
-                    cont, held = held[0], None
-                    continue
-                if held is not None:
-                    push(held)
-                    held = None
+                    break
                 cont = rest
             elif t is Tick:
                 if ticks >= budget:

@@ -79,11 +79,6 @@ def _header_dict(sentence: str, trace: Trace, scene: Scene, cfg: SceneConfig) ->
     }
 
 
-def _jnum(value) -> str:
-    # nearly every number is a float; anything else is written as the header writes it
-    return fmt_float(value) if type(value) is float else _json_value(value)
-
-
 def _csv_columns(ids) -> list[str]:
     columns = ["index", "time"]
     for bid in ids:
@@ -93,11 +88,10 @@ def _csv_columns(ids) -> list[str]:
 
 def _body_text(body: Body, jsonl: bool) -> str:
     """The text of one body's pose: a jsonl body's key and object, or a csv body's four cells."""
-    pos, rot = body.position, body.rotation
+    (x, y, z), rot = body.position, body.rotation
     if jsonl:
-        return f'{json.dumps(body.id)}:{{"pos":[{",".join(map(_jnum, pos))}],"rot":{_jnum(rot)}}}'
-    x, y, z = pos
-    return f"{float(x):.17g},{float(y):.17g},{float(z):.17g},{float(rot):.17g}"
+        return f'{json.dumps(body.id)}:{{"pos":[{x:.17g},{y:.17g},{z:.17g}],"rot":{rot:.17g}}}'
+    return f"{x:.17g},{y:.17g},{z:.17g},{rot:.17g}"
 
 
 def _line_format(fmt: str, ids, theme_id: str, ground_id: str | None):
@@ -108,9 +102,8 @@ def _line_format(fmt: str, ids, theme_id: str, ground_id: str | None):
     compares records with it.  The text of the bodies before and after the
     theme is kept while they are the same objects in the same order (walls and
     the floor of an executed trace: a tick moves only the theme), and the rest
-    of the line is one ``%`` format, whose ``%.17g`` of a number is
-    ``fmt_float`` of it.  jsonl writes a theme or a time that is not a float as
-    the header writes it.
+    of the line is one ``%`` format.  Every number of a pose or a time is
+    written as the ``%.17g`` of its float, ``fmt_float`` of it, in both formats.
     """
     jsonl = fmt == "jsonl"
     # The text after the bodies: the action's, then the floor's and the goal's
@@ -122,13 +115,12 @@ def _line_format(fmt: str, ids, theme_id: str, ground_id: str | None):
         floor = [f',"floor_contact":"{rel}"' for rel in rels]
         goal = [f',"goal_contact":"{rel}"' for rel in rels]
         no_goal = ""
-        floats = '{"index":%d,"time":%.17g,"bodies":{%s%.17g,%.17g,%.17g],"rot":%.17g}%s}%s%s%s}'
-        others = '{"index":%d,"time":%s,"bodies":{%s%s],"rot":%s}%s}%s%s%s}'
+        template = '{"index":%d,"time":%.17g,"bodies":{%s%.17g,%.17g,%.17g],"rot":%.17g}%s}%s%s%s}'
     else:
         actions = {None: ",", **{a: f",{a}" for a in TICK_ACTIONS}}
         floor = goal = [f",{rel}" for rel in rels]
         no_goal = ","
-        floats = "%d,%.17g,%s%.17g,%.17g,%.17g,%.17g%s%s%s%s"
+        template = "%d,%.17g,%s%.17g,%.17g,%.17g,%.17g%s%s%s%s"
         pick = itemgetter(*ids)
     floor_pair = theme_id, FLOOR_ID
     # the floor's column is the floor relation, and a theme bound as its own ground has none
@@ -159,14 +151,9 @@ def _line_format(fmt: str, ids, theme_id: str, ground_id: str | None):
         else:
             rel = contacts[goal_pair]
             at_goal = goal[0 if rel is _EC else 1 if rel is _DC else 2]
-        pos, rot, time = theme.position, theme.rotation, state.time
-        if jsonl and not (
-            len(pos) == 3 and type(pos[0]) is type(pos[1]) is type(pos[2]) is type(rot) is type(time) is float
-        ):
-            return others % (i, _jnum(time), before, ",".join(map(_jnum, pos)), _jnum(rot), after,
-                             actions[label], on_floor, at_goal)
-        x, y, z = pos
-        return floats % (i, time, before, x, y, z, rot, after, actions[label], on_floor, at_goal)
+        x, y, z = theme.position
+        return template % (i, state.time, before, x, y, z, theme.rotation, after,
+                           actions[label], on_floor, at_goal)
 
     return line
 

@@ -449,11 +449,43 @@ def test_an_assigned_bool_is_stored_as_a_float_and_the_trace_file_round_trips(pr
 
 
 @pytest.mark.parametrize("attr, value", [("loc", (10**400, 0.5, 0.0)), ("rot", 10**400)], ids=["loc", "rot"])
-def test_an_integer_too_large_for_a_float_is_a_non_finite_value(probe, attr, value):
-    program = Assign(Attr("ball", attr), Const(value))
-    with pytest.raises(NonFiniteValueError,
-                       match=rf"^\({attr} ball\) would be assigned an integer too large for a float$"):
-        execute(program, probe.initial, SplitMix64(0), budget=1)
+def test_an_integer_too_large_for_a_float_is_a_non_finite_value(attr, value):
+    what = "vector component" if attr == "loc" else "constant"
+    with pytest.raises(NonFiniteValueError, match=rf"^{what} must be finite, got an integer too large for a float$"):
+        Assign(Attr("ball", attr), Const(value))
+
+
+@pytest.mark.parametrize("make, text", [
+    (lambda: Const(math.inf), "constant must be finite, got inf"),
+    (lambda: Const(math.nan), "constant must be finite, got nan"),
+    (lambda: Const((0.0, -math.inf, 0.0)), "vector component must be finite, got -inf"),
+    (lambda: Add(Const(10**400), Const(1.0)), "constant must be finite, got an integer too large for a float"),
+    (lambda: Scale(math.inf, Const(1.0)), "scale factor must be finite, got inf"),
+    (lambda: Scale(10**400, Const(1.0)), "scale factor must be finite, got an integer too large for a float"),
+    (lambda: Eq(Const(0.0), Const(0.0), math.nan), "tolerance must be finite, got nan"),
+    (lambda: Eq(Const(0.0), Const(0.0), math.inf), "tolerance must be finite, got inf"),
+], ids=["inf", "nan", "vector", "large-int", "scale-inf", "scale-large-int", "tol-nan", "tol-inf"])
+def test_a_program_literal_that_is_not_finite_is_refused_where_it_is_built(make, text):
+    with pytest.raises(NonFiniteValueError) as info:
+        make()
+    assert str(info.value) == text
+
+
+def test_a_test_against_an_infinite_constant_is_refused_before_it_runs(probe):
+    # program text refuses the literal as it parses; a node built in Python refuses it as it is built
+    with pytest.raises(NonFiniteValueError, match=r"^constant must be finite, got inf$"):
+        execute(Test(Eq(AttrTerm(Attr("ball", "rot")), Const(math.inf), 1e-9)), probe.initial,
+                SplitMix64(0), budget=1)
+
+
+def test_program_literals_hold_floats():
+    assert Const(1) == Const(1.0) and type(Const(1).value) is float
+    assert Const((True, 0, 2)).value == (1.0, 0.0, 2.0)
+    assert all(type(x) is float for x in Const((True, 0, 2)).value)
+    assert type(Scale(2, Const(1.0)).factor) is float
+    assert type(Eq(Const(0.0), Const(0.0), 1).tol) is float
+    with pytest.raises(TypeError, match=r"^constant must be a number, got '1'$"):
+        Const("1")
 
 
 def test_label_count_equals_tick_count(probe):

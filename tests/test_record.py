@@ -275,6 +275,21 @@ def test_post_init_checks_keep_their_texts(make, error, text):
     assert str(info.value) == text
 
 
+@pytest.mark.parametrize("field", SceneConfig._fields)
+def test_a_config_refuses_a_boolean_in_any_field(field):
+    # the trace reader, as a config document, refuses it: so the writer never writes one
+    kind = "a number" if field in config._FLOAT_FIELDS else "an integer"
+    with pytest.raises(ValueError, match=rf"^{field} must be {kind}, not a boolean$"):
+        SceneConfig(**{field: True})
+
+
+@pytest.mark.parametrize("mobile", [1, 0, None, "yes"])
+def test_a_body_refuses_a_mobile_that_is_not_a_boolean(mobile):
+    ball = Body("ball", Shape.SPHERE, (0.5,), True, (0.0, 0.5, 0.0))
+    with pytest.raises(ValueError, match=r"^mobile must be a boolean, got "):
+        replace(ball, mobile=mobile)
+
+
 def test_record_refuses_a_class_without_fields():
     with pytest.raises(TypeError, match="Empty declares no annotated fields"):
         @record

@@ -225,9 +225,9 @@ def _oracle_json_value(value) -> str:
 
 
 def _oracle_state_record(index, state, label, theme_id, ground_id) -> dict:
-    record: dict = {"index": index, "time": state.time}
+    record: dict = {"index": index, "time": float(state.time)}
     record["bodies"] = {
-        body.id: {"pos": list(body.position), "rot": body.rotation}
+        body.id: {"pos": [float(x) for x in body.position], "rot": float(body.rotation)}
         for body in state.bodies.values()
     }
     if label is not None:
@@ -269,7 +269,7 @@ def oracle_bytes(fmt, sentence, trace, scene, cfg) -> bytes:
 
 
 NUMBER = st.one_of(
-    st.integers(min_value=-10**20, max_value=10**20),  # %.17g would shorten the large ones
+    st.integers(min_value=-10**20, max_value=10**20),  # written as the %.17g of their float
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
 )
 POINT = st.tuples(NUMBER, NUMBER, NUMBER)
@@ -326,6 +326,25 @@ def test_writer_matches_generic_json_walk_on_hand_built_traces(tmp_path_factory,
         return
     write_trace(path, fmt, "a sentence, with «quotes»", trace, scene, cfg)
     assert path.read_bytes() == oracle_bytes(fmt, "a sentence, with «quotes»", trace, scene, cfg)
+
+
+def test_a_hand_built_boolean_coordinate_is_written_as_its_float_and_read_back(tmp_path):
+    # a body may hold any numbers; every number of a state record is the %.17g of its float
+    cfg = SceneConfig(seed=0)
+    bodies = {
+        FLOOR_ID: Body(FLOOR_ID, Shape.PLANE, (), False, (0.0, 0.0, 0.0)),
+        "ball": Body("ball", Shape.SPHERE, (0.5,), True, (True, 0.5, False), rotation=True),
+    }
+    first = WorldState(0, 0, bodies, cfg)
+    trace = Trace((first, kinematics.tick(first, "roll", "ball")), ("roll",))
+    scene = Scene(initial=first, theme_id="ball", ground_id=None, goal_id=None)
+    path = tmp_path / "t.jsonl"
+    write_trace(path, "jsonl", "the ball rolled", trace, scene, cfg)
+    assert path.read_text().splitlines()[1] == (
+        '{"index":0,"time":0,"bodies":{"floor":{"pos":[0,0,0],"rot":0},'
+        '"ball":{"pos":[1,0.5,0],"rot":1}},"floor_contact":"EC"}'
+    )
+    assert read_trace(path).trace == trace
 
 
 def _wall_at(state, z):
